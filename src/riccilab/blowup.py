@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainTooSmallError, IncompleteTrajectoryError
 from .functionals import loop_length, min_circumference
 from .geometry import (CurvatureData, Grid2D, MetricField, OneFormField,
-                       curvature, curvature_reduced, distance_field)
+                       distance_field, stage_curvature)
 
 
 @dataclass
@@ -66,12 +66,6 @@ class RescalePoint:
         return self.t_used + t / self.lam
 
 
-def _snapshot_curvature(g: MetricField, grid: Grid2D) -> CurvatureData:
-    if g.tag in ("conformal", "warped"):
-        return curvature_reduced(g, grid)
-    return curvature(g, grid)
-
-
 def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
     """Rescaled snapshot family: one RescalePoint per schedule entry, with the
     nearest stored snapshot (offset recorded) and the scaling-law residuals."""
@@ -84,8 +78,8 @@ def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
         snap = min(traj.snapshots, key=lambda s: abs(s.t - t_k))
         g = snap.metric
         scaled = rescale_metric(g, lam)
-        curv0 = _snapshot_curvature(g, grid)
-        curv1 = _snapshot_curvature(scaled, grid)
+        curv0 = stage_curvature(g, grid)
+        curv1 = stage_curvature(scaled, grid)
         denom = max(float(np.max(np.abs(curv0.scalar))), 1e-300)
         resid = float(np.max(np.abs(curv1.scalar - curv0.scalar / lam))) / denom
         point = RescalePoint(

@@ -13,15 +13,13 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
 from .acceptance import SUITES, run_suites
 from .blowup import (DecayMonitorSpec, RescalingSchedule, by_curvature_schedule,
                      decay_monitor, length_scaling_check, rescale_trajectory)
 from .errors import RicciLabError, ScenarioError
 from .functionals import ThetaCircle
 from .flows import run_flow
-from .geometry import curvature, curvature_reduced
+from .geometry import stage_curvature
 from .outputs import load_run, write_outputs
 from .scenario import build, parse_scenario
 
@@ -142,9 +140,7 @@ def _cmd_rescale(args) -> int:
                                             key=lambda s: abs(s.t - t))
                                         for t, _ in schedule.entries)):
                 g = snap.metric
-                curv = curvature_reduced(g, grid) if g.tag in ("conformal", "warped") \
-                    else curvature(g, grid)
-                prof = decay_monitor(curv, g, grid, dspec)
+                prof = decay_monitor(stage_curvature(g, grid), g, grid, dspec)
                 for rho, val in zip(prof["radii"], prof["profile"]):
                     lines.append(f"{p.k},{snap.t!r},{rho!r},{val!r}")
             (out_path.parent / "decay_profiles.csv").write_text("\n".join(lines) + "\n")
@@ -211,7 +207,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_ERROR if e.code not in (0, None) else 0
 
-    np.seterr(over="ignore", invalid="ignore")   # blow-up shows up as status
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -7,7 +7,18 @@ evolve through their reduced equations (conformal: du/dt = e^{-2u} Lap0 u;
 warped: dh/dt = -K h, df/dt = -K f with the reduced Gauss curvature K), which
 keeps the parameterization exact; the general component path is available for
 cross-checks.  Blow-up is a terminal status, never an exception: the last
-valid state and the full monitor history are always returned.
+valid state and the full monitor history are always returned, also when a
+stage metric fails its SPD check.
+
+Each metric is measured once.  Every RK stage builds one MetricInvariants
+bundle (det g, sqrt(det g), the inverse and the SPD check) and hands it to
+each operator of that stage; the CFL reuses the bundle of stage 1, which is the
+state's own metric, and so does the monitor record of that state.  The CFL's
+sup |R| is taken from stage 1 too, before the frozen-node zeroing: on the
+reduced conformal path R = -2 du/dt, on the warped path R = 2K, otherwise the
+stage's curvature bundle; with the metric frozen R is constant and computed
+once.  Metric arrays are never mutated in place, so states and stage vectors
+share them freely.
 """
 
 from __future__ import annotations
@@ -17,15 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateMetricError
 from .functionals import (MonitorRecord, closedness_residual, cycle_integral,
                           integrate, l2_norm_form, min_circumference,
                           sup_norm_form)
 from .geometry import (CONFORMAL, WARPED, CurvatureData, Grid2D, MetricField,
-                       OneFormField, ScalarField, codifferential,
-                       conformal_metric, curvature, curvature_reduced,
+                       MetricInvariants, OneFormField, ScalarField,
+                       codifferential, conformal_metric, flat_laplacian,
                        general_metric, grad_norm_sq, hodge_laplacian,
-                       laplace_beltrami, reduced_scalar_curvature,
-                       warped_metric)
+                       laplace_beltrami, stage_curvature,
+                       warped_gauss_curvature, warped_metric)
 
 DT_UNDERFLOW = 1e-12
 
@@ -57,6 +69,10 @@ class IntegratorSpec:
             problems.append("final time must be positive")
         if self.cadence < 1:
             problems.append("cadence must be >= 1")
+        if self.max_steps < 0:
+            problems.append("max_steps must be >= 0")
+        if self.snapshot_every < 0:
+            problems.append("snapshot_every must be >= 0 (0 = auto)")
         return problems
 
 
@@ -101,24 +117,26 @@ class FlowProblem:
 
 # ----------------------------------------------------------------- state vector
 def _pack(state: FlowState) -> dict:
+    """The state's arrays by name, not copied: stages only read them and every
+    stage writes new arrays."""
     vec = {}
     g = state.metric
     if g.tag == CONFORMAL:
-        vec["metric.u"] = g.u.copy()
+        vec["metric.u"] = g.u
     elif g.tag == WARPED:
-        vec["metric.h"] = g.h.copy()
-        vec["metric.f"] = g.f.copy()
+        vec["metric.h"] = g.h
+        vec["metric.f"] = g.f
     else:
-        vec["metric.gxx"] = g.gxx.copy()
-        vec["metric.gxt"] = g.gxt.copy()
-        vec["metric.gtt"] = g.gtt.copy()
+        vec["metric.gxx"] = g.gxx
+        vec["metric.gxt"] = g.gxt
+        vec["metric.gtt"] = g.gtt
     for label, phi in state.forms.items():
-        vec[f"form.{label}.x"] = phi.x.copy()
-        vec[f"form.{label}.t"] = phi.theta.copy()
+        vec[f"form.{label}.x"] = phi.x
+        vec[f"form.{label}.t"] = phi.theta
     if state.gauge is not None:
-        vec["gauge.F"] = state.gauge.values.copy()
+        vec["gauge.F"] = state.gauge.values
     if state.subsolution is not None:
-        vec["sub.u"] = state.subsolution.values.copy()
+        vec["sub.u"] = state.subsolution.values
     return vec
 
 
@@ -145,56 +163,51 @@ def _unpack(vec: dict, template: FlowState) -> FlowState:
 
 
 def _axpy(y: dict, a: float, k: dict) -> dict:
-    return {key: y[key] + a * k[key] for key in y}
+    """y + a k, written into the a k temporary (IEEE + commutes)."""
+    out = {}
+    for key in y:
+        out[key] = a * k[key]
+        out[key] += y[key]
+    return out
 
 
 # ----------------------------------------------------------------- right-hand side
-def _reduced_gauss_1d(h: np.ndarray, f: np.ndarray, grid: Grid2D) -> np.ndarray:
-    fp = grid.diff_x(f)
-    fpp = grid.diff_x(fp)
-    hp = grid.diff_x(h)
-    return -(fpp / h ** 2 - fp * hp / h ** 3) / f
-
-
-def stage_curvature(g: MetricField, grid: Grid2D, path: str) -> CurvatureData:
-    if path != "general" and g.tag in (CONFORMAL, WARPED):
-        return curvature_reduced(g, grid)
-    return curvature(g, grid, method="general" if path == "general" else "auto")
-
-
-def _sup_scalar_fast(g: MetricField, grid: Grid2D, path: str) -> float:
-    """sup |R| without the Christoffel work, for per-step CFL control."""
-    if path != "general" and g.tag in (CONFORMAL, WARPED):
-        return float(np.max(np.abs(reduced_scalar_curvature(g, grid))))
-    return curvature(g, grid, method="general" if path == "general" else "auto") \
-        .sup_scalar()
-
-
-def _rhs(vec: dict, template: FlowState, problem: FlowProblem) -> dict:
+def _rhs(vec: dict, template: FlowState, problem: FlowProblem,
+         geo: MetricInvariants | None = None, with_sup_R: bool = False):
+    """Rates of every tracked equation at one stage, and sup |R| of the stage
+    metric when `with_sup_R` (None if no equation evaluated the curvature).
+    `geo` is the stage metric's invariant bundle when the caller has it;
+    otherwise the metric is built from `vec`, only if some equation needs it."""
     grid = problem.grid
     tag = template.metric.tag
     out = {}
+    sup_R = None
 
     # the metric object and curvature bundle are built only if some equation
     # actually needs them; the reduced conformal path runs on u alone
-    g = None
     curv = None
     needs_metric = (bool(template.forms) or template.gauge is not None
                     or template.subsolution is not None)
     reduced = problem.metric_path != "general" and tag in (CONFORMAL, WARPED)
     needs_curv = (problem.evolve_metric and not reduced) \
         or (bool(template.forms) and problem.form_operator == "bochner")
-    if needs_metric or needs_curv:
-        g = _metric_from_vec(vec, grid, tag)
+    if (needs_metric or needs_curv) and geo is None:
+        geo = MetricInvariants(_metric_from_vec(vec, grid, tag))
+    g = geo.metric if geo is not None else None
     if needs_curv:
-        curv = stage_curvature(g, grid, problem.metric_path)
+        curv = stage_curvature(g, grid, problem.metric_path, geo)
 
     if problem.evolve_metric:
+        # R = -2 du/dt and R = 2K exactly (power-of-two factors), so sup |R| is
+        # bitwise max |reduced_scalar_curvature|
         if tag == CONFORMAL:
             if reduced:
-                u = vec["metric.u"]
-                lap0 = grid.diff_x(grid.diff_x(u)) + grid.diff_t(grid.diff_t(u))
-                out["metric.u"] = np.exp(-2.0 * u) * lap0
+                rate = -2.0 * vec["metric.u"]       # e^{-2u} Lap0 u
+                np.exp(rate, out=rate)
+                rate *= flat_laplacian(vec["metric.u"], grid)
+                if with_sup_R:
+                    sup_R = 2.0 * float(np.max(np.abs(rate)))
+                out["metric.u"] = rate
             else:
                 out["metric.u"] = -0.5 * curv.scalar
         elif tag == WARPED:
@@ -202,7 +215,9 @@ def _rhs(vec: dict, template: FlowState, problem: FlowProblem) -> dict:
             # dg/dt = -2 K g componentwise in 2-D, so the profiles obey
             # dh/dt = -K h and df/dt = -K f with the stage Gauss curvature
             if reduced:
-                gauss = _reduced_gauss_1d(h, f, grid)
+                gauss = warped_gauss_curvature(h, f, grid)
+                if with_sup_R:
+                    sup_R = 2.0 * float(np.max(np.abs(gauss)))
             else:
                 gauss = 0.5 * curv.scalar[:, 0]
             out["metric.h"] = -gauss * h
@@ -211,6 +226,8 @@ def _rhs(vec: dict, template: FlowState, problem: FlowProblem) -> dict:
             out["metric.gxx"] = -2.0 * curv.ricci_xx
             out["metric.gxt"] = -2.0 * curv.ricci_xt
             out["metric.gtt"] = -2.0 * curv.ricci_tt
+        if with_sup_R and not reduced:
+            sup_R = curv.sup_scalar()
     else:
         for key in vec:
             if key.startswith("metric."):
@@ -218,17 +235,22 @@ def _rhs(vec: dict, template: FlowState, problem: FlowProblem) -> dict:
 
     for label in template.forms:
         phi = OneFormField(vec[f"form.{label}.x"], vec[f"form.{label}.t"])
-        lap = hodge_laplacian(phi, g, grid, method=problem.form_operator, curv=curv)
+        lap = hodge_laplacian(phi, g, grid, method=problem.form_operator, curv=curv,
+                              invariants=geo)
         out[f"form.{label}.x"] = lap.x
         out[f"form.{label}.t"] = lap.theta
 
     if template.gauge is not None:
-        source = codifferential(problem.gauge_base, g, grid).values
-        out["gauge.F"] = laplace_beltrami(vec["gauge.F"], g, grid) - source
+        source = codifferential(problem.gauge_base, g, grid, geo).values
+        rate = laplace_beltrami(vec["gauge.F"], g, grid, geo)
+        rate -= source
+        out["gauge.F"] = rate
 
     if template.subsolution is not None:
         u = vec["sub.u"]
-        out["sub.u"] = laplace_beltrami(u, g, grid) - problem.sink * u
+        rate = laplace_beltrami(u, g, grid, geo)
+        rate -= problem.sink * u
+        out["sub.u"] = rate
 
     frozen = grid.boundary_mask
     if frozen.any():
@@ -238,14 +260,15 @@ def _rhs(vec: dict, template: FlowState, problem: FlowProblem) -> dict:
             else:
                 arr[0] = 0.0
                 arr[-1] = 0.0
-    return out
+    return out, sup_R
 
 
 # ----------------------------------------------------------------- CFL control
-def diffusion_rate(g: MetricField, grid: Grid2D, sup_R: float) -> float:
+def diffusion_rate(g: MetricField, grid: Grid2D, sup_R: float,
+                   invariants: MetricInvariants | None = None) -> float:
     """Worst-node parabolic rate: inverse-metric magnitudes against the grid
     spacings plus the curvature scale."""
-    ixx, ixt, itt = g.inv()
+    ixx, ixt, itt = (invariants or MetricInvariants(g)).inv
     rate = np.max(ixx) / grid.hx ** 2 + np.max(itt) / grid.hy ** 2
     cross = float(np.max(np.abs(ixt)))
     if cross > 0:
@@ -253,27 +276,37 @@ def diffusion_rate(g: MetricField, grid: Grid2D, sup_R: float) -> float:
     return float(rate) + abs(sup_R)
 
 
-def cfl_dt(state: FlowState, spec: IntegratorSpec, sup_R: float | None = None) -> float:
+def cfl_dt(state: FlowState, spec: IntegratorSpec, sup_R: float | None = None,
+           invariants: MetricInvariants | None = None) -> float:
     """dt = 2 c_cfl / rate, capped.  On a flat unit metric with equal spacing h
     this is exactly c_cfl h^2; it shrinks as the inverse metric or the
     curvature grows."""
+    geo = invariants or MetricInvariants(state.metric)
     if sup_R is None:
-        sup_R = stage_curvature(state.metric, state.grid, "auto").sup_scalar()
-    rate = diffusion_rate(state.metric, state.grid, sup_R)
+        sup_R = stage_curvature(state.metric, state.grid, "auto", geo).sup_scalar()
+    rate = diffusion_rate(state.metric, state.grid, sup_R, geo)
     return min(2.0 * spec.cfl / rate, spec.dt_cap)
 
 
 # ----------------------------------------------------------------- steppers
-def _advance(vec: dict, template: FlowState, problem: FlowProblem, dt: float,
-             scheme: str) -> dict:
-    k1 = _rhs(vec, template, problem)
-    if scheme == "rk2":   # Heun
-        k2 = _rhs(_axpy(vec, dt, k1), template, problem)
-        return {key: vec[key] + 0.5 * dt * (k1[key] + k2[key]) for key in vec}
+def _advance(vec: dict, k1: dict, template: FlowState, problem: FlowProblem,
+             dt: float, scheme: str, frozen: MetricInvariants | None) -> dict:
+    """The step from the stage-1 rates k1.  `frozen` is the state's bundle when
+    the metric does not evolve, so later stages reuse it."""
+    def rhs(v):
+        return _rhs(v, template, problem, frozen)[0]
+
+    if scheme == "rk2":   # Heun: vec + 0.5 dt (k1 + k2), accumulated in k2
+        k2 = rhs(_axpy(vec, dt, k1))
+        for key in vec:
+            k2[key] += k1[key]
+            k2[key] *= 0.5 * dt
+            k2[key] += vec[key]
+        return k2
     if scheme == "rk4":
-        k2 = _rhs(_axpy(vec, 0.5 * dt, k1), template, problem)
-        k3 = _rhs(_axpy(vec, 0.5 * dt, k2), template, problem)
-        k4 = _rhs(_axpy(vec, dt, k3), template, problem)
+        k2 = rhs(_axpy(vec, 0.5 * dt, k1))
+        k3 = rhs(_axpy(vec, 0.5 * dt, k2))
+        k4 = rhs(_axpy(vec, dt, k3))
         return {key: vec[key] + (dt / 6.0) * (k1[key] + 2 * k2[key] + 2 * k3[key] + k4[key])
                 for key in vec}
     raise ValueError(f"unknown scheme {scheme!r}")
@@ -291,12 +324,23 @@ def _vec_healthy(vec: dict, template: FlowState, grid: Grid2D) -> bool:
     return not _metric_from_vec(vec, grid, tag).is_degenerate()
 
 
+@np.errstate(over="ignore", invalid="ignore")   # blow-up shows up as None
 def flow_step(state: FlowState, dt: float, problem: FlowProblem,
-              scheme: str = "rk2") -> FlowState | None:
-    """One coupled step of every tracked equation.  Returns None when the step
-    left the state non-finite or the metric degenerate (blow-up)."""
+              scheme: str = "rk2", k1: dict | None = None,
+              invariants: MetricInvariants | None = None) -> FlowState | None:
+    """One coupled step of every tracked equation.  Returns None when a stage
+    metric failed its SPD check or the step left the state non-finite or the
+    metric degenerate (blow-up).  `k1` are the stage-1 rates and `invariants`
+    the bundle of state.metric when the caller already has them."""
     vec = _pack(state)
-    new_vec = _advance(vec, state, problem, dt, scheme)
+    try:
+        geo = invariants or MetricInvariants(state.metric)
+        if k1 is None:
+            k1 = _rhs(vec, state, problem, geo)[0]
+        new_vec = _advance(vec, k1, state, problem, dt, scheme,
+                           None if problem.evolve_metric else geo)
+    except DegenerateMetricError:
+        return None
     if not _vec_healthy(new_vec, state, state.grid):
         return None
     out = _unpack(new_vec, state)
@@ -354,20 +398,22 @@ def scalar_heat_step(state: FlowState, dt: float, sink: float = 0.0,
 
 # ----------------------------------------------------------------- monitoring
 def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
-                   curv: CurvatureData) -> MonitorRecord:
+                   curv: CurvatureData,
+                   invariants: MetricInvariants | None = None) -> MonitorRecord:
     grid, g = state.grid, state.metric
-    vol = integrate(np.ones_like(g.gxx), g, grid)
+    geo = invariants or MetricInvariants(g)
+    vol = integrate(np.ones_like(g.gxx), g, grid, geo)
     values: dict = {}
 
     for label, phi in state.forms.items():
-        values[f"{label}_l2"] = l2_norm_form(phi, g, grid)
-        values[f"{label}_sup"] = sup_norm_form(phi, g, grid)
+        values[f"{label}_l2"] = l2_norm_form(phi, g, grid, geo)
+        values[f"{label}_sup"] = sup_norm_form(phi, g, grid, geo)
         values[f"{label}_closedness"] = closedness_residual(phi, grid)
         if problem.monitor_energy:
             values[f"{label}_grad_energy"] = integrate(
-                grad_norm_sq(phi, g, grid, curv), g, grid)
+                grad_norm_sq(phi, g, grid, curv, geo), g, grid, geo)
             values[f"{label}_curv_energy"] = integrate(
-                curv.scalar * phi.norm_sq(g), g, grid)
+                curv.scalar * phi.norm_sq(g, geo), g, grid, geo)
         probe = problem.probes.get(label)
         if probe is not None:
             values[f"{label}_pairing"] = cycle_integral(phi, probe.cycle, grid)
@@ -389,10 +435,10 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
     if state.subsolution is not None:
         u = state.subsolution.values
         clipped = np.clip(u, 0.0, None)
-        values["u_mass"] = integrate(clipped, g, grid)
+        values["u_mass"] = integrate(clipped, g, grid, geo)
         values["u_min"] = float(np.min(u))
         values["u_max"] = float(np.max(u))
-        values["u_curv_mass"] = integrate(clipped * curv.scalar, g, grid)
+        values["u_curv_mass"] = integrate(clipped * curv.scalar, g, grid, geo)
 
     if problem.buffer_baseline:
         mask = problem.buffer_baseline["mask"]
@@ -400,7 +446,7 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
         for label, phi in state.forms.items():
             nsq0 = problem.buffer_baseline["form0"].get(label)
             if nsq0 is not None:
-                flux = max(flux, float(np.max(np.abs(phi.norm_sq(g)[mask] - nsq0))))
+                flux = max(flux, float(np.max(np.abs(phi.norm_sq(g, geo)[mask] - nsq0))))
         values["buffer_flux"] = flux
 
     return MonitorRecord(
@@ -427,6 +473,7 @@ class Trajectory:
         return self.grid.hash_hex
 
 
+@np.errstate(over="ignore", invalid="ignore")   # blow-up shows up as a status
 def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     """Integrate a scenario until its horizon, blow-up, a buffer breach, or the
     step budget.  Record 0 is the initial state; the terminal (or last valid)
@@ -442,31 +489,32 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         return Trajectory(grid, [], [], BUDGET, state.t, 0,
                           setup.name, setup.scenario_hash)
 
+    geo = MetricInvariants(state.metric)    # bundle of the current state's metric
+    curv = stage_curvature(state.metric, grid, problem.metric_path, geo)
+    sup_R0 = curv.sup_scalar()              # constant while the metric is frozen
     if grid.boundary_mask.any():
         mask = grid.buffer_mask()
-        curv0 = stage_curvature(state.metric, grid, problem.metric_path)
         problem.buffer_baseline = {
             "mask": mask,
-            "R0": curv0.scalar[mask].copy(),
-            "form0": {label: phi.norm_sq(state.metric)[mask].copy()
+            "R0": curv.scalar[mask].copy(),
+            "form0": {label: phi.norm_sq(state.metric, geo)[mask].copy()
                       for label, phi in state.forms.items()},
         }
 
     records: list[MonitorRecord] = []
     snapshots: list[FlowState] = []
 
-    curv = stage_curvature(state.metric, grid, problem.metric_path)
-    dt0 = cfl_dt(state, spec, sup_R=curv.sup_scalar())
+    dt0 = cfl_dt(state, spec, sup_R=sup_R0, invariants=geo)
     snap_every = spec.snapshot_every
     if snap_every == 0:
         est_records = min(spec.max_steps, int(spec.t_final / max(dt0, 1e-300)) + 1) \
             // spec.cadence + 2
         snap_every = max(1, est_records // 24)
 
-    def record_state(dt_used, curv_now=None):
+    def record_state(dt_used, geo_now, curv_now=None):
         c = curv_now if curv_now is not None \
-            else stage_curvature(state.metric, grid, problem.metric_path)
-        rec = monitor_record(state, problem, dt_used, c)
+            else stage_curvature(state.metric, grid, problem.metric_path, geo_now)
+        rec = monitor_record(state, problem, dt_used, c, geo_now)
         records.append(rec)
         if collect_snapshots and (len(records) - 1) % snap_every == 0:
             snapshots.append(state.copy())
@@ -474,7 +522,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         return flux > problem.buffer_threshold
 
     status = COMPLETED
-    if record_state(dt0, curv):
+    if record_state(dt0, geo, curv):
         status = BUFFER_BREACH
 
     horizon = spec.t_final * (1.0 - 1e-12)
@@ -482,24 +530,34 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         if state.step >= spec.max_steps:
             status = BUDGET
             break
-        sup_R = _sup_scalar_fast(state.metric, grid, problem.metric_path)
-        dt_stable = cfl_dt(state, spec, sup_R=sup_R)
+        try:
+            if geo is None:
+                geo = MetricInvariants(state.metric)
+            # stage 1 of the step, evaluated first for the sup |R| the CFL needs
+            k1, sup_R = _rhs(_pack(state), state, problem, geo,
+                             with_sup_R=problem.evolve_metric)
+        except DegenerateMetricError:
+            status = BLOWUP
+            break
+        dt_stable = cfl_dt(state, spec, sup_R=sup_R0 if sup_R is None else sup_R,
+                           invariants=geo)
         if dt_stable < DT_UNDERFLOW:
             status = BLOWUP
             break
         dt = min(dt_stable, spec.t_final - state.t)
-        new_state = flow_step(state, dt, problem, spec.scheme)
+        new_state = flow_step(state, dt, problem, spec.scheme, k1=k1, invariants=geo)
         if new_state is None:
             status = BLOWUP
             break
-        state = new_state
+        state, geo = new_state, None
         done = state.t >= horizon or state.step >= spec.max_steps
         if state.step % spec.cadence == 0 or done:
-            if record_state(dt):
+            geo = MetricInvariants(state.metric)
+            if record_state(dt, geo):
                 status = BUFFER_BREACH
 
     if records and records[-1].step != state.step:
-        record_state(records[-1].dt)    # last valid state on early termination
+        record_state(records[-1].dt, geo or MetricInvariants(state.metric))
     if collect_snapshots and (not snapshots or snapshots[-1].step != state.step):
         snapshots.append(state.copy())
 

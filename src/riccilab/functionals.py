@@ -16,22 +16,25 @@ import numpy as np
 from .errors import (DomainTooSmallError, IncompleteTrajectoryError,
                      InvalidCycleError, InvalidSubsolutionError,
                      ProbeOrderError)
-from .geometry import (Grid2D, MetricField, OneFormField, ScalarField,
-                       distance_field, exterior_derivative)
+from .geometry import (Grid2D, MetricField, MetricInvariants, OneFormField,
+                       ScalarField, distance_field, exterior_derivative)
 
 CLOSEDNESS_TOL = 1e-10
 HYPOTHESIS_TOL = 1e-10   # min R >= -this counts as "R >= 0 held"
 
 
 # ---------------------------------------------------------------------- quadrature
-def integrate(values: np.ndarray, g: MetricField, grid: Grid2D) -> float:
+def integrate(values: np.ndarray, g: MetricField, grid: Grid2D,
+              invariants: MetricInvariants | None = None) -> float:
     """Integral of a scalar density against dv_g (fixed-order summation)."""
-    return float(np.sum(values * g.sqrt_det() * grid.weights))
+    sg = (invariants or MetricInvariants(g)).sqrt_det
+    return float(np.sum(values * sg * grid.weights))
 
 
-def l2_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D) -> float:
-    g.require_spd()
-    return float(np.sqrt(integrate(phi.norm_sq(g), g, grid)))
+def l2_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D,
+                 invariants: MetricInvariants | None = None) -> float:
+    geo = invariants or MetricInvariants(g)
+    return float(np.sqrt(integrate(phi.norm_sq(g, geo), g, grid, geo)))
 
 
 def lp_norm_scalar(u: ScalarField | np.ndarray, g: MetricField, grid: Grid2D,
@@ -48,14 +51,16 @@ def lp_norm_scalar(u: ScalarField | np.ndarray, g: MetricField, grid: Grid2D,
     return float(integrate(clipped ** p, g, grid) ** (1.0 / p))
 
 
-def sup_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D) -> float:
-    return sup_norm_form_argmax(phi, g, grid)[0]
+def sup_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D,
+                  invariants: MetricInvariants | None = None) -> float:
+    return sup_norm_form_argmax(phi, g, grid, invariants)[0]
 
 
-def sup_norm_form_argmax(phi: OneFormField, g: MetricField, grid: Grid2D):
+def sup_norm_form_argmax(phi: OneFormField, g: MetricField, grid: Grid2D,
+                         invariants: MetricInvariants | None = None):
     """(sup |phi|_g, argmax node); ties resolve to the first node in row-major
     order, so the reduction is deterministic."""
-    nsq = phi.norm_sq(g)
+    nsq = phi.norm_sq(g, invariants)
     k = int(np.argmax(nsq))
     node = np.unravel_index(k, nsq.shape)
     return float(np.sqrt(nsq[node])), (int(node[0]), int(node[1]))

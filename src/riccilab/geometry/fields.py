@@ -5,11 +5,18 @@ axis 1 (row-major, x-then-theta).  Metrics carry a parameterization tag:
 "conformal" stores the log factor u with g = e^{2u} (dx^2 + dtheta^2),
 "warped" stores 1-D profiles h(x), f(x) with g = h^2 dx^2 + f^2 dtheta^2,
 and "general" stores bare components.
+
+MetricInvariants bundles det g, sqrt(det g) and the inverse of one metric,
+validated once; operators take it instead of recomputing them.  A bundle
+belongs to one RK stage, CFL evaluation or monitor record and is dropped with
+it: it is never attached to the MetricField, whose arrays are never mutated
+in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,20 +40,27 @@ class MetricField:
     f: np.ndarray | None = None        # warped circle profile, shape (nx,)
 
     def det(self) -> np.ndarray:
-        return self.gxx * self.gtt - self.gxt ** 2
+        d = self.gxx * self.gtt         # gxx gtt - gxt^2, one temporary fewer
+        d -= self.gxt ** 2
+        return d
 
-    def sqrt_det(self) -> np.ndarray:
-        return np.sqrt(self.det())
+    def sqrt_det(self, d: np.ndarray | None = None) -> np.ndarray:
+        return np.sqrt(self.det() if d is None else d)
 
-    def inv(self):
-        """Inverse components (g^xx, g^xt, g^tt)."""
-        d = self.det()
-        return self.gtt / d, -self.gxt / d, self.gxx / d
+    def inv(self, d: np.ndarray | None = None):
+        """Inverse components (g^xx, g^xt, g^tt); `d` is det g when the caller
+        already has it."""
+        if d is None:
+            d = self.det()
+        ixt = np.negative(self.gxt)     # -gxt / d, one temporary fewer
+        ixt /= d
+        return self.gtt / d, ixt, self.gxx / d
 
-    def require_spd(self):
+    def require_spd(self, d: np.ndarray | None = None):
         """Hard error on any degenerate node; silent clamping would corrupt
-        monotonicity verdicts."""
-        d = self.det()
+        monotonicity verdicts.  `d` is det g when the caller already has it."""
+        if d is None:
+            d = self.det()
         bad = (d <= DET_FLOOR) | (self.gxx <= 0.0)
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
@@ -78,14 +92,35 @@ class MetricField:
         )
 
 
+class MetricInvariants:
+    """det g (computed and SPD-checked on construction), sqrt(det g) and the
+    inverse components (g^xx, g^xt, g^tt) of one metric, each computed at most
+    once, through the MetricField methods, from the one det g."""
+
+    def __init__(self, g: MetricField):
+        self.metric = g
+        self.det = g.det()
+        g.require_spd(self.det)
+
+    @cached_property
+    def sqrt_det(self) -> np.ndarray:
+        return self.metric.sqrt_det(self.det)
+
+    @cached_property
+    def inv(self) -> tuple:
+        return self.metric.inv(self.det)
+
+
 def flat_metric(grid) -> MetricField:
     u = np.zeros((grid.nx, grid.ny))
     return conformal_metric(grid, u)
 
 
 def conformal_metric(grid, u: np.ndarray) -> MetricField:
-    e2u = np.exp(2.0 * u)
-    return MetricField(e2u, np.zeros_like(e2u), e2u.copy(), tag=CONFORMAL, u=u)
+    e2u = 2.0 * u
+    np.exp(e2u, out=e2u)
+    # gxx and gtt share one array: metric arrays are never mutated in place
+    return MetricField(e2u, np.zeros_like(e2u), e2u, tag=CONFORMAL, u=u)
 
 
 def warped_metric(grid, h: np.ndarray, f: np.ndarray) -> MetricField:
@@ -111,8 +146,9 @@ class OneFormField:
     theta: np.ndarray
     closed: bool = False
 
-    def norm_sq(self, g: MetricField) -> np.ndarray:
-        ixx, ixt, itt = g.inv()
+    def norm_sq(self, g: MetricField,
+                invariants: MetricInvariants | None = None) -> np.ndarray:
+        ixx, ixt, itt = (invariants or MetricInvariants(g)).inv
         return ixx * self.x ** 2 + 2.0 * ixt * self.x * self.theta + itt * self.theta ** 2
 
     def components(self) -> np.ndarray:

@@ -13,6 +13,10 @@ Every derivative is the one centered stencil provided by Grid2D, composed as
 needed.  Because the per-axis stencils are linear maps acting on different
 tensor factors, d(dF) = 0 holds to machine precision and the factorized Hodge
 operator is exactly skew-adjoint-compatible on periodic grids.
+
+Operators that read det g, sqrt(det g) or the inverse metric take an optional
+MetricInvariants bundle; without one they build a fresh bundle, which also
+runs the SPD check.
 """
 
 from __future__ import annotations
@@ -20,23 +24,21 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (CONFORMAL, GENERAL, WARPED, CurvatureData, MetricField,
-                     OneFormField, ScalarField)
+                     MetricInvariants, OneFormField, ScalarField)
 from .grid import PERIODIC, TRUNCATED, Grid2D
 
 
-def _metric_arrays(g: MetricField):
-    comp = np.empty((2, 2) + g.gxx.shape)
-    comp[0, 0], comp[0, 1] = g.gxx, g.gxt
-    comp[1, 0], comp[1, 1] = g.gxt, g.gtt
-    ixx, ixt, itt = g.inv()
-    inv = np.empty_like(comp)
-    inv[0, 0], inv[0, 1] = ixx, ixt
-    inv[1, 0], inv[1, 1] = ixt, itt
-    return comp, inv
+def _sym2(xx: np.ndarray, xt: np.ndarray, tt: np.ndarray) -> np.ndarray:
+    """Symmetric 2x2 field [[xx, xt], [xt, tt]] stacked as (2, 2, nx, ny)."""
+    out = np.empty((2, 2) + xx.shape)
+    out[0, 0], out[0, 1] = xx, xt
+    out[1, 0], out[1, 1] = xt, tt
+    return out
 
 
 # --------------------------------------------------------------------- Christoffel
-def christoffel(g: MetricField, grid: Grid2D, method: str = "auto") -> CurvatureData:
+def christoffel(g: MetricField, grid: Grid2D, method: str = "auto",
+                invariants: MetricInvariants | None = None) -> CurvatureData:
     """Christoffel symbols of g.
 
     "auto" differentiates the stored parameterization (u, or h and f) when the
@@ -45,7 +47,7 @@ def christoffel(g: MetricField, grid: Grid2D, method: str = "auto") -> Curvature
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) to the raw
     components.
     """
-    g.require_spd()
+    geo = invariants or MetricInvariants(g)
     if method == "auto":
         method = g.tag if g.tag in (CONFORMAL, WARPED) else GENERAL
 
@@ -71,7 +73,8 @@ def christoffel(g: MetricField, grid: Grid2D, method: str = "auto") -> Curvature
         gam[1, 0, 1] = gam[1, 1, 0] = (fp / g.f)[:, None]
         return CurvatureData(gamma=gam)
 
-    comp, inv = _metric_arrays(g)
+    comp = _sym2(g.gxx, g.gxt, g.gtt)
+    inv = _sym2(*geo.inv)
     dg = np.empty((2, 2, 2, nx, ny))   # dg[l, i, j] = d_l g_ij
     for i in range(2):
         for j in range(i, 2):
@@ -88,45 +91,60 @@ def christoffel(g: MetricField, grid: Grid2D, method: str = "auto") -> Curvature
 
 
 # --------------------------------------------------------------------- curvature
+def warped_gauss_curvature(h: np.ndarray, f: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Gauss curvature K(x) of h(x)^2 dx^2 + f(x)^2 dtheta^2 from its 1-D
+    profiles; the scalar curvature is 2K."""
+    fp = grid.diff_x(f)
+    fpp = grid.diff_x(fp)
+    hp = grid.diff_x(h)
+    return -(fpp / h ** 2 - fp * hp / h ** 3) / f
+
+
+def flat_laplacian(u: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """Lap0 u = d_x d_x u + d_theta d_theta u with the composed first-derivative
+    stencils."""
+    lap = grid.diff_x(grid.diff_x(u))
+    lap += grid.diff_t(grid.diff_t(u))
+    return lap
+
+
 def reduced_scalar_curvature(g: MetricField, grid: Grid2D) -> np.ndarray:
     """Closed-form scalar curvature for tagged metrics (stencils applied to the
     parameterization, not the components)."""
     if g.tag == CONFORMAL:
-        lap0 = grid.diff_x(grid.diff_x(g.u)) + grid.diff_t(grid.diff_t(g.u))
-        return -2.0 * np.exp(-2.0 * g.u) * lap0
+        return -2.0 * np.exp(-2.0 * g.u) * flat_laplacian(g.u, grid)
     if g.tag == WARPED:
-        fp = grid.diff_x(g.f)
-        fpp = grid.diff_x(fp)
-        hp = grid.diff_x(g.h)
-        gauss = -(fpp / g.h ** 2 - fp * hp / g.h ** 3) / g.f
+        gauss = warped_gauss_curvature(g.h, g.f, grid)
         return np.broadcast_to((2.0 * gauss)[:, None], g.gxx.shape).copy()
     raise ValueError(f"no reduced curvature for tag {g.tag!r}")
 
 
-def curvature_reduced(g: MetricField, grid: Grid2D) -> CurvatureData:
+def curvature_reduced(g: MetricField, grid: Grid2D,
+                      invariants: MetricInvariants | None = None) -> CurvatureData:
     """Fast curvature path for conformal/warped metrics: scalar curvature from the
     reduced formula, Ricci = (R/2) g (2-D identity), endomorphism (R/2) Id."""
-    g.require_spd()
+    geo = invariants or MetricInvariants(g)
     scal = reduced_scalar_curvature(g, grid)
     half = 0.5 * scal
     endo = np.zeros((2, 2) + scal.shape)
     endo[0, 0] = endo[1, 1] = half
     return CurvatureData(
-        gamma=christoffel(g, grid).gamma,
+        gamma=christoffel(g, grid, invariants=geo).gamma,
         ricci_xx=half * g.gxx, ricci_xt=half * g.gxt, ricci_tt=half * g.gtt,
         scalar=scal, endo=endo,
     )
 
 
-def curvature(g: MetricField, grid: Grid2D, method: str = "auto") -> CurvatureData:
+def curvature(g: MetricField, grid: Grid2D, method: str = "auto",
+              invariants: MetricInvariants | None = None) -> CurvatureData:
     """Full curvature bundle via the coordinate contraction of the curvature tensor.
 
     For conformal/warped tags the reduced closed-form scalar curvature is also
     computed and the sup-norm cross-check residual recorded.
     """
-    g.require_spd()
-    gam_gen = christoffel(g, grid, method=GENERAL).gamma
-    _, inv = _metric_arrays(g)
+    geo = invariants or MetricInvariants(g)
+    gam_gen = christoffel(g, grid, method=GENERAL, invariants=geo).gamma
+    inv = _sym2(*geo.inv)
     nx, ny = g.gxx.shape
 
     dgam = np.empty((2, 2, 2, 2, nx, ny))  # dgam[m, k, i, j] = d_m Gamma^k_ij
@@ -152,7 +170,7 @@ def curvature(g: MetricField, grid: Grid2D, method: str = "auto") -> CurvatureDa
     endo = np.einsum("ab...,b c...->ac...", inv, ric_sym)
 
     data = CurvatureData(
-        gamma=christoffel(g, grid).gamma,
+        gamma=christoffel(g, grid, invariants=geo).gamma,
         ricci_xx=ric_sym[0, 0], ricci_xt=ric_sym[0, 1], ricci_tt=ric_sym[1, 1],
         scalar=scal, endo=endo,
     )
@@ -160,6 +178,17 @@ def curvature(g: MetricField, grid: Grid2D, method: str = "auto") -> CurvatureDa
         data.reduced_scalar = reduced_scalar_curvature(g, grid)
         data.cross_residual = float(np.max(np.abs(data.reduced_scalar - scal)))
     return data
+
+
+def stage_curvature(g: MetricField, grid: Grid2D, path: str = "auto",
+                    invariants: MetricInvariants | None = None) -> CurvatureData:
+    """The one curvature dispatch: the reduced closed form for conformal/warped
+    metrics, the coordinate contraction for general metrics or when `path` is
+    "general"."""
+    if path != GENERAL and g.tag in (CONFORMAL, WARPED):
+        return curvature_reduced(g, grid, invariants)
+    return curvature(g, grid, method=GENERAL if path == GENERAL else "auto",
+                     invariants=invariants)
 
 
 # --------------------------------------------------------------------- d and delta
@@ -173,19 +202,21 @@ def exterior_derivative(field, grid: Grid2D):
     return OneFormField(grid.diff_x(vals), grid.diff_t(vals))
 
 
-def codifferential(phi: OneFormField, g: MetricField, grid: Grid2D) -> ScalarField:
+def codifferential(phi: OneFormField, g: MetricField, grid: Grid2D,
+                   invariants: MetricInvariants | None = None) -> ScalarField:
     """delta phi = -(1/sqrt(det g)) d_i (sqrt(det g) g^{ij} phi_j)."""
-    g.require_spd()
-    sg = g.sqrt_det()
-    ixx, ixt, itt = g.inv()
+    geo = invariants or MetricInvariants(g)
+    sg = geo.sqrt_det
+    ixx, ixt, itt = geo.inv
     fx = sg * (ixx * phi.x + ixt * phi.theta)
     ft = sg * (ixt * phi.x + itt * phi.theta)
     return ScalarField(-(grid.diff_x(fx) + grid.diff_t(ft)) / sg)
 
 
-def _codifferential_two_form(w: np.ndarray, g: MetricField, grid: Grid2D) -> OneFormField:
+def _codifferential_two_form(w: np.ndarray, g: MetricField, grid: Grid2D,
+                             geo: MetricInvariants) -> OneFormField:
     """delta of the 2-form w dx^dtheta, the adjoint of d on 1-forms."""
-    sg = g.sqrt_det()
+    sg = geo.sqrt_det
     density = w / sg
     ax = grid.diff_t(density)
     at = -grid.diff_x(density)
@@ -193,10 +224,12 @@ def _codifferential_two_form(w: np.ndarray, g: MetricField, grid: Grid2D) -> One
                         (g.gxt * ax + g.gtt * at) / sg)
 
 
-def laplace_beltrami(values: np.ndarray, g: MetricField, grid: Grid2D) -> np.ndarray:
+def laplace_beltrami(values: np.ndarray, g: MetricField, grid: Grid2D,
+                     invariants: MetricInvariants | None = None) -> np.ndarray:
     """Scalar Laplacian in divergence form, -delta(d F); nonpositive spectrum."""
-    sg = g.sqrt_det()
-    ixx, ixt, itt = g.inv()
+    geo = invariants or MetricInvariants(g)
+    sg = geo.sqrt_det
+    ixx, ixt, itt = geo.inv
     fx = grid.diff_x(values)
     ft = grid.diff_t(values)
     return (grid.diff_x(sg * (ixx * fx + ixt * ft))
@@ -205,9 +238,11 @@ def laplace_beltrami(values: np.ndarray, g: MetricField, grid: Grid2D) -> np.nda
 
 # --------------------------------------------------------------------- Laplacians on forms
 def covariant_derivative(phi: OneFormField, g: MetricField, grid: Grid2D,
-                         curv: CurvatureData | None = None) -> np.ndarray:
+                         curv: CurvatureData | None = None,
+                         invariants: MetricInvariants | None = None) -> np.ndarray:
     """S[k, i] = nabla_k phi_i = d_k phi_i - Gamma^l_ki phi_l."""
-    gam = (curv.gamma if curv is not None else christoffel(g, grid).gamma)
+    gam = (curv.gamma if curv is not None
+           else christoffel(g, grid, invariants=invariants).gamma)
     comp = phi.components()
     s = np.empty((2, 2) + phi.x.shape)
     for k in range(2):
@@ -217,10 +252,12 @@ def covariant_derivative(phi: OneFormField, g: MetricField, grid: Grid2D,
 
 
 def grad_norm_sq(phi: OneFormField, g: MetricField, grid: Grid2D,
-                 curv: CurvatureData | None = None) -> np.ndarray:
+                 curv: CurvatureData | None = None,
+                 invariants: MetricInvariants | None = None) -> np.ndarray:
     """|nabla phi|^2_g, the full covariant gradient energy density."""
-    s = covariant_derivative(phi, g, grid, curv)
-    _, inv = _metric_arrays(g)
+    geo = invariants or MetricInvariants(g)
+    s = covariant_derivative(phi, g, grid, curv, geo)
+    inv = _sym2(*geo.inv)
     out = np.zeros(phi.x.shape)
     for k in range(2):
         for m in range(2):
@@ -231,15 +268,16 @@ def grad_norm_sq(phi: OneFormField, g: MetricField, grid: Grid2D,
 
 
 def rough_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
-                    curv: CurvatureData | None = None) -> OneFormField:
+                    curv: CurvatureData | None = None,
+                    invariants: MetricInvariants | None = None) -> OneFormField:
     """(Delta phi)_i = g^{jk} (nabla_j nabla_k phi)_i via composed covariant
     derivatives."""
-    g.require_spd()
+    geo = invariants or MetricInvariants(g)
     if curv is None or curv.gamma is None:
-        curv = christoffel(g, grid)
+        curv = christoffel(g, grid, invariants=geo)
     gam = curv.gamma
     s = covariant_derivative(phi, g, grid, curv)
-    _, inv = _metric_arrays(g)
+    inv = _sym2(*geo.inv)
     out = np.zeros((2,) + phi.x.shape)
     for i in range(2):
         acc = np.zeros(phi.x.shape)
@@ -254,24 +292,25 @@ def rough_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
 
 
 def hodge_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
-                    method: str = "dd", curv: CurvatureData | None = None) -> OneFormField:
+                    method: str = "dd", curv: CurvatureData | None = None,
+                    invariants: MetricInvariants | None = None) -> OneFormField:
     """Delta_d phi, either factorized as -(d delta + delta d) ("dd") or through the
     Bochner identity Delta phi - Ric(phi) ("bochner").  The two agree to
     discretization error; the factorized path is exactly compatible with d and
     delta at the stencil level and drives the heat flows.
     """
-    g.require_spd()
+    geo = invariants or MetricInvariants(g)
     if method == "dd":
-        ds = codifferential(phi, g, grid).values
-        d_delta = OneFormField(grid.diff_x(ds), grid.diff_t(ds))
+        ds = codifferential(phi, g, grid, geo).values
         w = exterior_derivative(phi, grid).values
-        delta_d = _codifferential_two_form(w, g, grid)
-        return OneFormField(-(d_delta.x + delta_d.x), -(d_delta.theta + delta_d.theta))
+        delta_d = _codifferential_two_form(w, g, grid, geo)
+        # d delta is formed last, so fewer full-grid temporaries are live at once
+        return OneFormField(-(grid.diff_x(ds) + delta_d.x),
+                            -(grid.diff_t(ds) + delta_d.theta))
     if method == "bochner":
         if curv is None or curv.endo is None:
-            curv = curvature_reduced(g, grid) if g.tag in (CONFORMAL, WARPED) \
-                else curvature(g, grid)
-        rough = rough_laplacian(phi, g, grid, curv)
+            curv = stage_curvature(g, grid, invariants=geo)
+        rough = rough_laplacian(phi, g, grid, curv, geo)
         e = curv.endo
         return OneFormField(
             rough.x - (e[0, 0] * phi.x + e[1, 0] * phi.theta),
@@ -281,8 +320,7 @@ def hodge_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
 
 
 def volume_element(g: MetricField) -> ScalarField:
-    g.require_spd()
-    return ScalarField(g.sqrt_det())
+    return ScalarField(MetricInvariants(g).sqrt_det)
 
 
 # --------------------------------------------------------------------- distances

@@ -2,18 +2,20 @@
 conservation/monotonicity behavior of each flow."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from riccilab.flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED,
-                            FlowProblem, FlowState, IntegratorSpec, cfl_dt,
-                            flow_step, form_heat_step, gauge_diffusion_step,
-                            ricci_flow_step, run_flow, scalar_heat_step,
-                            stage_curvature)
+                            FlowProblem, FlowState, IntegratorSpec, _pack, _rhs,
+                            cfl_dt, flow_step, form_heat_step,
+                            gauge_diffusion_step, ricci_flow_step, run_flow,
+                            scalar_heat_step, stage_curvature)
 from riccilab.functionals import integrate
 from riccilab.geometry import (Grid2D, OneFormField, ScalarField,
-                               conformal_metric, flat_metric, warped_metric)
+                               conformal_metric, flat_metric, general_metric,
+                               reduced_scalar_curvature, warped_metric)
 from riccilab.oracles import TrigMode, flat_spectral_oracle
 from riccilab.scenario import FormSpec, ProbeSpec, RunSetup, build, make_scenario
 
@@ -55,7 +57,20 @@ def test_cfl_monotone_on_neck_run():
 def test_integrator_spec_validation():
     assert IntegratorSpec(cfl=0.7).validate()
     assert IntegratorSpec(scheme="euler").validate()
+    assert IntegratorSpec(max_steps=-1).validate()
+    assert IntegratorSpec(snapshot_every=-1).validate()
+    assert not IntegratorSpec(max_steps=0, snapshot_every=0).validate()
     assert not IntegratorSpec().validate()
+
+
+def test_stage_one_sup_R_is_reduced_curvature_bitwise(cigar_grid, cigar_metric,
+                                                      neck_grid, neck_metric):
+    # the CFL reads sup |R| off stage 1: 2 max|du/dt| on the conformal path and
+    # 2 max|K| on the warped path, both exactly max|reduced_scalar_curvature|
+    for grid, g in ((cigar_grid, cigar_metric), (neck_grid, neck_metric)):
+        st = _state(grid, g)
+        _, sup_R = _rhs(_pack(st), st, FlowProblem(grid), with_sup_R=True)
+        assert sup_R == float(np.max(np.abs(reduced_scalar_curvature(g, grid))))
 
 
 # ----------------------------------------------------------------- Ricci flow
@@ -301,6 +316,38 @@ def test_flow_step_detects_nonfinite():
     problem = FlowProblem(grid, evolve_metric=False)
     with np.errstate(over="ignore", invalid="ignore"):
         assert flow_step(st, 1e308, problem) is None
+
+
+def test_stage_metric_failure_ends_as_blowup():
+    # at dt = 5 the second RK stage's metric fails its SPD check: the step
+    # reports blow-up instead of raising, and so does a run that steps that far
+    grid = Grid2D.torus(32, 32)
+    X, T = grid.mesh()
+    g = general_metric(1 + 0.3 * np.sin(X), 0.1 * np.cos(T), 1 + 0.3 * np.cos(X + T))
+    st = _state(grid, g, forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
+    assert flow_step(st, 5.0, FlowProblem(grid)) is None
+    setup = RunSetup("degenerate", "d" * 16, grid, st, FlowProblem(grid),
+                     IntegratorSpec(cfl=200.0, t_final=50.0))
+    traj = run_flow(setup)
+    assert traj.status == BLOWUP
+    assert traj.n_steps == 0 and len(traj.records) == 1
+
+
+def test_blowup_run_emits_no_runtime_warning():
+    # a CFL coefficient far past stability overflows the form; the run ends
+    # with the blow-up status and numpy stays silent, with no global setting
+    grid = Grid2D.torus(16, 16)
+    X, _ = grid.mesh()
+    st = _state(grid, flat_metric(grid),
+                forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
+    setup = RunSetup("overflow", "o" * 16, grid, st,
+                     FlowProblem(grid, evolve_metric=False),
+                     IntegratorSpec(cfl=1e3, t_final=1e9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = run_flow(setup)
+    assert traj.status == BLOWUP
+    assert np.geterr()["over"] == "warn"
 
 
 def test_buffer_breach_aborts():

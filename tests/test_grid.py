@@ -38,6 +38,43 @@ def test_diff_exact_on_linear_truncated():
     assert np.max(np.abs(d - 3.0)) < 1e-13   # one-sided ends exact on linears too
 
 
+def _reference_diff(a, axis, h, topology):
+    """The stencil in its plain form: the np.roll pair on periodic axes, the
+    centered slice with one-sided 3-point closures on truncated ones."""
+    if topology == "periodic":
+        return (np.roll(a, -1, axis) - np.roll(a, 1, axis)) / (2.0 * h)
+
+    def at(idx):
+        s = [slice(None)] * a.ndim
+        s[axis] = idx
+        return tuple(s)
+
+    out = np.empty_like(a)
+    out[at(slice(1, -1))] = (a[at(slice(2, None))] - a[at(slice(0, -2))]) / (2.0 * h)
+    out[at(0)] = (-3.0 * a[at(0)] + 4.0 * a[at(1)] - a[at(2)]) / (2.0 * h)
+    out[at(-1)] = (3.0 * a[at(-1)] - 4.0 * a[at(-2)] + a[at(-3)]) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("grid", [Grid2D.torus(128, 128),
+                                  Grid2D.plane(257, 257, 16.0, 16.0),
+                                  Grid2D.cylinder(512, 64, 20.0)],
+                         ids=["torus128", "plane257", "cylinder512x64"])
+def test_slice_stencil_bitwise_equals_reference(grid):
+    rng = np.random.default_rng(7)
+    inputs = [rng.standard_normal((grid.nx, grid.ny)),
+              rng.standard_normal((2, 2, 2, grid.nx, grid.ny)),   # stacked tensors
+              rng.standard_normal((grid.ny, grid.nx)).T]           # not C-contiguous
+    for a in inputs:
+        assert np.array_equal(grid.diff_x(a),
+                              _reference_diff(a, a.ndim - 2, grid.hx, grid.topology_x))
+        assert np.array_equal(grid.diff_t(a),
+                              _reference_diff(a, a.ndim - 1, grid.hy, grid.topology_y))
+    profile = rng.standard_normal(grid.nx)                         # 1-D x-profile
+    assert np.array_equal(grid.diff_x(profile),
+                          _reference_diff(profile, 0, grid.hx, grid.topology_x))
+
+
 def test_diff_periodic_second_order():
     errs = []
     for n in (32, 64):

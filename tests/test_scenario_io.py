@@ -1,5 +1,6 @@
 """Config parsing and validation, run artifacts, snapshots, and the CLI."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from riccilab.errors import ScenarioError
 from riccilab.flows import run_flow
+from riccilab.geometry import MetricField
 from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text,
                               write_outputs)
 from riccilab.scenario import (FormSpec, ProbeSpec, build, make_scenario,
@@ -66,6 +68,20 @@ def test_all_errors_collected_not_fail_fast():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert len(err.value.problems) >= 3
+
+
+def test_negative_step_budget_and_snapshot_cadence_rejected():
+    # 0 stays valid for both: an empty budget, and automatic snapshot spacing
+    for key in ("integrator.max_steps", "output.snapshot_every"):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(MINIMAL + f"{key} = -1\n")
+        assert len(err.value.problems) == 1 and ">= 0" in err.value.problems[0]
+        parse_scenario(MINIMAL + f"{key} = 0\n")
+    spec = parse_scenario(MINIMAL)
+    spec.integrator.snapshot_every = -3
+    with pytest.raises(ScenarioError) as err:
+        build(spec)
+    assert any("snapshot_every" in p for p in err.value.problems)
 
 
 def test_probe_needs_tracked_form():
@@ -139,6 +155,11 @@ def test_snapshot_round_trip(neck_run):
     assert b.metric.tag == "warped"
     assert np.array_equal(a.metric.gtt, b.metric.gtt)
     assert np.array_equal(a.forms["main"].theta, b.forms["main"].theta)
+    # per-stage metric invariants are never cached on a metric that outlives
+    # its stage, in memory or reloaded
+    names = {f.name for f in dataclasses.fields(MetricField)}
+    for snap in (*traj.snapshots, *load_run(out).snapshots):
+        assert set(vars(snap.metric)) == names
 
 
 def test_load_run(neck_run):
