@@ -317,7 +317,7 @@ def _vec_healthy(vec: dict, template: FlowState, grid: Grid2D) -> bool:
         if not np.all(np.isfinite(arr)):
             return False
     tag = template.metric.tag
-    if tag == CONFORMAL:        # e^{2u} cannot degenerate while finite
+    if tag == CONFORMAL:        # positive while finite; run_flow checks the det floor
         return True
     if tag == WARPED:
         return float(np.min(vec["metric.h"] * vec["metric.f"])) > 1e-6
@@ -334,11 +334,12 @@ def flow_step(state: FlowState, dt: float, problem: FlowProblem,
     the bundle of state.metric when the caller already has them."""
     vec = _pack(state)
     try:
-        geo = invariants or MetricInvariants(state.metric)
+        if not problem.evolve_metric and invariants is None:
+            invariants = MetricInvariants(state.metric)     # every stage reuses it
         if k1 is None:
-            k1 = _rhs(vec, state, problem, geo)[0]
+            k1 = _rhs(vec, state, problem, invariants)[0]
         new_vec = _advance(vec, k1, state, problem, dt, scheme,
-                           None if problem.evolve_metric else geo)
+                           None if problem.evolve_metric else invariants)
     except DegenerateMetricError:
         return None
     if not _vec_healthy(new_vec, state, state.grid):
@@ -530,15 +531,9 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         if state.step >= spec.max_steps:
             status = BUDGET
             break
-        try:
-            if geo is None:
-                geo = MetricInvariants(state.metric)
-            # stage 1 of the step, evaluated first for the sup |R| the CFL needs
-            k1, sup_R = _rhs(_pack(state), state, problem, geo,
-                             with_sup_R=problem.evolve_metric)
-        except DegenerateMetricError:
-            status = BLOWUP
-            break
+        # stage 1 of the step, evaluated first for the sup |R| the CFL needs
+        k1, sup_R = _rhs(_pack(state), state, problem, geo,
+                         with_sup_R=problem.evolve_metric)
         dt_stable = cfl_dt(state, spec, sup_R=sup_R0 if sup_R is None else sup_R,
                            invariants=geo)
         if dt_stable < DT_UNDERFLOW:
@@ -549,15 +544,21 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         if new_state is None:
             status = BLOWUP
             break
-        state, geo = new_state, None
+        try:
+            # the new state's bundle, read by its record or by the next stage 1;
+            # a metric failing its SPD check ends the run on the last valid state
+            new_geo = MetricInvariants(new_state.metric)
+        except DegenerateMetricError:
+            status = BLOWUP
+            break
+        state, geo = new_state, new_geo
         done = state.t >= horizon or state.step >= spec.max_steps
         if state.step % spec.cadence == 0 or done:
-            geo = MetricInvariants(state.metric)
             if record_state(dt, geo):
                 status = BUFFER_BREACH
 
     if records and records[-1].step != state.step:
-        record_state(records[-1].dt, geo or MetricInvariants(state.metric))
+        record_state(records[-1].dt, geo)
     if collect_snapshots and (not snapshots or snapshots[-1].step != state.step):
         snapshots.append(state.copy())
 

@@ -118,15 +118,8 @@ class Grid2D:
             s[axis] = idx
             return tuple(s)
 
-        if axis == a.ndim - 1 and a.flags.c_contiguous and out.flags.c_contiguous:
-            # along the contiguous last axis one flat sweep is faster than one
-            # per row; the entries that straddle two rows are the end columns,
-            # overwritten below
-            flat = a.reshape(-1)
-            np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
-        else:
-            np.subtract(a[at(slice(2, None))], a[at(slice(0, -2))],
-                        out=out[at(slice(1, -1))])
+        np.subtract(a[at(slice(2, None))], a[at(slice(0, -2))],
+                    out=out[at(slice(1, -1))])
         first, second = at(slice(0, 1)), at(slice(1, 2))
         last, before_last = at(slice(-1, None)), at(slice(-2, -1))
         if topology == PERIODIC:

@@ -333,6 +333,28 @@ def test_stage_metric_failure_ends_as_blowup():
     assert traj.n_steps == 0 and len(traj.records) == 1
 
 
+@pytest.mark.parametrize("cadence", [1, 1000])
+def test_state_metric_failure_ends_as_blowup(cadence):
+    # a CFL coefficient past stability drives a conformal factor near the det
+    # floor below it while it stays finite: the step's new state fails its SPD
+    # check, and the run ends on the last valid state, recorded also when the
+    # cadence had skipped it
+    grid = Grid2D.torus(16, 16)
+    X, T = grid.mesh()
+    u = -6.8 + 0.05 * np.sin(X) * np.cos(T)
+    setup = RunSetup("underflow", "u" * 16, grid, _state(grid, conformal_metric(grid, u)),
+                     FlowProblem(grid), IntegratorSpec(cfl=3.0, cadence=cadence))
+    traj = run_flow(setup)
+    assert traj.status == BLOWUP
+    assert traj.n_steps > 0
+    assert traj.records[-1].step == traj.n_steps
+    last = traj.snapshots[-1]
+    assert last.metric.det().min() > 1e-12
+    # the step past it is finite but under the floor
+    nxt = flow_step(last, cfl_dt(last, setup.integrator), FlowProblem(grid))
+    assert np.all(np.isfinite(nxt.metric.u)) and nxt.metric.det().min() <= 1e-12
+
+
 def test_blowup_run_emits_no_runtime_warning():
     # a CFL coefficient far past stability overflows the form; the run ends
     # with the blow-up status and numpy stays silent, with no global setting
