@@ -10,9 +10,8 @@ from .geometry import (CONFORMAL, GENERAL, WARPED, CurvatureData, Grid2D,
                        hodge_laplacian, laplace_beltrami, rough_laplacian,
                        stage_curvature, volume_element, warped_metric)
 from .flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED, FlowProblem,
-                    FlowState, IntegratorSpec, Trajectory, cfl_dt,
-                    flow_step, form_heat_step, gauge_diffusion_step,
-                    ricci_flow_step, run_flow, scalar_heat_step)
+                    FlowState, IntegratorSpec, StateLayout, Trajectory, cfl_dt,
+                    flow_step, run_flow)
 from .functionals import (CohomologyProbe, MonitorRecord, ThetaCircle,
                           cutoff_eta, l2_norm_form, loop_length, lp_norm_scalar,
                           min_circumference, sup_norm_form)

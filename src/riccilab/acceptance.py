@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import RescalingSchedule, length_scaling_check, rescale_metric
+from .blowup import RescalingSchedule, length_scaling_check
 from .flows import COMPLETED, Trajectory, run_flow
 from .functionals import (ThetaCircle, form_energy_identity_report,
                           l1_monotonicity_report, l2_monotonicity_report,
@@ -298,13 +298,13 @@ def suite_scaling_laws() -> list:
     worst_L = 0.0
     for lam in (0.25, 1.0, 4.0, 100.0):
         for metric, gr in ((g, grid), (g_c, grid_c)):
-            scaled = rescale_metric(metric, lam)
+            scaled = metric.rescaled(lam)
             r0 = curvature_reduced(metric, gr).scalar
             r1 = curvature_reduced(scaled, gr).scalar
             denom = max(float(np.max(np.abs(r0))), 1e-300)
             worst_R = max(worst_R, float(np.max(np.abs(r1 - r0 / lam))) / denom)
         L0, _ = min_circumference(g, grid)
-        L1, _ = min_circumference(rescale_metric(g, lam), grid)
+        L1, _ = min_circumference(g.rescaled(lam), grid)
         worst_L = max(worst_L, abs(L1 - math.sqrt(lam) * L0) / L0)
     out.append(CriterionResult(
         "scaling-laws", "R(lam g) = R/lam for lam in {0.25,1,4,100}",

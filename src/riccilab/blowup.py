@@ -44,10 +44,6 @@ def by_curvature_schedule(traj, times) -> RescalingSchedule:
     return RescalingSchedule(entries, policy="by-curvature")
 
 
-def rescale_metric(g: MetricField, lam: float) -> MetricField:
-    return g.rescaled(lam)
-
-
 @dataclass
 class RescalePoint:
     k: int
@@ -77,7 +73,7 @@ def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
     for k, (t_k, lam) in enumerate(schedule.entries):
         snap = min(traj.snapshots, key=lambda s: abs(s.t - t_k))
         g = snap.metric
-        scaled = rescale_metric(g, lam)
+        scaled = g.rescaled(lam)
         curv0 = stage_curvature(g, grid)
         curv1 = stage_curvature(scaled, grid)
         denom = max(float(np.max(np.abs(curv0.scalar))), 1e-300)
@@ -114,7 +110,7 @@ def length_scaling_check(traj, schedule: RescalingSchedule, cycle) -> dict:
     for k, (t_k, lam) in enumerate(schedule.entries):
         snap = min(traj.snapshots, key=lambda s: abs(s.t - t_k))
         L = loop_length(cycle, snap.metric, grid)
-        L_scaled = loop_length(cycle, rescale_metric(snap.metric, lam), grid)
+        L_scaled = loop_length(cycle, snap.metric.rescaled(lam), grid)
         rows.append({
             "k": k, "t": snap.t, "lambda": lam,
             "length": L, "rescaled_length": L_scaled,

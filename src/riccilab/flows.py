@@ -19,12 +19,20 @@ reduced conformal path R = -2 du/dt, on the warped path R = 2K, otherwise the
 stage's curvature bundle; with the metric frozen R is constant and computed
 once.  Metric arrays are never mutated in place, so states and stage vectors
 share them freely.
+
+The state is one contiguous float64 vector with one StateLayout: the metric
+parameters, then each form's two components, then the gauge potential and the
+subsolution.  A state's arrays are views into its vector, so every RK stage
+combination, the frozen-node zeroing and the finiteness check are single
+vector expressions, and a snapshot's .bin file is that vector's bytes in
+layout order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +40,8 @@ from .errors import DegenerateMetricError
 from .functionals import (MonitorRecord, closedness_residual, cycle_integral,
                           integrate, l2_norm_form, min_circumference,
                           sup_norm_form)
-from .geometry import (CONFORMAL, WARPED, CurvatureData, Grid2D, MetricField,
-                       MetricInvariants, OneFormField, ScalarField,
+from .geometry import (CONFORMAL, GENERAL, WARPED, CurvatureData, Grid2D,
+                       MetricField, MetricInvariants, OneFormField, ScalarField,
                        codifferential, conformal_metric, flat_laplacian,
                        general_metric, grad_norm_sq, hodge_laplacian,
                        laplace_beltrami, stage_curvature,
@@ -85,7 +93,9 @@ class FlowState:
     gauge: ScalarField | None = None
     subsolution: ScalarField | None = None
     step: int = 0
-    t_max: float = math.inf
+    # set by StateLayout.unpack: every array above is a view into `vector`
+    layout: StateLayout | None = field(default=None, repr=False, compare=False)
+    vector: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "FlowState":
         return FlowState(
@@ -93,8 +103,96 @@ class FlowState:
             {k: v.copy() for k, v in self.forms.items()},
             None if self.gauge is None else self.gauge.copy(),
             None if self.subsolution is None else self.subsolution.copy(),
-            self.step, self.t_max,
+            self.step,
         )
+
+
+_METRIC_PARAMS = {CONFORMAL: ("u",), WARPED: ("h", "f"), GENERAL: ("gxx", "gxt", "gtt")}
+
+
+class StateLayout:
+    """Where each field of a state sits in one flat float64 vector.
+
+    `fields` are (name, shape, offset) in vector order, offsets in elements:
+    the metric parameters of its tag (metric.u | metric.h, metric.f |
+    metric.gxx, metric.gxt, metric.gtt), then form.<label>.phi_x and
+    form.<label>.phi_theta per form, then gauge.F and sub.u when tracked.
+    Snapshot files carry these names, and a snapshot's .bin is the vector's
+    bytes."""
+
+    def __init__(self, grid: Grid2D, tag: str, fields):
+        self.grid, self.tag = grid, tag
+        self.fields, self.size = [], 0
+        for name, shape in fields:
+            self.fields.append((name, tuple(shape), self.size))
+            self.size += math.prod(shape)
+        self.labels = [name[len("form."):-len(".phi_x")] for name, _, _ in self.fields
+                       if name.startswith("form.") and name.endswith(".phi_x")]
+
+    @staticmethod
+    def _arrays(state: FlowState) -> list:
+        g = state.metric
+        arrays = [(f"metric.{p}", getattr(g, p)) for p in _METRIC_PARAMS[g.tag]]
+        for label, phi in state.forms.items():
+            arrays += [(f"form.{label}.phi_x", phi.x),
+                       (f"form.{label}.phi_theta", phi.theta)]
+        if state.gauge is not None:
+            arrays.append(("gauge.F", state.gauge.values))
+        if state.subsolution is not None:
+            arrays.append(("sub.u", state.subsolution.values))
+        return arrays
+
+    @classmethod
+    def of(cls, state: FlowState) -> "StateLayout":
+        if state.layout is not None:
+            return state.layout
+        return cls(state.grid, state.metric.tag,
+                   [(name, arr.shape) for name, arr in cls._arrays(state)])
+
+    def pack(self, state: FlowState) -> np.ndarray:
+        """The state as one vector; a state this layout unpacked is not copied."""
+        if state.layout is self:
+            return state.vector
+        return np.concatenate([arr.ravel() for _, arr in self._arrays(state)])
+
+    def parts(self, vec: np.ndarray):
+        """Views into `vec`: the metric parameters in tag order, the forms by
+        label, and the gauge and subsolution values (None when untracked)."""
+        v = {name: vec[o:o + math.prod(s)].reshape(s) for name, s, o in self.fields}
+        forms = {label: OneFormField(v[f"form.{label}.phi_x"], v[f"form.{label}.phi_theta"])
+                 for label in self.labels}
+        return ([v[f"metric.{p}"] for p in _METRIC_PARAMS[self.tag]], forms,
+                v.get("gauge.F"), v.get("sub.u"))
+
+    def metric(self, params) -> MetricField:
+        """The metric of its parameters, through the per-tag constructor."""
+        if self.tag == CONFORMAL:
+            return conformal_metric(self.grid, *params)
+        if self.tag == WARPED:
+            return warped_metric(self.grid, *params)
+        return general_metric(*params)
+
+    def unpack(self, vec: np.ndarray, t: float = 0.0, step: int = 0) -> FlowState:
+        params, forms, gauge, sub = self.parts(vec)
+        return FlowState(t, self.grid, self.metric(params), forms,
+                         None if gauge is None else ScalarField(gauge),
+                         None if sub is None else ScalarField(sub), step, self, vec)
+
+    @cached_property
+    def frozen(self) -> np.ndarray:
+        """Indices of the nodes flows hold fixed: grid.boundary_mask on 2-D
+        fields and both end nodes of 1-D warped profiles, none without a
+        truncated axis."""
+        boundary = self.grid.boundary_mask
+        mask = np.zeros(self.size, dtype=bool)
+        if boundary.any():
+            for _, shape, offset in self.fields:
+                nodes = mask[offset:offset + math.prod(shape)].reshape(shape)
+                if len(shape) == 2:
+                    nodes[boundary] = True
+                else:
+                    nodes[[0, -1]] = True
+        return np.flatnonzero(mask)
 
 
 @dataclass
@@ -115,84 +213,29 @@ class FlowProblem:
     buffer_baseline: dict = field(default_factory=dict)
 
 
-# ----------------------------------------------------------------- state vector
-def _pack(state: FlowState) -> dict:
-    """The state's arrays by name, not copied: stages only read them and every
-    stage writes new arrays."""
-    vec = {}
-    g = state.metric
-    if g.tag == CONFORMAL:
-        vec["metric.u"] = g.u
-    elif g.tag == WARPED:
-        vec["metric.h"] = g.h
-        vec["metric.f"] = g.f
-    else:
-        vec["metric.gxx"] = g.gxx
-        vec["metric.gxt"] = g.gxt
-        vec["metric.gtt"] = g.gtt
-    for label, phi in state.forms.items():
-        vec[f"form.{label}.x"] = phi.x
-        vec[f"form.{label}.t"] = phi.theta
-    if state.gauge is not None:
-        vec["gauge.F"] = state.gauge.values
-    if state.subsolution is not None:
-        vec["sub.u"] = state.subsolution.values
-    return vec
-
-
-def _metric_from_vec(vec: dict, grid: Grid2D, tag: str) -> MetricField:
-    if tag == CONFORMAL:
-        return conformal_metric(grid, vec["metric.u"])
-    if tag == WARPED:
-        return warped_metric(grid, vec["metric.h"], vec["metric.f"])
-    return general_metric(vec["metric.gxx"], vec["metric.gxt"], vec["metric.gtt"])
-
-
-def _unpack(vec: dict, template: FlowState) -> FlowState:
-    st = FlowState(template.t, template.grid,
-                   _metric_from_vec(vec, template.grid, template.metric.tag),
-                   {}, None, None, template.step, template.t_max)
-    for label, phi in template.forms.items():
-        st.forms[label] = OneFormField(vec[f"form.{label}.x"], vec[f"form.{label}.t"],
-                                       closed=phi.closed)
-    if template.gauge is not None:
-        st.gauge = ScalarField(vec["gauge.F"], role="gauge")
-    if template.subsolution is not None:
-        st.subsolution = ScalarField(vec["sub.u"], role="subsolution")
-    return st
-
-
-def _axpy(y: dict, a: float, k: dict) -> dict:
-    """y + a k, written into the a k temporary (IEEE + commutes)."""
-    out = {}
-    for key in y:
-        out[key] = a * k[key]
-        out[key] += y[key]
-    return out
-
-
 # ----------------------------------------------------------------- right-hand side
-def _rhs(vec: dict, template: FlowState, problem: FlowProblem,
+def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
          geo: MetricInvariants | None = None, with_sup_R: bool = False):
-    """Rates of every tracked equation at one stage, and sup |R| of the stage
-    metric when `with_sup_R` (None if no equation evaluated the curvature).
-    `geo` is the stage metric's invariant bundle when the caller has it;
-    otherwise the metric is built from `vec`, only if some equation needs it."""
-    grid = problem.grid
-    tag = template.metric.tag
-    out = {}
+    """Rates of every tracked equation at one stage, as one vector in the
+    layout of `vec`, and sup |R| of the stage metric when `with_sup_R` (None
+    if no equation evaluated the curvature).  `geo` is the stage metric's
+    invariant bundle when the caller has it; otherwise the metric is built
+    from `vec`, only if some equation needs it."""
+    grid, tag = problem.grid, layout.tag
+    params, forms, gauge, sub = layout.parts(vec)
+    k = np.empty(layout.size)
+    k_params, k_forms, k_gauge, k_sub = layout.parts(k)
     sup_R = None
 
     # the metric object and curvature bundle are built only if some equation
     # actually needs them; the reduced conformal path runs on u alone
     curv = None
-    needs_metric = (bool(template.forms) or template.gauge is not None
-                    or template.subsolution is not None)
+    needs_metric = bool(forms) or gauge is not None or sub is not None
     reduced = problem.metric_path != "general" and tag in (CONFORMAL, WARPED)
     needs_curv = (problem.evolve_metric and not reduced) \
-        or (bool(template.forms) and problem.form_operator == "bochner")
+        or (bool(forms) and problem.form_operator == "bochner")
     if (needs_metric or needs_curv) and geo is None:
-        geo = MetricInvariants(_metric_from_vec(vec, grid, tag))
+        geo = MetricInvariants(layout.metric(params))
     g = geo.metric if geo is not None else None
     if needs_curv:
         curv = stage_curvature(g, grid, problem.metric_path, geo)
@@ -201,66 +244,51 @@ def _rhs(vec: dict, template: FlowState, problem: FlowProblem,
         # R = -2 du/dt and R = 2K exactly (power-of-two factors), so sup |R| is
         # bitwise max |reduced_scalar_curvature|
         if tag == CONFORMAL:
+            (u,), (rate,) = params, k_params
             if reduced:
-                rate = -2.0 * vec["metric.u"]       # e^{-2u} Lap0 u
+                np.multiply(u, -2.0, out=rate)     # e^{-2u} Lap0 u
                 np.exp(rate, out=rate)
-                rate *= flat_laplacian(vec["metric.u"], grid)
+                rate *= flat_laplacian(u, grid)
                 if with_sup_R:
                     sup_R = 2.0 * float(np.max(np.abs(rate)))
-                out["metric.u"] = rate
             else:
-                out["metric.u"] = -0.5 * curv.scalar
+                np.multiply(curv.scalar, -0.5, out=rate)
         elif tag == WARPED:
-            h, f = vec["metric.h"], vec["metric.f"]
             # dg/dt = -2 K g componentwise in 2-D, so the profiles obey
             # dh/dt = -K h and df/dt = -K f with the stage Gauss curvature
             if reduced:
-                gauss = warped_gauss_curvature(h, f, grid)
+                gauss = warped_gauss_curvature(*params, grid)
                 if with_sup_R:
                     sup_R = 2.0 * float(np.max(np.abs(gauss)))
             else:
                 gauss = 0.5 * curv.scalar[:, 0]
-            out["metric.h"] = -gauss * h
-            out["metric.f"] = -gauss * f
+            for profile, rate in zip(params, k_params):
+                np.multiply(-gauss, profile, out=rate)
         else:
-            out["metric.gxx"] = -2.0 * curv.ricci_xx
-            out["metric.gxt"] = -2.0 * curv.ricci_xt
-            out["metric.gtt"] = -2.0 * curv.ricci_tt
+            for ricci, rate in zip((curv.ricci_xx, curv.ricci_xt, curv.ricci_tt), k_params):
+                np.multiply(ricci, -2.0, out=rate)
         if with_sup_R and not reduced:
             sup_R = curv.sup_scalar()
     else:
-        for key in vec:
-            if key.startswith("metric."):
-                out[key] = np.zeros_like(vec[key])
+        for rate in k_params:
+            rate.fill(0.0)
 
-    for label in template.forms:
-        phi = OneFormField(vec[f"form.{label}.x"], vec[f"form.{label}.t"])
+    for label, phi in forms.items():
         lap = hodge_laplacian(phi, g, grid, method=problem.form_operator, curv=curv,
                               invariants=geo)
-        out[f"form.{label}.x"] = lap.x
-        out[f"form.{label}.t"] = lap.theta
+        k_forms[label].x[...] = lap.x
+        k_forms[label].theta[...] = lap.theta
 
-    if template.gauge is not None:
+    if gauge is not None:
         source = codifferential(problem.gauge_base, g, grid, geo).values
-        rate = laplace_beltrami(vec["gauge.F"], g, grid, geo)
-        rate -= source
-        out["gauge.F"] = rate
+        np.subtract(laplace_beltrami(gauge, g, grid, geo), source, out=k_gauge)
 
-    if template.subsolution is not None:
-        u = vec["sub.u"]
-        rate = laplace_beltrami(u, g, grid, geo)
-        rate -= problem.sink * u
-        out["sub.u"] = rate
+    if sub is not None:
+        np.subtract(laplace_beltrami(sub, g, grid, geo), problem.sink * sub, out=k_sub)
 
-    frozen = grid.boundary_mask
-    if frozen.any():
-        for arr in out.values():
-            if arr.ndim == 2:
-                arr[frozen] = 0.0
-            else:
-                arr[0] = 0.0
-                arr[-1] = 0.0
-    return out, sup_R
+    if layout.frozen.size:
+        k[layout.frozen] = 0.0
+    return k, sup_R
 
 
 # ----------------------------------------------------------------- CFL control
@@ -289,112 +317,64 @@ def cfl_dt(state: FlowState, spec: IntegratorSpec, sup_R: float | None = None,
 
 
 # ----------------------------------------------------------------- steppers
-def _advance(vec: dict, k1: dict, template: FlowState, problem: FlowProblem,
-             dt: float, scheme: str, frozen: MetricInvariants | None) -> dict:
-    """The step from the stage-1 rates k1.  `frozen` is the state's bundle when
-    the metric does not evolve, so later stages reuse it."""
-    def rhs(v):
-        return _rhs(v, template, problem, frozen)[0]
+def _advance(vec: np.ndarray, k1: np.ndarray, layout: StateLayout,
+             problem: FlowProblem, dt: float, scheme: str,
+             frozen: MetricInvariants | None) -> np.ndarray:
+    """The new state vector from the stage-1 rates k1.  `frozen` is the state's
+    bundle when the metric does not evolve, so later stages reuse it."""
+    def rhs_at(a, k):          # rates at vec + a k, written into the a k temporary
+        stage = a * k
+        stage += vec
+        return _rhs(stage, layout, problem, frozen)[0]
 
     if scheme == "rk2":   # Heun: vec + 0.5 dt (k1 + k2), accumulated in k2
-        k2 = rhs(_axpy(vec, dt, k1))
-        for key in vec:
-            k2[key] += k1[key]
-            k2[key] *= 0.5 * dt
-            k2[key] += vec[key]
+        k2 = rhs_at(dt, k1)
+        k2 += k1
+        k2 *= 0.5 * dt
+        k2 += vec
         return k2
     if scheme == "rk4":
-        k2 = rhs(_axpy(vec, 0.5 * dt, k1))
-        k3 = rhs(_axpy(vec, 0.5 * dt, k2))
-        k4 = rhs(_axpy(vec, dt, k3))
-        return {key: vec[key] + (dt / 6.0) * (k1[key] + 2 * k2[key] + 2 * k3[key] + k4[key])
-                for key in vec}
+        k2 = rhs_at(0.5 * dt, k1)
+        k3 = rhs_at(0.5 * dt, k2)
+        k4 = rhs_at(dt, k3)
+        return vec + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _vec_healthy(vec: dict, template: FlowState, grid: Grid2D) -> bool:
-    for arr in vec.values():
-        if not np.all(np.isfinite(arr)):
-            return False
-    tag = template.metric.tag
-    if tag == CONFORMAL:        # positive while finite; run_flow checks the det floor
+def _vec_healthy(vec: np.ndarray, layout: StateLayout) -> bool:
+    if not np.isfinite(vec).all():
+        return False
+    if layout.tag == CONFORMAL:  # positive while finite; run_flow checks the det floor
         return True
-    if tag == WARPED:
-        return float(np.min(vec["metric.h"] * vec["metric.f"])) > 1e-6
-    return not _metric_from_vec(vec, grid, tag).is_degenerate()
+    params = layout.parts(vec)[0]
+    if layout.tag == WARPED:
+        h, f = params
+        return float(np.min(h * f)) > 1e-6
+    return not layout.metric(params).is_degenerate()
 
 
 @np.errstate(over="ignore", invalid="ignore")   # blow-up shows up as None
 def flow_step(state: FlowState, dt: float, problem: FlowProblem,
-              scheme: str = "rk2", k1: dict | None = None,
+              scheme: str = "rk2", k1: np.ndarray | None = None,
               invariants: MetricInvariants | None = None) -> FlowState | None:
     """One coupled step of every tracked equation.  Returns None when a stage
     metric failed its SPD check or the step left the state non-finite or the
     metric degenerate (blow-up).  `k1` are the stage-1 rates and `invariants`
     the bundle of state.metric when the caller already has them."""
-    vec = _pack(state)
+    layout = StateLayout.of(state)
+    vec = layout.pack(state)
     try:
         if not problem.evolve_metric and invariants is None:
             invariants = MetricInvariants(state.metric)     # every stage reuses it
         if k1 is None:
-            k1 = _rhs(vec, state, problem, invariants)[0]
-        new_vec = _advance(vec, k1, state, problem, dt, scheme,
+            k1 = _rhs(vec, layout, problem, invariants)[0]
+        new_vec = _advance(vec, k1, layout, problem, dt, scheme,
                            None if problem.evolve_metric else invariants)
     except DegenerateMetricError:
         return None
-    if not _vec_healthy(new_vec, state, state.grid):
+    if not _vec_healthy(new_vec, layout):
         return None
-    out = _unpack(new_vec, state)
-    out.t = state.t + dt
-    out.step = state.step + 1
-    return out
-
-
-# Single-system entry points: the same coupled stepper with only the relevant
-# subsystems active.  Untouched fields are carried through unchanged.
-def ricci_flow_step(state: FlowState, dt: float, metric_path: str = "auto",
-                    scheme: str = "rk2") -> FlowState | None:
-    bare = FlowState(state.t, state.grid, state.metric, {}, None, None,
-                     state.step, state.t_max)
-    out = flow_step(bare, dt, FlowProblem(state.grid, metric_path=metric_path), scheme)
-    if out is not None:
-        out.forms = {k: v.copy() for k, v in state.forms.items()}
-        out.gauge = state.gauge
-        out.subsolution = state.subsolution
-    return out
-
-
-def form_heat_step(state: FlowState, dt: float, operator: str = "dd",
-                   evolve_metric: bool = True, scheme: str = "rk2") -> FlowState | None:
-    bare = FlowState(state.t, state.grid, state.metric, state.forms, None, None,
-                     state.step, state.t_max)
-    problem = FlowProblem(state.grid, evolve_metric=evolve_metric,
-                          form_operator=operator)
-    out = flow_step(bare, dt, problem, scheme)
-    if out is not None:
-        out.gauge = state.gauge
-        out.subsolution = state.subsolution
-    return out
-
-
-def gauge_diffusion_step(state: FlowState, dt: float, base: OneFormField,
-                         evolve_metric: bool = True, operator: str = "dd",
-                         scheme: str = "rk2") -> FlowState | None:
-    problem = FlowProblem(state.grid, evolve_metric=evolve_metric,
-                          form_operator=operator, gauge_base=base)
-    return flow_step(state, dt, problem, scheme)
-
-
-def scalar_heat_step(state: FlowState, dt: float, sink: float = 0.0,
-                     evolve_metric: bool = True, scheme: str = "rk2") -> FlowState | None:
-    bare = FlowState(state.t, state.grid, state.metric, {}, None,
-                     state.subsolution, state.step, state.t_max)
-    problem = FlowProblem(state.grid, evolve_metric=evolve_metric, sink=sink)
-    out = flow_step(bare, dt, problem, scheme)
-    if out is not None:
-        out.forms = {k: v.copy() for k, v in state.forms.items()}
-        out.gauge = state.gauge
-    return out
+    return layout.unpack(new_vec, state.t + dt, state.step + 1)
 
 
 # ----------------------------------------------------------------- monitoring
@@ -532,7 +512,8 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
             status = BUDGET
             break
         # stage 1 of the step, evaluated first for the sup |R| the CFL needs
-        k1, sup_R = _rhs(_pack(state), state, problem, geo,
+        layout = StateLayout.of(state)
+        k1, sup_R = _rhs(layout.pack(state), layout, problem, geo,
                          with_sup_R=problem.evolve_metric)
         dt_stable = cfl_dt(state, spec, sup_R=sup_R0 if sup_R is None else sup_R,
                            invariants=geo)

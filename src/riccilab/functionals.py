@@ -351,7 +351,7 @@ def cutoff_eta(grid: Grid2D, g: MetricField, r: float, center=None) -> ScalarFie
             f"cutoff needs distance 2r = {2 * r:g} inside the domain, have {reach:g}")
     ramp = ((2.0 * r - d) / r) ** 2
     eta = np.where(d <= r, 1.0, np.where(d >= 2.0 * r, 0.0, ramp))
-    return ScalarField(eta, role="generic")
+    return ScalarField(eta)
 
 
 def cutoff_gradient_margin(eta: ScalarField, g: MetricField, grid: Grid2D,

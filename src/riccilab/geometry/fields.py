@@ -144,7 +144,6 @@ class OneFormField:
 
     x: np.ndarray
     theta: np.ndarray
-    closed: bool = False
 
     def norm_sq(self, g: MetricField,
                 invariants: MetricInvariants | None = None) -> np.ndarray:
@@ -155,16 +154,15 @@ class OneFormField:
         return np.stack([self.x, self.theta])
 
     def copy(self) -> "OneFormField":
-        return OneFormField(self.x.copy(), self.theta.copy(), self.closed)
+        return OneFormField(self.x.copy(), self.theta.copy())
 
 
 @dataclass
 class ScalarField:
     values: np.ndarray
-    role: str = "generic"   # gauge | subsolution | conformal-factor | generic | two-form-density
 
     def copy(self) -> "ScalarField":
-        return ScalarField(self.values.copy(), self.role)
+        return ScalarField(self.values.copy())
 
 
 @dataclass

@@ -197,7 +197,7 @@ def exterior_derivative(field, grid: Grid2D):
     d_x phi_theta - d_theta phi_x)."""
     if isinstance(field, OneFormField):
         w = grid.diff_x(field.theta) - grid.diff_t(field.x)
-        return ScalarField(w, role="two-form-density")
+        return ScalarField(w)
     vals = field.values if isinstance(field, ScalarField) else np.asarray(field)
     return OneFormField(grid.diff_x(vals), grid.diff_t(vals))
 

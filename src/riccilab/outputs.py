@@ -3,8 +3,10 @@
 The CSV column order is fixed (t, dt, sup_R, min_R, vol, then the monitor
 labels in registration order) and floats are written as their shortest
 round-trip decimals, so two runs of the same scenario produce byte-identical
-files.  Snapshots are raw little-endian float64 arrays described by a JSON
-header (row-major x-then-theta, form components ordered phi_x then phi_theta).
+files.  A snapshot is the state's flat float64 vector written as raw
+little-endian bytes in its StateLayout's order, beside a JSON header that
+lists the layout's fields (row-major x-then-theta, form components ordered
+phi_x then phi_theta).
 """
 
 from __future__ import annotations
@@ -15,14 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .flows import FlowState, Trajectory
+from .flows import FlowState, StateLayout, Trajectory
 from .functionals import (MonitorRecord, closedness_report, gauge_report,
                           l1_monotonicity_report, l2_monotonicity_report,
                           length_bound_report, max_principle_report,
                           pairing_invariance_report)
-from .geometry import (CONFORMAL, WARPED, Grid2D, MetricField, OneFormField,
-                       ScalarField, conformal_metric, general_metric,
-                       warped_metric)
+from .geometry import Grid2D
 
 BASE_COLUMNS = ("t", "dt", "sup_R", "min_R", "vol")
 
@@ -70,9 +70,13 @@ def summarize_trajectory(traj: Trajectory, problem=None) -> dict:
 def write_outputs(traj: Trajectory, destination, verdicts: dict | None = None,
                   problem=None, snapshots: bool = True) -> dict:
     """Write monitors.csv, summary.json and (optionally) snapshots under
-    `destination`; returns the summary dict."""
+    `destination`; returns the summary dict.  Snapshot files an earlier run
+    left under `destination` are removed first."""
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
+    for suffix in ("json", "bin"):
+        for stale in (dest / "snapshots").glob(f"snap_*.{suffix}"):
+            stale.unlink()
     (dest / "monitors.csv").write_text(monitors_csv_text(traj))
 
     if verdicts is None:
@@ -107,43 +111,18 @@ def write_snapshots(traj: Trajectory, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for idx, snap in enumerate(traj.snapshots):
-        arrays = []
-        header_fields = []
-        g = snap.metric
-        if g.tag == CONFORMAL:
-            arrays.append(("metric.u", g.u))
-        elif g.tag == WARPED:
-            arrays.append(("metric.h", g.h))
-            arrays.append(("metric.f", g.f))
-        else:
-            arrays.extend([("metric.gxx", g.gxx), ("metric.gxt", g.gxt),
-                           ("metric.gtt", g.gtt)])
-        for label, phi in snap.forms.items():
-            arrays.append((f"form.{label}.phi_x", phi.x))
-            arrays.append((f"form.{label}.phi_theta", phi.theta))
-        if snap.gauge is not None:
-            arrays.append(("gauge.F", snap.gauge.values))
-        if snap.subsolution is not None:
-            arrays.append(("sub.u", snap.subsolution.values))
-
-        offset = 0
-        blob = bytearray()
-        for name, arr in arrays:
-            data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            header_fields.append({"name": name, "dtype": "<f8",
-                                  "shape": list(arr.shape), "offset": offset})
-            blob.extend(data)
-            offset += len(data)
+        layout = StateLayout.of(snap)
         header = {
-            "t": snap.t, "step": snap.step, "metric_tag": g.tag,
+            "t": snap.t, "step": snap.step, "metric_tag": layout.tag,
             "axis_order": "row-major x-then-theta",
             "component_order": ["phi_x", "phi_theta"],
             "grid": _grid_header(traj.grid),
-            "fields": header_fields,
+            "fields": [{"name": name, "dtype": "<f8", "shape": list(shape),
+                        "offset": 8 * offset} for name, shape, offset in layout.fields],
         }
         stem = directory / f"snap_{idx:05d}"
         stem.with_suffix(".json").write_text(json.dumps(header, indent=1) + "\n")
-        stem.with_suffix(".bin").write_bytes(bytes(blob))
+        layout.pack(snap).astype("<f8", copy=False).tofile(stem.with_suffix(".bin"))
 
 
 def load_snapshots(directory) -> list[FlowState]:
@@ -151,33 +130,13 @@ def load_snapshots(directory) -> list[FlowState]:
     states = []
     for header_path in sorted(directory.glob("snap_*.json")):
         header = json.loads(header_path.read_text())
-        blob = header_path.with_suffix(".bin").read_bytes()
         gh = header["grid"]
         grid = Grid2D(gh["nx"], gh["ny"], gh["lx"], gh["ly"],
                       gh["topology_x"], gh["topology_y"], tuple(gh["origin"]))
-        raw = {}
-        for f in header["fields"]:
-            count = int(np.prod(f["shape"]))
-            arr = np.frombuffer(blob, dtype=f["dtype"], count=count,
-                                offset=f["offset"]).reshape(f["shape"]).copy()
-            raw[f["name"]] = arr
-        tag = header["metric_tag"]
-        if tag == CONFORMAL:
-            metric = conformal_metric(grid, raw["metric.u"])
-        elif tag == WARPED:
-            metric = warped_metric(grid, raw["metric.h"], raw["metric.f"])
-        else:
-            metric = general_metric(raw["metric.gxx"], raw["metric.gxt"],
-                                    raw["metric.gtt"])
-        forms = {}
-        for name in raw:
-            if name.startswith("form.") and name.endswith(".phi_x"):
-                label = name[len("form."):-len(".phi_x")]
-                forms[label] = OneFormField(raw[name], raw[f"form.{label}.phi_theta"])
-        gauge = ScalarField(raw["gauge.F"], "gauge") if "gauge.F" in raw else None
-        sub = ScalarField(raw["sub.u"], "subsolution") if "sub.u" in raw else None
-        states.append(FlowState(header["t"], grid, metric, forms, gauge, sub,
-                                header["step"]))
+        layout = StateLayout(grid, header["metric_tag"],
+                             [(f["name"], f["shape"]) for f in header["fields"]])
+        vec = np.fromfile(header_path.with_suffix(".bin"), dtype="<f8")
+        states.append(layout.unpack(vec, header["t"], header["step"]))
     return states
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import DegenerateMetricError, ScenarioError
 from .flows import FlowProblem, FlowState, IntegratorSpec
 from .functionals import ThetaCircle, make_probe
 from .geometry import (Grid2D, MetricField, OneFormField, ScalarField,
@@ -316,13 +316,13 @@ def build_form(fs: FormSpec, grid: Grid2D) -> OneFormField:
     k = 2 * math.pi / grid.lx
     zero = np.zeros((grid.nx, grid.ny))
     if fs.preset == "dtheta":
-        return OneFormField(zero, np.ones_like(zero), closed=True)
+        return OneFormField(zero, np.ones_like(zero))
     if fs.preset == "sinx_dx":
-        return OneFormField(np.sin(k * X), zero, closed=True)
+        return OneFormField(np.sin(k * X), zero)
     if fs.preset == "dtheta_dsinx":
         # dtheta + c d(sin kx): the exact gradient is added analytically, so the
         # discrete form is exactly closed
-        return OneFormField(fs.coeff * k * np.cos(k * X), np.ones_like(zero), closed=True)
+        return OneFormField(fs.coeff * k * np.cos(k * X), np.ones_like(zero))
     raise ValueError(f"unknown form preset {fs.preset!r}")
 
 
@@ -336,7 +336,7 @@ def build_subsolution(spec: ScenarioSpec, grid: Grid2D) -> ScalarField | None:
     else:  # compactly supported C^1 bump in x
         s = np.clip(1.0 - (X / spec.sub_width) ** 2, 0.0, None)
         vals = spec.sub_amplitude * s ** 2
-    return ScalarField(vals, role="subsolution")
+    return ScalarField(vals)
 
 
 @dataclass
@@ -355,6 +355,10 @@ def build(spec: ScenarioSpec) -> RunSetup:
         raise ScenarioError(problems)
     grid = build_grid(spec)
     metric = build_metric(spec, grid)
+    try:
+        metric.require_spd()
+    except DegenerateMetricError as e:     # rejected here, not mid-run
+        raise ScenarioError([f"initial {e}"]) from e
     forms = {fs.label: build_form(fs, grid) for fs in spec.forms}
 
     probes = {}
@@ -365,13 +369,12 @@ def build(spec: ScenarioSpec) -> RunSetup:
     gauge = None
     gauge_base = None
     if spec.gauge_form:
-        gauge = ScalarField(np.zeros((grid.nx, grid.ny)), role="gauge")
+        gauge = ScalarField(np.zeros((grid.nx, grid.ny)))
         gauge_base = forms[spec.gauge_form].copy()
 
     state = FlowState(
         t=0.0, grid=grid, metric=metric, forms=forms, gauge=gauge,
         subsolution=build_subsolution(spec, grid),
-        t_max=spec.integrator.t_final,
     )
     problem = FlowProblem(
         grid=grid,

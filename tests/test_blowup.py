@@ -8,7 +8,7 @@ import pytest
 from riccilab.blowup import (DecayMonitorSpec, RescalingSchedule,
                              by_curvature_schedule, decay_monitor,
                              decay_preserved, length_scaling_check,
-                             rescale_metric, rescale_trajectory)
+                             rescale_trajectory)
 from riccilab.errors import DomainTooSmallError, IncompleteTrajectoryError
 from riccilab.functionals import ThetaCircle, min_circumference
 from riccilab.geometry import (Grid2D, OneFormField, curvature_reduced,
@@ -29,13 +29,13 @@ def neck_traj():
 
 def test_rescale_identity(neck_traj):
     g = neck_traj.snapshots[0].metric
-    same = rescale_metric(g, 1.0)
+    same = g.rescaled(1.0)
     assert same.gtt == pytest.approx(g.gtt, rel=1e-15)
 
 
 def test_rescale_flat_stays_flat():
     grid = Grid2D.torus(32, 32)
-    g = rescale_metric(flat_metric(grid), 17.0)
+    g = flat_metric(grid).rescaled(17.0)
     cv = curvature_reduced(g, grid)
     assert np.max(np.abs(cv.scalar)) < 1e-14
 
@@ -43,7 +43,7 @@ def test_rescale_flat_stays_flat():
 def test_cigar_curvature_quarters_under_rescale():
     grid = Grid2D.plane(65, 65, 10.0, 10.0)
     ref = cigar_oracle(grid).value
-    scaled = rescale_metric(ref.metric, 4.0)
+    scaled = ref.metric.rescaled(4.0)
     cv = curvature_reduced(scaled, grid)
     base = curvature_reduced(ref.metric, grid)
     # the discrete law R(lam g) = R(g)/lam is exact to roundoff
@@ -65,7 +65,7 @@ def test_rescale_composition(neck_traj):
     lam = 9.0
     g = neck_traj.snapshots[-1].metric
     grid = neck_traj.grid
-    L_then = min_circumference(rescale_metric(g, lam), grid)[0]
+    L_then = min_circumference(g.rescaled(lam), grid)[0]
     then_L = math.sqrt(lam) * min_circumference(g, grid)[0]
     assert L_then == pytest.approx(then_L, rel=1e-12)
 

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from riccilab.flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED,
-                            FlowProblem, FlowState, IntegratorSpec, _pack, _rhs,
-                            cfl_dt, flow_step, form_heat_step,
-                            gauge_diffusion_step, ricci_flow_step, run_flow,
-                            scalar_heat_step, stage_curvature)
+                            FlowProblem, FlowState, IntegratorSpec, StateLayout,
+                            _rhs, cfl_dt, flow_step, run_flow, stage_curvature)
 from riccilab.functionals import integrate
 from riccilab.geometry import (Grid2D, OneFormField, ScalarField,
                                conformal_metric, flat_metric, general_metric,
@@ -69,8 +67,72 @@ def test_stage_one_sup_R_is_reduced_curvature_bitwise(cigar_grid, cigar_metric,
     # 2 max|K| on the warped path, both exactly max|reduced_scalar_curvature|
     for grid, g in ((cigar_grid, cigar_metric), (neck_grid, neck_metric)):
         st = _state(grid, g)
-        _, sup_R = _rhs(_pack(st), st, FlowProblem(grid), with_sup_R=True)
+        layout = StateLayout.of(st)
+        _, sup_R = _rhs(layout.pack(st), layout, FlowProblem(grid), with_sup_R=True)
         assert sup_R == float(np.max(np.abs(reduced_scalar_curvature(g, grid))))
+
+
+# ----------------------------------------------------------------- state vector
+def _coupled_states(grid):
+    """One state per metric tag, each carrying a form; the conformal one also a
+    gauge potential and a subsolution."""
+    X, T = grid.mesh()
+    form = {"main": OneFormField(np.sin(X) * np.cos(T), 0.5 + np.cos(X))}
+    u = 0.1 * np.sin(X) * np.cos(T)
+    return [
+        _state(grid, conformal_metric(grid, u), forms=form,
+               gauge=ScalarField(0.2 * np.cos(T)), subsolution=ScalarField(1.0 + 0.3 * X)),
+        _state(grid, warped_metric(grid, 1.0 + 0.01 * grid.x, 2.0 - np.exp(-grid.x ** 2)),
+               forms=form),
+        _state(grid, general_metric(np.exp(2 * u), 0.1 * np.sin(T), 1.0 + 0.2 * np.cos(X)),
+               forms=form),
+    ]
+
+
+def _fields(st):
+    g = st.metric
+    arrays = [g.gxx, g.gxt, g.gtt, *(a for a in (g.u, g.h, g.f) if a is not None)]
+    for phi in st.forms.values():
+        arrays += [phi.x, phi.theta]
+    arrays += [s.values for s in (st.gauge, st.subsolution) if s is not None]
+    return arrays
+
+
+def test_unpack_of_pack_is_the_state_bitwise():
+    for st in _coupled_states(Grid2D.cylinder(33, 16, 6.0)):
+        layout = StateLayout.of(st)
+        vec = layout.pack(st)
+        assert vec.dtype == np.float64 and vec.shape == (layout.size,)
+        back = layout.unpack(vec, st.t, st.step)
+        assert back.metric.tag == st.metric.tag
+        for a, b in zip(_fields(st), _fields(back), strict=True):
+            assert np.array_equal(a, b)
+        # a state the layout unpacked packs to its own vector, with no copy
+        assert StateLayout.of(back) is layout and layout.pack(back) is vec
+
+
+def test_frozen_nodes_match_per_array_rule():
+    # zeroing the vector's frozen nodes zeroes exactly what the per-array rule
+    # did: the boundary mask on 2-D fields, both ends of 1-D warped profiles
+    for grid in (Grid2D.plane(257, 257, 16.0, 16.0), Grid2D.cylinder(512, 64, 20.0),
+                 Grid2D.torus(32, 32)):
+        for st in _coupled_states(grid):
+            layout = StateLayout.of(st)
+            k = np.ones(layout.size)
+            if layout.frozen.size:
+                k[layout.frozen] = 0.0
+            expected = []
+            for _, shape, _ in layout.fields:
+                ref = np.ones(shape)
+                if grid.boundary_mask.any():
+                    if ref.ndim == 2:
+                        ref[grid.boundary_mask] = 0.0
+                    else:
+                        ref[0] = 0.0
+                        ref[-1] = 0.0
+                expected.append(ref.ravel())
+            assert np.array_equal(k, np.concatenate(expected))
+            assert (layout.frozen.size == 0) == (grid.topology_x == "periodic")
 
 
 # ----------------------------------------------------------------- Ricci flow
@@ -239,8 +301,8 @@ def test_gauge_representation_evolving():
 def test_scalar_constant_preserved():
     grid = Grid2D.torus(32, 32)
     st = _state(grid, flat_metric(grid),
-                subsolution=ScalarField(2.5 * np.ones((32, 32)), "subsolution"))
-    out = scalar_heat_step(st, 1e-3, evolve_metric=False)
+                subsolution=ScalarField(2.5 * np.ones((32, 32))))
+    out = flow_step(st, 1e-3, FlowProblem(grid, evolve_metric=False))
     assert np.max(np.abs(out.subsolution.values - 2.5)) == 0.0
 
 
@@ -385,25 +447,30 @@ def test_buffer_breach_aborts():
 
 # ----------------------------------------------------------------- steppers
 def test_single_system_steps_leave_others_alone():
+    # a state carries only the systems it tracks: stepping the metric alone, or
+    # the form alone on a frozen metric, leaves the other fields as they were
     grid = Grid2D.torus(32, 32)
     X, _ = grid.mesh()
     st = _state(grid, flat_metric(grid),
                 forms={"main": OneFormField(np.sin(X), np.zeros_like(X))},
-                subsolution=ScalarField(1.0 + 0.3 * np.cos(X), "subsolution"))
-    out = ricci_flow_step(st, 1e-3)
-    assert out.forms["main"].x == pytest.approx(st.forms["main"].x)
-    out2 = form_heat_step(st, 1e-3, evolve_metric=False)
-    assert out2.subsolution.values == pytest.approx(st.subsolution.values)
+                subsolution=ScalarField(1.0 + 0.3 * np.cos(X)))
+    out = flow_step(_state(grid, st.metric), 1e-3, FlowProblem(grid))
+    assert out.forms == {} and out.subsolution is None
+    assert st.forms["main"].x == pytest.approx(np.sin(X))
+    out2 = flow_step(_state(grid, st.metric, forms=st.forms), 1e-3,
+                     FlowProblem(grid, evolve_metric=False))
+    assert out2.subsolution is None
+    assert st.subsolution.values == pytest.approx(1.0 + 0.3 * np.cos(X))
     assert np.max(np.abs(out2.forms["main"].x - st.forms["main"].x)) > 0
 
 
 def test_gauge_diffusion_step_runs():
     grid = Grid2D.torus(32, 32)
     X, _ = grid.mesh()
-    base = OneFormField(np.sin(X), np.zeros_like(X), closed=True)
+    base = OneFormField(np.sin(X), np.zeros_like(X))
     st = _state(grid, flat_metric(grid), forms={"main": base.copy()},
-                gauge=ScalarField(np.zeros((32, 32)), "gauge"))
-    out = gauge_diffusion_step(st, 1e-3, base, evolve_metric=False)
+                gauge=ScalarField(np.zeros((32, 32))))
+    out = flow_step(st, 1e-3, FlowProblem(grid, evolve_metric=False, gauge_base=base))
     assert np.max(np.abs(out.gauge.values)) > 0.0
 
 

@@ -165,7 +165,7 @@ def test_length_scaling_sqrt(neck_grid, neck_metric):
 # ----------------------------------------------------------------- probes
 def test_probe_construction(neck_grid, neck_metric):
     ones = np.ones((neck_grid.nx, neck_grid.ny))
-    phi = OneFormField(0 * ones, ones, closed=True)
+    phi = OneFormField(0 * ones, ones)
     probe = make_probe("main", phi, ThetaCircle(neck_grid.origin[0]),
                        neck_metric, neck_grid)
     assert probe.pairing == pytest.approx(2 * np.pi)
@@ -175,7 +175,7 @@ def test_probe_construction(neck_grid, neck_metric):
 def test_probe_rejects_exact_form(torus64, flat64):
     X, T = torus64.mesh()
     F = np.sin(X)
-    dF = OneFormField(torus64.diff_x(F), torus64.diff_t(F), closed=True)
+    dF = OneFormField(torus64.diff_x(F), torus64.diff_t(F))
     with pytest.raises(ProbeOrderError):
         make_probe("exact", dF, ThetaCircle(0), flat64, torus64)
 
@@ -294,7 +294,7 @@ def test_length_bound_report_equality_case(neck_grid):
     x = neck_grid.x
     g = warped_metric(neck_grid, np.ones_like(x), np.ones_like(x))
     ones = np.ones((neck_grid.nx, neck_grid.ny))
-    phi = OneFormField(0 * ones, ones, closed=True)
+    phi = OneFormField(0 * ones, ones)
     probe = make_probe("main", phi, ThetaCircle(neck_grid.origin[0]), g, neck_grid)
     recs = [_rec(0.0, 0.1, {"L_alpha": 2 * np.pi, "main_sup": 1.0}),
             _rec(0.1, 0.1, {"L_alpha": 2 * np.pi, "main_sup": 1.0})]

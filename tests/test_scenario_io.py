@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from riccilab.errors import ScenarioError
-from riccilab.flows import run_flow
-from riccilab.geometry import MetricField
+from riccilab.flows import FlowProblem, FlowState, IntegratorSpec, run_flow
+from riccilab.geometry import Grid2D, MetricField, OneFormField, general_metric
 from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text,
                               write_outputs)
-from riccilab.scenario import (FormSpec, ProbeSpec, build, make_scenario,
+from riccilab.scenario import (FormSpec, ProbeSpec, RunSetup, build, make_scenario,
                                parse_scenario, serialize_scenario)
 
 MINIMAL = "family = flat-torus\n"
@@ -45,11 +45,20 @@ def test_minimal_scenario_fills_defaults():
     assert spec.integrator.cfl == 0.2
 
 
+# e^{2u} with u = -7 sin x falls under the det floor at one node
+DEGENERATE_CFG = ("family = conformal-torus\ngrid.nx = 16\ngrid.ny = 16\n"
+                  "metric.amplitude = 7.0\n")
+
+
 def test_warped_negative_profile_rejected():
+    # and a degenerate initial metric: both are rejected before any step runs
     text = "family = warped-cylinder\nmetric.outer_radius = 1\nmetric.dip = 2\n"
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(text)
-    assert any("f not positive" in p for p in err.value.problems)
+    for text, problem in ((text, "f not positive"),
+                          (DEGENERATE_CFG, "initial metric degenerate at node (12, 0): "
+                                           "det g = 6.9144e-13")):
+        with pytest.raises(ScenarioError) as err:
+            build(parse_scenario(text))
+        assert any(problem in p for p in err.value.problems)
 
 
 def test_unknown_key_reported_with_suggestion():
@@ -146,15 +155,51 @@ def test_byte_identical_reruns(neck_run):
     assert monitors_csv_text(again) == monitors_csv_text(traj)
 
 
-def test_snapshot_round_trip(neck_run):
+def _state_arrays(st):
+    g = st.metric
+    arrays = {"gxx": g.gxx, "gxt": g.gxt, "gtt": g.gtt}
+    arrays.update((k, getattr(g, k)) for k in ("u", "h", "f") if getattr(g, k) is not None)
+    for label, phi in st.forms.items():
+        arrays[label + ".x"], arrays[label + ".theta"] = phi.x, phi.theta
+    if st.gauge is not None:
+        arrays["gauge"] = st.gauge.values
+    if st.subsolution is not None:
+        arrays["sub"] = st.subsolution.values
+    return arrays
+
+
+def _general_torus_setup():
+    grid = Grid2D.torus(16, 16)
+    X, T = grid.mesh()
+    g = general_metric(1 + 0.2 * np.sin(X), 0.05 * np.cos(T), 1 + 0.2 * np.cos(X + T))
+    st = FlowState(0.0, grid, g, {"main": OneFormField(np.sin(X), np.ones_like(X))})
+    return RunSetup("general", "g" * 16, grid, st, FlowProblem(grid),
+                    IntegratorSpec(t_final=0.02, cadence=2, snapshot_every=1))
+
+
+def test_snapshot_round_trip(neck_run, tmp_path):
+    # every field, t and step reload bitwise, for each metric tag: the warped
+    # neck with a form, a conformal torus with form, gauge and subsolution, and
+    # a general-metric torus with a form
     _, _, traj, out = neck_run
-    loaded = load_snapshots(out / "snapshots")
-    assert len(loaded) == len(traj.snapshots)
-    a, b = traj.snapshots[-1], loaded[-1]
-    assert a.t == b.t
-    assert b.metric.tag == "warped"
-    assert np.array_equal(a.metric.gtt, b.metric.gtt)
-    assert np.array_equal(a.forms["main"].theta, b.forms["main"].theta)
+    conformal = make_scenario(name="conformal", family="conformal-torus", nx=16, ny=16,
+                              forms=[FormSpec("main", "dtheta_dsinx", 0.3)],
+                              gauge_form="main", subsolution="one-plus-cos",
+                              t_final=0.05, cadence=2, snapshot_every=1)
+    runs = [(traj, out, "warped", {"h", "f", "main.x"})]
+    for tag, setup in (("conformal", build(conformal)), ("general", _general_torus_setup())):
+        run = run_flow(setup)
+        write_outputs(run, tmp_path / tag, problem=setup.problem)
+        runs.append((run, tmp_path / tag, tag,
+                     {"u", "main.x", "gauge", "sub"} if tag == "conformal" else {"main.x"}))
+    for run, directory, tag, carried in runs:
+        loaded = load_snapshots(directory / "snapshots")
+        assert len(loaded) == len(run.snapshots) > 1
+        for a, b in zip(run.snapshots, loaded):
+            assert (a.t, a.step, b.metric.tag) == (b.t, b.step, tag)
+            fa, fb = _state_arrays(a), _state_arrays(b)
+            assert fa.keys() == fb.keys() and carried <= fa.keys()
+            assert all(np.array_equal(fa[k], fb[k]) for k in fa)
     # per-stage metric invariants are never cached on a metric that outlives
     # its stage, in memory or reloaded
     names = {f.name for f in dataclasses.fields(MetricField)}
@@ -171,9 +216,7 @@ def test_load_run(neck_run):
 
 
 def test_blowup_status_in_summary(tmp_path):
-    from riccilab.flows import FlowProblem, FlowState, IntegratorSpec
-    from riccilab.geometry import Grid2D, warped_metric
-    from riccilab.scenario import RunSetup
+    from riccilab.geometry import warped_metric
 
     grid = Grid2D.cylinder(1024, 8, 0.5)
     prof = 2e-3 * np.ones(1024)
@@ -184,6 +227,29 @@ def test_blowup_status_in_summary(tmp_path):
     summary = write_outputs(traj, tmp_path)
     assert summary["status"] == "blow-up-detected"
     assert summary["t_end"] == 0.0
+
+
+def test_rerun_replaces_old_snapshots(tmp_path):
+    # a shorter rerun into the same directory leaves none of the longer run's
+    # snapshots behind, with or without snapshots of its own
+    def run_into(t_final, snapshots=True):
+        spec = make_scenario(name="rerun", family="flat-torus", nx=16, ny=16,
+                             t_final=t_final, cadence=1, snapshot_every=1)
+        traj = run_flow(spec)
+        write_outputs(traj, tmp_path, snapshots=snapshots)
+        return traj
+
+    (tmp_path / "snapshots" / "notes.txt").parent.mkdir()
+    (tmp_path / "snapshots" / "notes.txt").write_text("kept")
+    assert len(run_into(0.2).snapshots) == 8
+    short = run_into(0.02)
+    run = load_run(tmp_path)
+    assert len(run.snapshots) == len(short.snapshots) == 2
+    assert run.snapshots[-1].t == run.summary["t_end"] == short.t_end
+    run_into(0.2)
+    run_into(0.02, snapshots=False)
+    assert load_run(tmp_path).snapshots == []
+    assert (tmp_path / "snapshots" / "notes.txt").read_text() == "kept"
 
 
 # ----------------------------------------------------------------- CLI
@@ -224,10 +290,12 @@ def test_cli_missing_scenario_exits_2(tmp_path):
 
 def test_cli_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("family = warped-cylinder\nmetric.dip = 9\n")
-    r = _cli("run", str(cfg), "--out", str(tmp_path / "o"))
-    assert r.returncode == 2
-    assert "f not positive" in r.stderr
+    for text, problem in (("family = warped-cylinder\nmetric.dip = 9\n", "f not positive"),
+                          (DEGENERATE_CFG, "node (12, 0)")):
+        cfg.write_text(text)
+        r = _cli("run", str(cfg), "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert problem in r.stderr
 
 
 def test_cli_report_without_summary_exits_2(tmp_path):
