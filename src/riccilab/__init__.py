@@ -2,13 +2,13 @@
 scalar fields and 1-forms, with every monotonicity statement wired up as a
 testable runtime monitor."""
 
-from .geometry import (CONFORMAL, GENERAL, WARPED, CurvatureData, Grid2D,
-                       MetricField, MetricInvariants, OneFormField, ScalarField,
+from .geometry import (CONFORMAL, GENERAL, WARPED, Grid2D, MetricField,
+                       MetricInvariants, OneFormField, ScalarField,
                        christoffel, codifferential, conformal_metric,
                        curvature, curvature_reduced, distance_field,
                        exterior_derivative, flat_metric, general_metric,
                        hodge_laplacian, laplace_beltrami, rough_laplacian,
-                       stage_curvature, volume_element, warped_metric)
+                       warped_metric)
 from .flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED, FlowProblem,
                     FlowState, IntegratorSpec, StateLayout, Trajectory, cfl_dt,
                     flow_step, run_flow)

@@ -21,9 +21,8 @@ from .functionals import (ThetaCircle, form_energy_identity_report,
                           l1_monotonicity_report, l2_monotonicity_report,
                           length_bound_report, max_principle_report,
                           min_circumference)
-from .geometry import (Grid2D, OneFormField, conformal_metric,
-                       curvature_reduced, flat_metric, hodge_laplacian,
-                       warped_metric)
+from .geometry import (Grid2D, OneFormField, conformal_metric, flat_metric,
+                       hodge_laplacian, reduced_scalar_curvature, warped_metric)
 from .scenario import FormSpec, ProbeSpec, build, make_scenario, scenario_hash
 
 
@@ -299,8 +298,8 @@ def suite_scaling_laws() -> list:
     for lam in (0.25, 1.0, 4.0, 100.0):
         for metric, gr in ((g, grid), (g_c, grid_c)):
             scaled = metric.rescaled(lam)
-            r0 = curvature_reduced(metric, gr).scalar
-            r1 = curvature_reduced(scaled, gr).scalar
+            r0 = reduced_scalar_curvature(metric, gr)
+            r1 = reduced_scalar_curvature(scaled, gr)
             denom = max(float(np.max(np.abs(r0))), 1e-300)
             worst_R = max(worst_R, float(np.max(np.abs(r1 - r0 / lam))) / denom)
         L0, _ = min_circumference(g, grid)

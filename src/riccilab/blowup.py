@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainTooSmallError, IncompleteTrajectoryError
 from .functionals import loop_length, min_circumference
-from .geometry import (CurvatureData, Grid2D, MetricField, OneFormField,
-                       distance_field, stage_curvature)
+from .geometry import (Grid2D, MetricField, MetricInvariants, OneFormField,
+                       distance_field)
 
 
 @dataclass
@@ -50,7 +50,6 @@ class RescalePoint:
     t_request: float
     t_used: float
     lam: float
-    metric: MetricField
     sup_R_before: float
     sup_R_after: float
     curvature_scale_residual: float    # relative error of R(lam g) = R(g)/lam
@@ -58,13 +57,13 @@ class RescalePoint:
     length_after: float | None = None
     length_scale_residual: float | None = None
 
-    def time_reindexed(self, t: float) -> float:
-        return self.t_used + t / self.lam
-
 
 def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
-    """Rescaled snapshot family: one RescalePoint per schedule entry, with the
-    nearest stored snapshot (offset recorded) and the scaling-law residuals."""
+    """The scaling laws along a schedule: one RescalePoint per entry, measured
+    on the nearest stored snapshot g (its time recorded) and on lam g, which
+    is dropped once measured.  Each point carries sup |R| before and after and
+    the residual of R(lam g) = R(g)/lam; on a cylinder, also the minimal
+    circumference before and after and the residual of its sqrt(lam) law."""
     if not traj.snapshots:
         raise IncompleteTrajectoryError("trajectory carries no snapshots to rescale")
     grid = traj.grid
@@ -74,14 +73,14 @@ def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
         snap = min(traj.snapshots, key=lambda s: abs(s.t - t_k))
         g = snap.metric
         scaled = g.rescaled(lam)
-        curv0 = stage_curvature(g, grid)
-        curv1 = stage_curvature(scaled, grid)
-        denom = max(float(np.max(np.abs(curv0.scalar))), 1e-300)
-        resid = float(np.max(np.abs(curv1.scalar - curv0.scalar / lam))) / denom
+        r0 = MetricInvariants(g, grid).scalar
+        r1 = MetricInvariants(scaled, grid).scalar
+        denom = max(float(np.max(np.abs(r0))), 1e-300)
+        resid = float(np.max(np.abs(r1 - r0 / lam))) / denom
         point = RescalePoint(
-            k=k, t_request=t_k, t_used=snap.t, lam=lam, metric=scaled,
-            sup_R_before=float(np.max(np.abs(curv0.scalar))),
-            sup_R_after=float(np.max(np.abs(curv1.scalar))),
+            k=k, t_request=t_k, t_used=snap.t, lam=lam,
+            sup_R_before=float(np.max(np.abs(r0))),
+            sup_R_after=float(np.max(np.abs(r1))),
             curvature_scale_residual=resid,
         )
         if cylinder:
@@ -147,15 +146,14 @@ def decay_monitor(fieldlike, g: MetricField, grid: Grid2D,
                   spec: DecayMonitorSpec) -> dict:
     """Shell profile of d_g(x, o)^sigma * |field| at the requested radii.
 
-    Accepts a OneFormField (measured in |.|_g) or CurvatureData (measured in
-    |R|).  Reports whether the profile decreases toward the boundary; the
+    Accepts a OneFormField (measured in |.|_g) or an array of pointwise
+    magnitudes, such as the scalar curvature (measured in absolute value).
+    Reports whether the profile decreases toward the boundary; the
     caller can difference profiles across a run to check that the flow
     preserved the initial decay.
     """
     if isinstance(fieldlike, OneFormField):
-        mag = np.sqrt(fieldlike.norm_sq(g))
-    elif isinstance(fieldlike, CurvatureData):
-        mag = np.abs(fieldlike.scalar)
+        mag = np.sqrt(fieldlike.norm_sq(MetricInvariants(g, grid)))
     else:
         mag = np.abs(np.asarray(fieldlike, dtype=float))
     d = distance_field(g, grid)

@@ -19,7 +19,7 @@ from .blowup import (DecayMonitorSpec, RescalingSchedule, by_curvature_schedule,
 from .errors import RicciLabError, ScenarioError
 from .functionals import ThetaCircle
 from .flows import run_flow
-from .geometry import stage_curvature
+from .geometry import MetricInvariants
 from .outputs import load_run, write_outputs
 from .scenario import build, parse_scenario
 
@@ -140,7 +140,7 @@ def _cmd_rescale(args) -> int:
                                             key=lambda s: abs(s.t - t))
                                         for t, _ in schedule.entries)):
                 g = snap.metric
-                prof = decay_monitor(stage_curvature(g, grid), g, grid, dspec)
+                prof = decay_monitor(MetricInvariants(g, grid).scalar, g, grid, dspec)
                 for rho, val in zip(prof["radii"], prof["profile"]):
                     lines.append(f"{p.k},{snap.t!r},{rho!r},{val!r}")
             (out_path.parent / "decay_profiles.csv").write_text("\n".join(lines) + "\n")

@@ -10,15 +10,17 @@ cross-checks.  Blow-up is a terminal status, never an exception: the last
 valid state and the full monitor history are always returned, also when a
 stage metric fails its SPD check.
 
-Each metric is measured once.  Every RK stage builds one MetricInvariants
-bundle (det g, sqrt(det g), the inverse and the SPD check) and hands it to
-each operator of that stage; the CFL reuses the bundle of stage 1, which is the
-state's own metric, and so does the monitor record of that state.  The CFL's
-sup |R| is taken from stage 1 too, before the frozen-node zeroing: on the
-reduced conformal path R = -2 du/dt, on the warped path R = 2K, otherwise the
-stage's curvature bundle; with the metric frozen R is constant and computed
-once.  Metric arrays are never mutated in place, so states and stage vectors
-share them freely.
+Each metric is measured once.  Every RK stage that reads its metric builds one
+MetricInvariants bundle and hands it to each operator of that stage; the
+bundle SPD-checks the metric on construction and computes sqrt(det g), the
+inverse, the Christoffel symbols and the curvature only when an operator first
+reads them, with the curvature path of FlowProblem.metric_path.  The state's
+own bundle is shared by its monitor record, stage 1 of the next step and that
+step's CFL.  The CFL's sup |R| is taken from stage 1, before the frozen-node
+zeroing: on the reduced conformal path R = -2 du/dt, on the warped path R = 2K,
+otherwise the bundle's scalar curvature; with the metric frozen R is constant
+and computed once.  Metric arrays are never mutated in place, so states and
+stage vectors share them freely.
 
 The state is one contiguous float64 vector with one StateLayout: the metric
 parameters, then each form's two components, then the gauge potential and the
@@ -38,14 +40,12 @@ import numpy as np
 
 from .errors import DegenerateMetricError
 from .functionals import (MonitorRecord, closedness_residual, cycle_integral,
-                          integrate, l2_norm_form, min_circumference,
-                          sup_norm_form)
-from .geometry import (CONFORMAL, GENERAL, WARPED, CurvatureData, Grid2D,
-                       MetricField, MetricInvariants, OneFormField, ScalarField,
+                          integrate, min_circumference)
+from .geometry import (CONFORMAL, GENERAL, WARPED, Grid2D, MetricField,
+                       MetricInvariants, OneFormField, ScalarField,
                        codifferential, conformal_metric, flat_laplacian,
                        general_metric, grad_norm_sq, hodge_laplacian,
-                       laplace_beltrami, stage_curvature,
-                       warped_gauss_curvature, warped_metric)
+                       laplace_beltrami, warped_gauss_curvature, warped_metric)
 
 DT_UNDERFLOW = 1e-12
 
@@ -98,13 +98,10 @@ class FlowState:
     vector: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "FlowState":
-        return FlowState(
-            self.t, self.grid, self.metric.copy(),
-            {k: v.copy() for k, v in self.forms.items()},
-            None if self.gauge is None else self.gauge.copy(),
-            None if self.subsolution is None else self.subsolution.copy(),
-            self.step,
-        )
+        """A state of its own vector, unpacked through the same layout, so a
+        conformal metric's gxx and gtt stay one array."""
+        layout = StateLayout.of(self)
+        return layout.unpack(layout.pack(self).copy(), self.t, self.step)
 
 
 _METRIC_PARAMS = {CONFORMAL: ("u",), WARPED: ("h", "f"), GENERAL: ("gxx", "gxt", "gtt")}
@@ -210,7 +207,6 @@ class FlowProblem:
     buffer_threshold: float = 1e-6
     monitor_energy: bool = True
     track_circumference: bool = False
-    buffer_baseline: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------- right-hand side
@@ -219,26 +215,22 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
     """Rates of every tracked equation at one stage, as one vector in the
     layout of `vec`, and sup |R| of the stage metric when `with_sup_R` (None
     if no equation evaluated the curvature).  `geo` is the stage metric's
-    invariant bundle when the caller has it; otherwise the metric is built
-    from `vec`, only if some equation needs it."""
+    bundle when the caller has it; otherwise the metric and its bundle are
+    built from `vec`, only if some equation reads them."""
     grid, tag = problem.grid, layout.tag
     params, forms, gauge, sub = layout.parts(vec)
     k = np.empty(layout.size)
     k_params, k_forms, k_gauge, k_sub = layout.parts(k)
     sup_R = None
 
-    # the metric object and curvature bundle are built only if some equation
-    # actually needs them; the reduced conformal path runs on u alone
-    curv = None
-    needs_metric = bool(forms) or gauge is not None or sub is not None
+    # the metric and its bundle are built only if some equation reads them;
+    # the reduced conformal path runs on u alone, the warped one on h and f
     reduced = problem.metric_path != "general" and tag in (CONFORMAL, WARPED)
-    needs_curv = (problem.evolve_metric and not reduced) \
-        or (bool(forms) and problem.form_operator == "bochner")
-    if (needs_metric or needs_curv) and geo is None:
-        geo = MetricInvariants(layout.metric(params))
+    needs_metric = bool(forms) or gauge is not None or sub is not None \
+        or (problem.evolve_metric and not reduced)
+    if needs_metric and geo is None:
+        geo = MetricInvariants(layout.metric(params), grid, problem.metric_path)
     g = geo.metric if geo is not None else None
-    if needs_curv:
-        curv = stage_curvature(g, grid, problem.metric_path, geo)
 
     if problem.evolve_metric:
         # R = -2 du/dt and R = 2K exactly (power-of-two factors), so sup |R| is
@@ -252,7 +244,7 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
                 if with_sup_R:
                     sup_R = 2.0 * float(np.max(np.abs(rate)))
             else:
-                np.multiply(curv.scalar, -0.5, out=rate)
+                np.multiply(geo.scalar, -0.5, out=rate)
         elif tag == WARPED:
             # dg/dt = -2 K g componentwise in 2-D, so the profiles obey
             # dh/dt = -K h and df/dt = -K f with the stage Gauss curvature
@@ -261,20 +253,20 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
                 if with_sup_R:
                     sup_R = 2.0 * float(np.max(np.abs(gauss)))
             else:
-                gauss = 0.5 * curv.scalar[:, 0]
+                gauss = 0.5 * geo.scalar[:, 0]
             for profile, rate in zip(params, k_params):
                 np.multiply(-gauss, profile, out=rate)
         else:
-            for ricci, rate in zip((curv.ricci_xx, curv.ricci_xt, curv.ricci_tt), k_params):
+            for ricci, rate in zip(geo.ricci, k_params):
                 np.multiply(ricci, -2.0, out=rate)
         if with_sup_R and not reduced:
-            sup_R = curv.sup_scalar()
+            sup_R = float(np.max(np.abs(geo.scalar)))
     else:
         for rate in k_params:
             rate.fill(0.0)
 
     for label, phi in forms.items():
-        lap = hodge_laplacian(phi, g, grid, method=problem.form_operator, curv=curv,
+        lap = hodge_laplacian(phi, g, grid, method=problem.form_operator,
                               invariants=geo)
         k_forms[label].x[...] = lap.x
         k_forms[label].theta[...] = lap.theta
@@ -296,7 +288,7 @@ def diffusion_rate(g: MetricField, grid: Grid2D, sup_R: float,
                    invariants: MetricInvariants | None = None) -> float:
     """Worst-node parabolic rate: inverse-metric magnitudes against the grid
     spacings plus the curvature scale."""
-    ixx, ixt, itt = (invariants or MetricInvariants(g)).inv
+    ixx, ixt, itt = (invariants or MetricInvariants(g, grid)).inv
     rate = np.max(ixx) / grid.hx ** 2 + np.max(itt) / grid.hy ** 2
     cross = float(np.max(np.abs(ixt)))
     if cross > 0:
@@ -309,9 +301,9 @@ def cfl_dt(state: FlowState, spec: IntegratorSpec, sup_R: float | None = None,
     """dt = 2 c_cfl / rate, capped.  On a flat unit metric with equal spacing h
     this is exactly c_cfl h^2; it shrinks as the inverse metric or the
     curvature grows."""
-    geo = invariants or MetricInvariants(state.metric)
+    geo = invariants or MetricInvariants(state.metric, state.grid)
     if sup_R is None:
-        sup_R = stage_curvature(state.metric, state.grid, "auto", geo).sup_scalar()
+        sup_R = float(np.max(np.abs(geo.scalar)))
     rate = diffusion_rate(state.metric, state.grid, sup_R, geo)
     return min(2.0 * spec.cfl / rate, spec.dt_cap)
 
@@ -360,12 +352,14 @@ def flow_step(state: FlowState, dt: float, problem: FlowProblem,
     """One coupled step of every tracked equation.  Returns None when a stage
     metric failed its SPD check or the step left the state non-finite or the
     metric degenerate (blow-up).  `k1` are the stage-1 rates and `invariants`
-    the bundle of state.metric when the caller already has them."""
+    the bundle of state.metric on problem.metric_path when the caller already
+    has them."""
     layout = StateLayout.of(state)
     vec = layout.pack(state)
     try:
         if not problem.evolve_metric and invariants is None:
-            invariants = MetricInvariants(state.metric)     # every stage reuses it
+            invariants = MetricInvariants(state.metric, problem.grid,
+                                          problem.metric_path)   # every stage reuses it
         if k1 is None:
             k1 = _rhs(vec, layout, problem, invariants)[0]
         new_vec = _advance(vec, k1, layout, problem, dt, scheme,
@@ -379,22 +373,27 @@ def flow_step(state: FlowState, dt: float, problem: FlowProblem,
 
 # ----------------------------------------------------------------- monitoring
 def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
-                   curv: CurvatureData,
-                   invariants: MetricInvariants | None = None) -> MonitorRecord:
+                   invariants: MetricInvariants | None = None,
+                   baseline: dict | None = None) -> MonitorRecord:
+    """The monitored values of one state.  `invariants` is the bundle of
+    state.metric on problem.metric_path when the caller has it; `baseline`
+    holds the buffer-zone mask, R and |phi|^2 of the run's initial state when
+    the grid has a truncated axis."""
     grid, g = state.grid, state.metric
-    geo = invariants or MetricInvariants(g)
+    geo = invariants or MetricInvariants(g, grid, problem.metric_path)
     vol = integrate(np.ones_like(g.gxx), g, grid, geo)
     values: dict = {}
+    nsq = {label: phi.norm_sq(geo) for label, phi in state.forms.items()}
 
     for label, phi in state.forms.items():
-        values[f"{label}_l2"] = l2_norm_form(phi, g, grid, geo)
-        values[f"{label}_sup"] = sup_norm_form(phi, g, grid, geo)
+        values[f"{label}_l2"] = float(np.sqrt(integrate(nsq[label], g, grid, geo)))
+        values[f"{label}_sup"] = float(np.sqrt(np.max(nsq[label])))
         values[f"{label}_closedness"] = closedness_residual(phi, grid)
         if problem.monitor_energy:
             values[f"{label}_grad_energy"] = integrate(
-                grad_norm_sq(phi, g, grid, curv, geo), g, grid, geo)
+                grad_norm_sq(phi, g, grid, geo), g, grid, geo)
             values[f"{label}_curv_energy"] = integrate(
-                curv.scalar * phi.norm_sq(g, geo), g, grid, geo)
+                geo.scalar * nsq[label], g, grid, geo)
         probe = problem.probes.get(label)
         if probe is not None:
             values[f"{label}_pairing"] = cycle_integral(phi, probe.cycle, grid)
@@ -419,20 +418,20 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
         values["u_mass"] = integrate(clipped, g, grid, geo)
         values["u_min"] = float(np.min(u))
         values["u_max"] = float(np.max(u))
-        values["u_curv_mass"] = integrate(clipped * curv.scalar, g, grid, geo)
+        values["u_curv_mass"] = integrate(clipped * geo.scalar, g, grid, geo)
 
-    if problem.buffer_baseline:
-        mask = problem.buffer_baseline["mask"]
-        flux = float(np.max(np.abs(curv.scalar[mask] - problem.buffer_baseline["R0"])))
-        for label, phi in state.forms.items():
-            nsq0 = problem.buffer_baseline["form0"].get(label)
+    if baseline is not None:
+        mask = baseline["mask"]
+        flux = float(np.max(np.abs(geo.scalar[mask] - baseline["R0"])))
+        for label in state.forms:
+            nsq0 = baseline["form0"].get(label)
             if nsq0 is not None:
-                flux = max(flux, float(np.max(np.abs(phi.norm_sq(g, geo)[mask] - nsq0))))
+                flux = max(flux, float(np.max(np.abs(nsq[label][mask] - nsq0))))
         values["buffer_flux"] = flux
 
     return MonitorRecord(
         t=state.t, dt=dt, step=state.step,
-        sup_R=float(np.max(curv.scalar)), min_R=float(np.min(curv.scalar)),
+        sup_R=float(np.max(geo.scalar)), min_R=float(np.min(geo.scalar)),
         vol=vol, values=values, grid_hash=grid.hash_hex,
     )
 
@@ -464,23 +463,20 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     setup = build(scenario_or_setup) if isinstance(scenario_or_setup, ScenarioSpec) \
         else scenario_or_setup
     state, problem, spec = setup.state.copy(), setup.problem, setup.integrator
-    grid = problem.grid
+    grid, path = problem.grid, problem.metric_path
 
     if spec.max_steps <= 0:
         return Trajectory(grid, [], [], BUDGET, state.t, 0,
                           setup.name, setup.scenario_hash)
 
-    geo = MetricInvariants(state.metric)    # bundle of the current state's metric
-    curv = stage_curvature(state.metric, grid, problem.metric_path, geo)
-    sup_R0 = curv.sup_scalar()              # constant while the metric is frozen
+    geo = MetricInvariants(state.metric, grid, path)   # the current state's bundle
+    sup_R0 = float(np.max(np.abs(geo.scalar)))        # constant while the metric is frozen
+    baseline = None
     if grid.boundary_mask.any():
         mask = grid.buffer_mask()
-        problem.buffer_baseline = {
-            "mask": mask,
-            "R0": curv.scalar[mask].copy(),
-            "form0": {label: phi.norm_sq(state.metric, geo)[mask].copy()
-                      for label, phi in state.forms.items()},
-        }
+        baseline = {"mask": mask, "R0": geo.scalar[mask],
+                    "form0": {label: phi.norm_sq(geo)[mask]
+                              for label, phi in state.forms.items()}}
 
     records: list[MonitorRecord] = []
     snapshots: list[FlowState] = []
@@ -492,10 +488,8 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
             // spec.cadence + 2
         snap_every = max(1, est_records // 24)
 
-    def record_state(dt_used, geo_now, curv_now=None):
-        c = curv_now if curv_now is not None \
-            else stage_curvature(state.metric, grid, problem.metric_path, geo_now)
-        rec = monitor_record(state, problem, dt_used, c, geo_now)
+    def record_state(dt_used, geo_now):
+        rec = monitor_record(state, problem, dt_used, geo_now, baseline)
         records.append(rec)
         if collect_snapshots and (len(records) - 1) % snap_every == 0:
             snapshots.append(state.copy())
@@ -503,7 +497,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         return flux > problem.buffer_threshold
 
     status = COMPLETED
-    if record_state(dt0, geo, curv):
+    if record_state(dt0, geo):
         status = BUFFER_BREACH
 
     horizon = spec.t_final * (1.0 - 1e-12)
@@ -528,7 +522,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         try:
             # the new state's bundle, read by its record or by the next stage 1;
             # a metric failing its SPD check ends the run on the last valid state
-            new_geo = MetricInvariants(new_state.metric)
+            new_geo = MetricInvariants(new_state.metric, grid, path)
         except DegenerateMetricError:
             status = BLOWUP
             break

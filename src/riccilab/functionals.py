@@ -27,14 +27,13 @@ HYPOTHESIS_TOL = 1e-10   # min R >= -this counts as "R >= 0 held"
 def integrate(values: np.ndarray, g: MetricField, grid: Grid2D,
               invariants: MetricInvariants | None = None) -> float:
     """Integral of a scalar density against dv_g (fixed-order summation)."""
-    sg = (invariants or MetricInvariants(g)).sqrt_det
+    sg = (invariants or MetricInvariants(g, grid)).sqrt_det
     return float(np.sum(values * sg * grid.weights))
 
 
-def l2_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D,
-                 invariants: MetricInvariants | None = None) -> float:
-    geo = invariants or MetricInvariants(g)
-    return float(np.sqrt(integrate(phi.norm_sq(g, geo), g, grid, geo)))
+def l2_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D) -> float:
+    geo = MetricInvariants(g, grid)
+    return float(np.sqrt(integrate(phi.norm_sq(geo), g, grid, geo)))
 
 
 def lp_norm_scalar(u: ScalarField | np.ndarray, g: MetricField, grid: Grid2D,
@@ -51,16 +50,14 @@ def lp_norm_scalar(u: ScalarField | np.ndarray, g: MetricField, grid: Grid2D,
     return float(integrate(clipped ** p, g, grid) ** (1.0 / p))
 
 
-def sup_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D,
-                  invariants: MetricInvariants | None = None) -> float:
-    return sup_norm_form_argmax(phi, g, grid, invariants)[0]
+def sup_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D) -> float:
+    return sup_norm_form_argmax(phi, g, grid)[0]
 
 
-def sup_norm_form_argmax(phi: OneFormField, g: MetricField, grid: Grid2D,
-                         invariants: MetricInvariants | None = None):
+def sup_norm_form_argmax(phi: OneFormField, g: MetricField, grid: Grid2D):
     """(sup |phi|_g, argmax node); ties resolve to the first node in row-major
     order, so the reduction is deterministic."""
-    nsq = phi.norm_sq(g, invariants)
+    nsq = phi.norm_sq(MetricInvariants(g, grid))
     k = int(np.argmax(nsq))
     node = np.unravel_index(k, nsq.shape)
     return float(np.sqrt(nsq[node])), (int(node[0]), int(node[1]))

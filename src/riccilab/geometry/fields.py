@@ -1,4 +1,4 @@
-"""Field containers: metrics, 1-forms, scalars, curvature bundles.
+"""Field containers: metrics, 1-forms and scalars.
 
 Component arrays are shaped (nx, ny) with x along axis 0 and theta along
 axis 1 (row-major, x-then-theta).  Metrics carry a parameterization tag:
@@ -6,21 +6,23 @@ axis 1 (row-major, x-then-theta).  Metrics carry a parameterization tag:
 "warped" stores 1-D profiles h(x), f(x) with g = h^2 dx^2 + f^2 dtheta^2,
 and "general" stores bare components.
 
-MetricInvariants bundles det g, sqrt(det g) and the inverse of one metric,
-validated once; operators take it instead of recomputing them.  A bundle
-belongs to one RK stage, CFL evaluation or monitor record and is dropped with
-it: it is never attached to the MetricField, whose arrays are never mutated
-in place.
+What is derived from one metric (det g, the inverse, Christoffel symbols,
+curvature) lives in operators.MetricInvariants, never on the MetricField:
+metric arrays are never mutated in place, so several fields and states may
+share them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import DegenerateMetricError
+
+if TYPE_CHECKING:
+    from .operators import MetricInvariants
 
 DET_FLOOR = 1e-12
 
@@ -48,13 +50,21 @@ class MetricField:
         return np.sqrt(self.det() if d is None else d)
 
     def inv(self, d: np.ndarray | None = None):
-        """Inverse components (g^xx, g^xt, g^tt); `d` is det g when the caller
-        already has it."""
+        """Inverse components (g^xx, g^xt, g^tt), three views of one (3, nx, ny)
+        block; `d` is det g when the caller already has it."""
         if d is None:
             d = self.det()
-        ixt = np.negative(self.gxt)     # -gxt / d, one temporary fewer
-        ixt /= d
-        return self.gtt / d, ixt, self.gxx / d
+        # One allocation in place of three.  Freeing a block this size also
+        # lifts glibc's dynamic mmap and heap-trim thresholds above one grid
+        # array; left at one array, the heap is trimmed and page-faulted back
+        # in on nearly every step (a 257^2 cigar run: 280k minor faults
+        # instead of 29k).
+        out = np.empty((3,) + d.shape)
+        np.divide(self.gtt, d, out=out[0])
+        np.negative(self.gxt, out=out[1])
+        out[1] /= d
+        np.divide(self.gxx, d, out=out[2])
+        return out[0], out[1], out[2]
 
     def require_spd(self, d: np.ndarray | None = None):
         """Hard error on any degenerate node; silent clamping would corrupt
@@ -82,33 +92,6 @@ class MetricField:
             m.h = root * self.h
             m.f = root * self.f
         return m
-
-    def copy(self) -> "MetricField":
-        return MetricField(
-            self.gxx.copy(), self.gxt.copy(), self.gtt.copy(), self.tag,
-            None if self.u is None else self.u.copy(),
-            None if self.h is None else self.h.copy(),
-            None if self.f is None else self.f.copy(),
-        )
-
-
-class MetricInvariants:
-    """det g (computed and SPD-checked on construction), sqrt(det g) and the
-    inverse components (g^xx, g^xt, g^tt) of one metric, each computed at most
-    once, through the MetricField methods, from the one det g."""
-
-    def __init__(self, g: MetricField):
-        self.metric = g
-        self.det = g.det()
-        g.require_spd(self.det)
-
-    @cached_property
-    def sqrt_det(self) -> np.ndarray:
-        return self.metric.sqrt_det(self.det)
-
-    @cached_property
-    def inv(self) -> tuple:
-        return self.metric.inv(self.det)
 
 
 def flat_metric(grid) -> MetricField:
@@ -145,9 +128,9 @@ class OneFormField:
     x: np.ndarray
     theta: np.ndarray
 
-    def norm_sq(self, g: MetricField,
-                invariants: MetricInvariants | None = None) -> np.ndarray:
-        ixx, ixt, itt = (invariants or MetricInvariants(g)).inv
+    def norm_sq(self, geo: MetricInvariants) -> np.ndarray:
+        """|phi|^2_g pointwise, from the inverse of the bundle's metric."""
+        ixx, ixt, itt = geo.inv
         return ixx * self.x ** 2 + 2.0 * ixt * self.x * self.theta + itt * self.theta ** 2
 
     def components(self) -> np.ndarray:
@@ -160,24 +143,3 @@ class OneFormField:
 @dataclass
 class ScalarField:
     values: np.ndarray
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.values.copy())
-
-
-@dataclass
-class CurvatureData:
-    """Christoffels and curvature of one metric.  `gamma[k, i, j]` is the symbol with
-    upper index k; `endo[a, b]` is the Ricci endomorphism R^a_b = g^{ak} R_{kb}."""
-
-    gamma: np.ndarray | None = None
-    ricci_xx: np.ndarray | None = None
-    ricci_xt: np.ndarray | None = None
-    ricci_tt: np.ndarray | None = None
-    scalar: np.ndarray | None = None
-    endo: np.ndarray | None = None
-    reduced_scalar: np.ndarray | None = None
-    cross_residual: float | None = None
-
-    def sup_scalar(self) -> float:
-        return float(np.max(np.abs(self.scalar)))

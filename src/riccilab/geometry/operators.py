@@ -14,18 +14,77 @@ needed.  Because the per-axis stencils are linear maps acting on different
 tensor factors, d(dF) = 0 holds to machine precision and the factorized Hodge
 operator is exactly skew-adjoint-compatible on periodic grids.
 
-Operators that read det g, sqrt(det g) or the inverse metric take an optional
-MetricInvariants bundle; without one they build a fresh bundle, which also
-runs the SPD check.
+Everything derived from one metric lives in one MetricInvariants bundle: det g
+and the SPD check on construction, then sqrt(det g), the inverse, the
+Christoffel symbols and the curvature parts, each computed the first time it
+is read.  Operators that read any of them take an optional bundle; without one
+they build a fresh bundle, which also runs the SPD check.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .fields import (CONFORMAL, GENERAL, WARPED, CurvatureData, MetricField,
-                     MetricInvariants, OneFormField, ScalarField)
+from .fields import (CONFORMAL, GENERAL, WARPED, MetricField, OneFormField,
+                     ScalarField)
 from .grid import PERIODIC, TRUNCATED, Grid2D
+
+
+class MetricInvariants:
+    """The geometry of one metric on its grid.
+
+    det g is computed and SPD-checked on construction.  Every other part is
+    computed the first time it is read, at most once: `sqrt_det` and `inv`
+    (g^xx, g^xt, g^tt) from that det g through the MetricField methods,
+    `gamma[k, i, j]` = Gamma^k_ij through christoffel with method "auto", and
+    the curvature parts `scalar`, `ricci` (R_xx, R_xt, R_tt) and `endo`, the
+    Ricci endomorphism endo[a, b] = g^{ak} R_kb.  The curvature comes from the
+    reduced closed form for conformal/warped metrics unless `path` is
+    "general", and from the coordinate contraction otherwise; on the reduced
+    path reading `scalar` runs reduced_scalar_curvature alone.  A bundle is
+    never attached to its MetricField, whose arrays are never mutated in
+    place.
+    """
+
+    def __init__(self, g: MetricField, grid: Grid2D, path: str = "auto"):
+        self.metric, self.grid = g, grid
+        self._reduced = path != GENERAL and g.tag in (CONFORMAL, WARPED)
+        self.det = g.det()
+        g.require_spd(self.det)
+
+    @cached_property
+    def sqrt_det(self) -> np.ndarray:
+        return self.metric.sqrt_det(self.det)
+
+    @cached_property
+    def inv(self) -> tuple:
+        return self.metric.inv(self.det)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return christoffel(self.metric, self.grid, invariants=self)
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        if self._reduced:
+            return reduced_scalar_curvature(self.metric, self.grid)
+        return self._curvature[1]
+
+    @cached_property
+    def _curvature(self) -> tuple:
+        if self._reduced:
+            return curvature_reduced(self.metric, self.scalar)
+        return curvature(self.metric, self.grid, self)
+
+    @property
+    def ricci(self) -> tuple:
+        return self._curvature[0]
+
+    @property
+    def endo(self) -> np.ndarray:
+        return self._curvature[2]
 
 
 def _sym2(xx: np.ndarray, xt: np.ndarray, tt: np.ndarray) -> np.ndarray:
@@ -38,8 +97,8 @@ def _sym2(xx: np.ndarray, xt: np.ndarray, tt: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------- Christoffel
 def christoffel(g: MetricField, grid: Grid2D, method: str = "auto",
-                invariants: MetricInvariants | None = None) -> CurvatureData:
-    """Christoffel symbols of g.
+                invariants: MetricInvariants | None = None) -> np.ndarray:
+    """Christoffel symbols of g, gam[k, i, j] = Gamma^k_ij (upper index first).
 
     "auto" differentiates the stored parameterization (u, or h and f) when the
     metric carries a tag, which is exact for data that is polynomial in the
@@ -47,7 +106,7 @@ def christoffel(g: MetricField, grid: Grid2D, method: str = "auto",
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) to the raw
     components.
     """
-    geo = invariants or MetricInvariants(g)
+    geo = invariants or MetricInvariants(g, grid)
     if method == "auto":
         method = g.tag if g.tag in (CONFORMAL, WARPED) else GENERAL
 
@@ -63,7 +122,7 @@ def christoffel(g: MetricField, grid: Grid2D, method: str = "auto",
         gam[1, 1, 1] = ut
         gam[1, 0, 1] = gam[1, 1, 0] = ux
         gam[1, 0, 0] = -ut
-        return CurvatureData(gamma=gam)
+        return gam
 
     if method == WARPED:
         hp = grid.diff_x(g.h)
@@ -71,7 +130,7 @@ def christoffel(g: MetricField, grid: Grid2D, method: str = "auto",
         gam[0, 0, 0] = (hp / g.h)[:, None]
         gam[0, 1, 1] = (-g.f * fp / g.h ** 2)[:, None]
         gam[1, 0, 1] = gam[1, 1, 0] = (fp / g.f)[:, None]
-        return CurvatureData(gamma=gam)
+        return gam
 
     comp = _sym2(g.gxx, g.gxt, g.gtt)
     inv = _sym2(*geo.inv)
@@ -87,7 +146,7 @@ def christoffel(g: MetricField, grid: Grid2D, method: str = "auto",
                 for l in range(2):
                     s += inv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
                 gam[k, i, j] = gam[k, j, i] = 0.5 * s
-    return CurvatureData(gamma=gam)
+    return gam
 
 
 # --------------------------------------------------------------------- curvature
@@ -119,31 +178,23 @@ def reduced_scalar_curvature(g: MetricField, grid: Grid2D) -> np.ndarray:
     raise ValueError(f"no reduced curvature for tag {g.tag!r}")
 
 
-def curvature_reduced(g: MetricField, grid: Grid2D,
-                      invariants: MetricInvariants | None = None) -> CurvatureData:
-    """Fast curvature path for conformal/warped metrics: scalar curvature from the
-    reduced formula, Ricci = (R/2) g (2-D identity), endomorphism (R/2) Id."""
-    geo = invariants or MetricInvariants(g)
-    scal = reduced_scalar_curvature(g, grid)
-    half = 0.5 * scal
-    endo = np.zeros((2, 2) + scal.shape)
+def curvature_reduced(g: MetricField, scalar: np.ndarray) -> tuple:
+    """Curvature of a conformal/warped metric from its reduced scalar curvature
+    R = reduced_scalar_curvature(g, grid): Ricci = (R/2) g (2-D identity),
+    endomorphism (R/2) Id.  Returns ((R_xx, R_xt, R_tt), R, endo)."""
+    half = 0.5 * scalar
+    endo = np.zeros((2, 2) + scalar.shape)
     endo[0, 0] = endo[1, 1] = half
-    return CurvatureData(
-        gamma=christoffel(g, grid, invariants=geo).gamma,
-        ricci_xx=half * g.gxx, ricci_xt=half * g.gxt, ricci_tt=half * g.gtt,
-        scalar=scal, endo=endo,
-    )
+    return (half * g.gxx, half * g.gxt, half * g.gtt), scalar, endo
 
 
-def curvature(g: MetricField, grid: Grid2D, method: str = "auto",
-              invariants: MetricInvariants | None = None) -> CurvatureData:
-    """Full curvature bundle via the coordinate contraction of the curvature tensor.
-
-    For conformal/warped tags the reduced closed-form scalar curvature is also
-    computed and the sup-norm cross-check residual recorded.
-    """
-    geo = invariants or MetricInvariants(g)
-    gam_gen = christoffel(g, grid, method=GENERAL, invariants=geo).gamma
+def curvature(g: MetricField, grid: Grid2D,
+              invariants: MetricInvariants | None = None) -> tuple:
+    """Curvature via the coordinate contraction of the curvature tensor, built
+    on the general-method Christoffel symbols.  Returns ((R_xx, R_xt, R_tt), R,
+    endo) with endo[a, b] = g^{ak} R_kb."""
+    geo = invariants or MetricInvariants(g, grid)
+    gam_gen = christoffel(g, grid, method=GENERAL, invariants=geo)
     inv = _sym2(*geo.inv)
     nx, ny = g.gxx.shape
 
@@ -168,27 +219,7 @@ def curvature(g: MetricField, grid: Grid2D, method: str = "auto",
         for j in range(2):
             scal += inv[i, j] * ric_sym[i, j]
     endo = np.einsum("ab...,b c...->ac...", inv, ric_sym)
-
-    data = CurvatureData(
-        gamma=christoffel(g, grid, invariants=geo).gamma,
-        ricci_xx=ric_sym[0, 0], ricci_xt=ric_sym[0, 1], ricci_tt=ric_sym[1, 1],
-        scalar=scal, endo=endo,
-    )
-    if g.tag in (CONFORMAL, WARPED) and method == "auto":
-        data.reduced_scalar = reduced_scalar_curvature(g, grid)
-        data.cross_residual = float(np.max(np.abs(data.reduced_scalar - scal)))
-    return data
-
-
-def stage_curvature(g: MetricField, grid: Grid2D, path: str = "auto",
-                    invariants: MetricInvariants | None = None) -> CurvatureData:
-    """The one curvature dispatch: the reduced closed form for conformal/warped
-    metrics, the coordinate contraction for general metrics or when `path` is
-    "general"."""
-    if path != GENERAL and g.tag in (CONFORMAL, WARPED):
-        return curvature_reduced(g, grid, invariants)
-    return curvature(g, grid, method=GENERAL if path == GENERAL else "auto",
-                     invariants=invariants)
+    return (ric_sym[0, 0], ric_sym[0, 1], ric_sym[1, 1]), scal, endo
 
 
 # --------------------------------------------------------------------- d and delta
@@ -205,7 +236,7 @@ def exterior_derivative(field, grid: Grid2D):
 def codifferential(phi: OneFormField, g: MetricField, grid: Grid2D,
                    invariants: MetricInvariants | None = None) -> ScalarField:
     """delta phi = -(1/sqrt(det g)) d_i (sqrt(det g) g^{ij} phi_j)."""
-    geo = invariants or MetricInvariants(g)
+    geo = invariants or MetricInvariants(g, grid)
     sg = geo.sqrt_det
     ixx, ixt, itt = geo.inv
     fx = sg * (ixx * phi.x + ixt * phi.theta)
@@ -227,7 +258,7 @@ def _codifferential_two_form(w: np.ndarray, g: MetricField, grid: Grid2D,
 def laplace_beltrami(values: np.ndarray, g: MetricField, grid: Grid2D,
                      invariants: MetricInvariants | None = None) -> np.ndarray:
     """Scalar Laplacian in divergence form, -delta(d F); nonpositive spectrum."""
-    geo = invariants or MetricInvariants(g)
+    geo = invariants or MetricInvariants(g, grid)
     sg = geo.sqrt_det
     ixx, ixt, itt = geo.inv
     fx = grid.diff_x(values)
@@ -238,11 +269,9 @@ def laplace_beltrami(values: np.ndarray, g: MetricField, grid: Grid2D,
 
 # --------------------------------------------------------------------- Laplacians on forms
 def covariant_derivative(phi: OneFormField, g: MetricField, grid: Grid2D,
-                         curv: CurvatureData | None = None,
                          invariants: MetricInvariants | None = None) -> np.ndarray:
     """S[k, i] = nabla_k phi_i = d_k phi_i - Gamma^l_ki phi_l."""
-    gam = (curv.gamma if curv is not None
-           else christoffel(g, grid, invariants=invariants).gamma)
+    gam = (invariants or MetricInvariants(g, grid)).gamma
     comp = phi.components()
     s = np.empty((2, 2) + phi.x.shape)
     for k in range(2):
@@ -252,11 +281,10 @@ def covariant_derivative(phi: OneFormField, g: MetricField, grid: Grid2D,
 
 
 def grad_norm_sq(phi: OneFormField, g: MetricField, grid: Grid2D,
-                 curv: CurvatureData | None = None,
                  invariants: MetricInvariants | None = None) -> np.ndarray:
     """|nabla phi|^2_g, the full covariant gradient energy density."""
-    geo = invariants or MetricInvariants(g)
-    s = covariant_derivative(phi, g, grid, curv, geo)
+    geo = invariants or MetricInvariants(g, grid)
+    s = covariant_derivative(phi, g, grid, geo)
     inv = _sym2(*geo.inv)
     out = np.zeros(phi.x.shape)
     for k in range(2):
@@ -268,15 +296,12 @@ def grad_norm_sq(phi: OneFormField, g: MetricField, grid: Grid2D,
 
 
 def rough_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
-                    curv: CurvatureData | None = None,
                     invariants: MetricInvariants | None = None) -> OneFormField:
     """(Delta phi)_i = g^{jk} (nabla_j nabla_k phi)_i via composed covariant
     derivatives."""
-    geo = invariants or MetricInvariants(g)
-    if curv is None or curv.gamma is None:
-        curv = christoffel(g, grid, invariants=geo)
-    gam = curv.gamma
-    s = covariant_derivative(phi, g, grid, curv)
+    geo = invariants or MetricInvariants(g, grid)
+    gam = geo.gamma
+    s = covariant_derivative(phi, g, grid, geo)
     inv = _sym2(*geo.inv)
     out = np.zeros((2,) + phi.x.shape)
     for i in range(2):
@@ -292,14 +317,14 @@ def rough_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
 
 
 def hodge_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
-                    method: str = "dd", curv: CurvatureData | None = None,
+                    method: str = "dd",
                     invariants: MetricInvariants | None = None) -> OneFormField:
     """Delta_d phi, either factorized as -(d delta + delta d) ("dd") or through the
     Bochner identity Delta phi - Ric(phi) ("bochner").  The two agree to
     discretization error; the factorized path is exactly compatible with d and
     delta at the stencil level and drives the heat flows.
     """
-    geo = invariants or MetricInvariants(g)
+    geo = invariants or MetricInvariants(g, grid)
     if method == "dd":
         ds = codifferential(phi, g, grid, geo).values
         w = exterior_derivative(phi, grid).values
@@ -308,19 +333,13 @@ def hodge_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
         return OneFormField(-(grid.diff_x(ds) + delta_d.x),
                             -(grid.diff_t(ds) + delta_d.theta))
     if method == "bochner":
-        if curv is None or curv.endo is None:
-            curv = stage_curvature(g, grid, invariants=geo)
-        rough = rough_laplacian(phi, g, grid, curv, geo)
-        e = curv.endo
+        rough = rough_laplacian(phi, g, grid, geo)
+        e = geo.endo
         return OneFormField(
             rough.x - (e[0, 0] * phi.x + e[1, 0] * phi.theta),
             rough.theta - (e[0, 1] * phi.x + e[1, 1] * phi.theta),
         )
     raise ValueError(f"unknown Hodge Laplacian method {method!r}")
-
-
-def volume_element(g: MetricField) -> ScalarField:
-    return ScalarField(MetricInvariants(g).sqrt_det)
 
 
 # --------------------------------------------------------------------- distances

@@ -11,7 +11,7 @@ from riccilab.blowup import (DecayMonitorSpec, RescalingSchedule,
                              rescale_trajectory)
 from riccilab.errors import DomainTooSmallError, IncompleteTrajectoryError
 from riccilab.functionals import ThetaCircle, min_circumference
-from riccilab.geometry import (Grid2D, OneFormField, curvature_reduced,
+from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                flat_metric, warped_metric)
 from riccilab.oracles import cigar_oracle
 from riccilab.scenario import FormSpec, make_scenario
@@ -36,20 +36,19 @@ def test_rescale_identity(neck_traj):
 def test_rescale_flat_stays_flat():
     grid = Grid2D.torus(32, 32)
     g = flat_metric(grid).rescaled(17.0)
-    cv = curvature_reduced(g, grid)
-    assert np.max(np.abs(cv.scalar)) < 1e-14
+    assert np.max(np.abs(MetricInvariants(g, grid).scalar)) < 1e-14
 
 
 def test_cigar_curvature_quarters_under_rescale():
     grid = Grid2D.plane(65, 65, 10.0, 10.0)
     ref = cigar_oracle(grid).value
     scaled = ref.metric.rescaled(4.0)
-    cv = curvature_reduced(scaled, grid)
-    base = curvature_reduced(ref.metric, grid)
+    scalar = MetricInvariants(scaled, grid).scalar
+    base = MetricInvariants(ref.metric, grid).scalar
     # the discrete law R(lam g) = R(g)/lam is exact to roundoff
-    assert np.max(np.abs(cv.scalar - base.scalar / 4.0)) < 1e-12
+    assert np.max(np.abs(scalar - base / 4.0)) < 1e-12
     # and the peak sits at 4/lam = 1 up to discretization of the profile
-    assert np.max(cv.scalar) == pytest.approx(1.0, rel=0.06)
+    assert np.max(scalar) == pytest.approx(1.0, rel=0.06)
 
 
 def test_curvature_scaling_machine_precision(neck_traj):
@@ -156,8 +155,8 @@ def test_decay_preserved_along_neck_run(neck_traj):
     spec = DecayMonitorSpec(1.0, (4.0, 5.5))
     profiles = []
     for snap in (neck_traj.snapshots[0], neck_traj.snapshots[-1]):
-        cv = curvature_reduced(snap.metric, grid)
-        profiles.append(decay_monitor(cv, snap.metric, grid, spec))
+        scalar = MetricInvariants(snap.metric, grid).scalar
+        profiles.append(decay_monitor(scalar, snap.metric, grid, spec))
     assert profiles[0]["decreasing_outward"]
     assert profiles[1]["decreasing_outward"]
     assert decay_preserved(profiles[0], profiles[1])

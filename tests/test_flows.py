@@ -9,11 +9,12 @@ import pytest
 
 from riccilab.flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED,
                             FlowProblem, FlowState, IntegratorSpec, StateLayout,
-                            _rhs, cfl_dt, flow_step, run_flow, stage_curvature)
+                            _rhs, cfl_dt, flow_step, run_flow)
 from riccilab.functionals import integrate
-from riccilab.geometry import (Grid2D, OneFormField, ScalarField,
-                               conformal_metric, flat_metric, general_metric,
-                               reduced_scalar_curvature, warped_metric)
+from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
+                               ScalarField, conformal_metric, flat_metric,
+                               general_metric, reduced_scalar_curvature,
+                               warped_metric)
 from riccilab.oracles import TrigMode, flat_spectral_oracle
 from riccilab.scenario import FormSpec, ProbeSpec, RunSetup, build, make_scenario
 
@@ -151,8 +152,8 @@ def test_conformal_torus_gauss_bonnet():
                          metric_amplitude=0.1, t_final=0.2, cadence=5)
     traj = run_flow(spec)
     for snap in traj.snapshots:
-        cv = stage_curvature(snap.metric, snap.grid, "auto")
-        total = integrate(cv.scalar, snap.metric, snap.grid)
+        scalar = MetricInvariants(snap.metric, snap.grid).scalar
+        total = integrate(scalar, snap.metric, snap.grid)
         assert abs(total) < 1e-6
 
 
@@ -443,6 +444,20 @@ def test_buffer_breach_aborts():
     traj = run_flow(spec, collect_snapshots=False)
     assert traj.status == BUFFER_BREACH
     assert traj.records[-1].values["buffer_flux"] > 1e-6
+
+
+def test_run_flow_leaves_problem_alone():
+    # FlowProblem is static configuration: a run on a grid with a buffer zone
+    # rebinds none of its attributes
+    setup = build(make_scenario(name="static", family="warped-cylinder", nx=64,
+                                ny=16, lx=20.0, forms=[FormSpec("main", "dtheta")],
+                                t_final=0.01, cadence=2))
+    before = dict(vars(setup.problem))
+    traj = run_flow(setup, collect_snapshots=False)
+    assert "buffer_flux" in traj.records[-1].values
+    after = vars(setup.problem)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
 
 
 # ----------------------------------------------------------------- steppers

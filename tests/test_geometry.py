@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from riccilab.errors import DegenerateMetricError
-from riccilab.geometry import (Grid2D, OneFormField, ScalarField, christoffel,
-                               codifferential, conformal_metric, curvature,
-                               curvature_reduced, exterior_derivative,
-                               flat_metric, general_metric, hodge_laplacian,
-                               laplace_beltrami, rough_laplacian,
-                               volume_element, warped_metric)
+from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
+                               ScalarField, christoffel, codifferential,
+                               conformal_metric, curvature, curvature_reduced,
+                               exterior_derivative, flat_metric, general_metric,
+                               hodge_laplacian, laplace_beltrami,
+                               reduced_scalar_curvature, rough_laplacian,
+                               warped_metric)
 
 
 # --------------------------------------------------------------- christoffel
 def test_christoffel_flat_vanishes(torus64, flat64):
-    gam = christoffel(flat64, torus64).gamma
+    gam = christoffel(flat64, torus64)
     assert np.max(np.abs(gam)) == 0.0
 
 
@@ -25,7 +26,7 @@ def test_christoffel_conformal_linear_exact():
     grid = Grid2D.cylinder(65, 16, 4.0)
     X, _ = grid.mesh()
     g = conformal_metric(grid, 0.1 * X)
-    gam = christoffel(g, grid).gamma
+    gam = christoffel(g, grid)
     assert np.max(np.abs(gam[0, 0, 0] - 0.1)) < 1e-10
     assert np.max(np.abs(gam[1, 0, 1] - 0.1)) < 1e-10
     assert np.max(np.abs(gam[0, 1, 1] + 0.1)) < 1e-10
@@ -35,7 +36,7 @@ def test_christoffel_constant_warp():
     grid = Grid2D.cylinder(33, 16, 4.0)
     x = grid.x
     g = warped_metric(grid, np.ones_like(x), 2.0 * np.ones_like(x))
-    gam = christoffel(g, grid).gamma
+    gam = christoffel(g, grid)
     assert np.max(np.abs(gam[0, 1, 1])) == 0.0
     assert np.max(np.abs(gam[1, 0, 1])) == 0.0
 
@@ -44,8 +45,8 @@ def test_christoffel_general_matches_reduced():
     grid = Grid2D.torus(64, 64)
     X, T = grid.mesh()
     g = conformal_metric(grid, 0.2 * np.sin(X) * np.cos(T))
-    a = christoffel(g, grid).gamma
-    b = christoffel(g, grid, method="general").gamma
+    a = christoffel(g, grid)
+    b = christoffel(g, grid, method="general")
     assert np.max(np.abs(a - b)) < 5e-3
     assert a == pytest.approx(b, abs=5e-3)
 
@@ -63,9 +64,9 @@ def test_degenerate_metric_identifies_node():
 
 # --------------------------------------------------------------- curvature
 def test_flat_curvature_zero(torus64, flat64):
-    cv = curvature(flat64, torus64)
-    assert np.max(np.abs(cv.scalar)) == 0.0
-    assert np.max(np.abs(cv.ricci_xx)) == 0.0
+    (ricci_xx, _, _), scalar, _ = curvature(flat64, torus64)
+    assert np.max(np.abs(scalar)) == 0.0
+    assert np.max(np.abs(ricci_xx)) == 0.0
 
 
 def test_cigar_origin_curvature():
@@ -74,26 +75,50 @@ def test_cigar_origin_curvature():
     grid = Grid2D.plane(257, 257, 12.0, 12.0)
     X, T = grid.mesh()
     g = conformal_metric(grid, -0.5 * np.log1p(X ** 2 + T ** 2))
-    cv = curvature(g, grid)
+    _, scalar, _ = curvature(g, grid)
     o = grid.origin
-    assert cv.scalar[o] == pytest.approx(4.0, rel=0.01)
-    assert cv.reduced_scalar[o] == pytest.approx(4.0, rel=0.01)
+    assert scalar[o] == pytest.approx(4.0, rel=0.01)
+    assert reduced_scalar_curvature(g, grid)[o] == pytest.approx(4.0, rel=0.01)
 
 
 def test_neck_cap_curvature_sign(neck_grid, neck_metric):
     # where the circle profile is concave (f'' < 0) the curvature is positive
-    cv = curvature_reduced(neck_metric, neck_grid)
+    scalar = MetricInvariants(neck_metric, neck_grid).scalar
     x = neck_grid.x
     concave = (2 - 4 * x ** 2) * np.exp(-x ** 2) < -0.1
-    assert np.all(cv.scalar[concave, 0] > 0)
+    assert np.all(scalar[concave, 0] > 0)
+
+
+def test_bundle_parts_follow_path(neck_grid, neck_metric):
+    # each part is computed once, by the named operator of the bundle's path:
+    # the reduced closed form for a tagged metric, the coordinate contraction
+    # on path "general"; the Christoffel symbols use method "auto" on both
+    g = neck_metric
+    gamma = christoffel(g, neck_grid)
+    reduced_R = reduced_scalar_curvature(g, neck_grid)
+    for path, parts in (("auto", curvature_reduced(g, reduced_R)),
+                        ("general", curvature(g, neck_grid))):
+        geo = MetricInvariants(g, neck_grid, path)
+        assert geo.scalar is geo.scalar and geo.gamma is geo.gamma
+        assert np.array_equal(geo.gamma, gamma)
+        assert np.array_equal(geo.scalar, parts[1])
+        assert all(np.array_equal(a, b) for a, b in zip(geo.ricci, parts[0]))
+        assert np.array_equal(geo.endo, parts[2])
+    # the inverse block holds the plain componentwise quotients
+    grid = Grid2D.torus(16, 16)
+    X, T = grid.mesh()
+    h = general_metric(1 + 0.2 * np.sin(X), 0.05 * np.cos(T), 1 + 0.2 * np.cos(X + T))
+    d = h.det()
+    assert all(np.array_equal(a, b)
+               for a, b in zip(h.inv(d), (h.gtt / d, -h.gxt / d, h.gxx / d)))
 
 
 def _einstein_residual(g, grid):
-    cv = curvature(g, grid)
+    (ricci_xx, ricci_xt, ricci_tt), scalar, _ = curvature(g, grid)
     mask = grid.interior_mask()
-    return max(np.max(np.abs(cv.ricci_xx - 0.5 * cv.scalar * g.gxx)[mask]),
-               np.max(np.abs(cv.ricci_tt - 0.5 * cv.scalar * g.gtt)[mask]),
-               np.max(np.abs(cv.ricci_xt - 0.5 * cv.scalar * g.gxt)[mask]))
+    return max(np.max(np.abs(ricci_xx - 0.5 * scalar * g.gxx)[mask]),
+               np.max(np.abs(ricci_tt - 0.5 * scalar * g.gtt)[mask]),
+               np.max(np.abs(ricci_xt - 0.5 * scalar * g.gxt)[mask]))
 
 
 def test_einstein_identity_conformal_exact():
@@ -127,28 +152,28 @@ def test_reduced_crosscheck_order():
         grid = Grid2D.plane(n, n, 12.0, 12.0)
         X, T = grid.mesh()
         g = conformal_metric(grid, -0.5 * np.log1p(X ** 2 + T ** 2))
-        cv = curvature(g, grid)
+        _, scalar, _ = curvature(g, grid)
         mask = grid.interior_mask()
-        res.append(np.max(np.abs(cv.reduced_scalar - cv.scalar)[mask]))
+        res.append(np.max(np.abs(reduced_scalar_curvature(g, grid) - scalar)[mask]))
     assert np.log2(res[0] / res[1]) >= 1.9
 
 
 def test_warped_general_vs_reduced(neck_grid, neck_metric):
-    cv = curvature(neck_metric, neck_grid)
-    assert cv.cross_residual is not None
+    _, scalar, _ = curvature(neck_metric, neck_grid)
+    reduced = reduced_scalar_curvature(neck_metric, neck_grid)
     mask = neck_grid.interior_mask()
-    assert np.max(np.abs(cv.reduced_scalar - cv.scalar)[mask]) < 0.05
+    assert np.max(np.abs(reduced - scalar)[mask]) < 0.05
 
 
 def test_ricci_endomorphism_consistency(neck_grid, neck_metric):
     # endo[a, b] must equal g^{ak} R_kb, not the identity
-    cv = curvature(neck_metric, neck_grid)
+    (ricci_xx, ricci_xt, _), _, endo = curvature(neck_metric, neck_grid)
     ixx, ixt, itt = neck_metric.inv()
-    assert cv.endo[0, 0] == pytest.approx(ixx * cv.ricci_xx + ixt * cv.ricci_xt,
-                                          abs=1e-12)
-    assert cv.endo[1, 0] == pytest.approx(ixt * cv.ricci_xx + itt * cv.ricci_xt,
-                                          abs=1e-12)
-    assert np.max(np.abs(cv.endo[0, 0] - 1.0)) > 0.1   # visibly not delta^j_i
+    assert endo[0, 0] == pytest.approx(ixx * ricci_xx + ixt * ricci_xt,
+                                       abs=1e-12)
+    assert endo[1, 0] == pytest.approx(ixt * ricci_xx + itt * ricci_xt,
+                                       abs=1e-12)
+    assert np.max(np.abs(endo[0, 0] - 1.0)) > 0.1   # visibly not delta^j_i
 
 
 # --------------------------------------------------------------- d and delta
@@ -272,13 +297,14 @@ def test_laplace_beltrami_matches_flat(torus64, flat64):
 
 # --------------------------------------------------------------- volume
 def test_volume_element_values(torus64, flat64, neck_grid, neck_metric):
-    assert np.max(np.abs(volume_element(flat64).values - 1.0)) == 0.0
+    assert np.max(np.abs(MetricInvariants(flat64, torus64).sqrt_det - 1.0)) == 0.0
     grid = Grid2D.torus(32, 32)
     X, T = grid.mesh()
     u = 0.1 * np.sin(X + T)
     g = conformal_metric(grid, u)
-    assert volume_element(g).values == pytest.approx(np.exp(2 * u), rel=1e-12)
+    assert MetricInvariants(g, grid).sqrt_det == pytest.approx(np.exp(2 * u), rel=1e-12)
     x = neck_grid.x
     f = 2.0 - np.exp(-x ** 2)
     expected = np.outer(np.ones_like(x) * f, np.ones(neck_grid.ny))
-    assert volume_element(neck_metric).values == pytest.approx(expected, rel=1e-12)
+    assert MetricInvariants(neck_metric, neck_grid).sqrt_det == pytest.approx(expected,
+                                                                          rel=1e-12)

@@ -200,6 +200,8 @@ def test_snapshot_round_trip(neck_run, tmp_path):
             fa, fb = _state_arrays(a), _state_arrays(b)
             assert fa.keys() == fb.keys() and carried <= fa.keys()
             assert all(np.array_equal(fa[k], fb[k]) for k in fa)
+            if tag == "conformal":   # one shared e^{2u}, as in the state it copies
+                assert a.metric.gxx is a.metric.gtt and b.metric.gxx is b.metric.gtt
     # per-stage metric invariants are never cached on a metric that outlives
     # its stage, in memory or reloaded
     names = {f.name for f in dataclasses.fields(MetricField)}
