@@ -1,0 +1,132 @@
+"""Per-layer timings of riccilab's kernels, written as one column of a BENCH file.
+
+    python3 bench/layers.py --src DIR --out FILE [--column NAME]
+
+Imports riccilab from DIR (the src/ directory of a checkout) and times each
+layer on fixed grids: a periodic 128^2 torus, a truncated 257^2 plane (the
+cigar's) and a 512x64 cylinder (the neck's).  Each figure is the median, in
+microseconds, of single calls timed with time.perf_counter after one warm-up
+call.  Operators get a bundle whose parts are already computed, so they are
+timed alone; det g and the inverse are timed on their own, and
+monitor_record builds its bundle as a run does.
+
+FILE holds {"unit", "statistic", "machine", "columns": {NAME: {layer: us}}}.
+An existing FILE keeps its other columns, so runs on two checkouts, one after
+the other on the same machine, fill one before/after file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+MIN_SAMPLES, MAX_SAMPLES, BUDGET_S = 7, 2000, 0.4
+
+
+def median_us(fn) -> float:
+    fn()
+    samples, spent = [], 0.0
+    while len(samples) < MIN_SAMPLES or (spent < BUDGET_S and len(samples) < MAX_SAMPLES):
+        t0 = time.perf_counter()
+        fn()
+        dt = time.perf_counter() - t0
+        samples.append(dt)
+        spent += dt
+    return 1e6 * statistics.median(samples)
+
+
+def layers() -> dict:
+    import numpy as np
+    from riccilab.flows import FlowProblem, FlowState, StateLayout, monitor_record
+    from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField, ScalarField,
+                                   codifferential, conformal_metric, curvature_reduced,
+                                   hodge_laplacian, laplace_beltrami,
+                                   reduced_scalar_curvature, warped_metric)
+
+    rng = np.random.default_rng(0)
+    torus = Grid2D.torus(128, 128)
+    plane = Grid2D.plane(257, 257, 16.0, 16.0)
+    cylinder = Grid2D.cylinder(512, 64, 20.0)
+    out = {}
+
+    for label, grid in (("torus128", torus), ("plane257", plane),
+                        ("cylinder512x64", cylinder)):
+        a = rng.standard_normal((grid.nx, grid.ny))
+        out[f"diff_x.{label}"] = median_us(lambda: grid.diff_x(a))
+        out[f"diff_t.{label}"] = median_us(lambda: grid.diff_t(a))
+
+    X, T = plane.mesh()
+    cigar = conformal_metric(plane, -0.5 * np.log1p(X ** 2 + T ** 2))
+    x = cylinder.x
+    neck = warped_metric(cylinder, np.ones_like(x), 2.0 - np.exp(-x ** 2))
+    for label, g in (("conformal257", cigar), ("warped512x64", neck)):
+        d = g.det()
+        out[f"det.{label}"] = median_us(g.det)
+        out[f"inv.{label}"] = median_us(lambda: g.inv(d))
+
+    X, T = torus.mesh()
+    metrics = {"128": (torus, conformal_metric(torus, 0.3 * np.sin(X) * np.cos(T))),
+               "257": (plane, cigar)}
+    for n, (grid, g) in metrics.items():
+        X, T = grid.mesh()
+        phi = OneFormField(np.sin(X) * np.cos(T), np.cos(X + T))
+        F = np.sin(X + 2 * T)
+        geo = MetricInvariants(g, grid)
+        geo.sqrt_det, geo.inv, geo.scalar           # computed once, outside the timing
+        out[f"codifferential.{n}"] = median_us(lambda: codifferential(phi, g, grid, geo))
+        out[f"hodge_laplacian_dd.{n}"] = median_us(
+            lambda: hodge_laplacian(phi, g, grid, "dd", geo))
+        out[f"laplace_beltrami.{n}"] = median_us(lambda: laplace_beltrami(F, g, grid, geo))
+        out[f"reduced_scalar_curvature.{n}"] = median_us(
+            lambda: reduced_scalar_curvature(g, grid))
+        out[f"curvature_reduced.{n}"] = median_us(lambda: curvature_reduced(g, geo.scalar))
+
+        state = FlowState(0.0, grid, g, {"main": phi}, ScalarField(F.copy()),
+                          ScalarField(1.0 + 0.5 * np.cos(X)))
+        problem = FlowProblem(grid)
+        out[f"monitor_record.{n}"] = median_us(lambda: monitor_record(state, problem, 1e-4))
+        layout = StateLayout.of(state)
+        vec = layout.pack(state)
+        out[f"StateLayout.pack.{n}"] = median_us(lambda: layout.pack(state))
+        out[f"StateLayout.unpack.{n}"] = median_us(lambda: layout.unpack(vec))
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="the src/ directory riccilab is imported from")
+    parser.add_argument("--out", required=True, type=Path, help="the BENCH json file")
+    parser.add_argument("--column", default="change", help="column name (default: change)")
+    args = parser.parse_args()
+
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
+    import numpy
+    import riccilab
+    if src not in Path(riccilab.__file__).resolve().parents:
+        print(f"riccilab imported from {riccilab.__file__}, not from {src}", file=sys.stderr)
+        return 2
+
+    result = layers()
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.update({
+        "unit": "us",
+        "statistic": "median of single-call time.perf_counter samples",
+        "machine": {"nproc": os.cpu_count(), "machine": platform.machine(),
+                    "python": platform.python_version(), "numpy": numpy.__version__},
+    })
+    doc.setdefault("columns", {})[args.column] = {k: round(v, 2) for k, v in result.items()}
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(json.dumps(doc["columns"][args.column]))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -457,7 +457,9 @@ class Trajectory:
 def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     """Integrate a scenario until its horizon, blow-up, a buffer breach, or the
     step budget.  Record 0 is the initial state; the terminal (or last valid)
-    state is always recorded.  Deterministic for a fixed scenario."""
+    state is always recorded.  An initial metric failing its SPD check ends
+    blow-up-detected with no step and no record.  Deterministic for a fixed
+    scenario."""
     from .scenario import ScenarioSpec, build   # deferred: scenario builds on flows
 
     setup = build(scenario_or_setup) if isinstance(scenario_or_setup, ScenarioSpec) \
@@ -469,7 +471,11 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         return Trajectory(grid, [], [], BUDGET, state.t, 0,
                           setup.name, setup.scenario_hash)
 
-    geo = MetricInvariants(state.metric, grid, path)   # the current state's bundle
+    try:
+        geo = MetricInvariants(state.metric, grid, path)   # the current state's bundle
+    except DegenerateMetricError:
+        return Trajectory(grid, [], [], BLOWUP, state.t, 0,
+                          setup.name, setup.scenario_hash)
     sup_R0 = float(np.max(np.abs(geo.scalar)))        # constant while the metric is frozen
     baseline = None
     if grid.boundary_mask.any():

@@ -6,6 +6,11 @@ axis 1 (row-major, x-then-theta).  Metrics carry a parameterization tag:
 "warped" stores 1-D profiles h(x), f(x) with g = h^2 dx^2 + f^2 dtheta^2,
 and "general" stores bare components.
 
+Tagged metrics are diagonal: conformal_metric, warped_metric and rescaled give
+them gxt = +0 everywhere, and det and inv rely on it.  det g of a tagged
+metric is gxx gtt alone, which is bitwise gxx gtt - (+0)^2, and its g^xt is
+-0.0, which is bitwise -(+0)/det g for every det g > 0 (inf included).
+
 What is derived from one metric (det g, the inverse, Christoffel symbols,
 curvature) lives in operators.MetricInvariants, never on the MetricField:
 metric arrays are never mutated in place, so several fields and states may
@@ -43,15 +48,18 @@ class MetricField:
 
     def det(self) -> np.ndarray:
         d = self.gxx * self.gtt         # gxx gtt - gxt^2, one temporary fewer
-        d -= self.gxt ** 2
+        if self.tag == GENERAL:         # tagged metrics are diagonal
+            d -= self.gxt ** 2
         return d
 
     def sqrt_det(self, d: np.ndarray | None = None) -> np.ndarray:
         return np.sqrt(self.det() if d is None else d)
 
     def inv(self, d: np.ndarray | None = None):
-        """Inverse components (g^xx, g^xt, g^tt), three views of one (3, nx, ny)
-        block; `d` is det g when the caller already has it."""
+        """Inverse components (g^xx, g^xt, g^tt), views of one (3, nx, ny)
+        block; `d` is det g when the caller already has it.  A tagged metric's
+        g^xt is -0.0, the general formula's value wherever det g > 0, which
+        the SPD check ensures."""
         if d is None:
             d = self.det()
         # One allocation in place of three.  Freeing a block this size also
@@ -61,17 +69,23 @@ class MetricField:
         # instead of 29k).
         out = np.empty((3,) + d.shape)
         np.divide(self.gtt, d, out=out[0])
-        np.negative(self.gxt, out=out[1])
-        out[1] /= d
+        if self.tag == GENERAL:
+            np.negative(self.gxt, out=out[1])
+            out[1] /= d
+        else:                           # -(+0) / d on a diagonal metric
+            out[1].fill(-0.0)
+        if self.gxx is self.gtt:        # conformal: g^tt is g^xx
+            return out[0], out[1], out[0]
         np.divide(self.gxx, d, out=out[2])
         return out[0], out[1], out[2]
 
     def require_spd(self, d: np.ndarray | None = None):
-        """Hard error on any degenerate node; silent clamping would corrupt
-        monotonicity verdicts.  `d` is det g when the caller already has it."""
+        """Hard error on any degenerate node, NaN included; silent clamping
+        would corrupt monotonicity verdicts.  `d` is det g when the caller
+        already has it."""
         if d is None:
             d = self.det()
-        bad = (d <= DET_FLOOR) | (self.gxx <= 0.0)
+        bad = ~(d > DET_FLOOR) | ~(self.gxx > 0.0)
         if bad.any():
             i, j = np.unravel_index(np.argmax(bad), bad.shape)
             raise DegenerateMetricError((i, j), d[i, j])

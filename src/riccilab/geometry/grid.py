@@ -6,13 +6,22 @@ spacing l/(n-1).  All derivatives are second order: centered in the interior,
 one-sided 3-point at truncated ends.  The same stencil is used wherever a
 first derivative appears, so composed operators (d after d, div after grad)
 inherit exact structural identities.
+
+The stencil is computed without temporaries and gives the bits of its plain
+form, (roll(a, -1) - roll(a, 1)) / (2h) or the one-sided closures, on every
+input.  Along the last axis of a C-contiguous array the interior is one flat
+sweep over the raveled array; the values it leaves at each row seam are
+overwritten by the end formulas, which are therefore written after the
+interior.  When 2h is a power of two the differences are scaled by 1/(2h),
+which is exact and so bitwise equal to the division.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,6 +34,21 @@ def _axis_coords(n: int, length: float, topology: str) -> np.ndarray:
         return (length / n) * np.arange(n)
     h = length / (n - 1)
     return -0.5 * length + h * np.arange(n)
+
+
+@lru_cache(maxsize=None)
+def _stencil_slices(ndim: int, axis: int):
+    """Index tuples of the stencil along `axis`: the interior (a[2:], a[:-2],
+    out[1:-1]), the periodic ends (first, second, last, before last node, as
+    length-1 slices) and the truncated ends (nodes 0, 1, 2 and -1, -2, -3)."""
+    def at(idx):
+        s = [slice(None)] * ndim
+        s[axis] = idx
+        return tuple(s)
+
+    return ((at(slice(2, None)), at(slice(0, -2)), at(slice(1, -1))),
+            (at(slice(0, 1)), at(slice(1, 2)), at(slice(-1, None)), at(slice(-2, -1))),
+            tuple(at(i) for i in (0, 1, 2, -1, -2, -3)))
 
 
 @dataclass(frozen=True)
@@ -107,28 +131,32 @@ class Grid2D:
 
     # ------------------------------------------------------------------ stencils
     def _diff(self, a: np.ndarray, axis: int, h: float, topology: str) -> np.ndarray:
-        # Differences are written into one output array through slices and then
-        # divided in place: the same floating-point operations, in the same
-        # order, as (roll(a, -1) - roll(a, 1)) / (2h), without its temporaries.
+        # Differences are written into one output array, interior first and
+        # ends last, and then scaled in place: the bits of
+        # (roll(a, -1) - roll(a, 1)) / (2h), without its temporaries.
         out = np.empty_like(a, dtype=np.result_type(a, 1.0))
-        lo = [slice(None)] * a.ndim
-
-        def at(idx):
-            s = lo.copy()
-            s[axis] = idx
-            return tuple(s)
-
-        np.subtract(a[at(slice(2, None))], a[at(slice(0, -2))],
-                    out=out[at(slice(1, -1))])
-        first, second = at(slice(0, 1)), at(slice(1, 2))
-        last, before_last = at(slice(-1, None)), at(slice(-2, -1))
+        (hi, lo, mid), (first, second, last, before_last), closures = \
+            _stencil_slices(a.ndim, axis)
+        if axis == a.ndim - 1 and a.flags.c_contiguous and out.flags.c_contiguous:
+            # one flat sweep; the row seams it gets wrong are row ends,
+            # which the end formulas below overwrite
+            flat = a.reshape(-1)
+            np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
+        else:
+            np.subtract(a[hi], a[lo], out=out[mid])
         if topology == PERIODIC:
             np.subtract(a[second], a[last], out=out[first])
             np.subtract(a[first], a[before_last], out=out[last])
         else:
-            out[at(0)] = -3.0 * a[at(0)] + 4.0 * a[at(1)] - a[at(2)]
-            out[at(-1)] = 3.0 * a[at(-1)] - 4.0 * a[at(-2)] + a[at(-3)]
-        out /= 2.0 * h
+            e0, e1, e2, f0, f1, f2 = closures
+            out[e0] = -3.0 * a[e0] + 4.0 * a[e1] - a[e2]
+            out[f0] = 3.0 * a[f0] - 4.0 * a[f1] + a[f2]
+        two_h = 2.0 * h
+        frac, exp = math.frexp(two_h)
+        if frac == 0.5 and exp >= -1022:
+            out *= 1.0 / two_h          # 2h = 2^k with 2^-k finite: bitwise the quotient
+        else:
+            out /= two_h
         return out
 
     def diff_x(self, a: np.ndarray) -> np.ndarray:

@@ -191,10 +191,12 @@ def curvature_reduced(g: MetricField, scalar: np.ndarray) -> tuple:
 def curvature(g: MetricField, grid: Grid2D,
               invariants: MetricInvariants | None = None) -> tuple:
     """Curvature via the coordinate contraction of the curvature tensor, built
-    on the general-method Christoffel symbols.  Returns ((R_xx, R_xt, R_tt), R,
-    endo) with endo[a, b] = g^{ak} R_kb."""
+    on the general-method Christoffel symbols (the bundle's own on a general
+    metric, where method "auto" is that computation).  Returns ((R_xx, R_xt,
+    R_tt), R, endo) with endo[a, b] = g^{ak} R_kb."""
     geo = invariants or MetricInvariants(g, grid)
-    gam_gen = christoffel(g, grid, method=GENERAL, invariants=geo)
+    gam_gen = geo.gamma if g.tag == GENERAL else \
+        christoffel(g, grid, method=GENERAL, invariants=geo)
     inv = _sym2(*geo.inv)
     nx, ny = g.gxx.shape
 

@@ -120,7 +120,10 @@ def _parse_bool(s: str) -> bool:
 def _parse_float(s: str) -> float:
     if s.lower() in ("inf", "infinity"):
         return math.inf
-    return float(s)
+    value = float(s)
+    if math.isnan(value):
+        raise ValueError(f"not a number: {s!r}")
+    return value
 
 
 # key -> (setter(spec, value_str), serializer(spec) -> str or None to omit)

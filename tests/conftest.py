@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from riccilab.geometry import Grid2D, conformal_metric, flat_metric, warped_metric
+
+# property tests draw the same examples on every run and have no per-example
+# deadline: tier-1 runs on shared hosts
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -396,6 +396,43 @@ def test_stage_metric_failure_ends_as_blowup():
     assert traj.n_steps == 0 and len(traj.records) == 1
 
 
+def test_degenerate_initial_metric_ends_as_blowup():
+    # a hand-built setup skips build's check: the run ends with the blow-up
+    # status before any step or record, like an empty step budget
+    grid = Grid2D.torus(16, 16)
+    u = np.full((16, 16), -7.0)                      # det g = e^-28 < 1e-12
+    setup = RunSetup("degenerate", "d" * 16, grid, _state(grid, conformal_metric(grid, u)),
+                     FlowProblem(grid), IntegratorSpec(t_final=1.0))
+    traj = run_flow(setup)
+    assert traj.status == BLOWUP
+    assert traj.n_steps == 0 and traj.t_end == 0.0
+    assert traj.records == [] and traj.snapshots == []
+
+
+def test_general_curvature_reads_the_bundles_christoffels(monkeypatch):
+    # one Christoffel array per bundle that reads curvature or the gradient
+    # energy: the initial state's (record 0 and stage 1), stage 2's and the
+    # new state's (its record)
+    import riccilab.geometry.operators as ops
+    calls = []
+    christoffel = ops.christoffel
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method", "auto"))
+        return christoffel(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "christoffel", counted)
+    grid = Grid2D.torus(16, 16)
+    X, T = grid.mesh()
+    g = general_metric(1 + 0.3 * np.sin(X), 0.1 * np.cos(T), 1 + 0.3 * np.cos(X + T))
+    st = _state(grid, g, forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
+    setup = RunSetup("general", "g" * 16, grid, st, FlowProblem(grid),
+                     IntegratorSpec(max_steps=1, t_final=1.0))
+    traj = run_flow(setup)
+    assert traj.n_steps == 1 and len(traj.records) == 2
+    assert calls == ["auto"] * 3
+
+
 @pytest.mark.parametrize("cadence", [1, 1000])
 def test_state_metric_failure_ends_as_blowup(cadence):
     # a CFL coefficient past stability drives a conformal factor near the det

@@ -3,6 +3,8 @@ exact stencil-level identities the heat flows rely on."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccilab.errors import DegenerateMetricError
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
@@ -60,6 +62,16 @@ def test_degenerate_metric_identifies_node():
     with pytest.raises(DegenerateMetricError) as err:
         christoffel(g, grid)
     assert err.value.node == (3, 7)
+
+
+def test_nan_metric_fails_spd_check():
+    # NaN compares False with the det floor; the check still names the node
+    gxx = np.ones((16, 16))
+    gxx[5, 2] = np.nan
+    g = general_metric(gxx, np.zeros_like(gxx), np.ones((16, 16)))
+    with pytest.raises(DegenerateMetricError) as err:
+        g.require_spd()
+    assert err.value.node == (5, 2)
 
 
 # --------------------------------------------------------------- curvature
@@ -308,3 +320,62 @@ def test_volume_element_values(torus64, flat64, neck_grid, neck_metric):
     expected = np.outer(np.ones_like(x) * f, np.ones(neck_grid.ny))
     assert MetricInvariants(neck_metric, neck_grid).sqrt_det == pytest.approx(expected,
                                                                           rel=1e-12)
+
+
+# --------------------------------------------------------------- properties
+def _random_general_metric(rng, nx, ny):
+    """SPD at every node, with no smoothness: det g = gxx gtt (1 - c^2) > 0."""
+    gxx = np.exp(0.5 * rng.standard_normal((nx, ny)))
+    gtt = np.exp(0.5 * rng.standard_normal((nx, ny)))
+    c = 0.9 * np.tanh(rng.standard_normal((nx, ny)))
+    return general_metric(gxx, c * np.sqrt(gxx * gtt), gtt)
+
+
+@settings(max_examples=40)
+@given(nx=st.integers(8, 70), ny=st.integers(8, 70), lx=st.floats(0.5, 20.0),
+       ly=st.floats(0.5, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_d_squared_and_adjointness_on_random_periodic_grids(nx, ny, lx, ly, seed):
+    grid = Grid2D.torus(nx, ny, lx, ly)
+    rng = np.random.default_rng(seed)
+    g = _random_general_metric(rng, nx, ny)
+    F = rng.standard_normal((nx, ny))
+    phi = OneFormField(rng.standard_normal((nx, ny)), rng.standard_normal((nx, ny)))
+
+    dF = exterior_derivative(ScalarField(F), grid)
+    ddF = exterior_derivative(dF, grid).values
+    assert np.max(np.abs(ddF)) <= 1e-14 * np.max(np.abs(F)) / (grid.hx * grid.hy)
+
+    # integral <phi, dF>_g dv = integral (delta phi) F dv, up to rounding
+    geo = MetricInvariants(g, grid)
+    ixx, ixt, itt = geo.inv
+    dv = geo.sqrt_det * grid.weights
+    pairing = (ixx * dF.x * phi.x + ixt * (dF.x * phi.theta + dF.theta * phi.x)
+               + itt * dF.theta * phi.theta) * dv
+    dual = codifferential(phi, g, grid, geo).values * F * dv
+    scale = np.sum(np.abs(pairing)) + np.sum(np.abs(dual))
+    assert abs(np.sum(pairing) - np.sum(dual)) <= 1e-14 * scale
+
+
+@settings(max_examples=40)
+@given(nx=st.integers(8, 40), ny=st.integers(8, 40),
+       family=st.sampled_from(["conformal", "warped"]),
+       offset=st.floats(-6.0, 360.0), lam=st.none() | st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tagged_det_and_inverse_equal_general_formula_bitwise(nx, ny, family, offset,
+                                                              lam, seed):
+    # an offset above ~177 overflows det g to inf, which passes the SPD check
+    grid = Grid2D.cylinder(nx, ny, 4.0)
+    rng = np.random.default_rng(seed)
+    if family == "conformal":
+        g = conformal_metric(grid, offset + rng.standard_normal((nx, ny)))
+    else:
+        h, f = np.exp(0.5 * offset + rng.standard_normal((2, nx)))
+        g = warped_metric(grid, h, f)
+    if lam is not None:
+        g = g.rescaled(lam)
+    plain = general_metric(g.gxx.copy(), g.gxt.copy(), g.gtt.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(g.det(), plain.det(), equal_nan=True)
+        for tagged, general in zip(g.inv(), plain.inv()):
+            assert np.array_equal(tagged, general, equal_nan=True)
+            assert np.array_equal(np.signbit(tagged), np.signbit(general))

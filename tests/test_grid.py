@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccilab.geometry import Grid2D
 
@@ -71,6 +73,44 @@ def test_slice_stencil_bitwise_equals_reference(grid):
         assert np.array_equal(grid.diff_t(a),
                               _reference_diff(a, a.ndim - 1, grid.hy, grid.topology_y))
     profile = rng.standard_normal(grid.nx)                         # 1-D x-profile
+    assert np.array_equal(grid.diff_x(profile),
+                          _reference_diff(profile, 0, grid.hx, grid.topology_x))
+
+
+@st.composite
+def _grids(draw):
+    """Random node counts and topologies, with spacings on both sides of the
+    exact-reciprocal rule: 2h a power of two, or not."""
+    axes = []
+    for _ in range(2):
+        n = draw(st.integers(8, 70))
+        topology = draw(st.sampled_from(["periodic", "truncated"]))
+        intervals = n if topology == "periodic" else n - 1
+        if draw(st.booleans()):
+            h = 2.0 ** draw(st.integers(-8, 3))
+        else:
+            h = draw(st.floats(1e-3, 10.0))
+        axes.append((n, intervals * h, topology))
+    (nx, lx, tx), (ny, ly, ty) = axes
+    return Grid2D(nx, ny, lx, ly, tx, ty)
+
+
+@settings(max_examples=60)
+@given(grid=_grids(), seed=st.integers(0, 2 ** 32 - 1))
+def test_stencil_bitwise_equals_reference_on_random_grids(grid, seed):
+    rng = np.random.default_rng(seed)
+    nx, ny = grid.nx, grid.ny
+    inputs = [rng.standard_normal((nx, ny)),                          # C order
+              np.asfortranarray(rng.standard_normal((nx, ny))),       # Fortran order
+              rng.standard_normal((nx, ny + 3))[:, 1:-2],             # last axis sliced
+              rng.standard_normal((nx, 2 * ny))[:, ::2],              # last axis strided
+              rng.standard_normal((2, 3, nx, ny))]                    # stacked tensors
+    for a in inputs:
+        assert np.array_equal(grid.diff_x(a),
+                              _reference_diff(a, a.ndim - 2, grid.hx, grid.topology_x))
+        assert np.array_equal(grid.diff_t(a),
+                              _reference_diff(a, a.ndim - 1, grid.hy, grid.topology_y))
+    profile = rng.standard_normal(nx)                                 # 1-D x-profile
     assert np.array_equal(grid.diff_x(profile),
                           _reference_diff(profile, 0, grid.hx, grid.topology_x))
 

@@ -93,6 +93,27 @@ def test_negative_step_budget_and_snapshot_cadence_rejected():
     assert any("snapshot_every" in p for p in err.value.problems)
 
 
+NAN_BASE = "family = conformal-torus\ngrid.nx = 16\ngrid.ny = 16\nsubsolution.preset = bump\n"
+
+
+@pytest.mark.parametrize("key", ["metric.amplitude", "grid.lx", "integrator.t_final",
+                                 "subsolution.amplitude", "subsolution.sink"])
+def test_nan_value_rejected_at_parse(key, tmp_path):
+    # NaN compares False with every bound, so it used to pass validation and
+    # fail mid-run; it is rejected where it is read, and inf stays valid
+    for nan in ("nan", "NaN", "-nan"):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(NAN_BASE + f"{key} = {nan}\n")
+        assert len(err.value.problems) == 1
+        assert key in err.value.problems[0] and "not a number" in err.value.problems[0]
+    assert parse_scenario(NAN_BASE + "integrator.dt_cap = inf\n").integrator.dt_cap \
+        == float("inf")
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(NAN_BASE + f"{key} = nan\n")
+    r = _cli("run", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2 and "not a number" in r.stderr
+
+
 def test_probe_needs_tracked_form():
     text = MINIMAL + "probe.p.form = ghost\n"
     with pytest.raises(ScenarioError) as err:
