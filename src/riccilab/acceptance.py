@@ -21,8 +21,9 @@ from .functionals import (ThetaCircle, form_energy_identity_report,
                           l1_monotonicity_report, l2_monotonicity_report,
                           length_bound_report, max_principle_report,
                           min_circumference)
-from .geometry import (Grid2D, OneFormField, conformal_metric, flat_metric,
-                       hodge_laplacian, reduced_scalar_curvature, warped_metric)
+from .geometry import (Grid2D, MetricInvariants, OneFormField, codifferential,
+                       conformal_metric, flat_metric, hodge_laplacian,
+                       laplace_beltrami, reduced_scalar_curvature, warped_metric)
 from .scenario import FormSpec, ProbeSpec, build, make_scenario, scenario_hash
 
 
@@ -225,11 +226,33 @@ def suite_gauge_equivalence() -> list:
 
 
 # ------------------------------------------------------------- suite 7
-def _operator_gap(grid, metric):
+def _background(label, n):
+    """The suite's backgrounds at n nodes per axis: the cigar plane, the neck
+    cylinder and a conformal torus."""
+    if label == "cigar":
+        grid = Grid2D.plane(n, n, 10.0, 10.0)
+        X, T = grid.mesh()
+        return grid, conformal_metric(grid, -0.5 * np.log1p(X ** 2 + T ** 2))
+    if label == "neck":
+        grid = Grid2D.cylinder(n, max((n - 1) // 4, 16), 20.0)
+        x = grid.x
+        return grid, warped_metric(grid, np.ones_like(x), 2.0 - np.exp(-(x / 2.5) ** 2))
+    grid = Grid2D.torus(n - 1, n - 1)
+    X, T = grid.mesh()
+    return grid, conformal_metric(grid, 0.05 * np.sin(X) * np.cos(T))
+
+
+def _windowed_mesh(grid):
+    """The mesh, and a Gaussian window along each truncated axis."""
     X, T = grid.mesh()
     win = np.exp(-(X / 4.0) ** 2) if grid.topology_x == "truncated" else np.ones_like(X)
     if grid.topology_y == "truncated":
         win = win * np.exp(-(T / 4.0) ** 2)
+    return X, T, win
+
+
+def _operator_gap(grid, metric):
+    X, T, win = _windowed_mesh(grid)
     phi = OneFormField(win * np.cos(2 * np.pi * X / grid.lx),
                        1.0 + 0.3 * win * np.cos(2 * np.pi * T / grid.ly))
     a = hodge_laplacian(phi, metric, grid, method="dd")
@@ -237,6 +260,30 @@ def _operator_gap(grid, metric):
     mask = grid.interior_mask()
     return max(float(np.max(np.abs((a.x - b.x))[mask])),
                float(np.max(np.abs((a.theta - b.theta))[mask])))
+
+
+def _path_gap(grid, metric):
+    """The largest difference between the reduced and the general path of
+    codifferential, the dd Hodge Laplacian and laplace_beltrami, each relative
+    to the general result's sup; inf if the metric does not take the reduced
+    path, so that nothing is compared.  The form has exact and coexact parts but no harmonic part:
+    the reduced path maps a harmonic constant such as dtheta to exactly zero,
+    the general path to its own rounding, twice differenced."""
+    X, T, win = _windowed_mesh(grid)
+    kx, ky = 2 * np.pi / grid.lx, 2 * np.pi / grid.ly
+    phi = OneFormField(win * np.sin(kx * X) * np.cos(ky * T), win * np.cos(kx * X + ky * T))
+    F = win * np.sin(kx * X + ky * T)
+
+    def outputs(geo):
+        return (codifferential(phi, metric, grid, geo).values,
+                hodge_laplacian(phi, metric, grid, "dd", geo).components(),
+                laplace_beltrami(F, metric, grid, geo))
+
+    reduced = MetricInvariants(metric, grid, "auto")
+    if not reduced.reduced:
+        return math.inf
+    pairs = zip(outputs(reduced), outputs(MetricInvariants(metric, grid, "general")))
+    return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b))) for a, b in pairs)
 
 
 def suite_bochner_consistency() -> list:
@@ -253,23 +300,20 @@ def suite_bochner_consistency() -> list:
         f"max sup difference {max(flat_gaps):.2e} (roundoff floor)"))
 
     for label in ("cigar", "neck"):
-        gaps = []
-        for n in sizes:
-            if label == "cigar":
-                grid = Grid2D.plane(n, n, 10.0, 10.0)
-                X, T = grid.mesh()
-                metric = conformal_metric(grid, -0.5 * np.log1p(X ** 2 + T ** 2))
-            else:
-                grid = Grid2D.cylinder(n, max((n - 1) // 4, 16), 20.0)
-                x = grid.x
-                metric = warped_metric(grid, np.ones_like(x),
-                                       2.0 - np.exp(-(x / 2.5) ** 2))
-            gaps.append(_operator_gap(grid, metric))
+        gaps = [_operator_gap(*_background(label, n)) for n in sizes]
         slope = -np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
         out.append(CriterionResult(
             "bochner-consistency", f"{label} background convergence order",
             slope >= 1.9,
             f"sup gaps {['%.2e' % g for g in gaps]}, fitted order {slope:.2f}"))
+
+    worst = max(_path_gap(*_background(label, n))
+                for label in ("cigar", "neck", "conformal-torus") for n in sizes)
+    out.append(CriterionResult(
+        "bochner-consistency", "reduced and general operators agree",
+        worst <= 1e-12,
+        f"max relative difference {worst:.2e} over cigar, neck and conformal torus "
+        f"at {len(sizes)} sizes (tol 1e-12)"))
     return out
 
 

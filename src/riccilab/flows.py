@@ -225,7 +225,7 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
 
     # the metric and its bundle are built only if some equation reads them;
     # the reduced conformal path runs on u alone, the warped one on h and f
-    reduced = problem.metric_path != "general" and tag in (CONFORMAL, WARPED)
+    reduced = MetricInvariants.on_reduced_path(tag, problem.metric_path)
     needs_metric = bool(forms) or gauge is not None or sub is not None \
         or (problem.evolve_metric and not reduced)
     if needs_metric and geo is None:
@@ -287,12 +287,15 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
 def diffusion_rate(g: MetricField, grid: Grid2D, sup_R: float,
                    invariants: MetricInvariants | None = None) -> float:
     """Worst-node parabolic rate: inverse-metric magnitudes against the grid
-    spacings plus the curvature scale."""
+    spacings plus the curvature scale.  A tagged metric's g^xt is -0.0, so its
+    cross term is not scanned; a conformal g^tt is g^xx, scanned once."""
     ixx, ixt, itt = (invariants or MetricInvariants(g, grid)).inv
-    rate = np.max(ixx) / grid.hx ** 2 + np.max(itt) / grid.hy ** 2
-    cross = float(np.max(np.abs(ixt)))
-    if cross > 0:
-        rate += 2.0 * cross / (grid.hx * grid.hy)
+    sup_xx = np.max(ixx)
+    rate = sup_xx / grid.hx ** 2 + (sup_xx if itt is ixx else np.max(itt)) / grid.hy ** 2
+    if g.tag == GENERAL:
+        cross = float(np.max(np.abs(ixt)))
+        if cross > 0:
+            rate += 2.0 * cross / (grid.hx * grid.hy)
     return float(rate) + abs(sup_R)
 
 

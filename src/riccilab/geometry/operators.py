@@ -19,6 +19,24 @@ and the SPD check on construction, then sqrt(det g), the inverse, the
 Christoffel symbols and the curvature parts, each computed the first time it
 is read.  Operators that read any of them take an optional bundle; without one
 they build a fresh bundle, which also runs the SPD check.
+
+A bundle of a conformal or warped metric is on the reduced path
+(`MetricInvariants.reduced`) unless it was built with path "general".  There
+the curvature, the codifferential, the delta of a 2-form and the
+Laplace-Beltrami operator take closed forms, with the same stencil calls as
+the general sqrt(det g) g^{ij} algebra and no metric products:
+
+* conformal, e = g^xx = e^{-2u}: delta phi = -e (d_x phi_x + d_theta
+  phi_theta), delta(w dx^dtheta) = (d_theta(e w), -d_x(e w)) and
+  Delta_LB F = e Lap0 F;
+* warped, p = f/h, q = h/f, s = h f as (nx, 1) profiles:
+  delta phi = -(d_x(p phi_x) + q d_theta phi_theta)/s,
+  delta(w dx^dtheta) = (q d_theta(w/s), -p d_x(w/s)) and
+  Delta_LB F = (d_x(p d_x F) + q d_theta d_theta F)/s.
+
+Path "general" keeps the general algebra as the cross-check.  On every path
+laplace_beltrami(F) and -codifferential(dF) run the same operations, so they
+agree bitwise.
 """
 
 from __future__ import annotations
@@ -40,19 +58,25 @@ class MetricInvariants:
     (g^xx, g^xt, g^tt) from that det g through the MetricField methods,
     `gamma[k, i, j]` = Gamma^k_ij through christoffel with method "auto", and
     the curvature parts `scalar`, `ricci` (R_xx, R_xt, R_tt) and `endo`, the
-    Ricci endomorphism endo[a, b] = g^{ak} R_kb.  The curvature comes from the
-    reduced closed form for conformal/warped metrics unless `path` is
-    "general", and from the coordinate contraction otherwise; on the reduced
-    path reading `scalar` runs reduced_scalar_curvature alone.  A bundle is
-    never attached to its MetricField, whose arrays are never mutated in
-    place.
+    Ricci endomorphism endo[a, b] = g^{ak} R_kb.  `reduced` is True for a
+    conformal/warped metric unless `path` is "general"; it picks the closed
+    forms of the curvature and of the form and scalar operators, which read
+    `inv[0]` (conformal) or the profiles `warp` (warped), and otherwise the
+    coordinate contraction and the general algebra.  On the reduced path
+    reading `scalar` runs reduced_scalar_curvature alone.  A bundle is never
+    attached to its MetricField, whose arrays are never mutated in place.
     """
 
     def __init__(self, g: MetricField, grid: Grid2D, path: str = "auto"):
         self.metric, self.grid = g, grid
-        self._reduced = path != GENERAL and g.tag in (CONFORMAL, WARPED)
+        self.reduced = self.on_reduced_path(g.tag, path)
         self.det = g.det()
         g.require_spd(self.det)
+
+    @staticmethod
+    def on_reduced_path(tag: str, path: str) -> bool:
+        """Whether a metric of `tag` on `path` takes the reduced closed forms."""
+        return path != GENERAL and tag in (CONFORMAL, WARPED)
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
@@ -63,18 +87,25 @@ class MetricInvariants:
         return self.metric.inv(self.det)
 
     @cached_property
+    def warp(self) -> tuple:
+        """The warped profiles p = f/h, q = h/f and s = h f, shaped (nx, 1):
+        sqrt(det g) g^xx, sqrt(det g) g^tt and sqrt(det g) in closed form."""
+        h, f = self.metric.h[:, None], self.metric.f[:, None]
+        return f / h, h / f, h * f
+
+    @cached_property
     def gamma(self) -> np.ndarray:
         return christoffel(self.metric, self.grid, invariants=self)
 
     @cached_property
     def scalar(self) -> np.ndarray:
-        if self._reduced:
+        if self.reduced:
             return reduced_scalar_curvature(self.metric, self.grid)
         return self._curvature[1]
 
     @cached_property
     def _curvature(self) -> tuple:
-        if self._reduced:
+        if self.reduced:
             return curvature_reduced(self.metric, self.scalar)
         return curvature(self.metric, self.grid, self)
 
@@ -235,20 +266,58 @@ def exterior_derivative(field, grid: Grid2D):
     return OneFormField(grid.diff_x(vals), grid.diff_t(vals))
 
 
+def _divergence(ax: np.ndarray, at: np.ndarray, grid: Grid2D,
+                geo: MetricInvariants) -> np.ndarray:
+    """div a = (1/sqrt(det g)) d_i (sqrt(det g) g^{ij} a_j) of the 1-form
+    (ax, at).  codifferential is -div and laplace_beltrami is div(dF), so
+    Delta_LB F = -delta(dF) holds bitwise on every path."""
+    if geo.reduced and geo.metric.tag == CONFORMAL:
+        # sqrt(det g) g^{ij} = delta^{ij} and 1/sqrt(det g) = g^xx = e^{-2u}
+        out = grid.diff_x(ax)
+        out += grid.diff_t(at)
+        out *= geo.inv[0]
+        return out
+    if geo.reduced:                 # warped: (d_x(p a_x) + q d_theta a_t) / s
+        p, q, s = geo.warp
+        out = grid.diff_x(p * ax)
+        d_at = grid.diff_t(at)
+        d_at *= q
+        out += d_at
+        out /= s
+        return out
+    sg = geo.sqrt_det
+    ixx, ixt, itt = geo.inv
+    out = grid.diff_x(sg * (ixx * ax + ixt * at))
+    out += grid.diff_t(sg * (ixt * ax + itt * at))
+    out /= sg
+    return out
+
+
 def codifferential(phi: OneFormField, g: MetricField, grid: Grid2D,
                    invariants: MetricInvariants | None = None) -> ScalarField:
     """delta phi = -(1/sqrt(det g)) d_i (sqrt(det g) g^{ij} phi_j)."""
-    geo = invariants or MetricInvariants(g, grid)
-    sg = geo.sqrt_det
-    ixx, ixt, itt = geo.inv
-    fx = sg * (ixx * phi.x + ixt * phi.theta)
-    ft = sg * (ixt * phi.x + itt * phi.theta)
-    return ScalarField(-(grid.diff_x(fx) + grid.diff_t(ft)) / sg)
+    delta = _divergence(phi.x, phi.theta, grid, invariants or MetricInvariants(g, grid))
+    np.negative(delta, out=delta)
+    return ScalarField(delta)
 
 
 def _codifferential_two_form(w: np.ndarray, g: MetricField, grid: Grid2D,
                              geo: MetricInvariants) -> OneFormField:
-    """delta of the 2-form w dx^dtheta, the adjoint of d on 1-forms."""
+    """delta of the 2-form w dx^dtheta, the adjoint of d on 1-forms:
+    (g a) / sqrt(det g) with a = (d_theta, -d_x)(w / sqrt(det g))."""
+    if geo.reduced and g.tag == CONFORMAL:      # (d_theta(e w), -d_x(e w)), e = g^xx
+        density = geo.inv[0] * w
+        at = grid.diff_x(density)
+        np.negative(at, out=at)
+        return OneFormField(grid.diff_t(density), at)
+    if geo.reduced:                             # warped: (q d_theta(w/s), -p d_x(w/s))
+        p, q, s = geo.warp
+        density = w / s
+        ax = grid.diff_t(density)
+        ax *= q
+        at = grid.diff_x(density)
+        at *= -p
+        return OneFormField(ax, at)
     sg = geo.sqrt_det
     density = w / sg
     ax = grid.diff_t(density)
@@ -261,12 +330,7 @@ def laplace_beltrami(values: np.ndarray, g: MetricField, grid: Grid2D,
                      invariants: MetricInvariants | None = None) -> np.ndarray:
     """Scalar Laplacian in divergence form, -delta(d F); nonpositive spectrum."""
     geo = invariants or MetricInvariants(g, grid)
-    sg = geo.sqrt_det
-    ixx, ixt, itt = geo.inv
-    fx = grid.diff_x(values)
-    ft = grid.diff_t(values)
-    return (grid.diff_x(sg * (ixx * fx + ixt * ft))
-            + grid.diff_t(sg * (ixt * fx + itt * ft))) / sg
+    return _divergence(grid.diff_x(values), grid.diff_t(values), grid, geo)
 
 
 # --------------------------------------------------------------------- Laplacians on forms
@@ -331,9 +395,14 @@ def hodge_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
         ds = codifferential(phi, g, grid, geo).values
         w = exterior_derivative(phi, grid).values
         delta_d = _codifferential_two_form(w, g, grid, geo)
-        # d delta is formed last, so fewer full-grid temporaries are live at once
-        return OneFormField(-(grid.diff_x(ds) + delta_d.x),
-                            -(grid.diff_t(ds) + delta_d.theta))
+        # d delta is formed last and in place, so fewer full-grid temporaries
+        # are live at once
+        lap_x, lap_t = grid.diff_x(ds), grid.diff_t(ds)
+        lap_x += delta_d.x
+        lap_t += delta_d.theta
+        np.negative(lap_x, out=lap_x)
+        np.negative(lap_t, out=lap_t)
+        return OneFormField(lap_x, lap_t)
     if method == "bochner":
         rough = rough_laplacian(phi, g, grid, geo)
         e = geo.endo

@@ -14,6 +14,7 @@ from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                hodge_laplacian, laplace_beltrami,
                                reduced_scalar_curvature, rough_laplacian,
                                warped_metric)
+from riccilab.geometry.operators import _codifferential_two_form
 
 
 # --------------------------------------------------------------- christoffel
@@ -331,13 +332,25 @@ def _random_general_metric(rng, nx, ny):
     return general_metric(gxx, c * np.sqrt(gxx * gtt), gtt)
 
 
+def _random_metric(family, rng, grid):
+    """A random SPD metric of the family, from random data with no
+    smoothness; the warped profiles are positive 1-D functions of x."""
+    if family == "conformal":
+        return conformal_metric(grid, 0.5 * rng.standard_normal((grid.nx, grid.ny)))
+    if family == "warped":
+        h, f = np.exp(0.5 * rng.standard_normal((2, grid.nx)))
+        return warped_metric(grid, h, f)
+    return _random_general_metric(rng, grid.nx, grid.ny)
+
+
 @settings(max_examples=40)
 @given(nx=st.integers(8, 70), ny=st.integers(8, 70), lx=st.floats(0.5, 20.0),
-       ly=st.floats(0.5, 20.0), seed=st.integers(0, 2 ** 32 - 1))
-def test_d_squared_and_adjointness_on_random_periodic_grids(nx, ny, lx, ly, seed):
+       ly=st.floats(0.5, 20.0), family=st.sampled_from(["general", "conformal", "warped"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_d_squared_and_adjointness_on_random_periodic_grids(nx, ny, lx, ly, family, seed):
     grid = Grid2D.torus(nx, ny, lx, ly)
     rng = np.random.default_rng(seed)
-    g = _random_general_metric(rng, nx, ny)
+    g = _random_metric(family, rng, grid)
     F = rng.standard_normal((nx, ny))
     phi = OneFormField(rng.standard_normal((nx, ny)), rng.standard_normal((nx, ny)))
 
@@ -345,15 +358,44 @@ def test_d_squared_and_adjointness_on_random_periodic_grids(nx, ny, lx, ly, seed
     ddF = exterior_derivative(dF, grid).values
     assert np.max(np.abs(ddF)) <= 1e-14 * np.max(np.abs(F)) / (grid.hx * grid.hy)
 
-    # integral <phi, dF>_g dv = integral (delta phi) F dv, up to rounding
     geo = MetricInvariants(g, grid)
+    assert geo.reduced == (family != "general")
     ixx, ixt, itt = geo.inv
     dv = geo.sqrt_det * grid.weights
-    pairing = (ixx * dF.x * phi.x + ixt * (dF.x * phi.theta + dF.theta * phi.x)
-               + itt * dF.theta * phi.theta) * dv
-    dual = codifferential(phi, g, grid, geo).values * F * dv
-    scale = np.sum(np.abs(pairing)) + np.sum(np.abs(dual))
-    assert abs(np.sum(pairing) - np.sum(dual)) <= 1e-14 * scale
+
+    def inner(a, b):
+        return ixx * a.x * b.x + ixt * (a.x * b.theta + a.theta * b.x) + itt * a.theta * b.theta
+
+    # integral <phi, dF>_g dv = integral (delta phi) F dv, and on 2-forms
+    # integral <d phi, w>_g dv = integral <phi, delta w>_g dv with <a, b>_g =
+    # a b / det g for multiples of dx^dtheta, up to rounding
+    w = rng.standard_normal((nx, ny))
+    d_phi = exterior_derivative(phi, grid).values
+    for pairing, dual in (
+            (inner(phi, dF) * dv, codifferential(phi, g, grid, geo).values * F * dv),
+            (d_phi * w / geo.det * dv, inner(phi, _codifferential_two_form(w, g, grid, geo)) * dv)):
+        scale = np.sum(np.abs(pairing)) + np.sum(np.abs(dual))
+        assert abs(np.sum(pairing) - np.sum(dual)) <= 1e-14 * scale
+
+
+@settings(max_examples=40)
+@given(nx=st.integers(8, 40), ny=st.integers(8, 40),
+       topology=st.sampled_from([Grid2D.torus, Grid2D.cylinder, Grid2D.plane]),
+       family=st.sampled_from(["general", "conformal", "warped"]),
+       path=st.sampled_from(["auto", "general"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_laplace_beltrami_is_minus_delta_d_bitwise(nx, ny, topology, family, path, seed):
+    # gauge equivalence rests on Delta_LB F = -delta(dF) to the last bit, on
+    # the reduced and the general path alike
+    grid = topology(nx, ny, 3.0, 5.0)
+    rng = np.random.default_rng(seed)
+    g = _random_metric(family, rng, grid)
+    geo = MetricInvariants(g, grid, path)
+    F = rng.standard_normal((nx, ny))
+    dF = exterior_derivative(ScalarField(F), grid)
+    lb = laplace_beltrami(F, g, grid, geo)
+    minus_delta_d = -codifferential(dF, g, grid, geo).values
+    assert np.array_equal(lb, minus_delta_d)
+    assert np.array_equal(np.signbit(lb), np.signbit(minus_delta_d))
 
 
 @settings(max_examples=40)
@@ -373,6 +415,7 @@ def test_tagged_det_and_inverse_equal_general_formula_bitwise(nx, ny, family, of
         g = warped_metric(grid, h, f)
     if lam is not None:
         g = g.rescaled(lam)
+    assert not g.gxt.flags.writeable        # metric arrays are never mutated in place
     plain = general_metric(g.gxx.copy(), g.gxt.copy(), g.gtt.copy())
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.array_equal(g.det(), plain.det(), equal_nan=True)

@@ -2,19 +2,22 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riccilab.errors import ScenarioError
 from riccilab.flows import FlowProblem, FlowState, IntegratorSpec, run_flow
 from riccilab.geometry import Grid2D, MetricField, OneFormField, general_metric
 from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text,
                               write_outputs)
-from riccilab.scenario import (FormSpec, ProbeSpec, RunSetup, build, make_scenario,
+from riccilab.scenario import (FAMILIES, FormSpec, ProbeSpec, RunSetup, build, make_scenario,
                                parse_scenario, serialize_scenario)
 
 MINIMAL = "family = flat-torus\n"
@@ -135,6 +138,69 @@ def test_round_trip_identity():
     ]
     for spec in specs:
         assert parse_scenario(serialize_scenario(spec)) == spec
+
+
+# finite floats with the edges named, and positive ones: subnormal, tiny and huge
+_EDGES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300,
+          1.7976931348623157e308, -1e-300, -1.7976931348623157e308]
+_FINITE = st.sampled_from(_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.sampled_from([x for x in _EDGES if x > 0]) | st.floats(
+    min_value=5e-324, allow_nan=False, allow_infinity=False)
+_LABEL = st.text(alphabet="abcxyz019_", min_size=1, max_size=6)
+
+
+@st.composite
+def _resolved_specs(draw):
+    """Valid specs through make_scenario, which fills the grid sizes."""
+    family = draw(st.sampled_from(FAMILIES))
+    kw = {"name": draw(st.text(alphabet="ab XY09-_.:=#", max_size=16)).strip(),
+          "family": family,
+          "nx": draw(st.just(0) | st.integers(8, 4096)),
+          "ny": draw(st.just(0) | st.integers(8, 4096)),
+          "lx": draw(st.just(0.0) | _POSITIVE), "ly": draw(st.just(0.0) | _POSITIVE),
+          "metric_amplitude": draw(_FINITE),
+          "metric_outer": draw(_FINITE), "metric_dip": draw(_FINITE),
+          "metric_width": draw(_POSITIVE if family == "warped-cylinder" else _FINITE),
+          "metric_path": draw(st.sampled_from(["auto", "general"])),
+          "evolve_metric": draw(st.booleans()),
+          "form_operator": draw(st.sampled_from(["dd", "bochner"])),
+          "subsolution": draw(st.sampled_from(["none", "one-plus-cos", "bump"])),
+          "sub_amplitude": draw(_FINITE), "sub_width": draw(_FINITE),
+          "sink": draw(st.just(-0.0) | _POSITIVE),
+          "buffer_threshold": draw(_POSITIVE),
+          "monitor_energy": draw(st.booleans()),
+          "scheme": draw(st.sampled_from(["rk2", "rk4"])),
+          "cfl": draw(st.sampled_from([5e-324, 0.5]) | st.floats(0.0, 0.5, exclude_min=True)),
+          "dt_cap": draw(st.just(math.inf) | _POSITIVE),
+          "t_final": draw(_POSITIVE),
+          "max_steps": draw(st.integers(0, 10 ** 9)),
+          "cadence": draw(st.integers(1, 10 ** 6)),
+          "snapshot_every": draw(st.integers(0, 10 ** 6))}
+    if family == "warped-cylinder":
+        assume(kw["metric_outer"] - kw["metric_dip"] > 0)
+    labels = draw(st.lists(_LABEL, max_size=3, unique=True))
+    kw["forms"] = []
+    for label in labels:
+        preset = draw(st.sampled_from(["dtheta", "sinx_dx", "dtheta_dsinx"]))
+        coeff = draw(_FINITE) if preset == "dtheta_dsinx" else 0.0
+        kw["forms"].append(FormSpec(label, preset, coeff))
+    kw["probes"] = []
+    if labels and family != "conformal-plane":
+        nx = make_scenario(family=family, nx=kw["nx"]).nx
+        for label in draw(st.lists(_LABEL, max_size=2, unique=True)):
+            cycle = draw(st.none() | st.integers(0, nx - 1))
+            kw["probes"].append(ProbeSpec(label, draw(st.sampled_from(labels)), cycle))
+    kw["gauge_form"] = draw(st.sampled_from([""] + labels))
+    return make_scenario(**kw)
+
+
+@settings(max_examples=200)
+@given(spec=_resolved_specs())
+def test_round_trip_property(spec):
+    text = serialize_scenario(spec)
+    back = parse_scenario(text)
+    assert back == spec
+    assert serialize_scenario(back) == text       # and the sign of every -0.0
 
 
 # ----------------------------------------------------------------- outputs
