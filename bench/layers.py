@@ -10,7 +10,7 @@ call.  Operators get one bundle for all their calls, so the warm-up computes
 the parts they read and they are timed alone; each is timed on its metric's
 default path and, as the reference cost, on path "general" (the `.general`
 entries).  det g and the inverse are timed on their own, and monitor_record
-builds its bundle as a run does.
+is timed with a fresh bundle per call, as a run builds one per state.
 
 FILE holds {"unit", "statistic", "machine", "columns": {NAME: {layer: us}}}.
 An existing FILE keeps its other columns, so runs on two checkouts, one after
@@ -82,11 +82,11 @@ def layers() -> dict:
         for path, suffix in (("auto", ""), ("general", ".general")):
             geo = MetricInvariants(g, grid, path)   # parts computed by the warm-up call
             out[f"codifferential.{n}{suffix}"] = median_us(
-                lambda: codifferential(phi, g, grid, geo))
+                lambda: codifferential(phi, geo))
             out[f"hodge_laplacian_dd.{n}{suffix}"] = median_us(
-                lambda: hodge_laplacian(phi, g, grid, "dd", geo))
+                lambda: hodge_laplacian(phi, geo, "dd"))
             out[f"laplace_beltrami.{n}{suffix}"] = median_us(
-                lambda: laplace_beltrami(F, g, grid, geo))
+                lambda: laplace_beltrami(F, geo))
         if n == "512x64":
             continue
         geo = MetricInvariants(g, grid)
@@ -97,7 +97,8 @@ def layers() -> dict:
         state = FlowState(0.0, grid, g, {"main": phi}, ScalarField(F.copy()),
                           ScalarField(1.0 + 0.5 * np.cos(X)))
         problem = FlowProblem(grid)
-        out[f"monitor_record.{n}"] = median_us(lambda: monitor_record(state, problem, 1e-4))
+        out[f"monitor_record.{n}"] = median_us(
+            lambda: monitor_record(state, problem, 1e-4, MetricInvariants(g, grid)))
         layout = StateLayout.of(state)
         vec = layout.pack(state)
         out[f"StateLayout.pack.{n}"] = median_us(lambda: layout.pack(state))

@@ -255,8 +255,9 @@ def _operator_gap(grid, metric):
     X, T, win = _windowed_mesh(grid)
     phi = OneFormField(win * np.cos(2 * np.pi * X / grid.lx),
                        1.0 + 0.3 * win * np.cos(2 * np.pi * T / grid.ly))
-    a = hodge_laplacian(phi, metric, grid, method="dd")
-    b = hodge_laplacian(phi, metric, grid, method="bochner")
+    geo = MetricInvariants(metric, grid)
+    a = hodge_laplacian(phi, geo, method="dd")
+    b = hodge_laplacian(phi, geo, method="bochner")
     mask = grid.interior_mask()
     return max(float(np.max(np.abs((a.x - b.x))[mask])),
                float(np.max(np.abs((a.theta - b.theta))[mask])))
@@ -275,9 +276,9 @@ def _path_gap(grid, metric):
     F = win * np.sin(kx * X + ky * T)
 
     def outputs(geo):
-        return (codifferential(phi, metric, grid, geo).values,
-                hodge_laplacian(phi, metric, grid, "dd", geo).components(),
-                laplace_beltrami(F, metric, grid, geo))
+        return (codifferential(phi, geo).values,
+                hodge_laplacian(phi, geo, "dd").components(),
+                laplace_beltrami(F, geo))
 
     reduced = MetricInvariants(metric, grid, "auto")
     if not reduced.reduced:

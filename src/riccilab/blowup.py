@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DomainTooSmallError, IncompleteTrajectoryError
 from .functionals import loop_length, min_circumference
-from .geometry import (Grid2D, MetricField, MetricInvariants, OneFormField,
-                       distance_field)
+from .geometry import MetricInvariants, OneFormField, distance_field
 
 
 @dataclass
@@ -27,10 +26,12 @@ class RescalingSchedule:
     policy: str = "explicit"                      # "explicit" | "by-curvature"
 
     def __post_init__(self):
+        if self.policy not in ("explicit", "by-curvature"):
+            raise ValueError(f"unknown schedule policy {self.policy!r}")
         ts = [t for t, _ in self.entries]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("schedule times must be strictly increasing")
-        if self.policy == "explicit" and any(lam <= 0 for _, lam in self.entries):
+        if any(not lam > 0 for _, lam in self.entries):
             raise ValueError("scale factors must be positive")
 
 
@@ -142,18 +143,19 @@ class DecayMonitorSpec:
             raise ValueError("sample radii must be positive")
 
 
-def decay_monitor(fieldlike, g: MetricField, grid: Grid2D,
-                  spec: DecayMonitorSpec) -> dict:
+def decay_monitor(fieldlike, geo: MetricInvariants, spec: DecayMonitorSpec) -> dict:
     """Shell profile of d_g(x, o)^sigma * |field| at the requested radii.
 
     Accepts a OneFormField (measured in |.|_g) or an array of pointwise
     magnitudes, such as the scalar curvature (measured in absolute value).
     Reports whether the profile decreases toward the boundary; the
     caller can difference profiles across a run to check that the flow
-    preserved the initial decay.
+    preserved the initial decay.  Distances are measured on the bundle's
+    metric.
     """
+    g, grid = geo.metric, geo.grid
     if isinstance(fieldlike, OneFormField):
-        mag = np.sqrt(fieldlike.norm_sq(MetricInvariants(g, grid)))
+        mag = np.sqrt(fieldlike.norm_sq(geo))
     else:
         mag = np.abs(np.asarray(fieldlike, dtype=float))
     d = distance_field(g, grid)

@@ -97,22 +97,37 @@ def _cmd_rescale(args) -> int:
 
     grid = run.snapshots[0].grid
     traj = SimpleNamespace(grid=grid, snapshots=run.snapshots, records=run.records)
+    policy = cfg.get("policy", "explicit")
     try:
         times = [float(v) for v in cfg.get("times", "").split(",") if v.strip()]
         if not times:
             times = [s.t for s in run.snapshots]
-        if cfg.get("policy", "explicit") == "by-curvature":
+        if policy == "by-curvature":
             schedule = by_curvature_schedule(traj, times)
         else:
             lams = [float(v) for v in cfg.get("lambdas", "").split(",") if v.strip()]
+            schedule = RescalingSchedule(list(zip(times, lams)), policy)
             if len(lams) != len(times):
-                print("schedule needs matching times and lambdas", file=sys.stderr)
-                return USAGE_ERROR
-            schedule = RescalingSchedule(list(zip(times, lams)))
+                raise ValueError("schedule needs matching times and lambdas")
+        cycle = dspec = None
+        if grid.topology_y == "periodic":
+            cycle_key = cfg.get("cycle_x", "auto")
+            cycle = ThetaCircle(grid.origin[0] if cycle_key == "auto"
+                                else int(cycle_key))
+            if not 0 <= cycle.x_index < grid.nx:
+                raise ValueError(f"cycle_x {cycle.x_index} outside the grid "
+                                 f"(0 to {grid.nx - 1})")
+        if "sigma" in cfg and "radii" in cfg:
+            dspec = DecayMonitorSpec(float(cfg["sigma"]), tuple(
+                float(v) for v in cfg["radii"].split(",") if v.strip()))
+    except ValueError as e:
+        print(f"schedule error: {e}", file=sys.stderr)
+        return USAGE_ERROR
 
+    try:
         points = rescale_trajectory(traj, schedule)
         report = {
-            "schedule_policy": cfg.get("policy", "explicit"),
+            "schedule_policy": policy,
             "points": [{
                 "k": p.k, "t_request": p.t_request, "t_used": p.t_used,
                 "lambda": p.lam, "sup_R_before": p.sup_R_before,
@@ -122,27 +137,22 @@ def _cmd_rescale(args) -> int:
                 "length_scale_residual": p.length_scale_residual,
             } for p in points],
         }
-        if grid.topology_y == "periodic":
-            cycle_key = cfg.get("cycle_x", "auto")
-            cycle = ThetaCircle(grid.origin[0] if cycle_key == "auto"
-                                else int(cycle_key))
+        if cycle is not None:
             report["length_scaling"] = length_scaling_check(traj, schedule, cycle)
 
-        out_path = Path(args.out) if args.out else run_dir / "rescale_report.json"
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-
-        if "sigma" in cfg and "radii" in cfg:
-            sigma = float(cfg["sigma"])
-            radii = tuple(float(v) for v in cfg["radii"].split(",") if v.strip())
-            dspec = DecayMonitorSpec(sigma, radii)
-            lines = ["k,t,radius,profile"]
+        lines = ["k,t,radius,profile"]
+        if dspec is not None:       # computed before anything is written
             for p, snap in zip(points, (min(run.snapshots,
                                             key=lambda s: abs(s.t - t))
                                         for t, _ in schedule.entries)):
-                g = snap.metric
-                prof = decay_monitor(MetricInvariants(g, grid).scalar, g, grid, dspec)
+                geo = MetricInvariants(snap.metric, grid)
+                prof = decay_monitor(geo.scalar, geo, dspec)
                 for rho, val in zip(prof["radii"], prof["profile"]):
                     lines.append(f"{p.k},{snap.t!r},{rho!r},{val!r}")
+
+        out_path = Path(args.out) if args.out else run_dir / "rescale_report.json"
+        out_path.write_text(json.dumps(report, indent=2) + "\n")
+        if dspec is not None:
             (out_path.parent / "decay_profiles.csv").write_text("\n".join(lines) + "\n")
         print(f"rescale report written to {out_path}")
         return 0

@@ -8,19 +8,20 @@ warped: dh/dt = -K h, df/dt = -K f with the reduced Gauss curvature K), which
 keeps the parameterization exact; the general component path is available for
 cross-checks.  Blow-up is a terminal status, never an exception: the last
 valid state and the full monitor history are always returned, also when a
-stage metric fails its SPD check.
+stage metric or a new state's metric fails its SPD check.
 
 Each metric is measured once.  Every RK stage that reads its metric builds one
-MetricInvariants bundle and hands it to each operator of that stage; the
-bundle SPD-checks the metric on construction and computes sqrt(det g), the
-inverse, the Christoffel symbols and the curvature only when an operator first
-reads them, with the curvature path of FlowProblem.metric_path.  The state's
-own bundle is shared by its monitor record, stage 1 of the next step and that
-step's CFL.  The CFL's sup |R| is taken from stage 1, before the frozen-node
-zeroing: on the reduced conformal path R = -2 du/dt, on the warped path R = 2K,
-otherwise the bundle's scalar curvature; with the metric frozen R is constant
-and computed once.  Metric arrays are never mutated in place, so states and
-stage vectors share them freely.
+MetricInvariants bundle on FlowProblem.metric_path and hands it to each
+operator of that stage as its one geometry argument; the bundle SPD-checks the
+metric on construction and computes sqrt(det g), the inverse, the Christoffel
+symbols and the curvature only when an operator first reads them.  The
+state's own bundle is the only SPD check of a new state, and it is shared by
+the state's monitor record, stage 1 of the next step and that step's CFL.
+The CFL's sup |R| is taken from stage 1, before the frozen-node zeroing: on the
+reduced conformal path R = -2 du/dt, on the warped path R = 2K, otherwise the
+bundle's scalar curvature; with the metric frozen R is constant and computed
+once.  Metric arrays are never mutated in place, so states and stage vectors
+share them freely.
 
 The state is one contiguous float64 vector with one StateLayout: the metric
 parameters, then each form's two components, then the gauge potential and the
@@ -230,7 +231,6 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
         or (problem.evolve_metric and not reduced)
     if needs_metric and geo is None:
         geo = MetricInvariants(layout.metric(params), grid, problem.metric_path)
-    g = geo.metric if geo is not None else None
 
     if problem.evolve_metric:
         # R = -2 du/dt and R = 2K exactly (power-of-two factors), so sup |R| is
@@ -266,17 +266,16 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
             rate.fill(0.0)
 
     for label, phi in forms.items():
-        lap = hodge_laplacian(phi, g, grid, method=problem.form_operator,
-                              invariants=geo)
+        lap = hodge_laplacian(phi, geo, method=problem.form_operator)
         k_forms[label].x[...] = lap.x
         k_forms[label].theta[...] = lap.theta
 
     if gauge is not None:
-        source = codifferential(problem.gauge_base, g, grid, geo).values
-        np.subtract(laplace_beltrami(gauge, g, grid, geo), source, out=k_gauge)
+        source = codifferential(problem.gauge_base, geo).values
+        np.subtract(laplace_beltrami(gauge, geo), source, out=k_gauge)
 
     if sub is not None:
-        np.subtract(laplace_beltrami(sub, g, grid, geo), problem.sink * sub, out=k_sub)
+        np.subtract(laplace_beltrami(sub, geo), problem.sink * sub, out=k_sub)
 
     if layout.frozen.size:
         k[layout.frozen] = 0.0
@@ -284,30 +283,28 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
 
 
 # ----------------------------------------------------------------- CFL control
-def diffusion_rate(g: MetricField, grid: Grid2D, sup_R: float,
-                   invariants: MetricInvariants | None = None) -> float:
+def diffusion_rate(geo: MetricInvariants, sup_R: float) -> float:
     """Worst-node parabolic rate: inverse-metric magnitudes against the grid
     spacings plus the curvature scale.  A tagged metric's g^xt is -0.0, so its
     cross term is not scanned; a conformal g^tt is g^xx, scanned once."""
-    ixx, ixt, itt = (invariants or MetricInvariants(g, grid)).inv
+    grid, (ixx, ixt, itt) = geo.grid, geo.inv
     sup_xx = np.max(ixx)
     rate = sup_xx / grid.hx ** 2 + (sup_xx if itt is ixx else np.max(itt)) / grid.hy ** 2
-    if g.tag == GENERAL:
+    if geo.metric.tag == GENERAL:
         cross = float(np.max(np.abs(ixt)))
         if cross > 0:
             rate += 2.0 * cross / (grid.hx * grid.hy)
     return float(rate) + abs(sup_R)
 
 
-def cfl_dt(state: FlowState, spec: IntegratorSpec, sup_R: float | None = None,
-           invariants: MetricInvariants | None = None) -> float:
-    """dt = 2 c_cfl / rate, capped.  On a flat unit metric with equal spacing h
-    this is exactly c_cfl h^2; it shrinks as the inverse metric or the
-    curvature grows."""
-    geo = invariants or MetricInvariants(state.metric, state.grid)
+def cfl_dt(geo: MetricInvariants, spec: IntegratorSpec,
+           sup_R: float | None = None) -> float:
+    """dt = 2 c_cfl / rate for the bundle's metric, capped.  On a flat unit
+    metric with equal spacing h this is exactly c_cfl h^2; it shrinks as the
+    inverse metric or the curvature grows."""
     if sup_R is None:
         sup_R = float(np.max(np.abs(geo.scalar)))
-    rate = diffusion_rate(state.metric, state.grid, sup_R, geo)
+    rate = diffusion_rate(geo, sup_R)
     return min(2.0 * spec.cfl / rate, spec.dt_cap)
 
 
@@ -336,67 +333,50 @@ def _advance(vec: np.ndarray, k1: np.ndarray, layout: StateLayout,
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _vec_healthy(vec: np.ndarray, layout: StateLayout) -> bool:
-    if not np.isfinite(vec).all():
-        return False
-    if layout.tag == CONFORMAL:  # positive while finite; run_flow checks the det floor
-        return True
-    params = layout.parts(vec)[0]
-    if layout.tag == WARPED:
-        h, f = params
-        return float(np.min(h * f)) > 1e-6
-    return not layout.metric(params).is_degenerate()
-
-
 @np.errstate(over="ignore", invalid="ignore")   # blow-up shows up as None
 def flow_step(state: FlowState, dt: float, problem: FlowProblem,
               scheme: str = "rk2", k1: np.ndarray | None = None,
-              invariants: MetricInvariants | None = None) -> FlowState | None:
+              geo: MetricInvariants | None = None) -> FlowState | None:
     """One coupled step of every tracked equation.  Returns None when a stage
-    metric failed its SPD check or the step left the state non-finite or the
-    metric degenerate (blow-up).  `k1` are the stage-1 rates and `invariants`
-    the bundle of state.metric on problem.metric_path when the caller already
-    has them."""
+    metric failed its SPD check or the new state is not finite (blow-up).  The
+    new state's own metric is not checked here: its bundle does that, and
+    run_flow builds it next.  `k1` are the stage-1 rates and `geo` the bundle
+    of state.metric on problem.metric_path when the caller already has them."""
     layout = StateLayout.of(state)
     vec = layout.pack(state)
     try:
-        if not problem.evolve_metric and invariants is None:
-            invariants = MetricInvariants(state.metric, problem.grid,
-                                          problem.metric_path)   # every stage reuses it
+        if not problem.evolve_metric and geo is None:
+            geo = MetricInvariants(state.metric, problem.grid,
+                                   problem.metric_path)   # every stage reuses it
         if k1 is None:
-            k1 = _rhs(vec, layout, problem, invariants)[0]
+            k1 = _rhs(vec, layout, problem, geo)[0]
         new_vec = _advance(vec, k1, layout, problem, dt, scheme,
-                           None if problem.evolve_metric else invariants)
+                           None if problem.evolve_metric else geo)
     except DegenerateMetricError:
         return None
-    if not _vec_healthy(new_vec, layout):
+    if not np.isfinite(new_vec).all():
         return None
     return layout.unpack(new_vec, state.t + dt, state.step + 1)
 
 
 # ----------------------------------------------------------------- monitoring
 def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
-                   invariants: MetricInvariants | None = None,
-                   baseline: dict | None = None) -> MonitorRecord:
-    """The monitored values of one state.  `invariants` is the bundle of
-    state.metric on problem.metric_path when the caller has it; `baseline`
-    holds the buffer-zone mask, R and |phi|^2 of the run's initial state when
-    the grid has a truncated axis."""
+                   geo: MetricInvariants, baseline: dict | None = None) -> MonitorRecord:
+    """The monitored values of one state.  `geo` is the bundle of state.metric
+    on problem.metric_path; `baseline` holds the buffer-zone mask, R and
+    |phi|^2 of the run's initial state when the grid has a truncated axis."""
     grid, g = state.grid, state.metric
-    geo = invariants or MetricInvariants(g, grid, problem.metric_path)
-    vol = integrate(np.ones_like(g.gxx), g, grid, geo)
+    vol = integrate(np.ones_like(g.gxx), geo)
     values: dict = {}
     nsq = {label: phi.norm_sq(geo) for label, phi in state.forms.items()}
 
     for label, phi in state.forms.items():
-        values[f"{label}_l2"] = float(np.sqrt(integrate(nsq[label], g, grid, geo)))
+        values[f"{label}_l2"] = float(np.sqrt(integrate(nsq[label], geo)))
         values[f"{label}_sup"] = float(np.sqrt(np.max(nsq[label])))
         values[f"{label}_closedness"] = closedness_residual(phi, grid)
         if problem.monitor_energy:
-            values[f"{label}_grad_energy"] = integrate(
-                grad_norm_sq(phi, g, grid, geo), g, grid, geo)
-            values[f"{label}_curv_energy"] = integrate(
-                geo.scalar * nsq[label], g, grid, geo)
+            values[f"{label}_grad_energy"] = integrate(grad_norm_sq(phi, geo), geo)
+            values[f"{label}_curv_energy"] = integrate(geo.scalar * nsq[label], geo)
         probe = problem.probes.get(label)
         if probe is not None:
             values[f"{label}_pairing"] = cycle_integral(phi, probe.cycle, grid)
@@ -418,10 +398,10 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
     if state.subsolution is not None:
         u = state.subsolution.values
         clipped = np.clip(u, 0.0, None)
-        values["u_mass"] = integrate(clipped, g, grid, geo)
+        values["u_mass"] = integrate(clipped, geo)
         values["u_min"] = float(np.min(u))
         values["u_max"] = float(np.max(u))
-        values["u_curv_mass"] = integrate(clipped * geo.scalar, g, grid, geo)
+        values["u_curv_mass"] = integrate(clipped * geo.scalar, geo)
 
     if baseline is not None:
         mask = baseline["mask"]
@@ -490,7 +470,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     records: list[MonitorRecord] = []
     snapshots: list[FlowState] = []
 
-    dt0 = cfl_dt(state, spec, sup_R=sup_R0, invariants=geo)
+    dt0 = cfl_dt(geo, spec, sup_R=sup_R0)
     snap_every = spec.snapshot_every
     if snap_every == 0:
         est_records = min(spec.max_steps, int(spec.t_final / max(dt0, 1e-300)) + 1) \
@@ -518,13 +498,12 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         layout = StateLayout.of(state)
         k1, sup_R = _rhs(layout.pack(state), layout, problem, geo,
                          with_sup_R=problem.evolve_metric)
-        dt_stable = cfl_dt(state, spec, sup_R=sup_R0 if sup_R is None else sup_R,
-                           invariants=geo)
+        dt_stable = cfl_dt(geo, spec, sup_R=sup_R0 if sup_R is None else sup_R)
         if dt_stable < DT_UNDERFLOW:
             status = BLOWUP
             break
         dt = min(dt_stable, spec.t_final - state.t)
-        new_state = flow_step(state, dt, problem, spec.scheme, k1=k1, invariants=geo)
+        new_state = flow_step(state, dt, problem, spec.scheme, k1=k1, geo=geo)
         if new_state is None:
             status = BLOWUP
             break

@@ -24,19 +24,16 @@ HYPOTHESIS_TOL = 1e-10   # min R >= -this counts as "R >= 0 held"
 
 
 # ---------------------------------------------------------------------- quadrature
-def integrate(values: np.ndarray, g: MetricField, grid: Grid2D,
-              invariants: MetricInvariants | None = None) -> float:
+def integrate(values: np.ndarray, geo: MetricInvariants) -> float:
     """Integral of a scalar density against dv_g (fixed-order summation)."""
-    sg = (invariants or MetricInvariants(g, grid)).sqrt_det
-    return float(np.sum(values * sg * grid.weights))
+    return float(np.sum(values * geo.sqrt_det * geo.grid.weights))
 
 
-def l2_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D) -> float:
-    geo = MetricInvariants(g, grid)
-    return float(np.sqrt(integrate(phi.norm_sq(geo), g, grid, geo)))
+def l2_norm_form(phi: OneFormField, geo: MetricInvariants) -> float:
+    return float(np.sqrt(integrate(phi.norm_sq(geo), geo)))
 
 
-def lp_norm_scalar(u: ScalarField | np.ndarray, g: MetricField, grid: Grid2D,
+def lp_norm_scalar(u: ScalarField | np.ndarray, geo: MetricInvariants,
                    p: float) -> float:
     """(integral u^p dv)^(1/p) for p >= 1; mild discretization negativity is
     clipped in the quadrature only, anything worse is an invalid subsolution."""
@@ -47,17 +44,17 @@ def lp_norm_scalar(u: ScalarField | np.ndarray, g: MetricField, grid: Grid2D,
     if float(np.min(vals)) < floor:
         raise InvalidSubsolutionError(f"u attains {float(np.min(vals)):g} < {floor:g}")
     clipped = np.clip(vals, 0.0, None)
-    return float(integrate(clipped ** p, g, grid) ** (1.0 / p))
+    return float(integrate(clipped ** p, geo) ** (1.0 / p))
 
 
-def sup_norm_form(phi: OneFormField, g: MetricField, grid: Grid2D) -> float:
-    return sup_norm_form_argmax(phi, g, grid)[0]
+def sup_norm_form(phi: OneFormField, geo: MetricInvariants) -> float:
+    return sup_norm_form_argmax(phi, geo)[0]
 
 
-def sup_norm_form_argmax(phi: OneFormField, g: MetricField, grid: Grid2D):
+def sup_norm_form_argmax(phi: OneFormField, geo: MetricInvariants):
     """(sup |phi|_g, argmax node); ties resolve to the first node in row-major
     order, so the reduction is deterministic."""
-    nsq = phi.norm_sq(MetricInvariants(g, grid))
+    nsq = phi.norm_sq(geo)
     k = int(np.argmax(nsq))
     node = np.unravel_index(k, nsq.shape)
     return float(np.sqrt(nsq[node])), (int(node[0]), int(node[1]))
@@ -140,8 +137,11 @@ def closedness_residual(phi: OneFormField, grid: Grid2D) -> float:
     return float(np.max(np.abs(exterior_derivative(phi, grid).values)))
 
 
-def make_probe(label: str, phi0: OneFormField, cycle, g0: MetricField,
-               grid: Grid2D) -> CohomologyProbe:
+def make_probe(label: str, phi0: OneFormField, cycle,
+               geo: MetricInvariants) -> CohomologyProbe:
+    """The probe of the closed form phi0 on `cycle`, with its norms measured on
+    the bundle's metric."""
+    grid = geo.grid
     scale = max(1.0, float(np.max(np.abs(phi0.x))), float(np.max(np.abs(phi0.theta))))
     if closedness_residual(phi0, grid) > CLOSEDNESS_TOL * scale:
         raise InvalidCycleError(f"probe {label!r}: base form is not closed")
@@ -159,8 +159,7 @@ def make_probe(label: str, phi0: OneFormField, cycle, g0: MetricField,
                     f"probe {label!r}: pairing drifts by {drift:g} when the "
                     "circle is shifted; form not closed on the cylinder")
     return CohomologyProbe(label, phi0.copy(), cycle, pairing,
-                           sup_norm_form(phi0, g0, grid),
-                           l2_norm_form(phi0, g0, grid))
+                           sup_norm_form(phi0, geo), l2_norm_form(phi0, geo))
 
 
 # ---------------------------------------------------------------------- records

@@ -15,7 +15,9 @@ included).
 What is derived from one metric (det g, the inverse, Christoffel symbols,
 curvature) lives in operators.MetricInvariants, never on the MetricField:
 metric arrays are never mutated in place, so several fields and states may
-share them.
+share them.  The bundle computes det g once and hands it to sqrt_det, inv and
+require_spd, the one degeneracy predicate; operators take the bundle, not
+the metric.
 """
 
 from __future__ import annotations
@@ -82,19 +84,16 @@ class MetricField:
         return out[0], out[1], out[2]
 
     def require_spd(self, d: np.ndarray | None = None):
-        """Hard error on any degenerate node, NaN included; silent clamping
-        would corrupt monotonicity verdicts.  `d` is det g when the caller
-        already has it."""
+        """Hard error on the first degenerate node: det g not above DET_FLOOR,
+        det g = +inf or NaN, or g_xx not positive; silent clamping would
+        corrupt monotonicity verdicts.  `d` is det g when the caller already
+        has it."""
         if d is None:
             d = self.det()
-        bad = ~(d > DET_FLOOR) | ~(self.gxx > 0.0)
-        if bad.any():
-            i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        ok = (d > DET_FLOOR) & (d < np.inf) & (self.gxx > 0.0)
+        if not ok.all():
+            i, j = np.unravel_index(np.argmin(ok), ok.shape)
             raise DegenerateMetricError((i, j), d[i, j])
-
-    def is_degenerate(self) -> bool:
-        d = self.det()
-        return bool(((d <= DET_FLOOR) | (self.gxx <= 0.0) | ~np.isfinite(d)).any())
 
     def rescaled(self, lam: float) -> "MetricField":
         """The metric lam * g, preserving the parameterization tag."""

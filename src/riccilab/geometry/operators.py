@@ -17,14 +17,16 @@ operator is exactly skew-adjoint-compatible on periodic grids.
 Everything derived from one metric lives in one MetricInvariants bundle: det g
 and the SPD check on construction, then sqrt(det g), the inverse, the
 Christoffel symbols and the curvature parts, each computed the first time it
-is read.  Operators that read any of them take an optional bundle; without one
-they build a fresh bundle, which also runs the SPD check.
+is read.  The bundle is the one geometry argument: an operator that reads any
+of these parts takes the bundle `geo` and reads the metric, the grid and the
+path from it.  Functions of the raw components alone take (g, grid).
 
 A bundle of a conformal or warped metric is on the reduced path
 (`MetricInvariants.reduced`) unless it was built with path "general".  There
-the curvature, the codifferential, the delta of a 2-form and the
-Laplace-Beltrami operator take closed forms, with the same stencil calls as
-the general sqrt(det g) g^{ij} algebra and no metric products:
+the Christoffel symbols differentiate the stored parameterization, and the
+curvature, the codifferential, the delta of a 2-form and the Laplace-Beltrami
+operator take closed forms, with the same stencil calls as the general
+sqrt(det g) g^{ij} algebra and no metric products:
 
 * conformal, e = g^xx = e^{-2u}: delta phi = -e (d_x phi_x + d_theta
   phi_theta), delta(w dx^dtheta) = (d_theta(e w), -d_x(e w)) and
@@ -34,9 +36,10 @@ the general sqrt(det g) g^{ij} algebra and no metric products:
   delta(w dx^dtheta) = (q d_theta(w/s), -p d_x(w/s)) and
   Delta_LB F = (d_x(p d_x F) + q d_theta d_theta F)/s.
 
-Path "general" keeps the general algebra as the cross-check.  On every path
-laplace_beltrami(F) and -codifferential(dF) run the same operations, so they
-agree bitwise.
+Path "general" keeps the coordinate Christoffel symbols, the coordinate
+curvature contraction and the general algebra as the cross-check.  On every
+path laplace_beltrami(F) and -codifferential(dF) run the same operations, so
+they agree bitwise.
 """
 
 from __future__ import annotations
@@ -56,13 +59,13 @@ class MetricInvariants:
     det g is computed and SPD-checked on construction.  Every other part is
     computed the first time it is read, at most once: `sqrt_det` and `inv`
     (g^xx, g^xt, g^tt) from that det g through the MetricField methods,
-    `gamma[k, i, j]` = Gamma^k_ij through christoffel with method "auto", and
-    the curvature parts `scalar`, `ricci` (R_xx, R_xt, R_tt) and `endo`, the
-    Ricci endomorphism endo[a, b] = g^{ak} R_kb.  `reduced` is True for a
-    conformal/warped metric unless `path` is "general"; it picks the closed
-    forms of the curvature and of the form and scalar operators, which read
+    `gamma[k, i, j]` = Gamma^k_ij through christoffel, and the curvature parts
+    `scalar`, `ricci` (R_xx, R_xt, R_tt) and `endo`, the Ricci endomorphism
+    endo[a, b] = g^{ak} R_kb.  `reduced` is True for a conformal/warped metric
+    unless `path` is "general"; it picks the closed forms of the Christoffel
+    symbols, the curvature and the form and scalar operators, which read
     `inv[0]` (conformal) or the profiles `warp` (warped), and otherwise the
-    coordinate contraction and the general algebra.  On the reduced path
+    coordinate formulas and the general algebra.  On the reduced path
     reading `scalar` runs reduced_scalar_curvature alone.  A bundle is never
     attached to its MetricField, whose arrays are never mutated in place.
     """
@@ -95,7 +98,7 @@ class MetricInvariants:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return christoffel(self.metric, self.grid, invariants=self)
+        return christoffel(self)
 
     @cached_property
     def scalar(self) -> np.ndarray:
@@ -107,7 +110,7 @@ class MetricInvariants:
     def _curvature(self) -> tuple:
         if self.reduced:
             return curvature_reduced(self.metric, self.scalar)
-        return curvature(self.metric, self.grid, self)
+        return curvature(self)
 
     @property
     def ricci(self) -> tuple:
@@ -127,24 +130,21 @@ def _sym2(xx: np.ndarray, xt: np.ndarray, tt: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- Christoffel
-def christoffel(g: MetricField, grid: Grid2D, method: str = "auto",
-                invariants: MetricInvariants | None = None) -> np.ndarray:
-    """Christoffel symbols of g, gam[k, i, j] = Gamma^k_ij (upper index first).
+def christoffel(geo: MetricInvariants) -> np.ndarray:
+    """Christoffel symbols of the bundle's metric, gam[k, i, j] = Gamma^k_ij
+    (upper index first).
 
-    "auto" differentiates the stored parameterization (u, or h and f) when the
-    metric carries a tag, which is exact for data that is polynomial in the
-    coordinates; "general" applies the coordinate formula
-    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) to the raw
-    components.
+    On the reduced path the stencils differentiate the stored parameterization
+    (u, or h and f), which is exact for data that is polynomial in the
+    coordinates; otherwise the coordinate formula
+    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) is applied to the
+    raw components.
     """
-    geo = invariants or MetricInvariants(g, grid)
-    if method == "auto":
-        method = g.tag if g.tag in (CONFORMAL, WARPED) else GENERAL
-
+    g, grid = geo.metric, geo.grid
     nx, ny = g.gxx.shape
     gam = np.zeros((2, 2, 2, nx, ny))
 
-    if method == CONFORMAL:
+    if geo.reduced and g.tag == CONFORMAL:
         ux = grid.diff_x(g.u)
         ut = grid.diff_t(g.u)
         gam[0, 0, 0] = ux
@@ -155,7 +155,7 @@ def christoffel(g: MetricField, grid: Grid2D, method: str = "auto",
         gam[1, 0, 0] = -ut
         return gam
 
-    if method == WARPED:
+    if geo.reduced:                     # warped
         hp = grid.diff_x(g.h)
         fp = grid.diff_x(g.f)
         gam[0, 0, 0] = (hp / g.h)[:, None]
@@ -219,30 +219,26 @@ def curvature_reduced(g: MetricField, scalar: np.ndarray) -> tuple:
     return (half * g.gxx, half * g.gxt, half * g.gtt), scalar, endo
 
 
-def curvature(g: MetricField, grid: Grid2D,
-              invariants: MetricInvariants | None = None) -> tuple:
+def curvature(geo: MetricInvariants) -> tuple:
     """Curvature via the coordinate contraction of the curvature tensor, built
-    on the general-method Christoffel symbols (the bundle's own on a general
-    metric, where method "auto" is that computation).  Returns ((R_xx, R_xt,
-    R_tt), R, endo) with endo[a, b] = g^{ak} R_kb."""
-    geo = invariants or MetricInvariants(g, grid)
-    gam_gen = geo.gamma if g.tag == GENERAL else \
-        christoffel(g, grid, method=GENERAL, invariants=geo)
+    on the bundle's Christoffel symbols.  Returns ((R_xx, R_xt, R_tt), R, endo)
+    with endo[a, b] = g^{ak} R_kb."""
+    g, grid, gam = geo.metric, geo.grid, geo.gamma
     inv = _sym2(*geo.inv)
     nx, ny = g.gxx.shape
 
     dgam = np.empty((2, 2, 2, 2, nx, ny))  # dgam[m, k, i, j] = d_m Gamma^k_ij
-    dgam[0] = grid.diff_x(gam_gen)
-    dgam[1] = grid.diff_t(gam_gen)
+    dgam[0] = grid.diff_x(gam)
+    dgam[1] = grid.diff_t(gam)
 
-    contracted = gam_gen[0, 0] + gam_gen[1, 1]          # C_j = Gamma^k_kj
+    contracted = gam[0, 0] + gam[1, 1]                  # C_j = Gamma^k_kj
     ric = np.empty((2, 2, nx, ny))
     for i in range(2):
         for j in range(2):
             t1 = dgam[0, 0, i, j] + dgam[1, 1, i, j]
             t2 = grid.diff(contracted[j], i)
-            t3 = sum(contracted[l] * gam_gen[l, i, j] for l in range(2))
-            t4 = sum(gam_gen[k, i, l] * gam_gen[l, k, j]
+            t3 = sum(contracted[l] * gam[l, i, j] for l in range(2))
+            t4 = sum(gam[k, i, l] * gam[l, k, j]
                      for k in range(2) for l in range(2))
             ric[i, j] = t1 - t2 + t3 - t4
     ric_sym = 0.5 * (ric + ric.transpose(1, 0, 2, 3))
@@ -266,11 +262,11 @@ def exterior_derivative(field, grid: Grid2D):
     return OneFormField(grid.diff_x(vals), grid.diff_t(vals))
 
 
-def _divergence(ax: np.ndarray, at: np.ndarray, grid: Grid2D,
-                geo: MetricInvariants) -> np.ndarray:
+def _divergence(ax: np.ndarray, at: np.ndarray, geo: MetricInvariants) -> np.ndarray:
     """div a = (1/sqrt(det g)) d_i (sqrt(det g) g^{ij} a_j) of the 1-form
     (ax, at).  codifferential is -div and laplace_beltrami is div(dF), so
     Delta_LB F = -delta(dF) holds bitwise on every path."""
+    grid = geo.grid
     if geo.reduced and geo.metric.tag == CONFORMAL:
         # sqrt(det g) g^{ij} = delta^{ij} and 1/sqrt(det g) = g^xx = e^{-2u}
         out = grid.diff_x(ax)
@@ -293,18 +289,17 @@ def _divergence(ax: np.ndarray, at: np.ndarray, grid: Grid2D,
     return out
 
 
-def codifferential(phi: OneFormField, g: MetricField, grid: Grid2D,
-                   invariants: MetricInvariants | None = None) -> ScalarField:
+def codifferential(phi: OneFormField, geo: MetricInvariants) -> ScalarField:
     """delta phi = -(1/sqrt(det g)) d_i (sqrt(det g) g^{ij} phi_j)."""
-    delta = _divergence(phi.x, phi.theta, grid, invariants or MetricInvariants(g, grid))
+    delta = _divergence(phi.x, phi.theta, geo)
     np.negative(delta, out=delta)
     return ScalarField(delta)
 
 
-def _codifferential_two_form(w: np.ndarray, g: MetricField, grid: Grid2D,
-                             geo: MetricInvariants) -> OneFormField:
+def _codifferential_two_form(w: np.ndarray, geo: MetricInvariants) -> OneFormField:
     """delta of the 2-form w dx^dtheta, the adjoint of d on 1-forms:
     (g a) / sqrt(det g) with a = (d_theta, -d_x)(w / sqrt(det g))."""
+    g, grid = geo.metric, geo.grid
     if geo.reduced and g.tag == CONFORMAL:      # (d_theta(e w), -d_x(e w)), e = g^xx
         density = geo.inv[0] * w
         at = grid.diff_x(density)
@@ -326,18 +321,16 @@ def _codifferential_two_form(w: np.ndarray, g: MetricField, grid: Grid2D,
                         (g.gxt * ax + g.gtt * at) / sg)
 
 
-def laplace_beltrami(values: np.ndarray, g: MetricField, grid: Grid2D,
-                     invariants: MetricInvariants | None = None) -> np.ndarray:
+def laplace_beltrami(values: np.ndarray, geo: MetricInvariants) -> np.ndarray:
     """Scalar Laplacian in divergence form, -delta(d F); nonpositive spectrum."""
-    geo = invariants or MetricInvariants(g, grid)
-    return _divergence(grid.diff_x(values), grid.diff_t(values), grid, geo)
+    grid = geo.grid
+    return _divergence(grid.diff_x(values), grid.diff_t(values), geo)
 
 
 # --------------------------------------------------------------------- Laplacians on forms
-def covariant_derivative(phi: OneFormField, g: MetricField, grid: Grid2D,
-                         invariants: MetricInvariants | None = None) -> np.ndarray:
+def covariant_derivative(phi: OneFormField, geo: MetricInvariants) -> np.ndarray:
     """S[k, i] = nabla_k phi_i = d_k phi_i - Gamma^l_ki phi_l."""
-    gam = (invariants or MetricInvariants(g, grid)).gamma
+    grid, gam = geo.grid, geo.gamma
     comp = phi.components()
     s = np.empty((2, 2) + phi.x.shape)
     for k in range(2):
@@ -346,11 +339,9 @@ def covariant_derivative(phi: OneFormField, g: MetricField, grid: Grid2D,
     return s
 
 
-def grad_norm_sq(phi: OneFormField, g: MetricField, grid: Grid2D,
-                 invariants: MetricInvariants | None = None) -> np.ndarray:
+def grad_norm_sq(phi: OneFormField, geo: MetricInvariants) -> np.ndarray:
     """|nabla phi|^2_g, the full covariant gradient energy density."""
-    geo = invariants or MetricInvariants(g, grid)
-    s = covariant_derivative(phi, g, grid, geo)
+    s = covariant_derivative(phi, geo)
     inv = _sym2(*geo.inv)
     out = np.zeros(phi.x.shape)
     for k in range(2):
@@ -361,13 +352,11 @@ def grad_norm_sq(phi: OneFormField, g: MetricField, grid: Grid2D,
     return out
 
 
-def rough_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
-                    invariants: MetricInvariants | None = None) -> OneFormField:
+def rough_laplacian(phi: OneFormField, geo: MetricInvariants) -> OneFormField:
     """(Delta phi)_i = g^{jk} (nabla_j nabla_k phi)_i via composed covariant
     derivatives."""
-    geo = invariants or MetricInvariants(g, grid)
-    gam = geo.gamma
-    s = covariant_derivative(phi, g, grid, geo)
+    grid, gam = geo.grid, geo.gamma
+    s = covariant_derivative(phi, geo)
     inv = _sym2(*geo.inv)
     out = np.zeros((2,) + phi.x.shape)
     for i in range(2):
@@ -382,19 +371,18 @@ def rough_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
     return OneFormField(out[0], out[1])
 
 
-def hodge_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
-                    method: str = "dd",
-                    invariants: MetricInvariants | None = None) -> OneFormField:
+def hodge_laplacian(phi: OneFormField, geo: MetricInvariants,
+                    method: str = "dd") -> OneFormField:
     """Delta_d phi, either factorized as -(d delta + delta d) ("dd") or through the
     Bochner identity Delta phi - Ric(phi) ("bochner").  The two agree to
     discretization error; the factorized path is exactly compatible with d and
     delta at the stencil level and drives the heat flows.
     """
-    geo = invariants or MetricInvariants(g, grid)
+    grid = geo.grid
     if method == "dd":
-        ds = codifferential(phi, g, grid, geo).values
+        ds = codifferential(phi, geo).values
         w = exterior_derivative(phi, grid).values
-        delta_d = _codifferential_two_form(w, g, grid, geo)
+        delta_d = _codifferential_two_form(w, geo)
         # d delta is formed last and in place, so fewer full-grid temporaries
         # are live at once
         lap_x, lap_t = grid.diff_x(ds), grid.diff_t(ds)
@@ -404,7 +392,7 @@ def hodge_laplacian(phi: OneFormField, g: MetricField, grid: Grid2D,
         np.negative(lap_t, out=lap_t)
         return OneFormField(lap_x, lap_t)
     if method == "bochner":
-        rough = rough_laplacian(phi, g, grid, geo)
+        rough = rough_laplacian(phi, geo)
         e = geo.endo
         return OneFormField(
             rough.x - (e[0, 0] * phi.x + e[1, 0] * phi.theta),

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DegenerateMetricError, ScenarioError
 from .flows import FlowProblem, FlowState, IntegratorSpec
 from .functionals import ThetaCircle, make_probe
-from .geometry import (Grid2D, MetricField, OneFormField, ScalarField,
-                       conformal_metric, flat_metric, warped_metric)
+from .geometry import (Grid2D, MetricField, MetricInvariants, OneFormField,
+                       ScalarField, conformal_metric, flat_metric, warped_metric)
 
 FAMILIES = ("flat-torus", "conformal-torus", "warped-cylinder", "conformal-plane")
 
@@ -359,7 +359,7 @@ def build(spec: ScenarioSpec) -> RunSetup:
     grid = build_grid(spec)
     metric = build_metric(spec, grid)
     try:
-        metric.require_spd()
+        geo = MetricInvariants(metric, grid, spec.metric_path)
     except DegenerateMetricError as e:     # rejected here, not mid-run
         raise ScenarioError([f"initial {e}"]) from e
     forms = {fs.label: build_form(fs, grid) for fs in spec.forms}
@@ -367,7 +367,7 @@ def build(spec: ScenarioSpec) -> RunSetup:
     probes = {}
     for p in spec.probes:
         cyc = ThetaCircle(grid.origin[0] if p.cycle_x is None else p.cycle_x)
-        probes[p.form] = make_probe(p.form, forms[p.form], cyc, metric, grid)
+        probes[p.form] = make_probe(p.form, forms[p.form], cyc, geo)
 
     gauge = None
     gauge_base = None

@@ -113,7 +113,7 @@ def test_decay_compact_support_zero_tail():
     X, _ = grid.mesh()
     bump = np.clip(1 - (X / 2.0) ** 2, 0.0, None) ** 2
     phi = OneFormField(bump, np.zeros_like(bump))
-    rep = decay_monitor(phi, g, grid, DecayMonitorSpec(1.0, (5.0, 8.0, 12.0)))
+    rep = decay_monitor(phi, MetricInvariants(g, grid), DecayMonitorSpec(1.0, (5.0, 8.0, 12.0)))
     assert rep["profile"] == [0.0, 0.0, 0.0]
 
 
@@ -122,7 +122,7 @@ def test_decay_cigar_profile():
     grid = Grid2D.plane(129, 129, 16.0, 16.0)
     ref = cigar_oracle(grid).value
     spec = DecayMonitorSpec(1.0, (1.0, 1.5, 2.0, 2.5))
-    rep = decay_monitor(ref.scalar_curvature, ref.metric, grid, spec)
+    rep = decay_monitor(ref.scalar_curvature, MetricInvariants(ref.metric, grid), spec)
     assert rep["decreasing_outward"]
 
     def closed_form(d):
@@ -142,8 +142,9 @@ def test_decay_order_comparison():
     gauss = np.exp(-(X / 3.0) ** 2)
     phi = OneFormField(gauss, np.zeros_like(gauss))
     radii = (6.0, 9.0, 12.0)
-    p1 = decay_monitor(phi, g, grid, DecayMonitorSpec(1.0, radii))
-    p3 = decay_monitor(phi, g, grid, DecayMonitorSpec(3.0, radii))
+    geo = MetricInvariants(g, grid)
+    p1 = decay_monitor(phi, geo, DecayMonitorSpec(1.0, radii))
+    p3 = decay_monitor(phi, geo, DecayMonitorSpec(3.0, radii))
     assert p1["decreasing_outward"] and p3["decreasing_outward"]
     assert p3["profile"][-1] < 5e-3     # d^3 |phi| -> 0 on gaussian data
     assert decay_preserved(p1, p1)
@@ -155,8 +156,8 @@ def test_decay_preserved_along_neck_run(neck_traj):
     spec = DecayMonitorSpec(1.0, (4.0, 5.5))
     profiles = []
     for snap in (neck_traj.snapshots[0], neck_traj.snapshots[-1]):
-        scalar = MetricInvariants(snap.metric, grid).scalar
-        profiles.append(decay_monitor(scalar, snap.metric, grid, spec))
+        geo = MetricInvariants(snap.metric, grid)
+        profiles.append(decay_monitor(geo.scalar, geo, spec))
     assert profiles[0]["decreasing_outward"]
     assert profiles[1]["decreasing_outward"]
     assert decay_preserved(profiles[0], profiles[1])
@@ -168,7 +169,7 @@ def test_decay_radius_beyond_buffer():
     g = warped_metric(grid, np.ones_like(x), np.ones_like(x))
     phi = OneFormField(np.zeros((65, 16)), np.zeros((65, 16)))
     with pytest.raises(DomainTooSmallError):
-        decay_monitor(phi, g, grid, DecayMonitorSpec(1.0, (9.5,)))
+        decay_monitor(phi, MetricInvariants(g, grid), DecayMonitorSpec(1.0, (9.5,)))
 
 
 def test_decay_spec_validation():

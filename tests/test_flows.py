@@ -26,9 +26,9 @@ def _state(grid, metric, **kw):
 # ----------------------------------------------------------------- CFL
 def test_cfl_flat_torus_exact(torus64, flat64):
     spec = IntegratorSpec(cfl=0.2)
-    st = _state(torus64, flat64)
     h = torus64.hx
-    assert cfl_dt(st, spec, sup_R=0.0) == pytest.approx(0.2 * h * h, rel=1e-12)
+    assert cfl_dt(MetricInvariants(flat64, torus64), spec,
+                  sup_R=0.0) == pytest.approx(0.2 * h * h, rel=1e-12)
 
 
 def test_cfl_smaller_on_cigar(cigar_grid, cigar_metric):
@@ -36,8 +36,8 @@ def test_cfl_smaller_on_cigar(cigar_grid, cigar_metric):
     flat_grid = Grid2D.torus(cigar_grid.nx, cigar_grid.ny,
                              cigar_grid.lx, cigar_grid.ly)
     spec = IntegratorSpec(cfl=0.2)
-    dt_flat = cfl_dt(_state(flat_grid, flat_metric(flat_grid)), spec, sup_R=0.0)
-    dt_cigar = cfl_dt(_state(cigar_grid, cigar_metric), spec, sup_R=4.0)
+    dt_flat = cfl_dt(MetricInvariants(flat_metric(flat_grid), flat_grid), spec, sup_R=0.0)
+    dt_cigar = cfl_dt(MetricInvariants(cigar_metric, cigar_grid), spec, sup_R=4.0)
     assert dt_cigar < dt_flat
 
 
@@ -152,8 +152,8 @@ def test_conformal_torus_gauss_bonnet():
                          metric_amplitude=0.1, t_final=0.2, cadence=5)
     traj = run_flow(spec)
     for snap in traj.snapshots:
-        scalar = MetricInvariants(snap.metric, snap.grid).scalar
-        total = integrate(scalar, snap.metric, snap.grid)
+        geo = MetricInvariants(snap.metric, snap.grid)
+        total = integrate(geo.scalar, geo)
         assert abs(total) < 1e-6
 
 
@@ -433,6 +433,43 @@ def test_general_curvature_reads_the_bundles_christoffels(monkeypatch):
     assert calls == ["auto"] * 3
 
 
+def _coordinate_christoffel(g, grid):
+    """Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) of the raw
+    components, with numpy's inverse."""
+    comp = np.array([[g.gxx, g.gxt], [g.gxt, g.gtt]])
+    inv = np.moveaxis(np.linalg.inv(np.moveaxis(comp, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    dg = np.array([[[grid.diff(comp[i, j], l) for j in range(2)] for i in range(2)]
+                   for l in range(2)])                   # dg[l, i, j] = d_l g_ij
+    lowered = dg + dg.transpose(1, 0, 2, 3, 4) - dg.transpose(1, 2, 0, 3, 4)
+    return 0.5 * np.einsum("kl...,ijl...->kij...", inv, lowered)
+
+
+def test_general_path_reads_coordinate_christoffels_once_per_bundle(monkeypatch):
+    # on path "general" a conformal metric's bundle uses the coordinate
+    # Christoffel symbols for its curvature and its gradient energy alike, and
+    # builds them once: the initial state's, stage 2's and the new state's
+    import riccilab.geometry.operators as ops
+    bundles = []
+    christoffel = ops.christoffel
+
+    def counted(geo, *args, **kwargs):
+        bundles.append(geo)
+        return christoffel(geo, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "christoffel", counted)
+    setup = build(make_scenario(name="general-torus", family="conformal-torus", nx=16,
+                                ny=16, metric_path="general",
+                                forms=[FormSpec("main", "sinx_dx")], max_steps=1,
+                                t_final=1.0, cadence=1, monitor_energy=True))
+    traj = run_flow(setup)
+    assert traj.n_steps == 1 and len(traj.records) == 2
+    assert len(bundles) == 3
+    for geo in bundles:
+        assert not geo.reduced
+        expected = _coordinate_christoffel(geo.metric, geo.grid)
+        assert np.max(np.abs(geo.gamma - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 @pytest.mark.parametrize("cadence", [1, 1000])
 def test_state_metric_failure_ends_as_blowup(cadence):
     # a CFL coefficient past stability drives a conformal factor near the det
@@ -451,7 +488,8 @@ def test_state_metric_failure_ends_as_blowup(cadence):
     last = traj.snapshots[-1]
     assert last.metric.det().min() > 1e-12
     # the step past it is finite but under the floor
-    nxt = flow_step(last, cfl_dt(last, setup.integrator), FlowProblem(grid))
+    nxt = flow_step(last, cfl_dt(MetricInvariants(last.metric, grid), setup.integrator),
+                    FlowProblem(grid))
     assert np.all(np.isfinite(nxt.metric.u)) and nxt.metric.det().min() <= 1e-12
 
 

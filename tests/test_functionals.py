@@ -17,7 +17,7 @@ from riccilab.functionals import (MonitorRecord, NodePath, ThetaCircle,
                                   lp_norm_scalar, make_probe,
                                   max_principle_report, min_circumference,
                                   sup_norm_form, sup_norm_form_argmax)
-from riccilab.geometry import (Grid2D, OneFormField, ScalarField,
+from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField, ScalarField,
                                conformal_metric, flat_metric, warped_metric)
 
 PI_ROOT2 = 4.442882938158366   # sqrt(2 pi^2), certified by the quadrature oracle
@@ -26,13 +26,14 @@ PI_ROOT2 = 4.442882938158366   # sqrt(2 pi^2), certified by the quadrature oracl
 # ----------------------------------------------------------------- L2 norm
 def test_l2_zero(torus64, flat64):
     phi = OneFormField(np.zeros((64, 64)), np.zeros((64, 64)))
-    assert l2_norm_form(phi, flat64, torus64) == 0.0
+    assert l2_norm_form(phi, MetricInvariants(flat64, torus64)) == 0.0
 
 
 def test_l2_sin_dx(torus64, flat64):
     X, _ = torus64.mesh()
     phi = OneFormField(np.sin(X), np.zeros_like(X))
-    assert l2_norm_form(phi, flat64, torus64) == pytest.approx(PI_ROOT2, abs=1e-6)
+    geo = MetricInvariants(flat64, torus64)
+    assert l2_norm_form(phi, geo) == pytest.approx(PI_ROOT2, abs=1e-6)
 
 
 def test_l2_homogeneity_and_triangle(torus64):
@@ -41,11 +42,12 @@ def test_l2_homogeneity_and_triangle(torus64):
     g = conformal_metric(torus64, 0.2 * np.sin(X + T))
     a = OneFormField(rng.standard_normal(X.shape), rng.standard_normal(X.shape))
     b = OneFormField(rng.standard_normal(X.shape), rng.standard_normal(X.shape))
-    na = l2_norm_form(a, g, torus64)
+    geo = MetricInvariants(g, torus64)
+    na = l2_norm_form(a, geo)
     doubled = OneFormField(2 * a.x, 2 * a.theta)
-    assert l2_norm_form(doubled, g, torus64) == pytest.approx(2 * na, rel=1e-12)
+    assert l2_norm_form(doubled, geo) == pytest.approx(2 * na, rel=1e-12)
     summed = OneFormField(a.x + b.x, a.theta + b.theta)
-    assert l2_norm_form(summed, g, torus64) <= na + l2_norm_form(b, g, torus64) + 1e-12
+    assert l2_norm_form(summed, geo) <= na + l2_norm_form(b, geo) + 1e-12
 
 
 # ----------------------------------------------------------------- Lp scalar
@@ -54,13 +56,13 @@ def test_lp_constant_on_unit_area():
     g = flat_metric(grid)
     u = ScalarField(np.ones((16, 16)))
     for p in (1.0, 1.5, 3.0):
-        assert lp_norm_scalar(u, g, grid, p) == pytest.approx(1.0, rel=1e-12)
+        assert lp_norm_scalar(u, MetricInvariants(g, grid), p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lp_mass_one_plus_cos(torus64, flat64):
     X, _ = torus64.mesh()
     u = ScalarField(1.0 + np.cos(X))
-    assert lp_norm_scalar(u, flat64, torus64, 1.0) == pytest.approx(
+    assert lp_norm_scalar(u, MetricInvariants(flat64, torus64), 1.0) == pytest.approx(
         4 * np.pi ** 2, rel=1e-12)
 
 
@@ -69,8 +71,8 @@ def test_lp_continuity_in_p():
     g = flat_metric(grid)
     X, _ = grid.mesh()
     u = ScalarField(1.0 + np.cos(2 * np.pi * X))   # bounded by 2
-    v1 = lp_norm_scalar(u, g, grid, 1.0)
-    v2 = lp_norm_scalar(u, g, grid, 1.01)
+    v1 = lp_norm_scalar(u, MetricInvariants(g, grid), 1.0)
+    v2 = lp_norm_scalar(u, MetricInvariants(g, grid), 1.01)
     assert abs(v2 - v1) / v1 < 0.03
 
 
@@ -79,9 +81,9 @@ def test_lp_rejects_negative():
     g = flat_metric(grid)
     u = ScalarField(-0.5 * np.ones((16, 16)))
     with pytest.raises(InvalidSubsolutionError):
-        lp_norm_scalar(u, g, grid, 1.0)
+        lp_norm_scalar(u, MetricInvariants(g, grid), 1.0)
     with pytest.raises(ValueError):
-        lp_norm_scalar(ScalarField(np.ones((16, 16))), g, grid, 0.5)
+        lp_norm_scalar(ScalarField(np.ones((16, 16))), MetricInvariants(g, grid), 0.5)
 
 
 # ----------------------------------------------------------------- sup norm
@@ -89,19 +91,21 @@ def test_sup_norm_dtheta_warped(neck_grid, neck_metric):
     ones = np.ones((neck_grid.nx, neck_grid.ny))
     phi = OneFormField(np.zeros_like(ones), ones)
     # |dtheta|_g = 1/f pointwise; min f = 1 at the on-grid neck node
-    assert sup_norm_form(phi, neck_metric, neck_grid) == pytest.approx(1.0, rel=1e-12)
+    geo = MetricInvariants(neck_metric, neck_grid)
+    assert sup_norm_form(phi, geo) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sup_norm_flat_and_zero(torus64, flat64):
     ones = np.ones((64, 64))
-    assert sup_norm_form(OneFormField(np.zeros_like(ones), ones),
-                         flat64, torus64) == pytest.approx(1.0)
-    assert sup_norm_form(OneFormField(0 * ones, 0 * ones), flat64, torus64) == 0.0
+    geo = MetricInvariants(flat64, torus64)
+    assert sup_norm_form(OneFormField(np.zeros_like(ones), ones), geo) == pytest.approx(1.0)
+    assert sup_norm_form(OneFormField(0 * ones, 0 * ones), geo) == 0.0
 
 
 def test_sup_argmax_deterministic(torus64, flat64):
     ones = np.ones((64, 64))
-    _, node = sup_norm_form_argmax(OneFormField(0 * ones, ones), flat64, torus64)
+    _, node = sup_norm_form_argmax(OneFormField(0 * ones, ones),
+                                   MetricInvariants(flat64, torus64))
     assert node == (0, 0)   # tie resolves to first node in row-major order
 
 
@@ -167,7 +171,7 @@ def test_probe_construction(neck_grid, neck_metric):
     ones = np.ones((neck_grid.nx, neck_grid.ny))
     phi = OneFormField(0 * ones, ones)
     probe = make_probe("main", phi, ThetaCircle(neck_grid.origin[0]),
-                       neck_metric, neck_grid)
+                       MetricInvariants(neck_metric, neck_grid))
     assert probe.pairing == pytest.approx(2 * np.pi)
     assert probe.sup0 == pytest.approx(1.0)
 
@@ -177,14 +181,14 @@ def test_probe_rejects_exact_form(torus64, flat64):
     F = np.sin(X)
     dF = OneFormField(torus64.diff_x(F), torus64.diff_t(F))
     with pytest.raises(ProbeOrderError):
-        make_probe("exact", dF, ThetaCircle(0), flat64, torus64)
+        make_probe("exact", dF, ThetaCircle(0), MetricInvariants(flat64, torus64))
 
 
 def test_probe_rejects_nonclosed(torus64, flat64):
     X, T = torus64.mesh()
     phi = OneFormField(np.sin(T), np.zeros_like(T))   # d(phi) != 0
     with pytest.raises(InvalidCycleError):
-        make_probe("bad", phi, ThetaCircle(0), flat64, torus64)
+        make_probe("bad", phi, ThetaCircle(0), MetricInvariants(flat64, torus64))
 
 
 # ----------------------------------------------------------------- cutoff
@@ -223,7 +227,7 @@ def test_cutoff_truncation_term_decays():
     for r in (5.0, 10.0, 20.0):
         eta = cutoff_eta(grid, g, r)
         terms.append(2.0 / ((p - 1) * r ** 2)
-                     * integrate(eta.values * u ** p, g, grid))
+                     * integrate(eta.values * u ** p, MetricInvariants(g, grid)))
     assert terms[0] > terms[1] > terms[2]
     # once the support is covered the term decays exactly like 1/r^2
     assert terms[2] / terms[0] == pytest.approx((5.0 / 20.0) ** 2, rel=1e-6)
@@ -286,7 +290,7 @@ def test_pairing_sup_length_chain_random(neck_grid):
         phi = OneFormField(c * k * np.cos(k * X), np.ones_like(X))
         pairing = cycle_integral(phi, ThetaCircle(neck_grid.origin[0]), neck_grid)
         L, _ = min_circumference(g, neck_grid)
-        assert pairing <= sup_norm_form(phi, g, neck_grid) * L * (1 + 1e-12)
+        assert pairing <= sup_norm_form(phi, MetricInvariants(g, neck_grid)) * L * (1 + 1e-12)
 
 
 def test_length_bound_report_equality_case(neck_grid):
@@ -295,7 +299,8 @@ def test_length_bound_report_equality_case(neck_grid):
     g = warped_metric(neck_grid, np.ones_like(x), np.ones_like(x))
     ones = np.ones((neck_grid.nx, neck_grid.ny))
     phi = OneFormField(0 * ones, ones)
-    probe = make_probe("main", phi, ThetaCircle(neck_grid.origin[0]), g, neck_grid)
+    probe = make_probe("main", phi, ThetaCircle(neck_grid.origin[0]),
+                       MetricInvariants(g, neck_grid))
     recs = [_rec(0.0, 0.1, {"L_alpha": 2 * np.pi, "main_sup": 1.0}),
             _rec(0.1, 0.1, {"L_alpha": 2 * np.pi, "main_sup": 1.0})]
     rep = length_bound_report(probe, _Traj(recs))

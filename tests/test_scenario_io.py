@@ -387,6 +387,46 @@ def test_cli_bad_config_exits_2(tmp_path):
         assert problem in r.stderr
 
 
+@pytest.fixture(scope="module")
+def flat_run_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("flat16")
+    spec = make_scenario(name="flat16", family="flat-torus", nx=16, ny=16,
+                         t_final=0.02, cadence=2)
+    write_outputs(run_flow(spec), out)
+    return out
+
+
+@pytest.mark.parametrize("schedule, problem", [
+    ("lambdas = a, b\n", "could not convert string to float"),
+    ("times = 0.005, 0.0\nlambdas = 1, 2\n", "schedule times must be strictly increasing"),
+    ("lambdas = -1\n", "scale factors must be positive"),
+    ("policy = by-curvature\n", "scale factors must be positive"),   # sup |R| = 0
+    ("policy = by_curvature\nlambdas = 1\n", "unknown schedule policy"),
+    ("times = 0.0\nlambdas = 1\ncycle_x = 16\n", "cycle_x 16 outside the grid"),
+])
+def test_cli_bad_rescale_schedule_exits_2(flat_run_dir, tmp_path, schedule, problem):
+    sched = tmp_path / "sched.cfg"
+    sched.write_text(schedule)
+    r = _cli("rescale", str(flat_run_dir), "--schedule", str(sched),
+             "--out", str(tmp_path / "report.json"))
+    assert r.returncode == 2, r.stderr
+    assert f"schedule error: {problem}" in r.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_rescale_failure_writes_no_report(flat_run_dir, tmp_path):
+    # a decay radius beyond the monitored interior fails the rescale before
+    # any output is written
+    sched = tmp_path / "sched.cfg"
+    sched.write_text("times = 0.0\nlambdas = 2\nsigma = 1\nradii = 99\n")
+    r = _cli("rescale", str(flat_run_dir), "--schedule", str(sched),
+             "--out", str(tmp_path / "report.json"))
+    assert r.returncode == 2
+    assert "rescale failed: sample radius 99" in r.stderr
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "decay_profiles.csv").exists()
+
+
 def test_cli_report_without_summary_exits_2(tmp_path):
     r = _cli("report", str(tmp_path))
     assert r.returncode == 2
