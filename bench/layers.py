@@ -9,8 +9,10 @@ microseconds, of single calls timed with time.perf_counter after one warm-up
 call.  Operators get one bundle for all their calls, so the warm-up computes
 the parts they read and they are timed alone; each is timed on its metric's
 default path and, as the reference cost, on path "general" (the `.general`
-entries).  det g and the inverse are timed on their own, and monitor_record
-is timed with a fresh bundle per call, as a run builds one per state.
+entries).  grad_norm_sq drops the bundle's cached Christoffel symbols before
+each call, as a run reads them once per record bundle.  det g and the inverse
+are timed on their own, and monitor_record is timed with a fresh bundle per
+call, as a run builds one per state.
 
 FILE holds {"unit", "statistic", "machine", "columns": {NAME: {layer: us}}}.
 An existing FILE keeps its other columns, so runs on two checkouts, one after
@@ -48,7 +50,7 @@ def layers() -> dict:
     from riccilab.flows import FlowProblem, FlowState, StateLayout, monitor_record
     from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField, ScalarField,
                                    codifferential, conformal_metric, curvature_reduced,
-                                   hodge_laplacian, laplace_beltrami,
+                                   grad_norm_sq, hodge_laplacian, laplace_beltrami,
                                    reduced_scalar_curvature, warped_metric)
 
     rng = np.random.default_rng(0)
@@ -87,6 +89,9 @@ def layers() -> dict:
                 lambda: hodge_laplacian(phi, geo, "dd"))
             out[f"laplace_beltrami.{n}{suffix}"] = median_us(
                 lambda: laplace_beltrami(F, geo))
+            out[f"grad_norm_sq.{n}{suffix}"] = median_us(
+                lambda: (geo.__dict__.pop("gamma", None), grad_norm_sq(phi, geo)))
+            out[f"norm_sq.{n}{suffix}"] = median_us(lambda: phi.norm_sq(geo))
         if n == "512x64":
             continue
         geo = MetricInvariants(g, grid)

@@ -2,6 +2,8 @@
 scalar fields and 1-forms, with every monotonicity statement wired up as a
 testable runtime monitor."""
 
+import ctypes
+
 from .geometry import (CONFORMAL, GENERAL, WARPED, Grid2D, MetricField,
                        MetricInvariants, OneFormField, ScalarField,
                        christoffel, codifferential, conformal_metric,
@@ -18,3 +20,29 @@ from .functionals import (CohomologyProbe, MonitorRecord, ThetaCircle,
 from .scenario import ScenarioSpec, make_scenario, parse_scenario, serialize_scenario
 
 __version__ = "0.1.0"
+
+
+_HEAP_THRESHOLD = 32 << 20      # glibc's ceiling for M_MMAP_THRESHOLD on 64-bit
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and heap-trim thresholds at 32 MiB, once.
+
+    A flow step allocates and frees full-grid temporaries of 128 KB to 2 MB.
+    Left dynamic, glibc raises both thresholds to the size of the last
+    mmapped block freed, so whether a temporary is mmapped, and whether the
+    freed top of the heap is trimmed and page-faulted back in on the next
+    step, depends on which block was freed last: any change to the
+    allocations moves the page faults somewhere else.  Pinned, every such
+    temporary stays on the heap.  Where the C library has no mallopt (macOS,
+    musl) nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, _HEAP_THRESHOLD)    # M_MMAP_THRESHOLD
+    mallopt(-1, _HEAP_THRESHOLD)    # M_TRIM_THRESHOLD
+
+
+_pin_heap_thresholds()

@@ -7,10 +7,12 @@ axis 1 (row-major, x-then-theta).  Metrics carry a parameterization tag:
 and "general" stores bare components.
 
 Tagged metrics are diagonal: conformal_metric, warped_metric and rescaled give
-them a read-only gxt = +0 everywhere, and det and inv rely on it.  det g of
-a tagged metric is gxx gtt alone, which is bitwise gxx gtt - (+0)^2, and its
-g^xt is -0.0, which is bitwise -(+0)/det g for every det g > 0 (inf
-included).
+them gxt = +0 everywhere, a read-only zero-stride broadcast, and det, inv and
+OneFormField.norm_sq rely on it.  det g of a tagged metric is gxx gtt alone,
+which is bitwise gxx gtt - (+0)^2, and its g^xt is -0.0, which is bitwise
+-(+0)/det g for every det g > 0 (inf included).  |phi|^2 of a tagged metric
+drops the 2 g^xt phi_x phi_theta term: it is +-0 for finite phi, and adding
++-0 to the nonnegative g^xx phi_x^2 leaves its bits.
 
 What is derived from one metric (det g, the inverse, Christoffel symbols,
 curvature) lives in operators.MetricInvariants, never on the MetricField:
@@ -65,12 +67,7 @@ class MetricField:
         the SPD check ensures."""
         if d is None:
             d = self.det()
-        # One allocation in place of three.  Freeing a block this size also
-        # lifts glibc's dynamic mmap and heap-trim thresholds above one grid
-        # array; left at one array, the heap is trimmed and page-faulted back
-        # in on nearly every step (a 257^2 cigar run: 280k minor faults
-        # instead of 29k).
-        out = np.empty((3,) + d.shape)
+        out = np.empty((3,) + d.shape)   # one allocation in place of three
         np.divide(self.gtt, d, out=out[0])
         if self.tag == GENERAL:
             np.negative(self.gxt, out=out[1])
@@ -111,13 +108,11 @@ class MetricField:
 
 
 def _diagonal_gxt(like: np.ndarray) -> np.ndarray:
-    """The +0 g_xt of a tagged metric, read-only.  It is a full zero array, not
-    a zero-stride broadcast: dropping this allocation moves glibc's heap
-    trimming onto the per-step temporaries, and a 257^2 cigar run then pages
-    ~870 pages back in every other step (180k minor faults against 30k)."""
-    zero = np.zeros_like(like)
-    zero.flags.writeable = False
-    return zero
+    """The +0 g_xt of a tagged metric: a zero-stride broadcast, read-only by
+    construction, so a metric allocates no zero grid.  With glibc's heap
+    thresholds pinned at import (riccilab._pin_heap_thresholds), leaving this
+    allocation out does not move heap trimming onto the per-step temporaries."""
+    return np.broadcast_to(0.0, like.shape)
 
 
 def flat_metric(grid) -> MetricField:
@@ -136,9 +131,9 @@ def warped_metric(grid, h: np.ndarray, f: np.ndarray) -> MetricField:
     """g = h(x)^2 dx^2 + f(x)^2 dtheta^2 on a cylinder grid."""
     if h.ndim != 1 or f.ndim != 1:
         raise ValueError("warped profiles must be 1-D functions of x")
-    ones = np.ones(grid.ny)
-    gxx = np.outer(h ** 2, ones)
-    gtt = np.outer(f ** 2, ones)
+    shape = (grid.nx, grid.ny)
+    gxx = np.broadcast_to((h ** 2)[:, None], shape).copy()
+    gtt = np.broadcast_to((f ** 2)[:, None], shape).copy()
     return MetricField(gxx, _diagonal_gxt(gxx), gtt, tag=WARPED, h=h, f=f)
 
 
@@ -155,8 +150,11 @@ class OneFormField:
     theta: np.ndarray
 
     def norm_sq(self, geo: MetricInvariants) -> np.ndarray:
-        """|phi|^2_g pointwise, from the inverse of the bundle's metric."""
+        """|phi|^2_g pointwise, from the inverse of the bundle's metric; a
+        tagged metric's is diagonal."""
         ixx, ixt, itt = geo.inv
+        if geo.metric.tag != GENERAL:
+            return ixx * self.x ** 2 + itt * self.theta ** 2
         return ixx * self.x ** 2 + 2.0 * ixt * self.x * self.theta + itt * self.theta ** 2
 
     def components(self) -> np.ndarray:

@@ -24,9 +24,14 @@ path from it.  Functions of the raw components alone take (g, grid).
 A bundle of a conformal or warped metric is on the reduced path
 (`MetricInvariants.reduced`) unless it was built with path "general".  There
 the Christoffel symbols differentiate the stored parameterization, and the
-curvature, the codifferential, the delta of a 2-form and the Laplace-Beltrami
-operator take closed forms, with the same stencil calls as the general
-sqrt(det g) g^{ij} algebra and no metric products:
+curvature, the covariant derivative of a 1-form, the codifferential, the
+delta of a 2-form and the Laplace-Beltrami operator take closed forms, with
+the same stencil calls as the general sqrt(det g) g^{ij} algebra and no
+metric products:
+
+* nabla_k phi_i reads the Christoffel symbols straight from their stencils,
+  +-u_x and +-u_t conformal and h'/h, -f f'/h^2 and f'/f warped, leaves out
+  those that vanish identically and builds no Gamma array;
 
 * conformal, e = g^xx = e^{-2u}: delta phi = -e (d_x phi_x + d_theta
   phi_theta), delta(w dx^dtheta) = (d_theta(e w), -d_x(e w)) and
@@ -39,7 +44,10 @@ sqrt(det g) g^{ij} algebra and no metric products:
 Path "general" keeps the coordinate Christoffel symbols, the coordinate
 curvature contraction and the general algebra as the cross-check.  On every
 path laplace_beltrami(F) and -codifferential(dF) run the same operations, so
-they agree bitwise.
+they agree bitwise.  On every tagged metric, whatever the path, g^xt is -0.0,
+so |nabla phi|^2 sums only its four diagonal terms and |phi|^2 drops its
+cross term: each dropped term is +-0 for finite fields, which leaves the
+bits of the nonnegative sum unchanged.
 """
 
 from __future__ import annotations
@@ -145,8 +153,7 @@ def christoffel(geo: MetricInvariants) -> np.ndarray:
     gam = np.zeros((2, 2, 2, nx, ny))
 
     if geo.reduced and g.tag == CONFORMAL:
-        ux = grid.diff_x(g.u)
-        ut = grid.diff_t(g.u)
+        ux, ut = _reduced_gamma(geo)
         gam[0, 0, 0] = ux
         gam[0, 0, 1] = gam[0, 1, 0] = ut
         gam[0, 1, 1] = -ux
@@ -156,11 +163,8 @@ def christoffel(geo: MetricInvariants) -> np.ndarray:
         return gam
 
     if geo.reduced:                     # warped
-        hp = grid.diff_x(g.h)
-        fp = grid.diff_x(g.f)
-        gam[0, 0, 0] = (hp / g.h)[:, None]
-        gam[0, 1, 1] = (-g.f * fp / g.h ** 2)[:, None]
-        gam[1, 0, 1] = gam[1, 1, 0] = (fp / g.f)[:, None]
+        gam[0, 0, 0], gam[0, 1, 1], gam[1, 0, 1] = _reduced_gamma(geo)
+        gam[1, 1, 0] = gam[1, 0, 1]
         return gam
 
     comp = _sym2(g.gxx, g.gxt, g.gtt)
@@ -178,6 +182,19 @@ def christoffel(geo: MetricInvariants) -> np.ndarray:
                     s += inv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
                 gam[k, i, j] = gam[k, j, i] = 0.5 * s
     return gam
+
+
+def _reduced_gamma(geo: MetricInvariants) -> tuple:
+    """What the Christoffel symbols of a reduced-path bundle are made of:
+    conformal, (u_x, u_t), each Gamma^k_ij being one of them up to sign;
+    warped, the three that do not vanish identically, (Gamma^x_xx,
+    Gamma^x_tt, Gamma^t_xt) = (h'/h, -f f'/h^2, f'/f) as (nx, 1) profiles."""
+    g, grid = geo.metric, geo.grid
+    if g.tag == CONFORMAL:
+        return grid.diff_x(g.u), grid.diff_t(g.u)
+    hp = grid.diff_x(g.h)
+    fp = grid.diff_x(g.f)
+    return (hp / g.h)[:, None], (-g.f * fp / g.h ** 2)[:, None], (fp / g.f)[:, None]
 
 
 # --------------------------------------------------------------------- curvature
@@ -328,22 +345,59 @@ def laplace_beltrami(values: np.ndarray, geo: MetricInvariants) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- Laplacians on forms
+_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _nabla(phi: OneFormField, geo: MetricInvariants):
+    """Yields nabla_k phi_i = d_k phi_i - Gamma^l_ki phi_l for (k, i) in _PAIRS
+    order.  On the reduced path Gamma comes from _reduced_gamma and the terms
+    whose Gamma vanishes identically are left out; the others keep the
+    operation order of the coordinate expression."""
+    grid, g = geo.grid, geo.metric
+    x, t = phi.x, phi.theta
+    if geo.reduced and g.tag == CONFORMAL:
+        ux, ut = _reduced_gamma(geo)
+        yield grid.diff_x(x) - ux * x - (-ut) * t
+        ut_x, ux_t = ut * x, ux * t     # Gamma^l_xt phi_l = Gamma^l_tx phi_l
+        yield grid.diff_x(t) - ut_x - ux_t
+        yield grid.diff_t(x) - ut_x - ux_t
+        yield grid.diff_t(t) - (-ux) * x - ut * t
+        return
+    if geo.reduced:                     # warped
+        g_xxx, g_xtt, g_txt = _reduced_gamma(geo)
+        yield grid.diff_x(x) - g_xxx * x
+        g_txt_t = g_txt * t
+        yield grid.diff_x(t) - g_txt_t
+        yield grid.diff_t(x) - g_txt_t
+        yield grid.diff_t(t) - g_xtt * x
+        return
+    gam = geo.gamma
+    comp = (x, t)
+    for k, i in _PAIRS:
+        yield grid.diff(comp[i], k) - gam[0, k, i] * x - gam[1, k, i] * t
+
+
 def covariant_derivative(phi: OneFormField, geo: MetricInvariants) -> np.ndarray:
     """S[k, i] = nabla_k phi_i = d_k phi_i - Gamma^l_ki phi_l."""
-    grid, gam = geo.grid, geo.gamma
-    comp = phi.components()
     s = np.empty((2, 2) + phi.x.shape)
-    for k in range(2):
-        for i in range(2):
-            s[k, i] = grid.diff(comp[i], k) - gam[0, k, i] * comp[0] - gam[1, k, i] * comp[1]
+    for (k, i), ski in zip(_PAIRS, _nabla(phi, geo)):
+        s[k, i] = ski
     return s
 
 
 def grad_norm_sq(phi: OneFormField, geo: MetricInvariants) -> np.ndarray:
-    """|nabla phi|^2_g, the full covariant gradient energy density."""
+    """|nabla phi|^2_g = g^{km} g^{in} S_ki S_mn, the full covariant gradient
+    energy density.  On a tagged metric only the k = m, i = n terms are
+    summed, component by component, with no S array."""
+    out = np.zeros(phi.x.shape)
+    if geo.metric.tag != GENERAL:       # g^xt = -0.0: the other 12 terms are +-0
+        ixx, _, itt = geo.inv
+        diag = (ixx, itt)
+        for (k, i), ski in zip(_PAIRS, _nabla(phi, geo)):
+            out += diag[k] * diag[i] * ski * ski
+        return out
     s = covariant_derivative(phi, geo)
     inv = _sym2(*geo.inv)
-    out = np.zeros(phi.x.shape)
     for k in range(2):
         for m in range(2):
             for i in range(2):

@@ -414,12 +414,12 @@ def test_general_curvature_reads_the_bundles_christoffels(monkeypatch):
     # energy: the initial state's (record 0 and stage 1), stage 2's and the
     # new state's (its record)
     import riccilab.geometry.operators as ops
-    calls = []
+    bundles = []
     christoffel = ops.christoffel
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("method", "auto"))
-        return christoffel(*args, **kwargs)
+    def counted(geo, *args, **kwargs):
+        bundles.append(geo)
+        return christoffel(geo, *args, **kwargs)
 
     monkeypatch.setattr(ops, "christoffel", counted)
     grid = Grid2D.torus(16, 16)
@@ -430,7 +430,8 @@ def test_general_curvature_reads_the_bundles_christoffels(monkeypatch):
                      IntegratorSpec(max_steps=1, t_final=1.0))
     traj = run_flow(setup)
     assert traj.n_steps == 1 and len(traj.records) == 2
-    assert calls == ["auto"] * 3
+    assert len(bundles) == len({id(geo) for geo in bundles}) == 3
+    assert not any(geo.reduced for geo in bundles)
 
 
 def _coordinate_christoffel(g, grid):
@@ -468,6 +469,31 @@ def test_general_path_reads_coordinate_christoffels_once_per_bundle(monkeypatch)
         assert not geo.reduced
         expected = _coordinate_christoffel(geo.metric, geo.grid)
         assert np.max(np.abs(geo.gamma - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("path, builds", [("auto", 0), ("general", 1)])
+def test_gradient_energy_builds_christoffels_only_on_path_general(monkeypatch, path,
+                                                                  builds):
+    # on a frozen warped metric only the gradient energy of each record reads
+    # Gamma: path general builds it once per record bundle, and the reduced
+    # path never builds the array
+    import riccilab.geometry.operators as ops
+    bundles = []
+    christoffel = ops.christoffel
+
+    def counted(geo, *args, **kwargs):
+        bundles.append(geo)
+        return christoffel(geo, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "christoffel", counted)
+    setup = build(make_scenario(name="frozen-neck", family="warped-cylinder", nx=32,
+                                ny=8, lx=20.0, metric_path=path, evolve_metric=False,
+                                forms=[FormSpec("main", "dtheta")], max_steps=3,
+                                t_final=1.0, cadence=1, monitor_energy=True))
+    traj = run_flow(setup)
+    assert traj.n_steps == 3 and len(traj.records) == 4
+    assert len(bundles) == len({id(geo) for geo in bundles}) == builds * len(traj.records)
+    assert not any(geo.reduced for geo in bundles)
 
 
 @pytest.mark.parametrize("cadence", [1, 1000])

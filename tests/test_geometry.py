@@ -11,10 +11,10 @@ from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                ScalarField, christoffel, codifferential,
                                conformal_metric, curvature, curvature_reduced,
                                exterior_derivative, flat_metric, general_metric,
-                               hodge_laplacian, laplace_beltrami,
+                               grad_norm_sq, hodge_laplacian, laplace_beltrami,
                                reduced_scalar_curvature, rough_laplacian,
                                warped_metric)
-from riccilab.geometry.operators import _codifferential_two_form
+from riccilab.geometry.operators import _codifferential_two_form, _sym2
 
 
 # --------------------------------------------------------------- christoffel
@@ -439,3 +439,45 @@ def test_tagged_det_and_inverse_equal_general_formula_bitwise(nx, ny, family, of
         for tagged, general in zip(g.inv(), plain.inv()):
             assert np.array_equal(tagged, general, equal_nan=True)
             assert np.array_equal(np.signbit(tagged), np.signbit(general))
+
+
+def _full_grad_norm_sq(phi, geo):
+    """g^{km} g^{in} S_ki S_mn, all 16 terms, with S_ki = d_k phi_i - Gamma^l_ki
+    phi_l over the bundle's full Christoffel array."""
+    grid, gam = geo.grid, christoffel(geo)
+    comp = phi.components()
+    s = np.empty((2, 2) + phi.x.shape)
+    for k in range(2):
+        for i in range(2):
+            s[k, i] = grid.diff(comp[i], k) - gam[0, k, i] * comp[0] - gam[1, k, i] * comp[1]
+    inv = _sym2(*geo.inv)
+    out = np.zeros(phi.x.shape)
+    for k in range(2):
+        for m in range(2):
+            for i in range(2):
+                for n in range(2):
+                    out += inv[k, m] * inv[i, n] * s[k, i] * s[m, n]
+    return out
+
+
+@settings(max_examples=40)
+@given(nx=st.integers(8, 40), ny=st.integers(8, 40),
+       topology=st.sampled_from([Grid2D.torus, Grid2D.cylinder]),
+       family=st.sampled_from(["conformal", "warped"]),
+       path=st.sampled_from(["auto", "general"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_tagged_gradient_energy_and_norm_equal_full_contraction_bitwise(
+        nx, ny, topology, family, path, seed):
+    # the closed-form nabla phi and the diagonal contractions leave out only
+    # terms that are +-0, so the energy densities keep every bit, sign included
+    grid = topology(nx, ny, 3.0, 5.0)
+    rng = np.random.default_rng(seed)
+    g = _random_metric(family, rng, grid)
+    geo = MetricInvariants(g, grid, path)
+    phi = OneFormField(rng.standard_normal((nx, ny)), rng.standard_normal((nx, ny)))
+    ixx, ixt, itt = geo.inv
+    for fast, full in (
+            (grad_norm_sq(phi, geo), _full_grad_norm_sq(phi, geo)),
+            (phi.norm_sq(geo),
+             ixx * phi.x ** 2 + 2.0 * ixt * phi.x * phi.theta + itt * phi.theta ** 2)):
+        assert np.array_equal(fast, full)
+        assert np.array_equal(np.signbit(fast), np.signbit(full))

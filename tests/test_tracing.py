@@ -39,9 +39,10 @@ t1 = time.perf_counter()
 layers = tracer.layer_metrics(t0, t1)
 assert layers["flows.steps"] == traj.n_steps > 0, (layers["flows.steps"], traj.n_steps)
 assert len(points) == len(run.snapshots) > 1
-# Christoffel symbols are built only for the gradient energy of each record;
-# rescaling reads the scalar curvature alone
-assert layers["geometry.operators.christoffel_calls"] == len(traj.records), layers
+# the reduced warped path reads the gradient energy's Christoffel symbols
+# straight from their stencils, and rescaling reads the scalar curvature alone:
+# no Christoffel array is built
+assert layers["geometry.operators.christoffel_calls"] == 0, layers
 print("traced", traj.n_steps, "steps", len(traj.records), "records")
 """
 
