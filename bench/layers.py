@@ -7,10 +7,11 @@ layer on fixed grids: a periodic 128^2 torus, a truncated 257^2 plane (the
 cigar's) and a 512x64 cylinder (the neck's).  Each figure is the median, in
 microseconds, of single calls timed with time.perf_counter after one warm-up
 call.  Operators get one bundle for all their calls, so the warm-up computes
-the parts they read and they are timed alone; each is timed on its metric's
-default path and, as the reference cost, on path "general" (the `.general`
-entries).  grad_norm_sq drops the bundle's cached Christoffel symbols before
-each call, as a run reads them once per record bundle.  det g and the inverse
+the parts they read and they are timed alone; each is timed on its tagged
+metric and, as the reference cost, on its general-tagged copy
+general_metric(g.gxx, g.gxt, g.gtt) (the `.general` entries).  grad_norm_sq
+drops the bundle's cached Christoffel symbols before each call, as a run reads
+them once per record bundle.  det g and the inverse
 are timed on their own, and monitor_record is timed with a fresh bundle per
 call, as a run builds one per state.
 
@@ -50,8 +51,9 @@ def layers() -> dict:
     from riccilab.flows import FlowProblem, FlowState, StateLayout, monitor_record
     from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField, ScalarField,
                                    codifferential, conformal_metric, curvature_reduced,
-                                   grad_norm_sq, hodge_laplacian, laplace_beltrami,
-                                   reduced_scalar_curvature, warped_metric)
+                                   general_metric, grad_norm_sq, hodge_laplacian,
+                                   laplace_beltrami, reduced_scalar_curvature,
+                                   warped_metric)
 
     rng = np.random.default_rng(0)
     torus = Grid2D.torus(128, 128)
@@ -81,8 +83,9 @@ def layers() -> dict:
         X, T = grid.mesh()
         phi = OneFormField(np.sin(X) * np.cos(T), np.cos(X + T))
         F = np.sin(X + 2 * T)
-        for path, suffix in (("auto", ""), ("general", ".general")):
-            geo = MetricInvariants(g, grid, path)   # parts computed by the warm-up call
+        copy = general_metric(g.gxx, g.gxt, g.gtt)
+        for metric, suffix in ((g, ""), (copy, ".general")):
+            geo = MetricInvariants(metric, grid)   # parts computed by the warm-up call
             out[f"codifferential.{n}{suffix}"] = median_us(
                 lambda: codifferential(phi, geo))
             out[f"hodge_laplacian_dd.{n}{suffix}"] = median_us(

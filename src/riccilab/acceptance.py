@@ -22,8 +22,9 @@ from .functionals import (ThetaCircle, form_energy_identity_report,
                           length_bound_report, max_principle_report,
                           min_circumference)
 from .geometry import (Grid2D, MetricInvariants, OneFormField, codifferential,
-                       conformal_metric, flat_metric, hodge_laplacian,
-                       laplace_beltrami, reduced_scalar_curvature, warped_metric)
+                       conformal_metric, flat_metric, general_metric,
+                       hodge_laplacian, laplace_beltrami,
+                       reduced_scalar_curvature, warped_metric)
 from .scenario import FormSpec, ProbeSpec, build, make_scenario, scenario_hash
 
 
@@ -264,12 +265,12 @@ def _operator_gap(grid, metric):
 
 
 def _path_gap(grid, metric):
-    """The largest difference between the reduced and the general path of
-    codifferential, the dd Hodge Laplacian and laplace_beltrami, each relative
-    to the general result's sup; inf if the metric does not take the reduced
-    path, so that nothing is compared.  The form has exact and coexact parts but no harmonic part:
-    the reduced path maps a harmonic constant such as dtheta to exactly zero,
-    the general path to its own rounding, twice differenced."""
+    """The largest difference between the closed forms of a tagged metric and
+    the general algebra of its general-tagged copy, over codifferential, the
+    dd Hodge Laplacian and laplace_beltrami, each relative to the general
+    result's sup.  The form has exact and coexact parts but no harmonic part:
+    the closed forms map a harmonic constant such as dtheta to exactly zero,
+    the general algebra to its own rounding, twice differenced."""
     X, T, win = _windowed_mesh(grid)
     kx, ky = 2 * np.pi / grid.lx, 2 * np.pi / grid.ly
     phi = OneFormField(win * np.sin(kx * X) * np.cos(ky * T), win * np.cos(kx * X + ky * T))
@@ -280,10 +281,9 @@ def _path_gap(grid, metric):
                 hodge_laplacian(phi, geo, "dd").components(),
                 laplace_beltrami(F, geo))
 
-    reduced = MetricInvariants(metric, grid, "auto")
-    if not reduced.reduced:
-        return math.inf
-    pairs = zip(outputs(reduced), outputs(MetricInvariants(metric, grid, "general")))
+    copy = general_metric(metric.gxx, metric.gxt, metric.gtt)
+    pairs = zip(outputs(MetricInvariants(metric, grid)),
+                outputs(MetricInvariants(copy, grid)))
     return max(float(np.max(np.abs(a - b)) / np.max(np.abs(b))) for a, b in pairs)
 
 

@@ -2,23 +2,24 @@
 1-forms, gauge diffusion, and the scalar heat subsolution.
 
 The whole state advances through one explicit Runge-Kutta tableau, so form and
-scalar stages see exactly the metric of the matching stage.  Tagged metrics
-evolve through their reduced equations (conformal: du/dt = e^{-2u} Lap0 u;
-warped: dh/dt = -K h, df/dt = -K f with the reduced Gauss curvature K), which
-keeps the parameterization exact; the general component path is available for
-cross-checks.  Blow-up is a terminal status, never an exception: the last
-valid state and the full monitor history are always returned, also when a
-stage metric or a new state's metric fails its SPD check.
+scalar stages see exactly the metric of the matching stage.  The metric's tag
+fixes its one rate: tagged metrics evolve through their reduced equations
+(conformal: du/dt = e^{-2u} Lap0 u; warped: dh/dt = -K h, df/dt = -K f with
+the reduced Gauss curvature K), which keeps the parameterization exact, and a
+general metric by dg/dt = -2 Ric; the general-tagged copy of a tagged metric
+is its cross-check.  Blow-up is a terminal status, never an exception: the
+last valid state and the full monitor history are always returned, also when
+a stage metric or a new state's metric fails its SPD check.
 
 Each metric is measured once.  Every RK stage that reads its metric builds one
-MetricInvariants bundle on FlowProblem.metric_path and hands it to each
-operator of that stage as its one geometry argument; the bundle SPD-checks the
-metric on construction and computes sqrt(det g), the inverse, the Christoffel
-symbols and the curvature only when an operator first reads them.  The
+MetricInvariants bundle and hands it to each operator of that stage as its
+one geometry argument; the bundle SPD-checks the metric on construction and
+computes sqrt(det g), the inverse, the Christoffel symbols and the curvature
+only when an operator first reads them.  The
 state's own bundle is the only SPD check of a new state, and it is shared by
 the state's monitor record, stage 1 of the next step and that step's CFL.
 The CFL's sup |R| is taken from stage 1, before the frozen-node zeroing: on the
-reduced conformal path R = -2 du/dt, on the warped path R = 2K, otherwise the
+conformal metric R = -2 du/dt, on a warped one R = 2K, on a general one the
 bundle's scalar curvature; with the metric frozen R is constant and computed
 once.  Metric arrays are never mutated in place, so states and stage vectors
 share them freely.
@@ -67,20 +68,21 @@ class IntegratorSpec:
     snapshot_every: int = 0      # snapshot every this many records (0 = auto)
 
     def validate(self) -> list:
+        """Every problem found; each comparison is written so that NaN fails."""
         problems = []
         if self.scheme not in ("rk2", "rk4"):
             problems.append(f"unknown integrator scheme {self.scheme!r}")
         if not (0.0 < self.cfl <= 0.5):
             problems.append("cfl coefficient must lie in (0, 0.5]")
-        if self.dt_cap <= 0:
+        if not self.dt_cap > 0:
             problems.append("dt cap must be positive")
-        if self.t_final <= 0:
+        if not self.t_final > 0:
             problems.append("final time must be positive")
-        if self.cadence < 1:
+        if not self.cadence >= 1:
             problems.append("cadence must be >= 1")
-        if self.max_steps < 0:
+        if not self.max_steps >= 0:
             problems.append("max_steps must be >= 0")
-        if self.snapshot_every < 0:
+        if not self.snapshot_every >= 0:
             problems.append("snapshot_every must be >= 0 (0 = auto)")
         return problems
 
@@ -199,7 +201,6 @@ class FlowProblem:
 
     grid: Grid2D
     evolve_metric: bool = True
-    metric_path: str = "auto"          # reduced equations for tagged metrics, or "general"
     form_operator: str = "dd"          # factorized Hodge operator; "bochner" to verify
     gauge_base: OneFormField | None = None
     gauge_label: str | None = None     # form the gauge representative is compared to
@@ -225,42 +226,35 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
     sup_R = None
 
     # the metric and its bundle are built only if some equation reads them;
-    # the reduced conformal path runs on u alone, the warped one on h and f
-    reduced = MetricInvariants.on_reduced_path(tag, problem.metric_path)
+    # the conformal flow runs on u alone, the warped one on h and f
     needs_metric = bool(forms) or gauge is not None or sub is not None \
-        or (problem.evolve_metric and not reduced)
+        or (problem.evolve_metric and tag == GENERAL)
     if needs_metric and geo is None:
-        geo = MetricInvariants(layout.metric(params), grid, problem.metric_path)
+        geo = MetricInvariants(layout.metric(params), grid)
 
     if problem.evolve_metric:
         # R = -2 du/dt and R = 2K exactly (power-of-two factors), so sup |R| is
         # bitwise max |reduced_scalar_curvature|
         if tag == CONFORMAL:
             (u,), (rate,) = params, k_params
-            if reduced:
-                np.multiply(u, -2.0, out=rate)     # e^{-2u} Lap0 u
-                np.exp(rate, out=rate)
-                rate *= flat_laplacian(u, grid)
-                if with_sup_R:
-                    sup_R = 2.0 * float(np.max(np.abs(rate)))
-            else:
-                np.multiply(geo.scalar, -0.5, out=rate)
+            np.multiply(u, -2.0, out=rate)     # e^{-2u} Lap0 u
+            np.exp(rate, out=rate)
+            rate *= flat_laplacian(u, grid)
+            if with_sup_R:
+                sup_R = 2.0 * float(np.max(np.abs(rate)))
         elif tag == WARPED:
             # dg/dt = -2 K g componentwise in 2-D, so the profiles obey
             # dh/dt = -K h and df/dt = -K f with the stage Gauss curvature
-            if reduced:
-                gauss = warped_gauss_curvature(*params, grid)
-                if with_sup_R:
-                    sup_R = 2.0 * float(np.max(np.abs(gauss)))
-            else:
-                gauss = 0.5 * geo.scalar[:, 0]
+            gauss = warped_gauss_curvature(*params, grid)
+            if with_sup_R:
+                sup_R = 2.0 * float(np.max(np.abs(gauss)))
             for profile, rate in zip(params, k_params):
                 np.multiply(-gauss, profile, out=rate)
         else:
             for ricci, rate in zip(geo.ricci, k_params):
                 np.multiply(ricci, -2.0, out=rate)
-        if with_sup_R and not reduced:
-            sup_R = float(np.max(np.abs(geo.scalar)))
+            if with_sup_R:
+                sup_R = float(np.max(np.abs(geo.scalar)))
     else:
         for rate in k_params:
             rate.fill(0.0)
@@ -341,13 +335,12 @@ def flow_step(state: FlowState, dt: float, problem: FlowProblem,
     metric failed its SPD check or the new state is not finite (blow-up).  The
     new state's own metric is not checked here: its bundle does that, and
     run_flow builds it next.  `k1` are the stage-1 rates and `geo` the bundle
-    of state.metric on problem.metric_path when the caller already has them."""
+    of state.metric when the caller already has them."""
     layout = StateLayout.of(state)
     vec = layout.pack(state)
     try:
         if not problem.evolve_metric and geo is None:
-            geo = MetricInvariants(state.metric, problem.grid,
-                                   problem.metric_path)   # every stage reuses it
+            geo = MetricInvariants(state.metric, problem.grid)   # every stage reuses it
         if k1 is None:
             k1 = _rhs(vec, layout, problem, geo)[0]
         new_vec = _advance(vec, k1, layout, problem, dt, scheme,
@@ -362,9 +355,9 @@ def flow_step(state: FlowState, dt: float, problem: FlowProblem,
 # ----------------------------------------------------------------- monitoring
 def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
                    geo: MetricInvariants, baseline: dict | None = None) -> MonitorRecord:
-    """The monitored values of one state.  `geo` is the bundle of state.metric
-    on problem.metric_path; `baseline` holds the buffer-zone mask, R and
-    |phi|^2 of the run's initial state when the grid has a truncated axis."""
+    """The monitored values of one state.  `geo` is the bundle of state.metric;
+    `baseline` holds the buffer-zone mask, R and |phi|^2 of the run's initial
+    state when the grid has a truncated axis."""
     grid, g = state.grid, state.metric
     vol = integrate(np.ones_like(g.gxx), geo)
     values: dict = {}
@@ -448,14 +441,14 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     setup = build(scenario_or_setup) if isinstance(scenario_or_setup, ScenarioSpec) \
         else scenario_or_setup
     state, problem, spec = setup.state.copy(), setup.problem, setup.integrator
-    grid, path = problem.grid, problem.metric_path
+    grid = problem.grid
 
     if spec.max_steps <= 0:
         return Trajectory(grid, [], [], BUDGET, state.t, 0,
                           setup.name, setup.scenario_hash)
 
     try:
-        geo = MetricInvariants(state.metric, grid, path)   # the current state's bundle
+        geo = MetricInvariants(state.metric, grid)   # the current state's bundle
     except DegenerateMetricError:
         return Trajectory(grid, [], [], BLOWUP, state.t, 0,
                           setup.name, setup.scenario_hash)
@@ -473,8 +466,9 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     dt0 = cfl_dt(geo, spec, sup_R=sup_R0)
     snap_every = spec.snapshot_every
     if snap_every == 0:
-        est_records = min(spec.max_steps, int(spec.t_final / max(dt0, 1e-300)) + 1) \
-            // spec.cadence + 2
+        # capped by the step budget before int(), which an infinite horizon overflows
+        est_steps = min(spec.t_final / max(dt0, 1e-300), spec.max_steps)
+        est_records = min(spec.max_steps, int(est_steps) + 1) // spec.cadence + 2
         snap_every = max(1, est_records // 24)
 
     def record_state(dt_used, geo_now):
@@ -510,7 +504,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         try:
             # the new state's bundle, read by its record or by the next stage 1;
             # a metric failing its SPD check ends the run on the last valid state
-            new_geo = MetricInvariants(new_state.metric, grid, path)
+            new_geo = MetricInvariants(new_state.metric, grid)
         except DegenerateMetricError:
             status = BLOWUP
             break

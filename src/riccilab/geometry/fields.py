@@ -4,7 +4,10 @@ Component arrays are shaped (nx, ny) with x along axis 0 and theta along
 axis 1 (row-major, x-then-theta).  Metrics carry a parameterization tag:
 "conformal" stores the log factor u with g = e^{2u} (dx^2 + dtheta^2),
 "warped" stores 1-D profiles h(x), f(x) with g = h^2 dx^2 + f^2 dtheta^2,
-and "general" stores bare components.
+and "general" stores bare components.  The tag is the one dispatch of every
+operator and flow rate; general_metric(g.gxx, g.gxt, g.gtt) is the
+general-tagged copy of a tagged metric, which takes the general algebra and
+serves as its cross-check.
 
 Tagged metrics are diagonal: conformal_metric, warped_metric and rescaled give
 them gxt = +0 everywhere, a read-only zero-stride broadcast, and det, inv and

@@ -18,12 +18,11 @@ Everything derived from one metric lives in one MetricInvariants bundle: det g
 and the SPD check on construction, then sqrt(det g), the inverse, the
 Christoffel symbols and the curvature parts, each computed the first time it
 is read.  The bundle is the one geometry argument: an operator that reads any
-of these parts takes the bundle `geo` and reads the metric, the grid and the
-path from it.  Functions of the raw components alone take (g, grid).
+of these parts takes the bundle `geo` and reads the metric and the grid from
+it.  Functions of the raw components alone take (g, grid).
 
-A bundle of a conformal or warped metric is on the reduced path
-(`MetricInvariants.reduced`) unless it was built with path "general".  There
-the Christoffel symbols differentiate the stored parameterization, and the
+The metric's tag is the one dispatch.  On a conformal or warped metric the
+Christoffel symbols differentiate the stored parameterization, and the
 curvature, the covariant derivative of a 1-form, the codifferential, the
 delta of a 2-form and the Laplace-Beltrami operator take closed forms, with
 the same stencil calls as the general sqrt(det g) g^{ij} algebra and no
@@ -41,13 +40,14 @@ metric products:
   delta(w dx^dtheta) = (q d_theta(w/s), -p d_x(w/s)) and
   Delta_LB F = (d_x(p d_x F) + q d_theta d_theta F)/s.
 
-Path "general" keeps the coordinate Christoffel symbols, the coordinate
-curvature contraction and the general algebra as the cross-check.  On every
-path laplace_beltrami(F) and -codifferential(dF) run the same operations, so
-they agree bitwise.  On every tagged metric, whatever the path, g^xt is -0.0,
-so |nabla phi|^2 sums only its four diagonal terms and |phi|^2 drops its
-cross term: each dropped term is +-0 for finite fields, which leaves the
-bits of the nonnegative sum unchanged.
+A general metric takes the coordinate Christoffel symbols, the coordinate
+curvature contraction and the general algebra; the general-tagged copy
+general_metric(g.gxx, g.gxt, g.gtt) of a tagged metric is its cross-check.
+laplace_beltrami(F) and -codifferential(dF) run the same operations, so they
+agree bitwise.  On every tagged metric g^xt is -0.0, so |nabla phi|^2 sums
+only its four diagonal terms and |phi|^2 drops its cross term: each dropped
+term is +-0 for finite fields, which leaves the bits of the nonnegative sum
+unchanged.
 """
 
 from __future__ import annotations
@@ -69,25 +69,18 @@ class MetricInvariants:
     (g^xx, g^xt, g^tt) from that det g through the MetricField methods,
     `gamma[k, i, j]` = Gamma^k_ij through christoffel, and the curvature parts
     `scalar`, `ricci` (R_xx, R_xt, R_tt) and `endo`, the Ricci endomorphism
-    endo[a, b] = g^{ak} R_kb.  `reduced` is True for a conformal/warped metric
-    unless `path` is "general"; it picks the closed forms of the Christoffel
-    symbols, the curvature and the form and scalar operators, which read
-    `inv[0]` (conformal) or the profiles `warp` (warped), and otherwise the
-    coordinate formulas and the general algebra.  On the reduced path
-    reading `scalar` runs reduced_scalar_curvature alone.  A bundle is never
-    attached to its MetricField, whose arrays are never mutated in place.
+    endo[a, b] = g^{ak} R_kb.  The metric's tag picks the closed forms of a
+    conformal or warped metric, which read `inv[0]` (conformal) or the
+    profiles `warp` (warped), or the coordinate formulas and the general
+    algebra of a general one; reading `scalar` of a tagged metric runs
+    reduced_scalar_curvature alone.  A bundle is never attached to its
+    MetricField, whose arrays are never mutated in place.
     """
 
-    def __init__(self, g: MetricField, grid: Grid2D, path: str = "auto"):
+    def __init__(self, g: MetricField, grid: Grid2D):
         self.metric, self.grid = g, grid
-        self.reduced = self.on_reduced_path(g.tag, path)
         self.det = g.det()
         g.require_spd(self.det)
-
-    @staticmethod
-    def on_reduced_path(tag: str, path: str) -> bool:
-        """Whether a metric of `tag` on `path` takes the reduced closed forms."""
-        return path != GENERAL and tag in (CONFORMAL, WARPED)
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
@@ -110,15 +103,15 @@ class MetricInvariants:
 
     @cached_property
     def scalar(self) -> np.ndarray:
-        if self.reduced:
-            return reduced_scalar_curvature(self.metric, self.grid)
-        return self._curvature[1]
+        if self.metric.tag == GENERAL:
+            return self._curvature[1]
+        return reduced_scalar_curvature(self.metric, self.grid)
 
     @cached_property
     def _curvature(self) -> tuple:
-        if self.reduced:
-            return curvature_reduced(self.metric, self.scalar)
-        return curvature(self)
+        if self.metric.tag == GENERAL:
+            return curvature(self)
+        return curvature_reduced(self.metric, self.scalar)
 
     @property
     def ricci(self) -> tuple:
@@ -142,9 +135,9 @@ def christoffel(geo: MetricInvariants) -> np.ndarray:
     """Christoffel symbols of the bundle's metric, gam[k, i, j] = Gamma^k_ij
     (upper index first).
 
-    On the reduced path the stencils differentiate the stored parameterization
+    On a tagged metric the stencils differentiate the stored parameterization
     (u, or h and f), which is exact for data that is polynomial in the
-    coordinates; otherwise the coordinate formula
+    coordinates; on a general one the coordinate formula
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) is applied to the
     raw components.
     """
@@ -152,7 +145,7 @@ def christoffel(geo: MetricInvariants) -> np.ndarray:
     nx, ny = g.gxx.shape
     gam = np.zeros((2, 2, 2, nx, ny))
 
-    if geo.reduced and g.tag == CONFORMAL:
+    if g.tag == CONFORMAL:
         ux, ut = _reduced_gamma(geo)
         gam[0, 0, 0] = ux
         gam[0, 0, 1] = gam[0, 1, 0] = ut
@@ -162,7 +155,7 @@ def christoffel(geo: MetricInvariants) -> np.ndarray:
         gam[1, 0, 0] = -ut
         return gam
 
-    if geo.reduced:                     # warped
+    if g.tag == WARPED:
         gam[0, 0, 0], gam[0, 1, 1], gam[1, 0, 1] = _reduced_gamma(geo)
         gam[1, 1, 0] = gam[1, 0, 1]
         return gam
@@ -185,7 +178,7 @@ def christoffel(geo: MetricInvariants) -> np.ndarray:
 
 
 def _reduced_gamma(geo: MetricInvariants) -> tuple:
-    """What the Christoffel symbols of a reduced-path bundle are made of:
+    """What the Christoffel symbols of a tagged metric's bundle are made of:
     conformal, (u_x, u_t), each Gamma^k_ij being one of them up to sign;
     warped, the three that do not vanish identically, (Gamma^x_xx,
     Gamma^x_tt, Gamma^t_xt) = (h'/h, -f f'/h^2, f'/f) as (nx, 1) profiles."""
@@ -282,15 +275,15 @@ def exterior_derivative(field, grid: Grid2D):
 def _divergence(ax: np.ndarray, at: np.ndarray, geo: MetricInvariants) -> np.ndarray:
     """div a = (1/sqrt(det g)) d_i (sqrt(det g) g^{ij} a_j) of the 1-form
     (ax, at).  codifferential is -div and laplace_beltrami is div(dF), so
-    Delta_LB F = -delta(dF) holds bitwise on every path."""
-    grid = geo.grid
-    if geo.reduced and geo.metric.tag == CONFORMAL:
+    Delta_LB F = -delta(dF) holds bitwise on every metric."""
+    grid, tag = geo.grid, geo.metric.tag
+    if tag == CONFORMAL:
         # sqrt(det g) g^{ij} = delta^{ij} and 1/sqrt(det g) = g^xx = e^{-2u}
         out = grid.diff_x(ax)
         out += grid.diff_t(at)
         out *= geo.inv[0]
         return out
-    if geo.reduced:                 # warped: (d_x(p a_x) + q d_theta a_t) / s
+    if tag == WARPED:               # (d_x(p a_x) + q d_theta a_t) / s
         p, q, s = geo.warp
         out = grid.diff_x(p * ax)
         d_at = grid.diff_t(at)
@@ -317,12 +310,12 @@ def _codifferential_two_form(w: np.ndarray, geo: MetricInvariants) -> OneFormFie
     """delta of the 2-form w dx^dtheta, the adjoint of d on 1-forms:
     (g a) / sqrt(det g) with a = (d_theta, -d_x)(w / sqrt(det g))."""
     g, grid = geo.metric, geo.grid
-    if geo.reduced and g.tag == CONFORMAL:      # (d_theta(e w), -d_x(e w)), e = g^xx
+    if g.tag == CONFORMAL:                      # (d_theta(e w), -d_x(e w)), e = g^xx
         density = geo.inv[0] * w
         at = grid.diff_x(density)
         np.negative(at, out=at)
         return OneFormField(grid.diff_t(density), at)
-    if geo.reduced:                             # warped: (q d_theta(w/s), -p d_x(w/s))
+    if g.tag == WARPED:                         # (q d_theta(w/s), -p d_x(w/s))
         p, q, s = geo.warp
         density = w / s
         ax = grid.diff_t(density)
@@ -350,12 +343,12 @@ _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def _nabla(phi: OneFormField, geo: MetricInvariants):
     """Yields nabla_k phi_i = d_k phi_i - Gamma^l_ki phi_l for (k, i) in _PAIRS
-    order.  On the reduced path Gamma comes from _reduced_gamma and the terms
+    order.  On a tagged metric Gamma comes from _reduced_gamma and the terms
     whose Gamma vanishes identically are left out; the others keep the
     operation order of the coordinate expression."""
     grid, g = geo.grid, geo.metric
     x, t = phi.x, phi.theta
-    if geo.reduced and g.tag == CONFORMAL:
+    if g.tag == CONFORMAL:
         ux, ut = _reduced_gamma(geo)
         yield grid.diff_x(x) - ux * x - (-ut) * t
         ut_x, ux_t = ut * x, ux * t     # Gamma^l_xt phi_l = Gamma^l_tx phi_l
@@ -363,7 +356,7 @@ def _nabla(phi: OneFormField, geo: MetricInvariants):
         yield grid.diff_t(x) - ut_x - ux_t
         yield grid.diff_t(t) - (-ux) * x - ut * t
         return
-    if geo.reduced:                     # warped
+    if g.tag == WARPED:
         g_xxx, g_xtt, g_txt = _reduced_gamma(geo)
         yield grid.diff_x(x) - g_xxx * x
         g_txt_t = g_txt * t

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import RicciLabError
 from .flows import FlowState, StateLayout, Trajectory
 from .functionals import (MonitorRecord, closedness_report, gauge_report,
                           l1_monotonicity_report, l2_monotonicity_report,
@@ -126,6 +127,9 @@ def write_snapshots(traj: Trajectory, directory) -> None:
 
 
 def load_snapshots(directory) -> list[FlowState]:
+    """The snapshots under `directory`, in file order.  A .bin file whose
+    length is not the element count its header's fields add up to is
+    rejected, naming the file and both counts."""
     directory = Path(directory)
     states = []
     for header_path in sorted(directory.glob("snap_*.json")):
@@ -135,7 +139,12 @@ def load_snapshots(directory) -> list[FlowState]:
                       gh["topology_x"], gh["topology_y"], tuple(gh["origin"]))
         layout = StateLayout(grid, header["metric_tag"],
                              [(f["name"], f["shape"]) for f in header["fields"]])
-        vec = np.fromfile(header_path.with_suffix(".bin"), dtype="<f8")
+        bin_path = header_path.with_suffix(".bin")
+        found = bin_path.stat().st_size / 8
+        if found != layout.size:
+            raise RicciLabError(f"snapshot {bin_path}: its header lists {layout.size} "
+                                f"float64 elements, the file holds {found:.15g}")
+        vec = np.fromfile(bin_path, dtype="<f8")
         states.append(layout.unpack(vec, header["t"], header["step"]))
     return states
 

@@ -68,7 +68,6 @@ class ScenarioSpec:
     metric_outer: float = 2.0         # warped: f = outer - dip * exp(-(x/width)^2)
     metric_dip: float = 1.0
     metric_width: float = 1.0
-    metric_path: str = "auto"         # "auto" or "general"
     evolve_metric: bool = True
     forms: list = field(default_factory=list)        # [FormSpec]
     probes: list = field(default_factory=list)       # [ProbeSpec]
@@ -142,7 +141,6 @@ _KEYS = {
                    lambda s: repr(s.metric_dip)),
     "metric.width": (lambda s, v: setattr(s, "metric_width", _parse_float(v)),
                      lambda s: repr(s.metric_width)),
-    "metric.path": (lambda s, v: setattr(s, "metric_path", v), lambda s: s.metric_path),
     "flow.evolve_metric": (lambda s, v: setattr(s, "evolve_metric", _parse_bool(v)),
                            lambda s: str(s.evolve_metric).lower()),
     "flow.form_operator": (lambda s, v: setattr(s, "form_operator", v),
@@ -225,25 +223,24 @@ def _fill_defaults(spec: ScenarioSpec):
 
 
 def validate(spec: ScenarioSpec) -> list:
+    """Every problem found; each comparison is written so that NaN fails."""
     problems = []
     if spec.family not in FAMILIES:
         near = difflib.get_close_matches(spec.family, FAMILIES, n=1)
         hint = f" (did you mean {near[0]!r}?)" if near else ""
         problems.append(f"unknown family {spec.family!r}{hint}")
         return problems
-    if spec.nx < 8 or spec.ny < 8:
+    if not (spec.nx >= 8 and spec.ny >= 8):
         problems.append(f"grid {spec.nx}x{spec.ny} too small (need >= 8 per axis)")
-    if spec.lx <= 0 or spec.ly <= 0:
+    if not (spec.lx > 0 and spec.ly > 0):
         problems.append("domain lengths must be positive")
     if spec.family == "warped-cylinder":
-        if spec.metric_outer - spec.metric_dip <= 0:
+        if not spec.metric_outer - spec.metric_dip > 0:
             problems.append(
                 f"f not positive: outer_radius - dip = "
                 f"{spec.metric_outer - spec.metric_dip:g} <= 0")
-        if spec.metric_width <= 0:
+        if not spec.metric_width > 0:
             problems.append("neck width must be positive")
-    if spec.metric_path not in ("auto", "general"):
-        problems.append(f"metric.path must be 'auto' or 'general', got {spec.metric_path!r}")
     if spec.form_operator not in ("dd", "bochner"):
         problems.append(f"form operator must be 'dd' or 'bochner', got {spec.form_operator!r}")
     for fs in spec.forms:
@@ -261,9 +258,9 @@ def validate(spec: ScenarioSpec) -> list:
         problems.append(f"gauge form {spec.gauge_form!r} is not tracked")
     if spec.subsolution not in ("none", "one-plus-cos", "bump"):
         problems.append(f"unknown subsolution preset {spec.subsolution!r}")
-    if spec.sink < 0:
+    if not spec.sink >= 0:
         problems.append("subsolution sink must be >= 0")
-    if spec.buffer_threshold <= 0:
+    if not spec.buffer_threshold > 0:
         problems.append("buffer threshold must be positive")
     problems.extend(spec.integrator.validate())
     return problems
@@ -359,7 +356,7 @@ def build(spec: ScenarioSpec) -> RunSetup:
     grid = build_grid(spec)
     metric = build_metric(spec, grid)
     try:
-        geo = MetricInvariants(metric, grid, spec.metric_path)
+        geo = MetricInvariants(metric, grid)
     except DegenerateMetricError as e:     # rejected here, not mid-run
         raise ScenarioError([f"initial {e}"]) from e
     forms = {fs.label: build_form(fs, grid) for fs in spec.forms}
@@ -382,7 +379,6 @@ def build(spec: ScenarioSpec) -> RunSetup:
     problem = FlowProblem(
         grid=grid,
         evolve_metric=spec.evolve_metric,
-        metric_path=spec.metric_path,
         form_operator=spec.form_operator,
         gauge_base=gauge_base,
         gauge_label=spec.gauge_form or None,

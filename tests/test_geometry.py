@@ -17,6 +17,12 @@ from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
 from riccilab.geometry.operators import _codifferential_two_form, _sym2
 
 
+def _general(g):
+    """The general-tagged copy of a metric: the coordinate Christoffel symbols,
+    curvature contraction and general algebra of its components."""
+    return general_metric(g.gxx, g.gxt, g.gtt)
+
+
 # --------------------------------------------------------------- christoffel
 def test_christoffel_flat_vanishes(torus64, flat64):
     gam = christoffel(MetricInvariants(flat64, torus64))
@@ -49,7 +55,7 @@ def test_christoffel_general_matches_reduced():
     X, T = grid.mesh()
     g = conformal_metric(grid, 0.2 * np.sin(X) * np.cos(T))
     a = christoffel(MetricInvariants(g, grid))
-    b = christoffel(MetricInvariants(g, grid, "general"))
+    b = christoffel(MetricInvariants(_general(g), grid))
     assert np.max(np.abs(a - b)) < 5e-3
     assert a == pytest.approx(b, abs=5e-3)
 
@@ -90,7 +96,7 @@ def test_overflowing_det_fails_spd_check():
 
 # --------------------------------------------------------------- curvature
 def test_flat_curvature_zero(torus64, flat64):
-    (ricci_xx, _, _), scalar, _ = curvature(MetricInvariants(flat64, torus64, "general"))
+    (ricci_xx, _, _), scalar, _ = curvature(MetricInvariants(_general(flat64), torus64))
     assert np.max(np.abs(scalar)) == 0.0
     assert np.max(np.abs(ricci_xx)) == 0.0
 
@@ -101,7 +107,7 @@ def test_cigar_origin_curvature():
     grid = Grid2D.plane(257, 257, 12.0, 12.0)
     X, T = grid.mesh()
     g = conformal_metric(grid, -0.5 * np.log1p(X ** 2 + T ** 2))
-    _, scalar, _ = curvature(MetricInvariants(g, grid, "general"))
+    _, scalar, _ = curvature(MetricInvariants(_general(g), grid))
     o = grid.origin
     assert scalar[o] == pytest.approx(4.0, rel=0.01)
     assert reduced_scalar_curvature(g, grid)[o] == pytest.approx(4.0, rel=0.01)
@@ -116,17 +122,17 @@ def test_neck_cap_curvature_sign(neck_grid, neck_metric):
 
 
 def test_bundle_parts_follow_path(neck_grid, neck_metric):
-    # each part is computed once, by the named operator of the bundle's path:
+    # each part is computed once, by the named operator of the metric's tag:
     # the reduced closed forms for a tagged metric, the coordinate Christoffel
-    # symbols and contraction on path "general"
-    g = neck_metric
+    # symbols and contraction for its general-tagged copy
+    g, copy = neck_metric, _general(neck_metric)
     reduced_R = reduced_scalar_curvature(g, neck_grid)
-    general = MetricInvariants(g, neck_grid, "general")
-    for path, parts, gamma in (
-            ("auto", curvature_reduced(g, reduced_R),
+    general = MetricInvariants(copy, neck_grid)
+    for metric, parts, gamma in (
+            (g, curvature_reduced(g, reduced_R),
              christoffel(MetricInvariants(g, neck_grid))),
-            ("general", curvature(general), christoffel(general))):
-        geo = MetricInvariants(g, neck_grid, path)
+            (copy, curvature(general), christoffel(general))):
+        geo = MetricInvariants(metric, neck_grid)
         assert geo.scalar is geo.scalar and geo.gamma is geo.gamma
         assert np.array_equal(geo.gamma, gamma)
         assert np.array_equal(geo.scalar, parts[1])
@@ -142,7 +148,7 @@ def test_bundle_parts_follow_path(neck_grid, neck_metric):
 
 
 def _einstein_residual(g, grid):
-    (ricci_xx, ricci_xt, ricci_tt), scalar, _ = curvature(MetricInvariants(g, grid, "general"))
+    (ricci_xx, ricci_xt, ricci_tt), scalar, _ = curvature(MetricInvariants(_general(g), grid))
     mask = grid.interior_mask()
     return max(np.max(np.abs(ricci_xx - 0.5 * scalar * g.gxx)[mask]),
                np.max(np.abs(ricci_tt - 0.5 * scalar * g.gtt)[mask]),
@@ -180,14 +186,14 @@ def test_reduced_crosscheck_order():
         grid = Grid2D.plane(n, n, 12.0, 12.0)
         X, T = grid.mesh()
         g = conformal_metric(grid, -0.5 * np.log1p(X ** 2 + T ** 2))
-        _, scalar, _ = curvature(MetricInvariants(g, grid, "general"))
+        _, scalar, _ = curvature(MetricInvariants(_general(g), grid))
         mask = grid.interior_mask()
         res.append(np.max(np.abs(reduced_scalar_curvature(g, grid) - scalar)[mask]))
     assert np.log2(res[0] / res[1]) >= 1.9
 
 
 def test_warped_general_vs_reduced(neck_grid, neck_metric):
-    _, scalar, _ = curvature(MetricInvariants(neck_metric, neck_grid, "general"))
+    _, scalar, _ = curvature(MetricInvariants(_general(neck_metric), neck_grid))
     reduced = reduced_scalar_curvature(neck_metric, neck_grid)
     mask = neck_grid.interior_mask()
     assert np.max(np.abs(reduced - scalar)[mask]) < 0.05
@@ -195,8 +201,8 @@ def test_warped_general_vs_reduced(neck_grid, neck_metric):
 
 def test_ricci_endomorphism_consistency(neck_grid, neck_metric):
     # endo[a, b] must equal g^{ak} R_kb, not the identity
-    (ricci_xx, ricci_xt, _), _, endo = curvature(MetricInvariants(neck_metric, neck_grid,
-                                                                  "general"))
+    (ricci_xx, ricci_xt, _), _, endo = curvature(MetricInvariants(_general(neck_metric),
+                                                                  neck_grid))
     ixx, ixt, itt = neck_metric.inv()
     assert endo[0, 0] == pytest.approx(ixx * ricci_xx + ixt * ricci_xt,
                                        abs=1e-12)
@@ -375,7 +381,7 @@ def test_d_squared_and_adjointness_on_random_periodic_grids(nx, ny, lx, ly, fami
     assert np.max(np.abs(ddF)) <= 1e-14 * np.max(np.abs(F)) / (grid.hx * grid.hy)
 
     geo = MetricInvariants(g, grid)
-    assert geo.reduced == (family != "general")
+    assert (g.tag == "general") == (family == "general")
     ixx, ixt, itt = geo.inv
     dv = geo.sqrt_det * grid.weights
 
@@ -398,14 +404,14 @@ def test_d_squared_and_adjointness_on_random_periodic_grids(nx, ny, lx, ly, fami
 @given(nx=st.integers(8, 40), ny=st.integers(8, 40),
        topology=st.sampled_from([Grid2D.torus, Grid2D.cylinder, Grid2D.plane]),
        family=st.sampled_from(["general", "conformal", "warped"]),
-       path=st.sampled_from(["auto", "general"]), seed=st.integers(0, 2 ** 32 - 1))
-def test_laplace_beltrami_is_minus_delta_d_bitwise(nx, ny, topology, family, path, seed):
-    # gauge equivalence rests on Delta_LB F = -delta(dF) to the last bit, on
-    # the reduced and the general path alike
+       copy=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_laplace_beltrami_is_minus_delta_d_bitwise(nx, ny, topology, family, copy, seed):
+    # gauge equivalence rests on Delta_LB F = -delta(dF) to the last bit, on a
+    # tagged metric and on its general-tagged copy alike
     grid = topology(nx, ny, 3.0, 5.0)
     rng = np.random.default_rng(seed)
     g = _random_metric(family, rng, grid)
-    geo = MetricInvariants(g, grid, path)
+    geo = MetricInvariants(_general(g) if copy else g, grid)
     F = rng.standard_normal((nx, ny))
     dF = exterior_derivative(ScalarField(F), grid)
     lb = laplace_beltrami(F, geo)
@@ -464,15 +470,16 @@ def _full_grad_norm_sq(phi, geo):
 @given(nx=st.integers(8, 40), ny=st.integers(8, 40),
        topology=st.sampled_from([Grid2D.torus, Grid2D.cylinder]),
        family=st.sampled_from(["conformal", "warped"]),
-       path=st.sampled_from(["auto", "general"]), seed=st.integers(0, 2 ** 32 - 1))
+       copy=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_tagged_gradient_energy_and_norm_equal_full_contraction_bitwise(
-        nx, ny, topology, family, path, seed):
+        nx, ny, topology, family, copy, seed):
     # the closed-form nabla phi and the diagonal contractions leave out only
-    # terms that are +-0, so the energy densities keep every bit, sign included
+    # terms that are +-0, so the energy densities keep every bit, sign included;
+    # the general-tagged copy sums all 16 terms
     grid = topology(nx, ny, 3.0, 5.0)
     rng = np.random.default_rng(seed)
     g = _random_metric(family, rng, grid)
-    geo = MetricInvariants(g, grid, path)
+    geo = MetricInvariants(_general(g) if copy else g, grid)
     phi = OneFormField(rng.standard_normal((nx, ny)), rng.standard_normal((nx, ny)))
     ixx, ixt, itt = geo.inv
     for fast, full in (

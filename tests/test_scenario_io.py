@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from riccilab.errors import ScenarioError
+from riccilab.errors import RicciLabError, ScenarioError
 from riccilab.flows import FlowProblem, FlowState, IntegratorSpec, run_flow
 from riccilab.geometry import Grid2D, MetricField, OneFormField, general_metric
 from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text,
@@ -117,6 +118,30 @@ def test_nan_value_rejected_at_parse(key, tmp_path):
     assert r.returncode == 2 and "not a number" in r.stderr
 
 
+@pytest.mark.parametrize("field", ["dt_cap", "t_final", "buffer_threshold", "sink"])
+def test_nan_field_rejected_at_validation(field):
+    # make_scenario takes floats unparsed, so a NaN reaches validation, where
+    # it must fail its bound; -0.0 is a valid sink
+    with pytest.raises(ScenarioError) as err:
+        make_scenario(family="flat-torus", **{field: math.nan})
+    assert len(err.value.problems) == 1
+    assert make_scenario(family="flat-torus", sink=-0.0).sink == 0.0
+
+
+def test_metric_path_key_rejected(tmp_path):
+    # the metric's tag is the one dispatch: there is no path key to select
+    text = MINIMAL + "metric.path = general\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert len(err.value.problems) == 1
+    assert "unknown key 'metric.path'" in err.value.problems[0]
+    cfg = tmp_path / "path.cfg"
+    cfg.write_text(text)
+    r = _cli("run", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2 and "unknown key 'metric.path'" in r.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_probe_needs_tracked_form():
     text = MINIMAL + "probe.p.form = ghost\n"
     with pytest.raises(ScenarioError) as err:
@@ -161,7 +186,6 @@ def _resolved_specs(draw):
           "metric_amplitude": draw(_FINITE),
           "metric_outer": draw(_FINITE), "metric_dip": draw(_FINITE),
           "metric_width": draw(_POSITIVE if family == "warped-cylinder" else _FINITE),
-          "metric_path": draw(st.sampled_from(["auto", "general"])),
           "evolve_metric": draw(st.booleans()),
           "form_operator": draw(st.sampled_from(["dd", "bochner"])),
           "subsolution": draw(st.sampled_from(["none", "one-plus-cos", "bump"])),
@@ -412,6 +436,41 @@ def test_cli_bad_rescale_schedule_exits_2(flat_run_dir, tmp_path, schedule, prob
     assert r.returncode == 2, r.stderr
     assert f"schedule error: {problem}" in r.stderr
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("change", [-8, 8])
+def test_snapshot_length_checked_against_header(neck_run, tmp_path, change):
+    # a .bin 8 bytes short or long of its header's 64x16 metric.f, metric.h and
+    # form fields is rejected by name, and rescale exits 2 writing nothing
+    out = tmp_path / "run"
+    shutil.copytree(neck_run[3], out)
+    snap = out / "snapshots" / "snap_00001.bin"
+    data = snap.read_bytes()
+    expected = len(data) // 8
+    snap.write_bytes(data[:change] if change < 0 else data + bytes(change))
+    with pytest.raises(RicciLabError) as err:
+        load_snapshots(out / "snapshots")
+    message = str(err.value)
+    assert str(snap) in message
+    assert f"lists {expected} float64 elements" in message
+    assert f"holds {expected + change // 8}" in message
+    sched = tmp_path / "sched.cfg"
+    sched.write_text("policy = by-curvature\n")
+    r = _cli("rescale", str(out), "--schedule", str(sched))
+    assert r.returncode == 2 and str(snap) in r.stderr
+    assert not (out / "rescale_report.json").exists()
+
+
+def test_cli_infinite_horizon_runs_to_its_budget(tmp_path):
+    # the automatic snapshot spacing is estimated from a step count capped by
+    # the budget, so an infinite horizon ends budget-exhausted
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(MINIMAL + "grid.nx = 16\ngrid.ny = 16\nintegrator.t_final = inf\n"
+                   "integrator.max_steps = 5\n")
+    r = _cli("run", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 0, r.stderr
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert (summary["status"], summary["n_steps"]) == ("budget-exhausted", 5)
 
 
 def test_cli_rescale_failure_writes_no_report(flat_run_dir, tmp_path):
