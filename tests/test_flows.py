@@ -445,28 +445,37 @@ def _coordinate_christoffel(g, grid):
 def test_general_curvature_reads_the_bundles_christoffels(monkeypatch):
     # one Christoffel array per bundle that reads curvature or the gradient
     # energy: the initial state's (record 0 and stage 1), stage 2's and the
-    # new state's (its record); on a general metric and on the general-tagged
-    # copy of a conformal one alike, each is the coordinate formula
+    # new state's (its record)
+    bundles = _counted_christoffel(monkeypatch)
     grid = Grid2D.torus(16, 16)
     X, T = grid.mesh()
     g = general_metric(1 + 0.3 * np.sin(X), 0.1 * np.cos(T), 1 + 0.3 * np.cos(X + T))
     st = _state(grid, g, forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
-    general = RunSetup("general", "g" * 16, grid, st, FlowProblem(grid),
-                       IntegratorSpec(max_steps=1, t_final=1.0))
-    copy = _general_copy(build(make_scenario(
+    setup = RunSetup("general", "g" * 16, grid, st, FlowProblem(grid),
+                     IntegratorSpec(max_steps=1, t_final=1.0))
+    traj = run_flow(setup)
+    assert traj.n_steps == 1 and len(traj.records) == 2
+    assert len(bundles) == len({id(geo) for geo in bundles}) == 3
+    assert all(geo.metric.tag == "general" for geo in bundles)
+
+
+def test_general_path_reads_coordinate_christoffels_once_per_bundle(monkeypatch):
+    # the general-tagged copy of a conformal metric uses the coordinate
+    # Christoffel symbols for its curvature and its gradient energy alike, and
+    # builds them once per bundle: the initial state's, stage 2's and the new
+    # state's
+    setup = _general_copy(build(make_scenario(
         name="general-torus", family="conformal-torus", nx=16, ny=16,
         forms=[FormSpec("main", "sinx_dx")], max_steps=1, t_final=1.0, cadence=1,
         monitor_energy=True)))
     bundles = _counted_christoffel(monkeypatch)
-    for setup in (general, copy):
-        bundles.clear()
-        traj = run_flow(setup)
-        assert traj.n_steps == 1 and len(traj.records) == 2
-        assert len(bundles) == len({id(geo) for geo in bundles}) == 3
-        for geo in bundles:
-            assert geo.metric.tag == "general"
-            expected = _coordinate_christoffel(geo.metric, geo.grid)
-            assert np.max(np.abs(geo.gamma - expected)) <= 1e-13 * np.max(np.abs(expected))
+    traj = run_flow(setup)
+    assert traj.n_steps == 1 and len(traj.records) == 2
+    assert len(bundles) == len({id(geo) for geo in bundles}) == 3
+    for geo in bundles:
+        assert geo.metric.tag == "general"
+        expected = _coordinate_christoffel(geo.metric, geo.grid)
+        assert np.max(np.abs(geo.gamma - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("tag, builds", [("auto", 0), ("general", 1)])
