@@ -134,7 +134,6 @@ def length_scaling_check(traj, schedule: RescalingSchedule, cycle) -> dict:
 class DecayMonitorSpec:
     sigma: float                       # decay order, > 0
     sample_radii: tuple
-    shell_width: float | None = None   # defaults to twice the largest node spacing
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -151,7 +150,8 @@ def decay_monitor(fieldlike, geo: MetricInvariants, spec: DecayMonitorSpec) -> d
     Reports whether the profile decreases toward the boundary; the
     caller can difference profiles across a run to check that the flow
     preserved the initial decay.  Distances are measured on the bundle's
-    metric.
+    metric; each shell holds the interior nodes within twice the largest
+    metric node spacing of its radius.
     """
     g, grid = geo.metric, geo.grid
     if isinstance(fieldlike, OneFormField):
@@ -159,7 +159,7 @@ def decay_monitor(fieldlike, geo: MetricInvariants, spec: DecayMonitorSpec) -> d
     else:
         mag = np.abs(np.asarray(fieldlike, dtype=float))
     d = distance_field(g, grid)
-    width = spec.shell_width or 2.0 * max(grid.hx, grid.hy) * float(np.max(np.sqrt(g.gxx)))
+    width = 2.0 * max(grid.hx, grid.hy) * float(np.max(np.sqrt(g.gxx)))
     interior = ~grid.buffer_mask()
     d_max = float(np.max(d[interior])) if interior.any() else float(np.max(d))
     profile = []

@@ -20,9 +20,8 @@ state's own bundle is the only SPD check of a new state, and it is shared by
 the state's monitor record, stage 1 of the next step and that step's CFL.
 The CFL's sup |R| is taken from stage 1, before the frozen-node zeroing: on the
 conformal metric R = -2 du/dt, on a warped one R = 2K, on a general one the
-bundle's scalar curvature; with the metric frozen R is constant and computed
-once.  Metric arrays are never mutated in place, so states and stage vectors
-share them freely.
+bundle's scalar curvature.  Metric arrays are never mutated in place, so
+states and stage vectors share them freely.
 
 The state is one contiguous float64 vector with one StateLayout: the metric
 parameters, then each form's two components, then the gauge potential and the
@@ -200,8 +199,6 @@ class FlowProblem:
     """Static configuration the stepper needs besides the state itself."""
 
     grid: Grid2D
-    evolve_metric: bool = True
-    form_operator: str = "dd"          # factorized Hodge operator; "bochner" to verify
     gauge_base: OneFormField | None = None
     gauge_label: str | None = None     # form the gauge representative is compared to
     sink: float = 0.0                  # optional -c u term on the subsolution
@@ -215,10 +212,10 @@ class FlowProblem:
 def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
          geo: MetricInvariants | None = None, with_sup_R: bool = False):
     """Rates of every tracked equation at one stage, as one vector in the
-    layout of `vec`, and sup |R| of the stage metric when `with_sup_R` (None
-    if no equation evaluated the curvature).  `geo` is the stage metric's
-    bundle when the caller has it; otherwise the metric and its bundle are
-    built from `vec`, only if some equation reads them."""
+    layout of `vec`, and sup |R| of the stage metric when `with_sup_R` (else
+    None).  `geo` is the stage metric's bundle when the caller has it;
+    otherwise the metric and its bundle are built from `vec`, only if some
+    equation reads them."""
     grid, tag = problem.grid, layout.tag
     params, forms, gauge, sub = layout.parts(vec)
     k = np.empty(layout.size)
@@ -228,39 +225,35 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
     # the metric and its bundle are built only if some equation reads them;
     # the conformal flow runs on u alone, the warped one on h and f
     needs_metric = bool(forms) or gauge is not None or sub is not None \
-        or (problem.evolve_metric and tag == GENERAL)
+        or tag == GENERAL
     if needs_metric and geo is None:
         geo = MetricInvariants(layout.metric(params), grid)
 
-    if problem.evolve_metric:
-        # R = -2 du/dt and R = 2K exactly (power-of-two factors), so sup |R| is
-        # bitwise max |reduced_scalar_curvature|
-        if tag == CONFORMAL:
-            (u,), (rate,) = params, k_params
-            np.multiply(u, -2.0, out=rate)     # e^{-2u} Lap0 u
-            np.exp(rate, out=rate)
-            rate *= flat_laplacian(u, grid)
-            if with_sup_R:
-                sup_R = 2.0 * float(np.max(np.abs(rate)))
-        elif tag == WARPED:
-            # dg/dt = -2 K g componentwise in 2-D, so the profiles obey
-            # dh/dt = -K h and df/dt = -K f with the stage Gauss curvature
-            gauss = warped_gauss_curvature(*params, grid)
-            if with_sup_R:
-                sup_R = 2.0 * float(np.max(np.abs(gauss)))
-            for profile, rate in zip(params, k_params):
-                np.multiply(-gauss, profile, out=rate)
-        else:
-            for ricci, rate in zip(geo.ricci, k_params):
-                np.multiply(ricci, -2.0, out=rate)
-            if with_sup_R:
-                sup_R = float(np.max(np.abs(geo.scalar)))
+    # R = -2 du/dt and R = 2K exactly (power-of-two factors), so sup |R| is
+    # bitwise max |reduced_scalar_curvature|
+    if tag == CONFORMAL:
+        (u,), (rate,) = params, k_params
+        np.multiply(u, -2.0, out=rate)     # e^{-2u} Lap0 u
+        np.exp(rate, out=rate)
+        rate *= flat_laplacian(u, grid)
+        if with_sup_R:
+            sup_R = 2.0 * float(np.max(np.abs(rate)))
+    elif tag == WARPED:
+        # dg/dt = -2 K g componentwise in 2-D, so the profiles obey
+        # dh/dt = -K h and df/dt = -K f with the stage Gauss curvature
+        gauss = warped_gauss_curvature(*params, grid)
+        if with_sup_R:
+            sup_R = 2.0 * float(np.max(np.abs(gauss)))
+        for profile, rate in zip(params, k_params):
+            np.multiply(-gauss, profile, out=rate)
     else:
-        for rate in k_params:
-            rate.fill(0.0)
+        for ricci, rate in zip(geo.ricci, k_params):
+            np.multiply(ricci, -2.0, out=rate)
+        if with_sup_R:
+            sup_R = float(np.max(np.abs(geo.scalar)))
 
     for label, phi in forms.items():
-        lap = hodge_laplacian(phi, geo, method=problem.form_operator)
+        lap = hodge_laplacian(phi, geo)
         k_forms[label].x[...] = lap.x
         k_forms[label].theta[...] = lap.theta
 
@@ -304,14 +297,12 @@ def cfl_dt(geo: MetricInvariants, spec: IntegratorSpec,
 
 # ----------------------------------------------------------------- steppers
 def _advance(vec: np.ndarray, k1: np.ndarray, layout: StateLayout,
-             problem: FlowProblem, dt: float, scheme: str,
-             frozen: MetricInvariants | None) -> np.ndarray:
-    """The new state vector from the stage-1 rates k1.  `frozen` is the state's
-    bundle when the metric does not evolve, so later stages reuse it."""
+             problem: FlowProblem, dt: float, scheme: str) -> np.ndarray:
+    """The new state vector from the stage-1 rates k1."""
     def rhs_at(a, k):          # rates at vec + a k, written into the a k temporary
         stage = a * k
         stage += vec
-        return _rhs(stage, layout, problem, frozen)[0]
+        return _rhs(stage, layout, problem)[0]
 
     if scheme == "rk2":   # Heun: vec + 0.5 dt (k1 + k2), accumulated in k2
         k2 = rhs_at(dt, k1)
@@ -329,22 +320,18 @@ def _advance(vec: np.ndarray, k1: np.ndarray, layout: StateLayout,
 
 @np.errstate(over="ignore", invalid="ignore")   # blow-up shows up as None
 def flow_step(state: FlowState, dt: float, problem: FlowProblem,
-              scheme: str = "rk2", k1: np.ndarray | None = None,
-              geo: MetricInvariants | None = None) -> FlowState | None:
+              scheme: str = "rk2", k1: np.ndarray | None = None) -> FlowState | None:
     """One coupled step of every tracked equation.  Returns None when a stage
     metric failed its SPD check or the new state is not finite (blow-up).  The
     new state's own metric is not checked here: its bundle does that, and
-    run_flow builds it next.  `k1` are the stage-1 rates and `geo` the bundle
-    of state.metric when the caller already has them."""
+    run_flow builds it next.  `k1` are the stage-1 rates when the caller
+    already has them."""
     layout = StateLayout.of(state)
     vec = layout.pack(state)
     try:
-        if not problem.evolve_metric and geo is None:
-            geo = MetricInvariants(state.metric, problem.grid)   # every stage reuses it
         if k1 is None:
-            k1 = _rhs(vec, layout, problem, geo)[0]
-        new_vec = _advance(vec, k1, layout, problem, dt, scheme,
-                           None if problem.evolve_metric else geo)
+            k1 = _rhs(vec, layout, problem)[0]
+        new_vec = _advance(vec, k1, layout, problem, dt, scheme)
     except DegenerateMetricError:
         return None
     if not np.isfinite(new_vec).all():
@@ -452,7 +439,6 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     except DegenerateMetricError:
         return Trajectory(grid, [], [], BLOWUP, state.t, 0,
                           setup.name, setup.scenario_hash)
-    sup_R0 = float(np.max(np.abs(geo.scalar)))        # constant while the metric is frozen
     baseline = None
     if grid.boundary_mask.any():
         mask = grid.buffer_mask()
@@ -463,7 +449,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     records: list[MonitorRecord] = []
     snapshots: list[FlowState] = []
 
-    dt0 = cfl_dt(geo, spec, sup_R=sup_R0)
+    dt0 = cfl_dt(geo, spec)
     snap_every = spec.snapshot_every
     if snap_every == 0:
         # capped by the step budget before int(), which an infinite horizon overflows
@@ -490,14 +476,13 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
             break
         # stage 1 of the step, evaluated first for the sup |R| the CFL needs
         layout = StateLayout.of(state)
-        k1, sup_R = _rhs(layout.pack(state), layout, problem, geo,
-                         with_sup_R=problem.evolve_metric)
-        dt_stable = cfl_dt(geo, spec, sup_R=sup_R0 if sup_R is None else sup_R)
+        k1, sup_R = _rhs(layout.pack(state), layout, problem, geo, with_sup_R=True)
+        dt_stable = cfl_dt(geo, spec, sup_R=sup_R)
         if dt_stable < DT_UNDERFLOW:
             status = BLOWUP
             break
         dt = min(dt_stable, spec.t_final - state.t)
-        new_state = flow_step(state, dt, problem, spec.scheme, k1=k1, geo=geo)
+        new_state = flow_step(state, dt, problem, spec.scheme, k1=k1)
         if new_state is None:
             status = BLOWUP
             break

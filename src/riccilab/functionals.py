@@ -119,14 +119,14 @@ def min_circumference(g: MetricField, grid: Grid2D):
 # ---------------------------------------------------------------------- probes
 @dataclass
 class CohomologyProbe:
-    """A closed base form paired against a fixed homology cycle.
+    """The pairing of a closed base form with a fixed homology cycle, and the
+    form's initial sup and L2 norms.
 
     The pairing is computed once from the base form; shifting a theta-circle
     within the region where the form is closed must not move it (discrete
     Stokes), which `make_probe` verifies at construction.
     """
     label: str
-    base_form: OneFormField
     cycle: object
     pairing: float
     sup0: float
@@ -158,7 +158,7 @@ def make_probe(label: str, phi0: OneFormField, cycle,
                 raise InvalidCycleError(
                     f"probe {label!r}: pairing drifts by {drift:g} when the "
                     "circle is shifted; form not closed on the cylinder")
-    return CohomologyProbe(label, phi0.copy(), cycle, pairing,
+    return CohomologyProbe(label, cycle, pairing,
                            sup_norm_form(phi0, geo), l2_norm_form(phi0, geo))
 
 
@@ -320,11 +320,11 @@ def pairing_invariance_report(traj, label: str) -> ReportResult:
                         {"tolerance": float(tol), "initial": float(series[0])})
 
 
-def gauge_report(traj, evolving: bool) -> ReportResult:
+def gauge_report(traj) -> ReportResult:
     """Sup distance between the directly evolved form and the gauge-potential
     representative phi0 + dF."""
     series = _series(traj.records, "gauge_gap")
-    tol = 1e-4 if evolving else 1e-6
+    tol = 1e-4
     worst = float(np.max(series))
     return ReportResult("gauge_equivalence", worst <= tol, worst, len(series),
                         {"tolerance": tol})

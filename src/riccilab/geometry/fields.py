@@ -60,16 +60,13 @@ class MetricField:
             d -= self.gxt ** 2
         return d
 
-    def sqrt_det(self, d: np.ndarray | None = None) -> np.ndarray:
-        return np.sqrt(self.det() if d is None else d)
+    def sqrt_det(self, d: np.ndarray) -> np.ndarray:
+        return np.sqrt(d)
 
-    def inv(self, d: np.ndarray | None = None):
-        """Inverse components (g^xx, g^xt, g^tt), views of one (3, nx, ny)
-        block; `d` is det g when the caller already has it.  A tagged metric's
-        g^xt is -0.0, the general formula's value wherever det g > 0, which
-        the SPD check ensures."""
-        if d is None:
-            d = self.det()
+    def inv(self, d: np.ndarray):
+        """Inverse components (g^xx, g^xt, g^tt) from det g, `d`, as views of
+        one (3, nx, ny) block.  A tagged metric's g^xt is -0.0, the general
+        formula's value wherever det g > 0, which the SPD check ensures."""
         out = np.empty((3,) + d.shape)   # one allocation in place of three
         np.divide(self.gtt, d, out=out[0])
         if self.tag == GENERAL:
@@ -83,13 +80,10 @@ class MetricField:
         np.divide(self.gxx, d, out=out[2])
         return out[0], out[1], out[2]
 
-    def require_spd(self, d: np.ndarray | None = None):
-        """Hard error on the first degenerate node: det g not above DET_FLOOR,
-        det g = +inf or NaN, or g_xx not positive; silent clamping would
-        corrupt monotonicity verdicts.  `d` is det g when the caller already
-        has it."""
-        if d is None:
-            d = self.det()
+    def require_spd(self, d: np.ndarray):
+        """Hard error on the first degenerate node: det g, `d`, not above
+        DET_FLOOR, det g = +inf or NaN, or g_xx not positive; silent clamping
+        would corrupt monotonicity verdicts."""
         ok = (d > DET_FLOOR) & (d < np.inf) & (self.gxx > 0.0)
         if not ok.all():
             i, j = np.unravel_index(np.argmin(ok), ok.shape)

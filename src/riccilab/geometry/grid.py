@@ -185,29 +185,30 @@ class Grid2D:
             m[:, -1] = True
         return m
 
-    def interior_mask(self, margin: int = 2) -> np.ndarray:
-        """True away from truncated ends.  With margin 2 every composed stencil at a
-        True node is fully centered, which is where second-order convergence is
-        measured; one-sided closures at the ends are first order when composed."""
+    def interior_mask(self) -> np.ndarray:
+        """True at least 2 nodes away from truncated ends, where every composed
+        stencil is fully centered; that is where second-order convergence is
+        measured, since one-sided closures at the ends are first order when
+        composed."""
         m = np.ones((self.nx, self.ny), dtype=bool)
         if self.topology_x == TRUNCATED:
-            m[:margin, :] = False
-            m[-margin:, :] = False
+            m[:2, :] = False
+            m[-2:, :] = False
         if self.topology_y == TRUNCATED:
-            m[:, :margin] = False
-            m[:, -margin:] = False
+            m[:, :2] = False
+            m[:, -2:] = False
         return m
 
-    def buffer_mask(self, fraction: float = 0.15) -> np.ndarray:
-        """Nodes within `fraction` of the domain length of a truncated end."""
+    def buffer_mask(self) -> np.ndarray:
+        """Nodes within 15% of the domain length of a truncated end."""
         m = np.zeros((self.nx, self.ny), dtype=bool)
         if self.topology_x == TRUNCATED:
-            depth = fraction * self.lx
+            depth = 0.15 * self.lx
             xs = self.x
             m[(xs - xs[0]) < depth, :] = True
             m[(xs[-1] - xs) < depth, :] = True
         if self.topology_y == TRUNCATED:
-            depth = fraction * self.ly
+            depth = 0.15 * self.ly
             ts = self.theta
             m[:, (ts - ts[0]) < depth] = True
             m[:, (ts[-1] - ts) < depth] = True

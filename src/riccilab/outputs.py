@@ -58,8 +58,7 @@ def summarize_trajectory(traj: Trajectory, problem=None) -> dict:
     if traj.records and "u_mass" in traj.records[0].values:
         verdicts["subsolution.mass_inequality"] = l1_monotonicity_report(traj).to_json()
     if traj.records and "gauge_gap" in traj.records[0].values:
-        evolving = problem.evolve_metric if problem is not None else True
-        verdicts["gauge.equivalence"] = gauge_report(traj, evolving).to_json()
+        verdicts["gauge.equivalence"] = gauge_report(traj).to_json()
     if problem is not None:
         for label, probe in problem.probes.items():
             if traj.records and "L_alpha" in traj.records[0].values:
@@ -68,8 +67,8 @@ def summarize_trajectory(traj: Trajectory, problem=None) -> dict:
     return verdicts
 
 
-def write_outputs(traj: Trajectory, destination, verdicts: dict | None = None,
-                  problem=None, snapshots: bool = True) -> dict:
+def write_outputs(traj: Trajectory, destination, problem=None,
+                  snapshots: bool = True) -> dict:
     """Write monitors.csv, summary.json and (optionally) snapshots under
     `destination`; returns the summary dict.  Snapshot files an earlier run
     left under `destination` are removed first."""
@@ -80,8 +79,7 @@ def write_outputs(traj: Trajectory, destination, verdicts: dict | None = None,
             stale.unlink()
     (dest / "monitors.csv").write_text(monitors_csv_text(traj))
 
-    if verdicts is None:
-        verdicts = summarize_trajectory(traj, problem) if traj.records else {}
+    verdicts = summarize_trajectory(traj, problem) if traj.records else {}
     summary = {
         "scenario": traj.scenario_name,
         "scenario_hash": traj.scenario_hash,

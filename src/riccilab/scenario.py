@@ -68,7 +68,6 @@ class ScenarioSpec:
     metric_outer: float = 2.0         # warped: f = outer - dip * exp(-(x/width)^2)
     metric_dip: float = 1.0
     metric_width: float = 1.0
-    evolve_metric: bool = True
     forms: list = field(default_factory=list)        # [FormSpec]
     probes: list = field(default_factory=list)       # [ProbeSpec]
     gauge_form: str = ""              # label of the form the gauge flow shadows
@@ -76,7 +75,6 @@ class ScenarioSpec:
     sub_amplitude: float = 1.0
     sub_width: float = 2.0
     sink: float = 0.0
-    form_operator: str = "dd"
     integrator: IntegratorSpec = field(default_factory=IntegratorSpec)
     buffer_threshold: float = 1e-6
     monitor_energy: bool = True
@@ -141,10 +139,6 @@ _KEYS = {
                    lambda s: repr(s.metric_dip)),
     "metric.width": (lambda s, v: setattr(s, "metric_width", _parse_float(v)),
                      lambda s: repr(s.metric_width)),
-    "flow.evolve_metric": (lambda s, v: setattr(s, "evolve_metric", _parse_bool(v)),
-                           lambda s: str(s.evolve_metric).lower()),
-    "flow.form_operator": (lambda s, v: setattr(s, "form_operator", v),
-                           lambda s: s.form_operator),
     "gauge.form": (lambda s, v: setattr(s, "gauge_form", v),
                    lambda s: s.gauge_form or None),
     "subsolution.preset": (lambda s, v: setattr(s, "subsolution", v),
@@ -232,8 +226,8 @@ def validate(spec: ScenarioSpec) -> list:
         return problems
     if not (spec.nx >= 8 and spec.ny >= 8):
         problems.append(f"grid {spec.nx}x{spec.ny} too small (need >= 8 per axis)")
-    if not (spec.lx > 0 and spec.ly > 0):
-        problems.append("domain lengths must be positive")
+    if not (0 < spec.lx < math.inf and 0 < spec.ly < math.inf):
+        problems.append("domain lengths must be positive and finite")
     if spec.family == "warped-cylinder":
         if not spec.metric_outer - spec.metric_dip > 0:
             problems.append(
@@ -241,11 +235,11 @@ def validate(spec: ScenarioSpec) -> list:
                 f"{spec.metric_outer - spec.metric_dip:g} <= 0")
         if not spec.metric_width > 0:
             problems.append("neck width must be positive")
-    if spec.form_operator not in ("dd", "bochner"):
-        problems.append(f"form operator must be 'dd' or 'bochner', got {spec.form_operator!r}")
     for fs in spec.forms:
         if fs.preset not in ("dtheta", "sinx_dx", "dtheta_dsinx"):
             problems.append(f"form {fs.label!r}: unknown preset {fs.preset!r}")
+        if not math.isfinite(fs.coeff):
+            problems.append(f"form {fs.label!r}: coefficient must be finite")
     labels = {fs.label for fs in spec.forms}
     for p in spec.probes:
         if p.form not in labels:
@@ -258,8 +252,12 @@ def validate(spec: ScenarioSpec) -> list:
         problems.append(f"gauge form {spec.gauge_form!r} is not tracked")
     if spec.subsolution not in ("none", "one-plus-cos", "bump"):
         problems.append(f"unknown subsolution preset {spec.subsolution!r}")
-    if not spec.sink >= 0:
-        problems.append("subsolution sink must be >= 0")
+    if not math.isfinite(spec.sub_amplitude):
+        problems.append("subsolution amplitude must be finite")
+    if not 0 < spec.sub_width < math.inf:
+        problems.append("subsolution width must be positive and finite")
+    if not 0 <= spec.sink < math.inf:
+        problems.append("subsolution sink must be finite and >= 0")
     if not spec.buffer_threshold > 0:
         problems.append("buffer threshold must be positive")
     problems.extend(spec.integrator.validate())
@@ -378,8 +376,6 @@ def build(spec: ScenarioSpec) -> RunSetup:
     )
     problem = FlowProblem(
         grid=grid,
-        evolve_metric=spec.evolve_metric,
-        form_operator=spec.form_operator,
         gauge_base=gauge_base,
         gauge_label=spec.gauge_form or None,
         sink=spec.sink,

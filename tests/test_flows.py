@@ -14,8 +14,8 @@ from riccilab.flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED,
 from riccilab.functionals import integrate
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                ScalarField, conformal_metric, flat_metric,
-                               general_metric, reduced_scalar_curvature,
-                               warped_metric)
+                               general_metric, hodge_laplacian,
+                               reduced_scalar_curvature, warped_metric)
 from riccilab.oracles import TrigMode, flat_spectral_oracle
 from riccilab.scenario import FormSpec, ProbeSpec, RunSetup, build, make_scenario
 
@@ -260,16 +260,21 @@ def test_closedness_preserved():
     assert max(res) <= 1e-9
 
 
-def test_operator_swap_vanishes_under_refinement():
-    # swapping the factorized and Bochner paths changes monitors only by
-    # discretization error, vanishing at order >= 1.9
+def test_operator_swap_vanishes_under_refinement(monkeypatch):
+    # driving the form by the Bochner operator in place of the factorized one
+    # changes it only by discretization error, vanishing at order >= 1.9
+    import riccilab.flows as flows
+
     def final_form(nx, op):
         spec = make_scenario(name=f"swap-{op}-{nx}", family="warped-cylinder",
                              nx=nx, ny=max(8, (nx - 1) // 4), lx=20.0,
                              metric_width=2.5, forms=[FormSpec("main", "dtheta")],
-                             form_operator=op, dt_cap=2e-4, t_final=0.02,
-                             cadence=100, monitor_energy=False)
-        return run_flow(spec).snapshots[-1].forms["main"]
+                             dt_cap=2e-4, t_final=0.02, cadence=100,
+                             monitor_energy=False)
+        with monkeypatch.context() as m:
+            m.setattr(flows, "hodge_laplacian",
+                      lambda phi, geo: hodge_laplacian(phi, geo, method=op))
+            return run_flow(spec).snapshots[-1].forms["main"]
 
     gaps = []
     for nx in (65, 129):
@@ -311,7 +316,7 @@ def test_scalar_constant_preserved():
     grid = Grid2D.torus(32, 32)
     st = _state(grid, flat_metric(grid),
                 subsolution=ScalarField(2.5 * np.ones((32, 32))))
-    out = flow_step(st, 1e-3, FlowProblem(grid, evolve_metric=False))
+    out = flow_step(st, 1e-3, FlowProblem(grid))
     assert np.max(np.abs(out.subsolution.values - 2.5)) == 0.0
 
 
@@ -384,7 +389,7 @@ def test_flow_step_detects_nonfinite():
     X, _ = grid.mesh()
     st = _state(grid, flat_metric(grid),
                 forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
-    problem = FlowProblem(grid, evolve_metric=False)
+    problem = FlowProblem(grid)
     with np.errstate(over="ignore", invalid="ignore"):
         assert flow_step(st, 1e308, problem) is None
 
@@ -478,22 +483,21 @@ def test_general_path_reads_coordinate_christoffels_once_per_bundle(monkeypatch)
         assert np.max(np.abs(geo.gamma - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("tag, builds", [("auto", 0), ("general", 1)])
-def test_gradient_energy_builds_christoffels_only_on_path_general(monkeypatch, tag,
-                                                                  builds):
-    # on a frozen warped metric only the gradient energy of each record reads
-    # Gamma: the general-tagged copy builds it once per record bundle, and the
-    # warped metric as built ("auto") never builds the array
-    setup = build(make_scenario(name="frozen-neck", family="warped-cylinder", nx=32,
-                                ny=8, lx=20.0, evolve_metric=False,
-                                forms=[FormSpec("main", "dtheta")], max_steps=3,
+@pytest.mark.parametrize("tag", ["warped", "general"])
+def test_christoffel_builds_on_the_evolving_neck(monkeypatch, tag):
+    # the warped metric as built never builds the Gamma array; its
+    # general-tagged copy builds it once per bundle: each state's (its record,
+    # its Ricci rate and its gradient energy) and each step's stage 2
+    setup = build(make_scenario(name="neck", family="warped-cylinder", nx=32, ny=8,
+                                lx=20.0, forms=[FormSpec("main", "dtheta")], max_steps=3,
                                 t_final=1.0, cadence=1, monitor_energy=True))
     if tag == "general":
         setup = _general_copy(setup)
     bundles = _counted_christoffel(monkeypatch)
     traj = run_flow(setup)
     assert traj.n_steps == 3 and len(traj.records) == 4
-    assert len(bundles) == len({id(geo) for geo in bundles}) == builds * len(traj.records)
+    builds = 0 if tag == "warped" else len(traj.records) + traj.n_steps
+    assert len(bundles) == len({id(geo) for geo in bundles}) == builds
     assert all(geo.metric.tag == "general" for geo in bundles)
 
 
@@ -528,8 +532,7 @@ def test_blowup_run_emits_no_runtime_warning():
     st = _state(grid, flat_metric(grid),
                 forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
     setup = RunSetup("overflow", "o" * 16, grid, st,
-                     FlowProblem(grid, evolve_metric=False),
-                     IntegratorSpec(cfl=1e3, t_final=1e9))
+                     FlowProblem(grid), IntegratorSpec(cfl=1e3, t_final=1e9))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         traj = run_flow(setup)
@@ -565,7 +568,7 @@ def test_run_flow_leaves_problem_alone():
 # ----------------------------------------------------------------- steppers
 def test_single_system_steps_leave_others_alone():
     # a state carries only the systems it tracks: stepping the metric alone, or
-    # the form alone on a frozen metric, leaves the other fields as they were
+    # the form alone on the flat metric, leaves the other fields as they were
     grid = Grid2D.torus(32, 32)
     X, _ = grid.mesh()
     st = _state(grid, flat_metric(grid),
@@ -574,8 +577,7 @@ def test_single_system_steps_leave_others_alone():
     out = flow_step(_state(grid, st.metric), 1e-3, FlowProblem(grid))
     assert out.forms == {} and out.subsolution is None
     assert st.forms["main"].x == pytest.approx(np.sin(X))
-    out2 = flow_step(_state(grid, st.metric, forms=st.forms), 1e-3,
-                     FlowProblem(grid, evolve_metric=False))
+    out2 = flow_step(_state(grid, st.metric, forms=st.forms), 1e-3, FlowProblem(grid))
     assert out2.subsolution is None
     assert st.subsolution.values == pytest.approx(1.0 + 0.3 * np.cos(X))
     assert np.max(np.abs(out2.forms["main"].x - st.forms["main"].x)) > 0
@@ -587,7 +589,7 @@ def test_gauge_diffusion_step_runs():
     base = OneFormField(np.sin(X), np.zeros_like(X))
     st = _state(grid, flat_metric(grid), forms={"main": base.copy()},
                 gauge=ScalarField(np.zeros((32, 32))))
-    out = flow_step(st, 1e-3, FlowProblem(grid, evolve_metric=False, gauge_base=base))
+    out = flow_step(st, 1e-3, FlowProblem(grid, gauge_base=base))
     assert np.max(np.abs(out.gauge.values)) > 0.0
 
 

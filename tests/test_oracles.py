@@ -44,7 +44,7 @@ def test_cigar_reference_values():
     o = grid.origin
     assert ref.scalar_curvature[o] == pytest.approx(4.0, abs=1e-12)
     assert ref.sup_R == 4.0
-    ref.metric.require_spd()   # positive-definite everywhere
+    ref.metric.require_spd(ref.metric.det())   # positive-definite everywhere
     # d * R stays bounded toward the edge (logarithmic distance, quadratic decay)
     from riccilab.geometry import distance_field
     d = distance_field(ref.metric, grid)

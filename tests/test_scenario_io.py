@@ -128,18 +128,64 @@ def test_nan_field_rejected_at_validation(field):
     assert make_scenario(family="flat-torus", sink=-0.0).sink == 0.0
 
 
-def test_metric_path_key_rejected(tmp_path):
-    # the metric's tag is the one dispatch: there is no path key to select
-    text = MINIMAL + "metric.path = general\n"
+def _assert_unknown_key(line, tmp_path):
+    """`line` is one unknown-key problem, and `riccilab run` exits 2 on it
+    without writing a run directory."""
+    text = MINIMAL + line + "\n"
+    problem = f"unknown key {line.partition(' =')[0]!r}"
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert len(err.value.problems) == 1
-    assert "unknown key 'metric.path'" in err.value.problems[0]
-    cfg = tmp_path / "path.cfg"
+    assert problem in err.value.problems[0]
+    cfg = tmp_path / "retired.cfg"
     cfg.write_text(text)
     r = _cli("run", str(cfg), "--out", str(tmp_path / "o"))
-    assert r.returncode == 2 and "unknown key 'metric.path'" in r.stderr
+    assert r.returncode == 2 and problem in r.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_metric_path_key_rejected(tmp_path):
+    # the metric's tag is the one dispatch: there is no path key to select
+    _assert_unknown_key("metric.path = general", tmp_path)
+
+
+@pytest.mark.parametrize("line", ["flow.evolve_metric = false",
+                                  "flow.form_operator = bochner"])
+def test_retired_flow_keys_rejected(line, tmp_path):
+    # the metric always evolves and the forms always follow the factorized
+    # Hodge Laplacian: neither switch is a key
+    _assert_unknown_key(line, tmp_path)
+
+
+# each used to parse and then end blow-up-detected after 0 steps, or, for an
+# infinite domain length, run on NaN coordinates
+BAD_VALUES = [("subsolution.amplitude = inf", "subsolution amplitude must be finite"),
+              ("subsolution.width = 0", "subsolution width must be positive and finite"),
+              ("subsolution.width = inf", "subsolution width must be positive and finite"),
+              ("form.main = dtheta_dsinx:inf", "form 'main': coefficient must be finite"),
+              ("form.main = dtheta_dsinx:nan", "form 'main': coefficient must be finite"),
+              ("subsolution.sink = inf", "subsolution sink must be finite and >= 0"),
+              ("grid.lx = inf", "domain lengths must be positive and finite"),
+              ("grid.ly = inf", "domain lengths must be positive and finite")]
+
+
+@pytest.mark.parametrize("line, problem", BAD_VALUES)
+def test_bad_value_rejected_at_validation(line, problem):
+    text = "family = flat-torus\ngrid.nx = 16\ngrid.ny = 16\nsubsolution.preset = bump\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text + line + "\n")
+    assert err.value.problems == [problem]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sub_amplitude": math.nan}, {"sub_width": math.nan}, {"sub_width": 0.0},
+    {"forms": [FormSpec("main", "dtheta_dsinx", math.nan)]},
+    {"sink": math.inf}, {"lx": math.nan}, {"ly": math.inf}])
+def test_bad_field_rejected_by_make_scenario(overrides):
+    # make_scenario takes floats unparsed, so NaN reaches validation too
+    with pytest.raises(ScenarioError) as err:
+        make_scenario(family="flat-torus", subsolution="bump", **overrides)
+    assert len(err.value.problems) == 1
 
 
 def test_probe_needs_tracked_form():
@@ -186,10 +232,8 @@ def _resolved_specs(draw):
           "metric_amplitude": draw(_FINITE),
           "metric_outer": draw(_FINITE), "metric_dip": draw(_FINITE),
           "metric_width": draw(_POSITIVE if family == "warped-cylinder" else _FINITE),
-          "evolve_metric": draw(st.booleans()),
-          "form_operator": draw(st.sampled_from(["dd", "bochner"])),
           "subsolution": draw(st.sampled_from(["none", "one-plus-cos", "bump"])),
-          "sub_amplitude": draw(_FINITE), "sub_width": draw(_FINITE),
+          "sub_amplitude": draw(_FINITE), "sub_width": draw(_POSITIVE),
           "sink": draw(st.just(-0.0) | _POSITIVE),
           "buffer_threshold": draw(_POSITIVE),
           "monitor_energy": draw(st.booleans()),
