@@ -17,6 +17,12 @@ which is bitwise gxx gtt - (+0)^2, and its g^xt is -0.0, which is bitwise
 drops the 2 g^xt phi_x phi_theta term: it is +-0 for finite phi, and adding
 +-0 to the nonnegative g^xx phi_x^2 leaves its bits.
 
+A warped metric depends on x alone: its gxx and gtt are read-only zero-stride
+broadcasts of the (nx, 1) profiles h^2 and f^2, and det, sqrt_det, inv and
+require_spd work on that column, once per row, and return (nx, ny)
+broadcasts.  Each node's value is the same float operation on the same
+operands as on full grids, so the bits are those of the general formula.
+
 What is derived from one metric (det g, the inverse, Christoffel symbols,
 curvature) lives in operators.MetricInvariants, never on the MetricField:
 metric arrays are never mutated in place, so several fields and states may
@@ -55,18 +61,27 @@ class MetricField:
     f: np.ndarray | None = None        # warped circle profile, shape (nx,)
 
     def det(self) -> np.ndarray:
+        if self.tag == WARPED:          # one product per row, broadcast over theta
+            return np.broadcast_to(self.gxx[:, :1] * self.gtt[:, :1], self.gxx.shape)
         d = self.gxx * self.gtt         # gxx gtt - gxt^2, one temporary fewer
         if self.tag == GENERAL:         # tagged metrics are diagonal
             d -= self.gxt ** 2
         return d
 
     def sqrt_det(self, d: np.ndarray) -> np.ndarray:
+        if self.tag == WARPED:
+            return np.broadcast_to(np.sqrt(d[:, :1]), d.shape)
         return np.sqrt(d)
 
     def inv(self, d: np.ndarray):
         """Inverse components (g^xx, g^xt, g^tt) from det g, `d`, as views of
-        one (3, nx, ny) block.  A tagged metric's g^xt is -0.0, the general
-        formula's value wherever det g > 0, which the SPD check ensures."""
+        one (3, nx, ny) block, or of warped row profiles.  A tagged metric's
+        g^xt is -0.0, the general formula's value wherever det g > 0, which
+        the SPD check ensures."""
+        if self.tag == WARPED:          # one quotient per row
+            col = d[:, :1]
+            return tuple(np.broadcast_to(c, d.shape)
+                         for c in (self.gtt[:, :1] / col, -0.0, self.gxx[:, :1] / col))
         out = np.empty((3,) + d.shape)   # one allocation in place of three
         np.divide(self.gtt, d, out=out[0])
         if self.tag == GENERAL:
@@ -83,8 +98,13 @@ class MetricField:
     def require_spd(self, d: np.ndarray):
         """Hard error on the first degenerate node: det g, `d`, not above
         DET_FLOOR, det g = +inf or NaN, or g_xx not positive; silent clamping
-        would corrupt monotonicity verdicts."""
-        ok = (d > DET_FLOOR) & (d < np.inf) & (self.gxx > 0.0)
+        would corrupt monotonicity verdicts.  A warped row is constant in
+        theta, so its first degenerate node in row-major order is (i, 0), and
+        checking the theta = 0 column finds it."""
+        gxx = self.gxx
+        if self.tag == WARPED:
+            d, gxx = d[:, :1], gxx[:, :1]
+        ok = (d > DET_FLOOR) & (d < np.inf) & (gxx > 0.0)
         if not ok.all():
             i, j = np.unravel_index(np.argmin(ok), ok.shape)
             raise DegenerateMetricError((i, j), d[i, j])
@@ -94,7 +114,13 @@ class MetricField:
         if lam <= 0:
             raise ValueError("scale factor must be positive")
         gxt = self.gxt if self.tag != GENERAL else lam * self.gxt   # tagged: the +0
-        m = MetricField(lam * self.gxx, gxt, lam * self.gtt, tag=self.tag)
+        if self.tag == WARPED:          # rescale the row profiles, broadcast again
+            shape = self.gxx.shape
+            gxx = np.broadcast_to(lam * self.gxx[:, :1], shape)
+            gtt = np.broadcast_to(lam * self.gtt[:, :1], shape)
+        else:
+            gxx, gtt = lam * self.gxx, lam * self.gtt
+        m = MetricField(gxx, gxt, gtt, tag=self.tag)
         if self.tag == CONFORMAL and self.u is not None:
             m.u = self.u + 0.5 * np.log(lam)
         elif self.tag == WARPED and self.h is not None:
@@ -125,12 +151,14 @@ def conformal_metric(grid, u: np.ndarray) -> MetricField:
 
 
 def warped_metric(grid, h: np.ndarray, f: np.ndarray) -> MetricField:
-    """g = h(x)^2 dx^2 + f(x)^2 dtheta^2 on a cylinder grid."""
+    """g = h(x)^2 dx^2 + f(x)^2 dtheta^2 on a cylinder grid.  gxx and gtt are
+    read-only broadcasts of the profiles h^2 and f^2 over theta, so the
+    metric holds no (nx, ny) array, and its invariants are computed per row."""
     if h.ndim != 1 or f.ndim != 1:
         raise ValueError("warped profiles must be 1-D functions of x")
     shape = (grid.nx, grid.ny)
-    gxx = np.broadcast_to((h ** 2)[:, None], shape).copy()
-    gtt = np.broadcast_to((f ** 2)[:, None], shape).copy()
+    gxx = np.broadcast_to((h ** 2)[:, None], shape)
+    gtt = np.broadcast_to((f ** 2)[:, None], shape)
     return MetricField(gxx, _diagonal_gxt(gxx), gtt, tag=WARPED, h=h, f=f)
 
 

@@ -210,12 +210,13 @@ def flat_laplacian(u: np.ndarray, grid: Grid2D) -> np.ndarray:
 
 def reduced_scalar_curvature(g: MetricField, grid: Grid2D) -> np.ndarray:
     """Closed-form scalar curvature for tagged metrics (stencils applied to the
-    parameterization, not the components)."""
+    parameterization, not the components); a warped metric's is its 2K(x)
+    profile as a read-only broadcast over theta."""
     if g.tag == CONFORMAL:
         return -2.0 * np.exp(-2.0 * g.u) * flat_laplacian(g.u, grid)
     if g.tag == WARPED:
         gauss = warped_gauss_curvature(g.h, g.f, grid)
-        return np.broadcast_to((2.0 * gauss)[:, None], g.gxx.shape).copy()
+        return np.broadcast_to((2.0 * gauss)[:, None], g.gxx.shape)
     raise ValueError(f"no reduced curvature for tag {g.tag!r}")
 
 

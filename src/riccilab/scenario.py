@@ -228,6 +228,11 @@ def validate(spec: ScenarioSpec) -> list:
         problems.append(f"grid {spec.nx}x{spec.ny} too small (need >= 8 per axis)")
     if not (0 < spec.lx < math.inf and 0 < spec.ly < math.inf):
         problems.append("domain lengths must be positive and finite")
+    for key, value in (("metric.amplitude", spec.metric_amplitude),
+                       ("metric.outer_radius", spec.metric_outer),
+                       ("metric.dip", spec.metric_dip)):
+        if not math.isfinite(value):
+            problems.append(f"{key} must be finite")
     if spec.family == "warped-cylinder":
         if not spec.metric_outer - spec.metric_dip > 0:
             problems.append(

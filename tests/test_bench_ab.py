@@ -1,0 +1,65 @@
+"""The paired-run statistics of bench/ab.py on fixed numbers."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from ab import compare, quartiles  # noqa: E402
+
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
+
+
+def test_quartiles_inclusive():
+    assert quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_gain_needs_nine_wins_and_a_gap_past_the_parent_iqr():
+    # parent median 12.25, q1 11.125, q3 13.375: IQR 2.25
+    st = compare(PARENT, [p - 3.0 for p in PARENT], "lower", 0.1)
+    assert st["parent"] == (12.25, 11.125, 13.375)
+    assert st["change"] == (9.25, 8.125, 10.375)
+    assert st["wins"] == 10 and st["gain"] and not st["worse"]
+    # every pair won, but a gap of 2.0 is inside the IQR
+    st = compare(PARENT, [p - 2.0 for p in PARENT], "lower", 0.1)
+    assert st["wins"] == 10 and not st["gain"]
+    # a gap of 3.0, but two pairs lost: 8/10 wins
+    change = [p - 3.0 for p in PARENT]
+    change[0], change[5] = 10.0, 11.0
+    st = compare(PARENT, change, "lower", 0.1)
+    assert st["wins"] == 8 and not st["gain"]
+
+
+def test_ties_count_for_neither_side():
+    change = [p - 3.0 for p in PARENT]
+    change[3] = PARENT[3]
+    st = compare(PARENT, change, "lower", 0.1)
+    assert st["wins"] == 9 and st["gain"]
+
+
+def test_worse_past_the_relative_bound_either_direction():
+    # lower is better: 12.25 * 1.1 = 13.475
+    assert compare(PARENT, [p + 1.2 for p in PARENT], "lower", 0.1)["worse"] is False
+    assert compare(PARENT, [p + 1.3 for p in PARENT], "lower", 0.1)["worse"] is True
+    # higher is better: a lower change median is the worse one
+    st = compare(PARENT, [p - 1.3 for p in PARENT], "higher", 0.1)
+    assert st["worse"] and st["wins"] == 0 and not st["gain"]
+    st = compare(PARENT, [p + 3.0 for p in PARENT], "higher", 0.1)
+    assert st["gain"] and not st["worse"]
+
+
+def test_unresolved_when_the_parent_spread_exceeds_the_bound():
+    # parent IQR 2.25 on a 12.25 median is 18%, past a 10% bound
+    assert compare(PARENT, [p + 0.1 for p in PARENT], "lower", 0.1)["unresolved"]
+    # unless every change run beats every parent run
+    assert not compare(PARENT, [9.0] * 10, "lower", 0.1)["unresolved"]
+    assert not compare(PARENT, PARENT, "lower", 0.25)["unresolved"]
+
+
+def test_unpaired_values_rejected():
+    with pytest.raises(ValueError):
+        compare([1.0, 2.0], [1.0], "lower", 0.1)
+    with pytest.raises(ValueError):
+        compare([], [], "lower", 0.1)

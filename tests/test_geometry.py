@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccilab.errors import DegenerateMetricError
+from riccilab.flows import FlowState
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                ScalarField, christoffel, codifferential,
                                conformal_metric, curvature, curvature_reduced,
@@ -92,6 +93,40 @@ def test_overflowing_det_fails_spd_check():
         MetricInvariants(g, Grid2D.torus(16, 16))
     assert err.value.node == (4, 9)
     assert err.value.det == np.inf
+
+
+@pytest.mark.parametrize("source", ["built", "unpacked", "rescaled"])
+def test_warped_metric_holds_row_profiles(neck_grid, neck_metric, source):
+    # a warped metric depends on x alone: its components and invariants are
+    # read-only broadcasts of (nx, 1) profiles, whichever way it was made
+    g = {"built": lambda: neck_metric,
+         "unpacked": lambda: FlowState(0.0, neck_grid, neck_metric).copy().metric,
+         "rescaled": lambda: neck_metric.rescaled(0.3)}[source]()
+    geo = MetricInvariants(g, neck_grid)
+    arrays = [g.gxx, g.gtt, geo.det, g.det(), geo.sqrt_det, *geo.inv, geo.scalar]
+    for a in arrays:
+        assert a.shape == (neck_grid.nx, neck_grid.ny)
+        assert a.strides[1] == 0 and not a.flags.writeable
+
+
+@pytest.mark.parametrize("row, h_row, f_row", [
+    (7, 1.0, 0.0), (7, 1.0, np.nan), (7, 1e100, 1e100), (0, 0.0, 1.0)])
+def test_warped_spd_check_matches_general_copy(row, h_row, f_row):
+    # the check scans one theta column of a warped metric; it names the same
+    # node and det g as the full scan of its general-tagged copy, the first
+    # degenerate row's (i, 0)
+    grid = Grid2D.cylinder(16, 8, 4.0)
+    h, f = np.ones(16), np.full(16, 2.0)
+    h[row], f[row] = h_row, f_row
+    f[11] = 0.0                         # a later degenerate row is not the one named
+    g = warped_metric(grid, h, f)
+    errors = []
+    for metric in (g, _general(g)):
+        with np.errstate(over="ignore"), pytest.raises(DegenerateMetricError) as err:
+            MetricInvariants(metric, grid)
+        errors.append(err.value)
+    assert errors[0].node == errors[1].node == (row, 0)
+    assert np.array_equal(errors[0].det, errors[1].det, equal_nan=True)
 
 
 # --------------------------------------------------------------- curvature
@@ -431,16 +466,16 @@ def test_tagged_det_and_inverse_equal_general_formula_bitwise(nx, ny, family, of
     # det and inv still agree with the general formula there
     grid = Grid2D.cylinder(nx, ny, 4.0)
     rng = np.random.default_rng(seed)
-    if family == "conformal":
-        g = conformal_metric(grid, offset + rng.standard_normal((nx, ny)))
-    else:
-        h, f = np.exp(0.5 * offset + rng.standard_normal((2, nx)))
-        g = warped_metric(grid, h, f)
-    if lam is not None:
-        g = g.rescaled(lam)
-    assert not g.gxt.flags.writeable        # metric arrays are never mutated in place
-    plain = general_metric(g.gxx.copy(), g.gxt.copy(), g.gtt.copy())
     with np.errstate(over="ignore", invalid="ignore"):
+        if family == "conformal":
+            g = conformal_metric(grid, offset + rng.standard_normal((nx, ny)))
+        else:
+            h, f = np.exp(0.5 * offset + rng.standard_normal((2, nx)))
+            g = warped_metric(grid, h, f)
+        if lam is not None:
+            g = g.rescaled(lam)
+        assert not g.gxt.flags.writeable        # metric arrays are never mutated in place
+        plain = general_metric(g.gxx.copy(), g.gxt.copy(), g.gtt.copy())
         assert np.array_equal(g.det(), plain.det(), equal_nan=True)
         for tagged, general in zip(g.inv(g.det()), plain.inv(plain.det())):
             assert np.array_equal(tagged, general, equal_nan=True)

@@ -188,6 +188,44 @@ def test_bad_field_rejected_by_make_scenario(overrides):
     assert len(err.value.problems) == 1
 
 
+# each used to pass validation and then fail the SPD check in build, naming
+# node (0, 0) and det g = nan or inf instead of the key; an infinite neck
+# width stays valid, a flat cylinder
+METRIC_FAMILY = {"metric.amplitude": "conformal-torus", "metric.outer_radius": "warped-cylinder",
+                 "metric.dip": "warped-cylinder"}
+
+
+@pytest.mark.parametrize("key, value", [("metric.amplitude", "inf"),
+                                        ("metric.outer_radius", "inf"),
+                                        ("metric.dip", "-inf")])
+def test_infinite_metric_parameter_rejected_at_validation(key, value, tmp_path):
+    text = f"family = {METRIC_FAMILY[key]}\ngrid.nx = 16\ngrid.ny = 16\n{key} = {value}\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.problems == [f"{key} must be finite"]
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(text)
+    r = _cli("run", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2 and f"{key} must be finite" in r.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, field", [("metric.amplitude", "metric_amplitude"),
+                                        ("metric.outer_radius", "metric_outer"),
+                                        ("metric.dip", "metric_dip")])
+def test_nan_metric_parameter_rejected_by_make_scenario(key, field):
+    # the warped family also fails outer_radius - dip > 0, which NaN fails
+    with pytest.raises(ScenarioError) as err:
+        make_scenario(family=METRIC_FAMILY[key], nx=16, ny=16, **{field: math.nan})
+    assert err.value.problems[0] == f"{key} must be finite"
+
+
+def test_infinite_neck_width_builds_a_flat_cylinder():
+    setup = build(parse_scenario("family = warped-cylinder\ngrid.nx = 16\ngrid.ny = 16\n"
+                                 "metric.width = inf\n"))
+    assert np.all(setup.state.metric.gtt == 1.0)
+
+
 def test_probe_needs_tracked_form():
     text = MINIMAL + "probe.p.form = ghost\n"
     with pytest.raises(ScenarioError) as err:
