@@ -21,7 +21,10 @@ verdicts:
          parent's median.
 
 A metric whose parent IQR exceeds its bound is flagged as unresolved unless
-every change run beat every parent run.  Last it prints failed/attempted per
+every change run beat every parent run.  A cpu_s row follows: each run's
+median CPU seconds over its untraced iterations, taken from the "perfbench:"
+detail line, with medians, quartiles and wins but no verdict, since
+BENCHMARK.json fixes no bound for it.  Last it prints failed/attempted per
 side, both perfbench runs and the iterations they report, and exits 1 when a
 run failed.  Layout randomization is not done here.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -66,6 +70,19 @@ def compare(parent, change, better: str, bound: float) -> dict:
             "unresolved": iqr > bound * abs(p_med) and not max(sc) < min(sp)}
 
 
+def median_cpu_s(stdout: str) -> float | None:
+    """The median per-iteration cpu_s of the untraced iterations listed in a
+    perfbench run's "perfbench:" detail line; None without such a line or
+    iteration."""
+    for line in stdout.splitlines():
+        if line.startswith("perfbench: "):
+            detail = json.loads(line[len("perfbench: "):])
+            cpu = [it["cpu_s"] for it in detail["iterations"]
+                   if not it["traced"] and it.get("cpu_s") is not None]
+            return statistics.median(cpu) if cpu else None
+    return None
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run from `root`: its last-line result, or a failure."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -76,6 +93,7 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     result["ok"] = proc.returncode == 0 and result.get("correct") is True
+    result["cpu_s"] = median_cpu_s(proc.stdout)
     if not result["ok"]:
         sys.stderr.write(f"{root} seed {seed}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
     return result
@@ -122,6 +140,14 @@ def main() -> int:
         print(f"{name:<12} {m['unit']:<4} {cells[0]:<28} {cells[1]:<28} "
               f"{st['wins']:>3}/{st['pairs']:<3}  {'yes' if st['gain'] else 'no':<4}  "
               f"{'yes' if st['worse'] else 'no'}{note}")
+    timed = [k for k in range(args.pairs) if all(results[s][k]["cpu_s"] is not None
+                                                 for s in sides)]
+    if timed:
+        cpu = {s: [results[s][k]["cpu_s"] for k in timed] for s in sides}
+        st = compare(cpu["parent"], cpu["change"], "lower", math.inf)
+        cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*st[s]) for s in sides]
+        print(f"{'cpu_s':<12} {'s':<4} {cells[0]:<28} {cells[1]:<28} "
+              f"{st['wins']:>3}/{st['pairs']:<3}  -     -     (no bound: not judged)")
 
     failed = False
     for side, runs in results.items():

@@ -49,7 +49,7 @@ def median_us(fn) -> float:
 def layers() -> dict:
     import numpy as np
     from riccilab.flows import FlowProblem, FlowState, StateLayout, monitor_record
-    from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField, ScalarField,
+    from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                    codifferential, conformal_metric, curvature_reduced,
                                    general_metric, grad_norm_sq, hodge_laplacian,
                                    laplace_beltrami, reduced_scalar_curvature,
@@ -102,9 +102,8 @@ def layers() -> dict:
             lambda: reduced_scalar_curvature(g, grid))
         out[f"curvature_reduced.{n}"] = median_us(lambda: curvature_reduced(g, geo.scalar))
 
-        state = FlowState(0.0, grid, g, {"main": phi}, ScalarField(F.copy()),
-                          ScalarField(1.0 + 0.5 * np.cos(X)))
-        problem = FlowProblem(grid)
+        state = FlowState(0.0, grid, g, {"main": phi}, F.copy(), 1.0 + 0.5 * np.cos(X))
+        problem = FlowProblem()
         out[f"monitor_record.{n}"] = median_us(
             lambda: monitor_record(state, problem, 1e-4, MetricInvariants(g, grid)))
         layout = StateLayout.of(state)

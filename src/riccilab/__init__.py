@@ -5,12 +5,11 @@ testable runtime monitor."""
 import ctypes
 
 from .geometry import (CONFORMAL, GENERAL, WARPED, Grid2D, MetricField,
-                       MetricInvariants, OneFormField, ScalarField,
-                       christoffel, codifferential, conformal_metric,
-                       curvature, curvature_reduced, distance_field,
-                       exterior_derivative, flat_metric, general_metric,
-                       hodge_laplacian, laplace_beltrami, rough_laplacian,
-                       warped_metric)
+                       MetricInvariants, OneFormField, christoffel,
+                       codifferential, conformal_metric, curvature,
+                       curvature_reduced, distance_field, exterior_derivative,
+                       flat_metric, general_metric, hodge_laplacian,
+                       laplace_beltrami, rough_laplacian, warped_metric)
 from .flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED, FlowProblem,
                     FlowState, IntegratorSpec, StateLayout, Trajectory, cfl_dt,
                     flow_step, run_flow)

@@ -277,7 +277,7 @@ def _path_gap(grid, metric):
     F = win * np.sin(kx * X + ky * T)
 
     def outputs(geo):
-        return (codifferential(phi, geo).values,
+        return (codifferential(phi, geo),
                 hodge_laplacian(phi, geo, "dd").components(),
                 laplace_beltrami(F, geo))
 

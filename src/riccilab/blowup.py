@@ -68,7 +68,6 @@ def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
     if not traj.snapshots:
         raise IncompleteTrajectoryError("trajectory carries no snapshots to rescale")
     grid = traj.grid
-    cylinder = grid.topology_y == "periodic" and grid.topology_x == "truncated"
     points = []
     for k, (t_k, lam) in enumerate(schedule.entries):
         snap = min(traj.snapshots, key=lambda s: abs(s.t - t_k))
@@ -84,7 +83,7 @@ def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
             sup_R_after=float(np.max(np.abs(r1))),
             curvature_scale_residual=resid,
         )
-        if cylinder:
+        if grid.is_cylinder:
             L0, _ = min_circumference(g, grid)
             L1, _ = min_circumference(scaled, grid)
             point.length_before = L0

@@ -67,14 +67,30 @@ def _cmd_verify(args) -> int:
     return run_suites(names)
 
 
+SCHEDULE_KEYS = ("policy", "times", "lambdas", "cycle_x", "sigma", "radii")
+
+
 def _parse_schedule_file(text: str) -> dict:
-    out = {}
-    for raw in text.splitlines():
+    """The `key = value` lines of a rescale schedule.  A line of another form,
+    a key outside SCHEDULE_KEYS, or one of sigma and radii without the other
+    raises ValueError naming the line."""
+    out, lines = {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
+        if key not in SCHEDULE_KEYS:
+            raise ValueError(f"line {lineno}: unknown key {key!r} "
+                             f"(valid keys: {', '.join(SCHEDULE_KEYS)})")
+        out[key], lines[key] = value.strip(), lineno
+    if ("sigma" in out) != ("radii" in out):
+        key, other = ("sigma", "radii") if "sigma" in out else ("radii", "sigma")
+        raise ValueError(f"line {lines[key]}: {key} without {other}; the decay "
+                         "profile needs both")
     return out
 
 
@@ -93,12 +109,11 @@ def _cmd_rescale(args) -> int:
     if not sched_path.exists():
         print(f"schedule file not found: {sched_path}", file=sys.stderr)
         return USAGE_ERROR
-    cfg = _parse_schedule_file(sched_path.read_text())
-
     grid = run.snapshots[0].grid
     traj = SimpleNamespace(grid=grid, snapshots=run.snapshots, records=run.records)
-    policy = cfg.get("policy", "explicit")
     try:
+        cfg = _parse_schedule_file(sched_path.read_text())
+        policy = cfg.get("policy", "explicit")
         times = [float(v) for v in cfg.get("times", "").split(",") if v.strip()]
         if not times:
             times = [s.t for s in run.snapshots]
@@ -117,7 +132,7 @@ def _cmd_rescale(args) -> int:
             if not 0 <= cycle.x_index < grid.nx:
                 raise ValueError(f"cycle_x {cycle.x_index} outside the grid "
                                  f"(0 to {grid.nx - 1})")
-        if "sigma" in cfg and "radii" in cfg:
+        if "sigma" in cfg:
             dspec = DecayMonitorSpec(float(cfg["sigma"]), tuple(
                 float(v) for v in cfg["radii"].split(",") if v.strip()))
     except ValueError as e:

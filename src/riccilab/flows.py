@@ -43,10 +43,10 @@ from .errors import DegenerateMetricError
 from .functionals import (MonitorRecord, closedness_residual, cycle_integral,
                           integrate, min_circumference)
 from .geometry import (CONFORMAL, GENERAL, WARPED, Grid2D, MetricField,
-                       MetricInvariants, OneFormField, ScalarField,
-                       codifferential, conformal_metric, flat_laplacian,
-                       general_metric, grad_norm_sq, hodge_laplacian,
-                       laplace_beltrami, warped_gauss_curvature, warped_metric)
+                       MetricInvariants, OneFormField, codifferential,
+                       conformal_metric, flat_laplacian, general_metric,
+                       grad_norm_sq, hodge_laplacian, laplace_beltrami,
+                       warped_gauss_curvature, warped_metric)
 
 DT_UNDERFLOW = 1e-12
 
@@ -92,8 +92,8 @@ class FlowState:
     grid: Grid2D
     metric: MetricField
     forms: dict = field(default_factory=dict)      # label -> OneFormField
-    gauge: ScalarField | None = None
-    subsolution: ScalarField | None = None
+    gauge: np.ndarray | None = None                # gauge potential F
+    subsolution: np.ndarray | None = None          # heat subsolution u
     step: int = 0
     # set by StateLayout.unpack: every array above is a view into `vector`
     layout: StateLayout | None = field(default=None, repr=False, compare=False)
@@ -136,9 +136,9 @@ class StateLayout:
             arrays += [(f"form.{label}.phi_x", phi.x),
                        (f"form.{label}.phi_theta", phi.theta)]
         if state.gauge is not None:
-            arrays.append(("gauge.F", state.gauge.values))
+            arrays.append(("gauge.F", state.gauge))
         if state.subsolution is not None:
-            arrays.append(("sub.u", state.subsolution.values))
+            arrays.append(("sub.u", state.subsolution))
         return arrays
 
     @classmethod
@@ -173,9 +173,8 @@ class StateLayout:
 
     def unpack(self, vec: np.ndarray, t: float = 0.0, step: int = 0) -> FlowState:
         params, forms, gauge, sub = self.parts(vec)
-        return FlowState(t, self.grid, self.metric(params), forms,
-                         None if gauge is None else ScalarField(gauge),
-                         None if sub is None else ScalarField(sub), step, self, vec)
+        return FlowState(t, self.grid, self.metric(params), forms, gauge, sub,
+                         step, self, vec)
 
     @cached_property
     def frozen(self) -> np.ndarray:
@@ -194,18 +193,17 @@ class StateLayout:
         return np.flatnonzero(mask)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FlowProblem:
-    """Static configuration the stepper needs besides the state itself."""
+    """Static configuration the stepper needs besides the state itself; the
+    grid is the state's."""
 
-    grid: Grid2D
     gauge_base: OneFormField | None = None
     gauge_label: str | None = None     # form the gauge representative is compared to
     sink: float = 0.0                  # optional -c u term on the subsolution
     probes: dict = field(default_factory=dict)   # form label -> CohomologyProbe
     buffer_threshold: float = 1e-6
     monitor_energy: bool = True
-    track_circumference: bool = False
 
 
 # ----------------------------------------------------------------- right-hand side
@@ -216,7 +214,7 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
     None).  `geo` is the stage metric's bundle when the caller has it;
     otherwise the metric and its bundle are built from `vec`, only if some
     equation reads them."""
-    grid, tag = problem.grid, layout.tag
+    grid, tag = layout.grid, layout.tag
     params, forms, gauge, sub = layout.parts(vec)
     k = np.empty(layout.size)
     k_params, k_forms, k_gauge, k_sub = layout.parts(k)
@@ -258,7 +256,7 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
         k_forms[label].theta[...] = lap.theta
 
     if gauge is not None:
-        source = codifferential(problem.gauge_base, geo).values
+        source = codifferential(problem.gauge_base, geo)
         np.subtract(laplace_beltrami(gauge, geo), source, out=k_gauge)
 
     if sub is not None:
@@ -361,7 +359,7 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
         if probe is not None:
             values[f"{label}_pairing"] = cycle_integral(phi, probe.cycle, grid)
 
-    if problem.track_circumference:
+    if grid.is_cylinder:
         length, i = min_circumference(g, grid)
         values["L_alpha"] = length
         values["L_alpha_argmin"] = float(i)
@@ -369,14 +367,14 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
     if state.gauge is not None and problem.gauge_base is not None \
             and problem.gauge_label in state.forms:
         base = problem.gauge_base
-        rep_x = base.x + grid.diff_x(state.gauge.values)
-        rep_t = base.theta + grid.diff_t(state.gauge.values)
+        rep_x = base.x + grid.diff_x(state.gauge)
+        rep_t = base.theta + grid.diff_t(state.gauge)
         phi = state.forms[problem.gauge_label]
         values["gauge_gap"] = max(float(np.max(np.abs(phi.x - rep_x))),
                                   float(np.max(np.abs(phi.theta - rep_t))))
 
     if state.subsolution is not None:
-        u = state.subsolution.values
+        u = state.subsolution
         clipped = np.clip(u, 0.0, None)
         values["u_mass"] = integrate(clipped, geo)
         values["u_min"] = float(np.min(u))
@@ -411,10 +409,6 @@ class Trajectory:
     scenario_hash: str = ""
     monitor_labels: list = field(default_factory=list)
 
-    @property
-    def grid_hash(self) -> str:
-        return self.grid.hash_hex
-
 
 @np.errstate(over="ignore", invalid="ignore")   # blow-up shows up as a status
 def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
@@ -428,7 +422,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     setup = build(scenario_or_setup) if isinstance(scenario_or_setup, ScenarioSpec) \
         else scenario_or_setup
     state, problem, spec = setup.state.copy(), setup.problem, setup.integrator
-    grid = problem.grid
+    grid = state.grid
 
     if spec.max_steps <= 0:
         return Trajectory(grid, [], [], BUDGET, state.t, 0,

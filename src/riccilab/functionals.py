@@ -17,7 +17,7 @@ from .errors import (DomainTooSmallError, IncompleteTrajectoryError,
                      InvalidCycleError, InvalidSubsolutionError,
                      ProbeOrderError)
 from .geometry import (Grid2D, MetricField, MetricInvariants, OneFormField,
-                       ScalarField, distance_field, exterior_derivative)
+                       distance_field, exterior_derivative)
 
 CLOSEDNESS_TOL = 1e-10
 HYPOTHESIS_TOL = 1e-10   # min R >= -this counts as "R >= 0 held"
@@ -33,13 +33,12 @@ def l2_norm_form(phi: OneFormField, geo: MetricInvariants) -> float:
     return float(np.sqrt(integrate(phi.norm_sq(geo), geo)))
 
 
-def lp_norm_scalar(u: ScalarField | np.ndarray, geo: MetricInvariants,
-                   p: float) -> float:
+def lp_norm_scalar(u: np.ndarray, geo: MetricInvariants, p: float) -> float:
     """(integral u^p dv)^(1/p) for p >= 1; mild discretization negativity is
     clipped in the quadrature only, anything worse is an invalid subsolution."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u)
+    vals = np.asarray(u)
     floor = -1e-10 * max(1.0, float(np.max(np.abs(vals))))
     if float(np.min(vals)) < floor:
         raise InvalidSubsolutionError(f"u attains {float(np.min(vals)):g} < {floor:g}")
@@ -120,7 +119,7 @@ def min_circumference(g: MetricField, grid: Grid2D):
 @dataclass
 class CohomologyProbe:
     """The pairing of a closed base form with a fixed homology cycle, and the
-    form's initial sup and L2 norms.
+    form's initial sup norm, the denominator of the length bound.
 
     The pairing is computed once from the base form; shifting a theta-circle
     within the region where the form is closed must not move it (discrete
@@ -130,17 +129,16 @@ class CohomologyProbe:
     cycle: object
     pairing: float
     sup0: float
-    l2_0: float
 
 
 def closedness_residual(phi: OneFormField, grid: Grid2D) -> float:
-    return float(np.max(np.abs(exterior_derivative(phi, grid).values)))
+    return float(np.max(np.abs(exterior_derivative(phi, grid))))
 
 
 def make_probe(label: str, phi0: OneFormField, cycle,
                geo: MetricInvariants) -> CohomologyProbe:
-    """The probe of the closed form phi0 on `cycle`, with its norms measured on
-    the bundle's metric."""
+    """The probe of the closed form phi0 on `cycle`, with its sup norm
+    measured on the bundle's metric."""
     grid = geo.grid
     scale = max(1.0, float(np.max(np.abs(phi0.x))), float(np.max(np.abs(phi0.theta))))
     if closedness_residual(phi0, grid) > CLOSEDNESS_TOL * scale:
@@ -158,8 +156,7 @@ def make_probe(label: str, phi0: OneFormField, cycle,
                 raise InvalidCycleError(
                     f"probe {label!r}: pairing drifts by {drift:g} when the "
                     "circle is shifted; form not closed on the cylinder")
-    return CohomologyProbe(label, cycle, pairing,
-                           sup_norm_form(phi0, geo), l2_norm_form(phi0, geo))
+    return CohomologyProbe(label, cycle, pairing, sup_norm_form(phi0, geo))
 
 
 # ---------------------------------------------------------------------- records
@@ -331,26 +328,23 @@ def gauge_report(traj) -> ReportResult:
 
 
 # ---------------------------------------------------------------------- cutoff
-def cutoff_eta(grid: Grid2D, g: MetricField, r: float, center=None) -> ScalarField:
-    """Cutoff profile in the metric distance from the center: 1 inside radius r,
-    0 outside 2r, quadratic ((2r - d)/r)^2 in between.  The profile attains the
-    gradient bound |grad eta|^2 <= 4 eta / r^2 with equality on the ramp."""
+def cutoff_eta(grid: Grid2D, g: MetricField, r: float) -> np.ndarray:
+    """Cutoff profile in the metric distance from the grid origin: 1 inside
+    radius r, 0 outside 2r, quadratic ((2r - d)/r)^2 in between.  The profile
+    attains the gradient bound |grad eta|^2 <= 4 eta / r^2 with equality on
+    the ramp."""
     if r <= 0:
         raise ValueError("cutoff radius must be positive")
-    gr = grid if center is None else Grid2D(grid.nx, grid.ny, grid.lx, grid.ly,
-                                            grid.topology_x, grid.topology_y,
-                                            tuple(center))
-    d = distance_field(g, gr)
+    d = distance_field(g, grid)
     reach = float(np.max(d))
     if 2.0 * r > reach:
         raise DomainTooSmallError(
             f"cutoff needs distance 2r = {2 * r:g} inside the domain, have {reach:g}")
     ramp = ((2.0 * r - d) / r) ** 2
-    eta = np.where(d <= r, 1.0, np.where(d >= 2.0 * r, 0.0, ramp))
-    return ScalarField(eta)
+    return np.where(d <= r, 1.0, np.where(d >= 2.0 * r, 0.0, ramp))
 
 
-def cutoff_gradient_margin(eta: ScalarField, g: MetricField, grid: Grid2D,
+def cutoff_gradient_margin(eta: np.ndarray, g: MetricField, grid: Grid2D,
                            r: float) -> float:
     """max over grid edges of |grad eta|^2_g - 4 eta / r^2 (should be <= ~0).
 
@@ -359,12 +353,11 @@ def cutoff_gradient_margin(eta: ScalarField, g: MetricField, grid: Grid2D,
     truncation argument integrates by parts, and for the quadratic-ramp
     profile it satisfies the bound exactly, kink edges included."""
     d = distance_field(g, grid)
-    vals = eta.values
     worst = -np.inf
     for axis in (0, 1):
-        dv = np.diff(vals, axis=axis)
+        dv = np.diff(eta, axis=axis)
         dd = np.diff(d, axis=axis)
-        mean = 0.5 * (vals + np.roll(vals, -1, axis))[
+        mean = 0.5 * (eta + np.roll(eta, -1, axis))[
             (slice(0, -1), slice(None)) if axis == 0 else (slice(None), slice(0, -1))]
         safe = np.abs(dd) > 1e-300
         slope_sq = np.zeros_like(dv)

@@ -1,7 +1,6 @@
 from .grid import Grid2D, PERIODIC, TRUNCATED
 from .fields import (CONFORMAL, GENERAL, WARPED, MetricField, OneFormField,
-                     ScalarField, conformal_metric, flat_metric, general_metric,
-                     warped_metric)
+                     conformal_metric, flat_metric, general_metric, warped_metric)
 from .operators import (MetricInvariants, christoffel, codifferential,
                         covariant_derivative, curvature, curvature_reduced,
                         distance_field, exterior_derivative, flat_laplacian,
@@ -12,7 +11,7 @@ from .operators import (MetricInvariants, christoffel, codifferential,
 __all__ = [
     "Grid2D", "PERIODIC", "TRUNCATED",
     "CONFORMAL", "GENERAL", "WARPED",
-    "MetricField", "MetricInvariants", "OneFormField", "ScalarField",
+    "MetricField", "MetricInvariants", "OneFormField",
     "conformal_metric", "flat_metric", "general_metric", "warped_metric",
     "christoffel", "codifferential", "covariant_derivative", "curvature",
     "curvature_reduced", "distance_field", "exterior_derivative", "flat_laplacian",

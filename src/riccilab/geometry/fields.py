@@ -1,7 +1,9 @@
-"""Field containers: metrics, 1-forms and scalars.
+"""Field containers: metrics and 1-forms.
 
 Component arrays are shaped (nx, ny) with x along axis 0 and theta along
-axis 1 (row-major, x-then-theta).  Metrics carry a parameterization tag:
+axis 1 (row-major, x-then-theta).  Scalar functions and 2-form densities
+(w dx^dtheta, stored as w) need no container: they are plain (nx, ny)
+float64 arrays.  Metrics carry a parameterization tag:
 "conformal" stores the log factor u with g = e^{2u} (dx^2 + dtheta^2),
 "warped" stores 1-D profiles h(x), f(x) with g = h^2 dx^2 + f^2 dtheta^2,
 and "general" stores bare components.  The tag is the one dispatch of every
@@ -187,8 +189,3 @@ class OneFormField:
 
     def copy(self) -> "OneFormField":
         return OneFormField(self.x.copy(), self.theta.copy())
-
-
-@dataclass
-class ScalarField:
-    values: np.ndarray

@@ -108,6 +108,12 @@ class Grid2D:
     def mesh(self):
         return np.meshgrid(self.x, self.theta, indexing="ij")
 
+    @property
+    def is_cylinder(self) -> bool:
+        """x truncated and theta periodic: the grid whose theta-circles have a
+        minimal circumference."""
+        return self.topology_x == TRUNCATED and self.topology_y == PERIODIC
+
     @cached_property
     def weights(self) -> np.ndarray:
         """Quadrature weights: uniform on periodic axes, trapezoid on truncated."""

@@ -56,8 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import (CONFORMAL, GENERAL, WARPED, MetricField, OneFormField,
-                     ScalarField)
+from .fields import CONFORMAL, GENERAL, WARPED, MetricField, OneFormField
 from .grid import PERIODIC, TRUNCATED, Grid2D
 
 
@@ -264,12 +263,11 @@ def curvature(geo: MetricInvariants) -> tuple:
 
 # --------------------------------------------------------------------- d and delta
 def exterior_derivative(field, grid: Grid2D):
-    """d on scalars (gives a 1-form) and on 1-forms (gives the 2-form density
-    d_x phi_theta - d_theta phi_x)."""
+    """d on scalar arrays (gives a 1-form) and on 1-forms (gives the 2-form
+    density d_x phi_theta - d_theta phi_x, an array)."""
     if isinstance(field, OneFormField):
-        w = grid.diff_x(field.theta) - grid.diff_t(field.x)
-        return ScalarField(w)
-    vals = field.values if isinstance(field, ScalarField) else np.asarray(field)
+        return grid.diff_x(field.theta) - grid.diff_t(field.x)
+    vals = np.asarray(field)
     return OneFormField(grid.diff_x(vals), grid.diff_t(vals))
 
 
@@ -300,11 +298,11 @@ def _divergence(ax: np.ndarray, at: np.ndarray, geo: MetricInvariants) -> np.nda
     return out
 
 
-def codifferential(phi: OneFormField, geo: MetricInvariants) -> ScalarField:
+def codifferential(phi: OneFormField, geo: MetricInvariants) -> np.ndarray:
     """delta phi = -(1/sqrt(det g)) d_i (sqrt(det g) g^{ij} phi_j)."""
     delta = _divergence(phi.x, phi.theta, geo)
     np.negative(delta, out=delta)
-    return ScalarField(delta)
+    return delta
 
 
 def _codifferential_two_form(w: np.ndarray, geo: MetricInvariants) -> OneFormField:
@@ -428,8 +426,8 @@ def hodge_laplacian(phi: OneFormField, geo: MetricInvariants,
     """
     grid = geo.grid
     if method == "dd":
-        ds = codifferential(phi, geo).values
-        w = exterior_derivative(phi, grid).values
+        ds = codifferential(phi, geo)
+        w = exterior_derivative(phi, grid)
         delta_d = _codifferential_two_form(w, geo)
         # d delta is formed last and in place, so fewer full-grid temporaries
         # are live at once

@@ -83,7 +83,7 @@ def write_outputs(traj: Trajectory, destination, problem=None,
     summary = {
         "scenario": traj.scenario_name,
         "scenario_hash": traj.scenario_hash,
-        "grid_hash": traj.grid_hash,
+        "grid_hash": traj.grid.hash_hex,
         "status": traj.status,
         "t_end": traj.t_end,
         "n_steps": traj.n_steps,

@@ -25,7 +25,7 @@ from .errors import DegenerateMetricError, ScenarioError
 from .flows import FlowProblem, FlowState, IntegratorSpec
 from .functionals import ThetaCircle, make_probe
 from .geometry import (Grid2D, MetricField, MetricInvariants, OneFormField,
-                       ScalarField, conformal_metric, flat_metric, warped_metric)
+                       conformal_metric, flat_metric, warped_metric)
 
 FAMILIES = ("flat-torus", "conformal-torus", "warped-cylinder", "conformal-plane")
 
@@ -329,24 +329,24 @@ def build_form(fs: FormSpec, grid: Grid2D) -> OneFormField:
     raise ValueError(f"unknown form preset {fs.preset!r}")
 
 
-def build_subsolution(spec: ScenarioSpec, grid: Grid2D) -> ScalarField | None:
+def build_subsolution(spec: ScenarioSpec, grid: Grid2D) -> np.ndarray | None:
     if spec.subsolution == "none":
         return None
     X, _ = grid.mesh()
     if spec.subsolution == "one-plus-cos":
         k = 2 * math.pi / grid.lx
-        vals = spec.sub_amplitude * (1.0 + np.cos(k * X))
-    else:  # compactly supported C^1 bump in x
+        return spec.sub_amplitude * (1.0 + np.cos(k * X))
+    # compactly supported C^1 bump in x; on a tiny width (X / w)^2 overflows
+    # to inf off the center, which the clip maps to the right value, 0
+    with np.errstate(over="ignore"):
         s = np.clip(1.0 - (X / spec.sub_width) ** 2, 0.0, None)
-        vals = spec.sub_amplitude * s ** 2
-    return ScalarField(vals)
+    return spec.sub_amplitude * s ** 2
 
 
 @dataclass
 class RunSetup:
     name: str
     scenario_hash: str
-    grid: Grid2D
     state: FlowState
     problem: FlowProblem
     integrator: IntegratorSpec
@@ -372,7 +372,7 @@ def build(spec: ScenarioSpec) -> RunSetup:
     gauge = None
     gauge_base = None
     if spec.gauge_form:
-        gauge = ScalarField(np.zeros((grid.nx, grid.ny)))
+        gauge = np.zeros((grid.nx, grid.ny))
         gauge_base = forms[spec.gauge_form].copy()
 
     state = FlowState(
@@ -380,17 +380,14 @@ def build(spec: ScenarioSpec) -> RunSetup:
         subsolution=build_subsolution(spec, grid),
     )
     problem = FlowProblem(
-        grid=grid,
         gauge_base=gauge_base,
         gauge_label=spec.gauge_form or None,
         sink=spec.sink,
         probes=probes,
         buffer_threshold=spec.buffer_threshold,
         monitor_energy=spec.monitor_energy,
-        track_circumference=(spec.family == "warped-cylinder"),
     )
-    return RunSetup(spec.name, scenario_hash(spec), grid, state, problem,
-                    spec.integrator)
+    return RunSetup(spec.name, scenario_hash(spec), state, problem, spec.integrator)
 
 
 def make_scenario(**overrides) -> ScenarioSpec:

@@ -1,12 +1,13 @@
 """The paired-run statistics of bench/ab.py on fixed numbers."""
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from ab import compare, quartiles  # noqa: E402
+from ab import compare, median_cpu_s, quartiles  # noqa: E402
 
 PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
 
@@ -63,3 +64,19 @@ def test_unpaired_values_rejected():
         compare([1.0, 2.0], [1.0], "lower", 0.1)
     with pytest.raises(ValueError):
         compare([], [], "lower", 0.1)
+
+
+def test_cpu_s_is_the_median_of_the_untraced_iterations():
+    detail = {"workload": "cigar", "seed": 0, "attempted": 5, "failed": 1,
+              "iterations": [
+                  {"traced": False, "ok": True, "cpu_s": 1.5, "wall_s": 1.6},
+                  {"traced": True, "ok": True, "cpu_s": 9.0, "wall_s": 9.1},
+                  {"traced": False, "ok": True, "cpu_s": 1.25, "wall_s": 1.3},
+                  {"traced": False, "ok": False, "cpu_s": None, "wall_s": None},
+                  {"traced": False, "ok": True, "cpu_s": 1.75, "wall_s": 1.8}]}
+    stdout = ("iteration log\nperfbench: " + json.dumps(detail) + "\n"
+              + json.dumps({"correct": False, "metrics": {}}) + "\n")
+    assert median_cpu_s(stdout) == 1.5
+    assert median_cpu_s(json.dumps({"correct": True}) + "\n") is None
+    detail["iterations"] = [it for it in detail["iterations"] if it["traced"]]
+    assert median_cpu_s("perfbench: " + json.dumps(detail)) is None

@@ -13,9 +13,9 @@ from riccilab.flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED,
                             _rhs, cfl_dt, flow_step, run_flow)
 from riccilab.functionals import integrate
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
-                               ScalarField, conformal_metric, flat_metric,
-                               general_metric, hodge_laplacian,
-                               reduced_scalar_curvature, warped_metric)
+                               conformal_metric, flat_metric, general_metric,
+                               hodge_laplacian, reduced_scalar_curvature,
+                               warped_metric)
 from riccilab.oracles import TrigMode, flat_spectral_oracle
 from riccilab.scenario import FormSpec, ProbeSpec, RunSetup, build, make_scenario
 
@@ -78,7 +78,7 @@ def test_stage_one_sup_R_is_reduced_curvature_bitwise(cigar_grid, cigar_metric,
     for grid, g in ((cigar_grid, cigar_metric), (neck_grid, neck_metric)):
         st = _state(grid, g)
         layout = StateLayout.of(st)
-        _, sup_R = _rhs(layout.pack(st), layout, FlowProblem(grid), with_sup_R=True)
+        _, sup_R = _rhs(layout.pack(st), layout, FlowProblem(), with_sup_R=True)
         assert sup_R == float(np.max(np.abs(reduced_scalar_curvature(g, grid))))
 
 
@@ -91,7 +91,7 @@ def _coupled_states(grid):
     u = 0.1 * np.sin(X) * np.cos(T)
     return [
         _state(grid, conformal_metric(grid, u), forms=form,
-               gauge=ScalarField(0.2 * np.cos(T)), subsolution=ScalarField(1.0 + 0.3 * X)),
+               gauge=0.2 * np.cos(T), subsolution=1.0 + 0.3 * X),
         _state(grid, warped_metric(grid, 1.0 + 0.01 * grid.x, 2.0 - np.exp(-grid.x ** 2)),
                forms=form),
         _state(grid, general_metric(np.exp(2 * u), 0.1 * np.sin(T), 1.0 + 0.2 * np.cos(X)),
@@ -104,7 +104,7 @@ def _fields(st):
     arrays = [g.gxx, g.gxt, g.gtt, *(a for a in (g.u, g.h, g.f) if a is not None)]
     for phi in st.forms.values():
         arrays += [phi.x, phi.theta]
-    arrays += [s.values for s in (st.gauge, st.subsolution) if s is not None]
+    arrays += [s for s in (st.gauge, st.subsolution) if s is not None]
     return arrays
 
 
@@ -119,6 +119,10 @@ def test_unpack_of_pack_is_the_state_bitwise():
             assert np.array_equal(a, b)
         # a state the layout unpacked packs to its own vector, with no copy
         assert StateLayout.of(back) is layout and layout.pack(back) is vec
+        # its gauge and subsolution, where tracked, are plain arrays viewing it
+        scalars = [a for a in (back.gauge, back.subsolution) if a is not None]
+        assert len(scalars) == (2 if st.metric.tag == "conformal" else 0)
+        assert all(type(a) is np.ndarray and np.shares_memory(a, vec) for a in scalars)
 
 
 def test_frozen_nodes_match_per_array_rule():
@@ -290,7 +294,7 @@ def test_gauge_zero_source_stays_zero():
                          forms=[FormSpec("main", "dtheta")], gauge_form="main",
                          t_final=0.2, cadence=10, monitor_energy=False)
     traj = run_flow(spec)
-    assert np.max(np.abs(traj.snapshots[-1].gauge.values)) == 0.0
+    assert np.max(np.abs(traj.snapshots[-1].gauge)) == 0.0
 
 
 def test_gauge_representation_exact_static():
@@ -315,9 +319,9 @@ def test_gauge_representation_evolving():
 def test_scalar_constant_preserved():
     grid = Grid2D.torus(32, 32)
     st = _state(grid, flat_metric(grid),
-                subsolution=ScalarField(2.5 * np.ones((32, 32))))
-    out = flow_step(st, 1e-3, FlowProblem(grid))
-    assert np.max(np.abs(out.subsolution.values - 2.5)) == 0.0
+                subsolution=2.5 * np.ones((32, 32)))
+    out = flow_step(st, 1e-3, FlowProblem())
+    assert np.max(np.abs(out.subsolution - 2.5)) == 0.0
 
 
 def test_scalar_decay_spectral():
@@ -325,7 +329,7 @@ def test_scalar_decay_spectral():
                          subsolution="one-plus-cos", t_final=0.5, cadence=10,
                          monitor_energy=False)
     traj = run_flow(spec)
-    u = traj.snapshots[-1].subsolution.values
+    u = traj.snapshots[-1].subsolution
     grid = traj.grid
     X, _ = grid.mesh()
     h = grid.hx
@@ -376,12 +380,35 @@ def test_dt_underflow_reports_blowup():
     # blow-up status and keep the last valid state
     grid = Grid2D.cylinder(1024, 8, 0.5)
     prof = 2e-3 * np.ones(1024)
-    setup = RunSetup("thin", "x" * 16, grid,
-                     _state(grid, warped_metric(grid, prof, prof)),
-                     FlowProblem(grid), IntegratorSpec(t_final=1.0))
+    setup = RunSetup("thin", "x" * 16, _state(grid, warped_metric(grid, prof, prof)),
+                     FlowProblem(), IntegratorSpec(t_final=1.0))
     traj = run_flow(setup)
     assert traj.status == BLOWUP
     assert len(traj.records) == 1   # the initial (last valid) state is recorded
+
+
+def test_problem_fields_are_keyword_only():
+    # the grid is the state's: a positional argument binds to no field
+    with pytest.raises(TypeError):
+        FlowProblem(Grid2D.torus(16, 16))
+
+
+def test_circumference_monitored_on_cylinder_grids_alone():
+    # the minimal theta-circle L_alpha is recorded on every cylinder grid, a
+    # hand-built setup's included, and on no other grid
+    def run(grid, metric):
+        setup = RunSetup("c", "c" * 16, _state(grid, metric), FlowProblem(),
+                         IntegratorSpec(max_steps=2, t_final=1.0, cadence=1))
+        return run_flow(setup, collect_snapshots=False)
+
+    cylinder = Grid2D.cylinder(32, 8, 20.0)
+    f = 2.0 - np.exp(-cylinder.x ** 2)
+    traj = run(cylinder, warped_metric(cylinder, np.ones(32), f))
+    assert len(traj.records) == 3 and "L_alpha" in traj.monitor_labels
+    assert traj.records[0].values["L_alpha"] == pytest.approx(2 * np.pi * f.min(), rel=1e-12)
+    torus = Grid2D.torus(16, 16)
+    traj = run(torus, flat_metric(torus))
+    assert len(traj.records) == 3 and "L_alpha" not in traj.monitor_labels
 
 
 def test_flow_step_detects_nonfinite():
@@ -389,7 +416,7 @@ def test_flow_step_detects_nonfinite():
     X, _ = grid.mesh()
     st = _state(grid, flat_metric(grid),
                 forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
-    problem = FlowProblem(grid)
+    problem = FlowProblem()
     with np.errstate(over="ignore", invalid="ignore"):
         assert flow_step(st, 1e308, problem) is None
 
@@ -401,8 +428,8 @@ def test_stage_metric_failure_ends_as_blowup():
     X, T = grid.mesh()
     g = general_metric(1 + 0.3 * np.sin(X), 0.1 * np.cos(T), 1 + 0.3 * np.cos(X + T))
     st = _state(grid, g, forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
-    assert flow_step(st, 5.0, FlowProblem(grid)) is None
-    setup = RunSetup("degenerate", "d" * 16, grid, st, FlowProblem(grid),
+    assert flow_step(st, 5.0, FlowProblem()) is None
+    setup = RunSetup("degenerate", "d" * 16, st, FlowProblem(),
                      IntegratorSpec(cfl=200.0, t_final=50.0))
     traj = run_flow(setup)
     assert traj.status == BLOWUP
@@ -414,8 +441,8 @@ def test_degenerate_initial_metric_ends_as_blowup():
     # status before any step or record, like an empty step budget
     grid = Grid2D.torus(16, 16)
     u = np.full((16, 16), -7.0)                      # det g = e^-28 < 1e-12
-    setup = RunSetup("degenerate", "d" * 16, grid, _state(grid, conformal_metric(grid, u)),
-                     FlowProblem(grid), IntegratorSpec(t_final=1.0))
+    setup = RunSetup("degenerate", "d" * 16, _state(grid, conformal_metric(grid, u)),
+                     FlowProblem(), IntegratorSpec(t_final=1.0))
     traj = run_flow(setup)
     assert traj.status == BLOWUP
     assert traj.n_steps == 0 and traj.t_end == 0.0
@@ -456,7 +483,7 @@ def test_general_curvature_reads_the_bundles_christoffels(monkeypatch):
     X, T = grid.mesh()
     g = general_metric(1 + 0.3 * np.sin(X), 0.1 * np.cos(T), 1 + 0.3 * np.cos(X + T))
     st = _state(grid, g, forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
-    setup = RunSetup("general", "g" * 16, grid, st, FlowProblem(grid),
+    setup = RunSetup("general", "g" * 16, st, FlowProblem(),
                      IntegratorSpec(max_steps=1, t_final=1.0))
     traj = run_flow(setup)
     assert traj.n_steps == 1 and len(traj.records) == 2
@@ -510,8 +537,8 @@ def test_state_metric_failure_ends_as_blowup(cadence):
     grid = Grid2D.torus(16, 16)
     X, T = grid.mesh()
     u = -6.8 + 0.05 * np.sin(X) * np.cos(T)
-    setup = RunSetup("underflow", "u" * 16, grid, _state(grid, conformal_metric(grid, u)),
-                     FlowProblem(grid), IntegratorSpec(cfl=3.0, cadence=cadence))
+    setup = RunSetup("underflow", "u" * 16, _state(grid, conformal_metric(grid, u)),
+                     FlowProblem(), IntegratorSpec(cfl=3.0, cadence=cadence))
     traj = run_flow(setup)
     assert traj.status == BLOWUP
     assert traj.n_steps > 0
@@ -520,7 +547,7 @@ def test_state_metric_failure_ends_as_blowup(cadence):
     assert last.metric.det().min() > 1e-12
     # the step past it is finite but under the floor
     nxt = flow_step(last, cfl_dt(MetricInvariants(last.metric, grid), setup.integrator),
-                    FlowProblem(grid))
+                    FlowProblem())
     assert np.all(np.isfinite(nxt.metric.u)) and nxt.metric.det().min() <= 1e-12
 
 
@@ -531,8 +558,8 @@ def test_blowup_run_emits_no_runtime_warning():
     X, _ = grid.mesh()
     st = _state(grid, flat_metric(grid),
                 forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
-    setup = RunSetup("overflow", "o" * 16, grid, st,
-                     FlowProblem(grid), IntegratorSpec(cfl=1e3, t_final=1e9))
+    setup = RunSetup("overflow", "o" * 16, st,
+                     FlowProblem(), IntegratorSpec(cfl=1e3, t_final=1e9))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         traj = run_flow(setup)
@@ -573,13 +600,13 @@ def test_single_system_steps_leave_others_alone():
     X, _ = grid.mesh()
     st = _state(grid, flat_metric(grid),
                 forms={"main": OneFormField(np.sin(X), np.zeros_like(X))},
-                subsolution=ScalarField(1.0 + 0.3 * np.cos(X)))
-    out = flow_step(_state(grid, st.metric), 1e-3, FlowProblem(grid))
+                subsolution=1.0 + 0.3 * np.cos(X))
+    out = flow_step(_state(grid, st.metric), 1e-3, FlowProblem())
     assert out.forms == {} and out.subsolution is None
     assert st.forms["main"].x == pytest.approx(np.sin(X))
-    out2 = flow_step(_state(grid, st.metric, forms=st.forms), 1e-3, FlowProblem(grid))
+    out2 = flow_step(_state(grid, st.metric, forms=st.forms), 1e-3, FlowProblem())
     assert out2.subsolution is None
-    assert st.subsolution.values == pytest.approx(1.0 + 0.3 * np.cos(X))
+    assert st.subsolution == pytest.approx(1.0 + 0.3 * np.cos(X))
     assert np.max(np.abs(out2.forms["main"].x - st.forms["main"].x)) > 0
 
 
@@ -588,9 +615,9 @@ def test_gauge_diffusion_step_runs():
     X, _ = grid.mesh()
     base = OneFormField(np.sin(X), np.zeros_like(X))
     st = _state(grid, flat_metric(grid), forms={"main": base.copy()},
-                gauge=ScalarField(np.zeros((32, 32))))
-    out = flow_step(st, 1e-3, FlowProblem(grid, gauge_base=base))
-    assert np.max(np.abs(out.gauge.values)) > 0.0
+                gauge=np.zeros((32, 32)))
+    out = flow_step(st, 1e-3, FlowProblem(gauge_base=base))
+    assert np.max(np.abs(out.gauge)) > 0.0
 
 
 def test_rk4_sharper_than_rk2():

@@ -17,7 +17,7 @@ from riccilab.functionals import (MonitorRecord, NodePath, ThetaCircle,
                                   lp_norm_scalar, make_probe,
                                   max_principle_report, min_circumference,
                                   sup_norm_form, sup_norm_form_argmax)
-from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField, ScalarField,
+from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                conformal_metric, flat_metric, warped_metric)
 
 PI_ROOT2 = 4.442882938158366   # sqrt(2 pi^2), certified by the quadrature oracle
@@ -54,14 +54,14 @@ def test_l2_homogeneity_and_triangle(torus64):
 def test_lp_constant_on_unit_area():
     grid = Grid2D.torus(16, 16, 1.0, 1.0)
     g = flat_metric(grid)
-    u = ScalarField(np.ones((16, 16)))
+    u = np.ones((16, 16))
     for p in (1.0, 1.5, 3.0):
         assert lp_norm_scalar(u, MetricInvariants(g, grid), p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lp_mass_one_plus_cos(torus64, flat64):
     X, _ = torus64.mesh()
-    u = ScalarField(1.0 + np.cos(X))
+    u = 1.0 + np.cos(X)
     assert lp_norm_scalar(u, MetricInvariants(flat64, torus64), 1.0) == pytest.approx(
         4 * np.pi ** 2, rel=1e-12)
 
@@ -70,7 +70,7 @@ def test_lp_continuity_in_p():
     grid = Grid2D.torus(64, 64, 1.0, 1.0)   # unit-normalized volume
     g = flat_metric(grid)
     X, _ = grid.mesh()
-    u = ScalarField(1.0 + np.cos(2 * np.pi * X))   # bounded by 2
+    u = 1.0 + np.cos(2 * np.pi * X)   # bounded by 2
     v1 = lp_norm_scalar(u, MetricInvariants(g, grid), 1.0)
     v2 = lp_norm_scalar(u, MetricInvariants(g, grid), 1.01)
     assert abs(v2 - v1) / v1 < 0.03
@@ -79,11 +79,11 @@ def test_lp_continuity_in_p():
 def test_lp_rejects_negative():
     grid = Grid2D.torus(16, 16)
     g = flat_metric(grid)
-    u = ScalarField(-0.5 * np.ones((16, 16)))
+    u = -0.5 * np.ones((16, 16))
     with pytest.raises(InvalidSubsolutionError):
         lp_norm_scalar(u, MetricInvariants(g, grid), 1.0)
     with pytest.raises(ValueError):
-        lp_norm_scalar(ScalarField(np.ones((16, 16))), MetricInvariants(g, grid), 0.5)
+        lp_norm_scalar(np.ones((16, 16)), MetricInvariants(g, grid), 0.5)
 
 
 # ----------------------------------------------------------------- sup norm
@@ -201,8 +201,8 @@ def test_cutoff_profile_and_gradient_bound():
     d = np.abs(grid.x)
     inside = d <= r - 1e-9
     outside = d >= 2 * r + 1e-9
-    assert np.all(eta.values[inside, :] == 1.0)
-    assert np.all(eta.values[outside, :] == 0.0)
+    assert np.all(eta[inside, :] == 1.0)
+    assert np.all(eta[outside, :] == 0.0)
     assert cutoff_gradient_margin(eta, g, grid, r) <= 1e-8
 
 
@@ -227,7 +227,7 @@ def test_cutoff_truncation_term_decays():
     for r in (5.0, 10.0, 20.0):
         eta = cutoff_eta(grid, g, r)
         terms.append(2.0 / ((p - 1) * r ** 2)
-                     * integrate(eta.values * u ** p, MetricInvariants(g, grid)))
+                     * integrate(eta * u ** p, MetricInvariants(g, grid)))
     assert terms[0] > terms[1] > terms[2]
     # once the support is covered the term decays exactly like 1/r^2
     assert terms[2] / terms[0] == pytest.approx((5.0 / 20.0) ** 2, rel=1e-6)

@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,19 @@ def test_bad_field_rejected_by_make_scenario(overrides):
     assert len(err.value.problems) == 1
 
 
+@pytest.mark.parametrize("width", [1e-300, 5e-324])
+def test_tiny_bump_width_builds_without_warning(width):
+    # (x / w)^2 overflows to inf off the center, which the clip maps to 0: the
+    # bump is its amplitude on the x = 0 column and 0 elsewhere, silently
+    spec = make_scenario(family="flat-torus", subsolution="bump", sub_width=width,
+                         nx=16, ny=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        setup = build(spec)
+    X, _ = setup.state.grid.mesh()
+    assert np.array_equal(setup.state.subsolution, np.where(X == 0.0, 1.0, 0.0))
+
+
 # each used to pass validation and then fail the SPD check in build, naming
 # node (0, 0) and det g = nan or inf instead of the key; an infinite neck
 # width stays valid, a flat cylinder
@@ -336,7 +350,7 @@ def test_summary_contents(neck_run):
     _, _, traj, out = neck_run
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "completed"
-    assert summary["grid_hash"] == traj.grid_hash
+    assert summary["grid_hash"] == traj.grid.hash_hex
     assert "main.sup_monotone" in summary["verdicts"]
     assert "main.length_bound" in summary["verdicts"]
     assert summary["all_pass"]
@@ -355,9 +369,9 @@ def _state_arrays(st):
     for label, phi in st.forms.items():
         arrays[label + ".x"], arrays[label + ".theta"] = phi.x, phi.theta
     if st.gauge is not None:
-        arrays["gauge"] = st.gauge.values
+        arrays["gauge"] = st.gauge
     if st.subsolution is not None:
-        arrays["sub"] = st.subsolution.values
+        arrays["sub"] = st.subsolution
     return arrays
 
 
@@ -366,7 +380,7 @@ def _general_torus_setup():
     X, T = grid.mesh()
     g = general_metric(1 + 0.2 * np.sin(X), 0.05 * np.cos(T), 1 + 0.2 * np.cos(X + T))
     st = FlowState(0.0, grid, g, {"main": OneFormField(np.sin(X), np.ones_like(X))})
-    return RunSetup("general", "g" * 16, grid, st, FlowProblem(grid),
+    return RunSetup("general", "g" * 16, st, FlowProblem(),
                     IntegratorSpec(t_final=0.02, cadence=2, snapshot_every=1))
 
 
@@ -415,9 +429,8 @@ def test_blowup_status_in_summary(tmp_path):
 
     grid = Grid2D.cylinder(1024, 8, 0.5)
     prof = 2e-3 * np.ones(1024)
-    setup = RunSetup("thin", "y" * 16, grid,
-                     FlowState(0.0, grid, warped_metric(grid, prof, prof)),
-                     FlowProblem(grid), IntegratorSpec(t_final=1.0))
+    setup = RunSetup("thin", "y" * 16, FlowState(0.0, grid, warped_metric(grid, prof, prof)),
+                     FlowProblem(), IntegratorSpec(t_final=1.0))
     traj = run_flow(setup)
     summary = write_outputs(traj, tmp_path)
     assert summary["status"] == "blow-up-detected"
@@ -509,6 +522,11 @@ def flat_run_dir(tmp_path_factory):
     ("policy = by-curvature\n", "scale factors must be positive"),   # sup |R| = 0
     ("policy = by_curvature\nlambdas = 1\n", "unknown schedule policy"),
     ("times = 0.0\nlambdas = 1\ncycle_x = 16\n", "cycle_x 16 outside the grid"),
+    ("policy = by-curvature\ntimes 0.005\nradius = 1,2\nsigma = 1\n",
+     "line 2: expected 'key = value', got 'times 0.005'"),
+    ("policy = by-curvature\nradius = 1,2\n", "line 2: unknown key 'radius'"),
+    ("times = 0.0\nlambdas = 1\n\nsigma = 1\n", "line 4: sigma without radii"),
+    ("times = 0.0\nlambdas = 1\nradii = 1, 2\n", "line 3: radii without sigma"),
 ])
 def test_cli_bad_rescale_schedule_exits_2(flat_run_dir, tmp_path, schedule, problem):
     sched = tmp_path / "sched.cfg"
