@@ -20,10 +20,16 @@ verdicts:
   worse  the change's median is past the metric's relative bound from the
          parent's median.
 
+Beside the verdicts it prints a 95% bootstrap confidence interval of the
+median paired change/parent ratio: the pairs are resampled with replacement
+10,000 times (stdlib random, fixed seed), and the interval runs from the
+2.5th to the 97.5th percentile of the resampled medians.  It does not enter
+the verdicts.
+
 A metric whose parent IQR exceeds its bound is flagged as unresolved unless
 every change run beat every parent run.  A cpu_s row follows: each run's
 median CPU seconds over its untraced iterations, taken from the "perfbench:"
-detail line, with medians, quartiles and wins but no verdict, since
+detail line, with medians, quartiles, wins and the interval but no verdict, since
 BENCHMARK.json fixes no bound for it.  Last it prints failed/attempted per
 side, both perfbench runs and the iterations they report, and exits 1 when a
 run failed.  Layout randomization is not done here.
@@ -34,12 +40,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9
+RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
 
 
 def quartiles(xs) -> tuple:
@@ -49,6 +58,17 @@ def quartiles(xs) -> tuple:
         return xs[0], xs[0], xs[0]
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
+
+
+def ratio_ci(parent, change, resamples: int = RESAMPLES) -> tuple:
+    """(low, high): the 95% percentile bootstrap interval of the median of
+    change[k] / parent[k], over `resamples` resamplings of the pairs drawn
+    from random.Random(BOOTSTRAP_SEED)."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(resamples))
+    return medians[round(0.025 * (resamples - 1))], medians[round(0.975 * (resamples - 1))]
 
 
 def compare(parent, change, better: str, bound: float) -> dict:
@@ -64,7 +84,7 @@ def compare(parent, change, better: str, bound: float) -> dict:
     iqr = p_q3 - p_q1
     wins = sum(c < p for p, c in zip(sp, sc))
     return {"parent": (p_med, p_q1, p_q3), "change": (c_med, c_q1, c_q3),
-            "wins": wins, "pairs": len(parent),
+            "wins": wins, "pairs": len(parent), "ratio_ci": ratio_ci(parent, change),
             "gain": wins >= WIN_SHARE * len(parent) and sign * (p_med - c_med) > iqr,
             "worse": sign * (c_med - p_med) > bound * abs(p_med),
             "unresolved": iqr > bound * abs(p_med) and not max(sc) < min(sp)}
@@ -99,6 +119,10 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def _ci_cell(st: dict) -> str:
+    return "[{:.4f}, {:.4f}]".format(*st["ratio_ci"])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -125,7 +149,7 @@ def main() -> int:
     print(f"workload {args.workload}: {args.pairs} pairs of {seconds:g} s, "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'metric':<12} {'unit':<4} {'parent median [q1, q3]':<28} "
-          f"{'change median [q1, q3]':<28} {'wins':>7}  gain  worse")
+          f"{'change median [q1, q3]':<28} {'wins':>7}  {'ratio 95% CI':<16}  gain  worse")
     for m in declared["end_to_end"]:
         name = m["name"]
         timed = [k for k in range(args.pairs)
@@ -138,8 +162,8 @@ def main() -> int:
         cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*st[s]) for s in sides]
         note = "  (parent IQR exceeds the bound: unresolved)" if st["unresolved"] else ""
         print(f"{name:<12} {m['unit']:<4} {cells[0]:<28} {cells[1]:<28} "
-              f"{st['wins']:>3}/{st['pairs']:<3}  {'yes' if st['gain'] else 'no':<4}  "
-              f"{'yes' if st['worse'] else 'no'}{note}")
+              f"{st['wins']:>3}/{st['pairs']:<3}  {_ci_cell(st):<16}  "
+              f"{'yes' if st['gain'] else 'no':<4}  {'yes' if st['worse'] else 'no'}{note}")
     timed = [k for k in range(args.pairs) if all(results[s][k]["cpu_s"] is not None
                                                  for s in sides)]
     if timed:
@@ -147,7 +171,8 @@ def main() -> int:
         st = compare(cpu["parent"], cpu["change"], "lower", math.inf)
         cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*st[s]) for s in sides]
         print(f"{'cpu_s':<12} {'s':<4} {cells[0]:<28} {cells[1]:<28} "
-              f"{st['wins']:>3}/{st['pairs']:<3}  -     -     (no bound: not judged)")
+              f"{st['wins']:>3}/{st['pairs']:<3}  {_ci_cell(st):<16}  -     -     "
+              "(no bound: not judged)")
 
     failed = False
     for side, runs in results.items():

@@ -72,8 +72,8 @@ SCHEDULE_KEYS = ("policy", "times", "lambdas", "cycle_x", "sigma", "radii")
 
 def _parse_schedule_file(text: str) -> dict:
     """The `key = value` lines of a rescale schedule.  A line of another form,
-    a key outside SCHEDULE_KEYS, or one of sigma and radii without the other
-    raises ValueError naming the line."""
+    a key outside SCHEDULE_KEYS or given twice, or one of sigma and radii
+    without the other raises ValueError naming the line."""
     out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -86,6 +86,8 @@ def _parse_schedule_file(text: str) -> dict:
         if key not in SCHEDULE_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r} "
                              f"(valid keys: {', '.join(SCHEDULE_KEYS)})")
+        if key in lines:
+            raise ValueError(f"line {lineno}: {key!r} repeats line {lines[key]}")
         out[key], lines[key] = value.strip(), lineno
     if ("sigma" in out) != ("radii" in out):
         key, other = ("sigma", "radii") if "sigma" in out else ("radii", "sigma")

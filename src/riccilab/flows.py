@@ -45,7 +45,7 @@ from .functionals import (MonitorRecord, closedness_residual, cycle_integral,
 from .geometry import (CONFORMAL, GENERAL, WARPED, Grid2D, MetricField,
                        MetricInvariants, OneFormField, codifferential,
                        conformal_metric, flat_laplacian, general_metric,
-                       grad_norm_sq, hodge_laplacian, laplace_beltrami,
+                       grad_norm_sq, hodge_laplacian, laplace_beltrami, unbroadcast,
                        warped_gauss_curvature, warped_metric)
 
 DT_UNDERFLOW = 1e-12
@@ -155,9 +155,14 @@ class StateLayout:
         return np.concatenate([arr.ravel() for _, arr in self._arrays(state)])
 
     def parts(self, vec: np.ndarray):
-        """Views into `vec`: the metric parameters in tag order, the forms by
-        label, and the gauge and subsolution values (None when untracked)."""
-        v = {name: vec[o:o + math.prod(s)].reshape(s) for name, s, o in self.fields}
+        """The parts (see `assemble`) as views into `vec`."""
+        return self.assemble({name: vec[o:o + math.prod(s)].reshape(s)
+                              for name, s, o in self.fields})
+
+    def assemble(self, v: dict):
+        """The metric parameters in tag order, the forms by label, and the
+        gauge and subsolution values (None when untracked), from the field
+        arrays `v` by name."""
         forms = {label: OneFormField(v[f"form.{label}.phi_x"], v[f"form.{label}.phi_theta"])
                  for label in self.labels}
         return ([v[f"metric.{p}"] for p in _METRIC_PARAMS[self.tag]], forms,
@@ -271,10 +276,12 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
 def diffusion_rate(geo: MetricInvariants, sup_R: float) -> float:
     """Worst-node parabolic rate: inverse-metric magnitudes against the grid
     spacings plus the curvature scale.  A tagged metric's g^xt is -0.0, so its
-    cross term is not scanned; a conformal g^tt is g^xx, scanned once."""
+    cross term is not scanned; a conformal g^tt is g^xx, scanned once, and a
+    warped one's is scanned on its column."""
     grid, (ixx, ixt, itt) = geo.grid, geo.inv
-    sup_xx = np.max(ixx)
-    rate = sup_xx / grid.hx ** 2 + (sup_xx if itt is ixx else np.max(itt)) / grid.hy ** 2
+    sup_xx = np.max(unbroadcast(ixx))
+    rate = (sup_xx / grid.hx ** 2
+            + (sup_xx if itt is ixx else np.max(unbroadcast(itt))) / grid.hy ** 2)
     if geo.metric.tag == GENERAL:
         cross = float(np.max(np.abs(ixt)))
         if cross > 0:
@@ -390,9 +397,10 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
                 flux = max(flux, float(np.max(np.abs(nsq[label][mask] - nsq0))))
         values["buffer_flux"] = flux
 
+    R = unbroadcast(geo.scalar)
     return MonitorRecord(
         t=state.t, dt=dt, step=state.step,
-        sup_R=float(np.max(geo.scalar)), min_R=float(np.min(geo.scalar)),
+        sup_R=float(np.max(R)), min_R=float(np.min(R)),
         vol=vol, values=values, grid_hash=grid.hash_hex,
     )
 

@@ -140,6 +140,13 @@ def _diagonal_gxt(like: np.ndarray) -> np.ndarray:
     return np.broadcast_to(0.0, like.shape)
 
 
+def unbroadcast(a: np.ndarray) -> np.ndarray:
+    """`a` with each zero-stride axis cut to its first entry: a view that
+    holds each of its values, so a max or min over it is the one over `a`,
+    without the slow pass over a broadcast."""
+    return a[tuple(slice(None, 1) if s == 0 else slice(None) for s in a.strides)]
+
+
 def flat_metric(grid) -> MetricField:
     u = np.zeros((grid.nx, grid.ny))
     return conformal_metric(grid, u)

@@ -7,11 +7,22 @@ files.  A snapshot is the state's flat float64 vector written as raw
 little-endian bytes in its StateLayout's order, beside a JSON header that
 lists the layout's fields (row-major x-then-theta, form components ordered
 phi_x then phi_theta).
+
+Reloading reads each snapshot's metric parameters, the head of its vector,
+into memory and maps the other fields (forms, gauge, subsolution) read-only
+from its .bin, so a consumer that reads only metrics never pages the rest in.
+A loaded run therefore references its files: a snapshot file is never
+rewritten in place (the writer unlinks it first, so a live mapping keeps the
+old inode), and each live snapshot with mapped fields holds one file
+descriptor.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import math
+import resource
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,29 +132,62 @@ def write_snapshots(traj: Trajectory, directory) -> None:
         }
         stem = directory / f"snap_{idx:05d}"
         stem.with_suffix(".json").write_text(json.dumps(header, indent=1) + "\n")
-        layout.pack(snap).astype("<f8", copy=False).tofile(stem.with_suffix(".bin"))
+        bin_path = stem.with_suffix(".bin")
+        bin_path.unlink(missing_ok=True)    # a new inode: a loaded run may map the old one
+        layout.pack(snap).astype("<f8", copy=False).tofile(bin_path)
 
 
 def load_snapshots(directory) -> list[FlowState]:
     """The snapshots under `directory`, in file order.  A .bin file whose
     length is not the element count its header's fields add up to is
-    rejected, naming the file and both counts."""
+    rejected, naming the file and both counts, before any of it is read.
+
+    The metric.* fields, the head of each vector, are read into memory; the
+    fields after them are read-only views of one np.memmap of the rest of
+    the file.  A loaded state carries no layout or vector.  Each snapshot
+    with mapped fields holds one file descriptor while it lives; running out
+    of descriptors raises RicciLabError naming the file, the count mapped so
+    far and the soft RLIMIT_NOFILE."""
     directory = Path(directory)
-    states = []
+    states, mapped = [], 0
     for header_path in sorted(directory.glob("snap_*.json")):
-        header = json.loads(header_path.read_text())
-        gh = header["grid"]
-        grid = Grid2D(gh["nx"], gh["ny"], gh["lx"], gh["ly"],
-                      gh["topology_x"], gh["topology_y"], tuple(gh["origin"]))
-        layout = StateLayout(grid, header["metric_tag"],
-                             [(f["name"], f["shape"]) for f in header["fields"]])
         bin_path = header_path.with_suffix(".bin")
-        found = bin_path.stat().st_size / 8
-        if found != layout.size:
-            raise RicciLabError(f"snapshot {bin_path}: its header lists {layout.size} "
-                                f"float64 elements, the file holds {found:.15g}")
-        vec = np.fromfile(bin_path, dtype="<f8")
-        states.append(layout.unpack(vec, header["t"], header["step"]))
+        try:
+            header = json.loads(header_path.read_text())
+            gh = header["grid"]
+            grid = Grid2D(gh["nx"], gh["ny"], gh["lx"], gh["ly"],
+                          gh["topology_x"], gh["topology_y"], tuple(gh["origin"]))
+            layout = StateLayout(grid, header["metric_tag"],
+                                 [(f["name"], f["shape"]) for f in header["fields"]])
+            found = bin_path.stat().st_size / 8
+            if found != layout.size:
+                raise RicciLabError(f"snapshot {bin_path}: its header lists {layout.size} "
+                                    f"float64 elements, the file holds {found:.15g}")
+            head = 0
+            for name, shape, offset in layout.fields:
+                if not name.startswith("metric."):
+                    break
+                head = offset + math.prod(shape)
+            vec = np.fromfile(bin_path, dtype="<f8", count=head)
+            rest = None
+            if head < layout.size:      # np.memmap rejects an empty range
+                rest = np.asarray(np.memmap(bin_path, dtype="<f8", mode="r",
+                                            offset=8 * head, shape=(layout.size - head,)))
+                mapped += 1
+        except OSError as e:
+            if e.errno != errno.EMFILE:
+                raise
+            soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+            raise RicciLabError(
+                f"snapshot {bin_path}: out of file descriptors after mapping {mapped} "
+                f"snapshot files (soft RLIMIT_NOFILE {soft}); each loaded snapshot "
+                "keeps one open") from e
+        arrays = {name: (vec[o:o + math.prod(s)] if o < head
+                         else rest[o - head:o - head + math.prod(s)]).reshape(s)
+                  for name, s, o in layout.fields}
+        params, forms, gauge, sub = layout.assemble(arrays)
+        states.append(FlowState(header["t"], grid, layout.metric(params), forms, gauge,
+                                sub, header["step"]))
     return states
 
 

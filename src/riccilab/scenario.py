@@ -173,7 +173,7 @@ _KEYS = {
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and validate; raises ScenarioError carrying every problem found."""
     spec = ScenarioSpec()
-    problems = []
+    problems, seen = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -183,6 +183,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in seen:
+            problems.append(f"line {lineno}: {key!r} repeats line {seen[key]}")
+            continue
+        seen[key] = lineno
         try:
             if key in _KEYS:
                 _KEYS[key][0](spec, value)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from ab import compare, median_cpu_s, quartiles  # noqa: E402
+from ab import compare, median_cpu_s, quartiles, ratio_ci  # noqa: E402
 
 PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
 
@@ -57,6 +57,23 @@ def test_unresolved_when_the_parent_spread_exceeds_the_bound():
     # unless every change run beats every parent run
     assert not compare(PARENT, [9.0] * 10, "lower", 0.1)["unresolved"]
     assert not compare(PARENT, PARENT, "lower", 0.25)["unresolved"]
+
+
+def test_ratio_ci_brackets_the_median_paired_ratio():
+    # equal ratios: every resampled median is that ratio
+    assert ratio_ci(PARENT, [p / 2 for p in PARENT]) == (0.5, 0.5)
+    assert compare(PARENT, [p / 2 for p in PARENT], "lower", 0.1)["ratio_ci"] == (0.5, 0.5)
+    # ratios 0.60..0.69, median 0.645: the interval holds the median, lies
+    # within the ratios and is the same on every call
+    change = [0.60 + 0.01 * k for k in range(10)]
+    lo, hi = ratio_ci([1.0] * 10, change)
+    assert 0.60 <= lo < 0.645 < hi <= 0.69
+    assert ratio_ci([1.0] * 10, change) == (lo, hi)
+    # one wild pair moves a resampled median only when drawn five times or
+    # more, about 0.2% of the resamples: the interval stays where it was
+    wild = change[:-1] + [100.0]
+    assert ratio_ci([1.0] * 10, wild)[1] <= 0.69
+    assert ratio_ci([2.0], [1.0]) == (0.5, 0.5)
 
 
 def test_unpaired_values_rejected():

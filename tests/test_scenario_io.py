@@ -18,7 +18,7 @@ from riccilab.errors import RicciLabError, ScenarioError
 from riccilab.flows import FlowProblem, FlowState, IntegratorSpec, run_flow
 from riccilab.geometry import Grid2D, MetricField, OneFormField, general_metric
 from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text,
-                              write_outputs)
+                              write_outputs, write_snapshots)
 from riccilab.scenario import (FAMILIES, FormSpec, ProbeSpec, RunSetup, build, make_scenario,
                                parse_scenario, serialize_scenario)
 
@@ -559,6 +559,121 @@ def test_snapshot_length_checked_against_header(neck_run, tmp_path, change):
     r = _cli("rescale", str(out), "--schedule", str(sched))
     assert r.returncode == 2 and str(snap) in r.stderr
     assert not (out / "rescale_report.json").exists()
+
+
+def _conformal_run(coefficient=0.3):
+    spec = make_scenario(name="conformal", family="conformal-torus", nx=16, ny=16,
+                         forms=[FormSpec("main", "dtheta_dsinx", coefficient)],
+                         gauge_form="main", subsolution="one-plus-cos",
+                         t_final=0.05, cadence=2, snapshot_every=1)
+    setup = build(spec)
+    return run_flow(setup), setup.problem
+
+
+def _memmap_under(a):
+    while a is not None and not isinstance(a, np.memmap):
+        a = a.base
+    return a
+
+
+def test_reload_reads_metrics_and_maps_the_rest(neck_run, tmp_path):
+    # the metric parameters own their memory; forms, gauge and subsolution
+    # are read-only views of a map of their own .bin
+    traj, problem = _conformal_run()
+    write_outputs(traj, tmp_path, problem=problem)
+    for out, params in ((neck_run[3], ("h", "f")), (tmp_path, ("u",))):
+        snaps = load_run(out).snapshots
+        assert len(snaps) > 1
+        for idx, snap in enumerate(snaps):
+            assert snap.layout is None and snap.vector is None
+            for p in params:
+                assert _memmap_under(getattr(snap.metric, p)) is None
+            mapped = [a for phi in snap.forms.values() for a in (phi.x, phi.theta)]
+            mapped += [a for a in (snap.gauge, snap.subsolution) if a is not None]
+            assert len(mapped) == (2 if params == ("h", "f") else 4)
+            bin_path = (out / "snapshots" / f"snap_{idx:05d}.bin").resolve()
+            for a in mapped:
+                assert Path(_memmap_under(a).filename).resolve() == bin_path
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
+
+
+def test_rewrite_leaves_a_live_reload_unchanged(tmp_path):
+    # runs written into a directory a LoadedRun still maps, by write_snapshots
+    # alone or by write_outputs, land in new files: the live run keeps its
+    # bits, a fresh load sees the new run
+    traj, problem = _conformal_run()
+    write_outputs(traj, tmp_path, problem=problem)
+    live = load_run(tmp_path).snapshots
+    before = [{k: v.copy() for k, v in _state_arrays(s).items()} for s in live]
+    for coefficient, write in ((0.7, lambda t, p: write_snapshots(t, tmp_path / "snapshots")),
+                               (0.9, lambda t, p: write_outputs(t, tmp_path, problem=p))):
+        other, problem = _conformal_run(coefficient)
+        write(other, problem)
+        for snap, kept in zip(live, before):
+            arrays = _state_arrays(snap)
+            assert arrays.keys() == kept.keys()
+            assert all(np.array_equal(arrays[k], kept[k]) for k in kept)
+        fresh = load_run(tmp_path).snapshots
+        assert len(fresh) == len(live) == len(other.snapshots)
+        assert all(np.array_equal(a.forms["main"].x, b.forms["main"].x)
+                   for a, b in zip(fresh, other.snapshots))
+        assert not np.array_equal(fresh[-1].forms["main"].x, live[-1].forms["main"].x)
+
+
+RESCALE_AT_64_FILES = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_NOFILE,
+                   (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+from riccilab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_rescale_out_of_descriptors_exits_2(tmp_path):
+    # each live snapshot with mapped forms holds a descriptor: ~100 of them
+    # under a soft limit of 64 stop the reload by name, not with a traceback
+    spec = make_scenario(name="many", family="flat-torus", nx=16, ny=16,
+                         forms=[FormSpec("main", "dtheta")], t_final=3.0, cadence=1,
+                         snapshot_every=1)
+    write_outputs(run_flow(build(spec)), tmp_path / "run")
+    assert len(load_run(tmp_path / "run").snapshots) > 90
+    sched = tmp_path / "sched.cfg"
+    sched.write_text("policy = by-curvature\n")
+    r = subprocess.run([sys.executable, "-c", RESCALE_AT_64_FILES, "rescale",
+                        str(tmp_path / "run"), "--schedule", str(sched)],
+                       capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "soft RLIMIT_NOFILE 64" in r.stderr
+    assert str(tmp_path / "run" / "snapshots" / "snap_") in r.stderr
+    mapped = int(r.stderr.split("after mapping ")[1].split()[0])
+    assert 0 < mapped < 64
+    assert not (tmp_path / "run" / "rescale_report.json").exists()
+
+
+def test_repeated_scenario_key_rejected(tmp_path):
+    text = MINIMAL + "grid.nx = 16\ngrid.nx = 32\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert err.value.problems == ["line 3: 'grid.nx' repeats line 2"]
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    r = _cli("run", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "line 3: 'grid.nx' repeats line 2" in r.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_schedule_key_exits_2(flat_run_dir, tmp_path):
+    sched = tmp_path / "sched.cfg"
+    sched.write_text("times = 0.0\ntimes = 0.01\nlambdas = 2\n")
+    r = _cli("rescale", str(flat_run_dir), "--schedule", str(sched),
+             "--out", str(tmp_path / "report.json"))
+    assert r.returncode == 2
+    assert "schedule error: line 2: 'times' repeats line 1" in r.stderr
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_infinite_horizon_runs_to_its_budget(tmp_path):
