@@ -60,15 +60,15 @@ def quartiles(xs) -> tuple:
     return q1, med, q3
 
 
-def ratio_ci(parent, change, resamples: int = RESAMPLES) -> tuple:
+def ratio_ci(parent, change) -> tuple:
     """(low, high): the 95% percentile bootstrap interval of the median of
-    change[k] / parent[k], over `resamples` resamplings of the pairs drawn
+    change[k] / parent[k], over RESAMPLES resamplings of the pairs drawn
     from random.Random(BOOTSTRAP_SEED)."""
     ratios = [c / p for p, c in zip(parent, change)]
     rng = random.Random(BOOTSTRAP_SEED)
     medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
-                     for _ in range(resamples))
-    return medians[round(0.025 * (resamples - 1))], medians[round(0.975 * (resamples - 1))]
+                     for _ in range(RESAMPLES))
+    return medians[round(0.025 * (RESAMPLES - 1))], medians[round(0.975 * (RESAMPLES - 1))]
 
 
 def compare(parent, change, better: str, bound: float) -> dict:

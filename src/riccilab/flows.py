@@ -154,15 +154,21 @@ class StateLayout:
             return state.vector
         return np.concatenate([arr.ravel() for _, arr in self._arrays(state)])
 
-    def parts(self, vec: np.ndarray):
-        """The parts (see `assemble`) as views into `vec`."""
-        return self.assemble({name: vec[o:o + math.prod(s)].reshape(s)
-                              for name, s, o in self.fields})
+    @cached_property
+    def head(self) -> int:
+        """The length of the vector's leading metric parameters."""
+        _, shape, offset = self.fields[len(_METRIC_PARAMS[self.tag]) - 1]
+        return offset + math.prod(shape)
 
-    def assemble(self, v: dict):
-        """The metric parameters in tag order, the forms by label, and the
-        gauge and subsolution values (None when untracked), from the field
-        arrays `v` by name."""
+    def parts(self, vec: np.ndarray, rest: np.ndarray | None = None):
+        """Views into `vec`: the metric parameters in tag order, the forms by
+        label, and the gauge and subsolution values (None when untracked).
+        Given `rest`, `vec` holds the metric head alone and `rest` the fields
+        after it."""
+        h = self.size if rest is None else self.head
+        v = {name: (vec[o:o + math.prod(s)] if o < h
+                    else rest[o - h:o - h + math.prod(s)]).reshape(s)
+             for name, s, o in self.fields}
         forms = {label: OneFormField(v[f"form.{label}.phi_x"], v[f"form.{label}.phi_theta"])
                  for label in self.labels}
         return ([v[f"metric.{p}"] for p in _METRIC_PARAMS[self.tag]], forms,

@@ -14,14 +14,15 @@ from its .bin, so a consumer that reads only metrics never pages the rest in.
 A loaded run therefore references its files: a snapshot file is never
 rewritten in place (the writer unlinks it first, so a live mapping keeps the
 old inode), and each live snapshot with mapped fields holds one file
-descriptor.
+descriptor.  A reload maps no more snapshots than leave FD_RESERVE
+descriptors free under the soft RLIMIT_NOFILE and reads the others whole.
 """
 
 from __future__ import annotations
 
 import errno
 import json
-import math
+import os
 import resource
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,6 +138,19 @@ def write_snapshots(traj: Trajectory, directory) -> None:
         layout.pack(snap).astype("<f8", copy=False).tofile(bin_path)
 
 
+FD_RESERVE = 32     # descriptors a reload leaves free for the opens after it
+
+
+def _map_budget() -> int:
+    """How many snapshot files a reload may map: the soft RLIMIT_NOFILE less
+    the descriptors open now and FD_RESERVE; 0 when they cannot be counted."""
+    try:
+        open_now = len(os.listdir("/dev/fd"))
+    except OSError:     # no /dev/fd, or not one descriptor free to list it
+        return 0
+    return resource.getrlimit(resource.RLIMIT_NOFILE)[0] - open_now - FD_RESERVE
+
+
 def load_snapshots(directory) -> list[FlowState]:
     """The snapshots under `directory`, in file order.  A .bin file whose
     length is not the element count its header's fields add up to is
@@ -144,15 +158,18 @@ def load_snapshots(directory) -> list[FlowState]:
 
     The metric.* fields, the head of each vector, are read into memory; the
     fields after them are read-only views of one np.memmap of the rest of
-    the file.  A loaded state carries no layout or vector.  Each snapshot
-    with mapped fields holds one file descriptor while it lives; running out
-    of descriptors raises RicciLabError naming the file, the count mapped so
-    far and the soft RLIMIT_NOFILE."""
+    the file.  Each snapshot with mapped fields holds one file descriptor
+    while it lives, so a reload maps no more snapshots than leave FD_RESERVE
+    descriptors free under the soft RLIMIT_NOFILE, and reads the snapshots
+    past that count whole.  A loaded state carries no layout or vector.
+    Running out of descriptors anyway raises RicciLabError naming the file,
+    the count mapped so far and the soft RLIMIT_NOFILE."""
     directory = Path(directory)
-    states, mapped = [], 0
-    for header_path in sorted(directory.glob("snap_*.json")):
-        bin_path = header_path.with_suffix(".bin")
-        try:
+    states, mapped, budget = [], 0, _map_budget()
+    bin_path = directory
+    try:
+        for header_path in sorted(directory.glob("snap_*.json")):
+            bin_path = header_path.with_suffix(".bin")
             header = json.loads(header_path.read_text())
             gh = header["grid"]
             grid = Grid2D(gh["nx"], gh["ny"], gh["lx"], gh["ly"],
@@ -163,31 +180,26 @@ def load_snapshots(directory) -> list[FlowState]:
             if found != layout.size:
                 raise RicciLabError(f"snapshot {bin_path}: its header lists {layout.size} "
                                     f"float64 elements, the file holds {found:.15g}")
-            head = 0
-            for name, shape, offset in layout.fields:
-                if not name.startswith("metric."):
-                    break
-                head = offset + math.prod(shape)
-            vec = np.fromfile(bin_path, dtype="<f8", count=head)
-            rest = None
-            if head < layout.size:      # np.memmap rejects an empty range
+            # np.memmap rejects an empty range: a bare metric maps nothing
+            if layout.head == layout.size or mapped >= budget:
+                vec, rest = np.fromfile(bin_path, dtype="<f8"), None
+            else:
+                vec = np.fromfile(bin_path, dtype="<f8", count=layout.head)
                 rest = np.asarray(np.memmap(bin_path, dtype="<f8", mode="r",
-                                            offset=8 * head, shape=(layout.size - head,)))
+                                            offset=8 * layout.head,
+                                            shape=(layout.size - layout.head,)))
                 mapped += 1
-        except OSError as e:
-            if e.errno != errno.EMFILE:
-                raise
-            soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
-            raise RicciLabError(
-                f"snapshot {bin_path}: out of file descriptors after mapping {mapped} "
-                f"snapshot files (soft RLIMIT_NOFILE {soft}); each loaded snapshot "
-                "keeps one open") from e
-        arrays = {name: (vec[o:o + math.prod(s)] if o < head
-                         else rest[o - head:o - head + math.prod(s)]).reshape(s)
-                  for name, s, o in layout.fields}
-        params, forms, gauge, sub = layout.assemble(arrays)
-        states.append(FlowState(header["t"], grid, layout.metric(params), forms, gauge,
-                                sub, header["step"]))
+            params, forms, gauge, sub = layout.parts(vec, rest)
+            states.append(FlowState(header["t"], grid, layout.metric(params), forms, gauge,
+                                    sub, header["step"]))
+    except OSError as e:
+        if e.errno != errno.EMFILE:
+            raise
+        soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+        raise RicciLabError(
+            f"reloading {bin_path}: out of file descriptors after mapping {mapped} "
+            f"snapshot files (soft RLIMIT_NOFILE {soft}); each loaded snapshot "
+            "with mapped fields keeps one open") from e
     return states
 
 

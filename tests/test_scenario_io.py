@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from riccilab.errors import RicciLabError, ScenarioError
 from riccilab.flows import FlowProblem, FlowState, IntegratorSpec, run_flow
 from riccilab.geometry import Grid2D, MetricField, OneFormField, general_metric
-from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text,
-                              write_outputs, write_snapshots)
+from riccilab.outputs import (FD_RESERVE, load_run, load_snapshots,
+                              monitors_csv_text, write_outputs, write_snapshots)
 from riccilab.scenario import (FAMILIES, FormSpec, ProbeSpec, RunSetup, build, make_scenario,
                                parse_scenario, serialize_scenario)
 
@@ -622,35 +622,89 @@ def test_rewrite_leaves_a_live_reload_unchanged(tmp_path):
         assert not np.array_equal(fresh[-1].forms["main"].x, live[-1].forms["main"].x)
 
 
-RESCALE_AT_64_FILES = """\
-import resource, sys
-resource.setrlimit(resource.RLIMIT_NOFILE,
-                   (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+@pytest.fixture(scope="module")
+def many_snapshots_run(tmp_path_factory):
+    # ~100 form-carrying snapshots of a 16² conformal torus, and its
+    # by-curvature rescale report with every snapshot mapped
+    out = tmp_path_factory.mktemp("many")
+    spec = make_scenario(name="many", family="conformal-torus", nx=16, ny=16,
+                         forms=[FormSpec("main", "dtheta")], t_final=3.0, cadence=1,
+                         snapshot_every=1)
+    write_outputs(run_flow(build(spec)), out / "run")
+    (out / "sched.cfg").write_text("policy = by-curvature\n")
+    r = _cli("rescale", str(out / "run"), "--schedule", str(out / "sched.cfg"),
+             "--out", str(out / "report.json"))
+    assert r.returncode == 0, r.stderr
+    return out, len(load_run(out / "run").snapshots)
+
+
+RESCALE_UNDER_LIMIT = """\
+import json, os, resource, sys
 from riccilab.cli import main
-sys.exit(main(sys.argv[1:]))
+from riccilab.outputs import load_run
+run_dir, sched, out, limit = sys.argv[1:]
+soft = len(os.listdir("/dev/fd")) + int(limit[1:]) if limit[0] == "+" else int(limit)
+resource.setrlimit(resource.RLIMIT_NOFILE,
+                   (soft, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+code = main(["rescale", run_dir, "--schedule", sched, "--out", out])
+snaps = load_run(run_dir).snapshots
+spare = [open(os.devnull) for _ in range(8)]
+print(json.dumps({"code": code, "soft": soft, "snapshots": len(snaps),
+                  "mapped": sum(not s.forms["main"].x.flags.writeable for s in snaps)}))
 """
 
 
-def test_rescale_out_of_descriptors_exits_2(tmp_path):
-    # each live snapshot with mapped forms holds a descriptor: ~100 of them
-    # under a soft limit of 64 stop the reload by name, not with a traceback
-    spec = make_scenario(name="many", family="flat-torus", nx=16, ny=16,
-                         forms=[FormSpec("main", "dtheta")], t_final=3.0, cadence=1,
-                         snapshot_every=1)
-    write_outputs(run_flow(build(spec)), tmp_path / "run")
-    assert len(load_run(tmp_path / "run").snapshots) > 90
-    sched = tmp_path / "sched.cfg"
-    sched.write_text("policy = by-curvature\n")
-    r = subprocess.run([sys.executable, "-c", RESCALE_AT_64_FILES, "rescale",
-                        str(tmp_path / "run"), "--schedule", str(sched)],
+@pytest.mark.parametrize("limit", ["64", "+n"])
+def test_rescale_under_a_low_descriptor_limit(many_snapshots_run, tmp_path, limit):
+    # each live snapshot with mapped forms holds a descriptor: a reload maps
+    # no more than leave FD_RESERVE free and reads the others whole, so a run
+    # of more snapshots than the soft limit allows rescales to the same
+    # report, and files still open after the load.  "+n" leaves exactly one
+    # descriptor per snapshot free, the count that filled the table when
+    # every snapshot was mapped
+    out, n = many_snapshots_run
+    assert n > 90
+    r = subprocess.run([sys.executable, "-c", RESCALE_UNDER_LIMIT, str(out / "run"),
+                        str(out / "sched.cfg"), str(tmp_path / "report.json"),
+                        limit.replace("n", str(n))],
                        capture_output=True, text=True)
-    assert r.returncode == 2, r.stderr
-    assert "Traceback" not in r.stderr
-    assert "soft RLIMIT_NOFILE 64" in r.stderr
-    assert str(tmp_path / "run" / "snapshots" / "snap_") in r.stderr
-    mapped = int(r.stderr.split("after mapping ")[1].split()[0])
-    assert 0 < mapped < 64
-    assert not (tmp_path / "run" / "rescale_report.json").exists()
+    assert r.returncode == 0, r.stderr
+    got = json.loads(r.stdout.splitlines()[-1])
+    assert got["code"] == 0 and got["snapshots"] == n
+    assert 0 < got["mapped"] <= got["soft"] - FD_RESERVE - 3 < n   # 3: stdin/out/err
+    assert (tmp_path / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
+RELOAD_WITH_TABLE_FULL = """\
+import os, resource, sys
+from riccilab.errors import RicciLabError
+from riccilab.outputs import load_snapshots
+resource.setrlimit(resource.RLIMIT_NOFILE,
+                   (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+held = []
+try:
+    while True:
+        held.append(open(os.devnull))
+except OSError:
+    pass
+try:
+    load_snapshots(sys.argv[1])
+except RicciLabError as e:
+    for f in held:
+        f.close()
+    print(e)
+"""
+
+
+def test_reload_out_of_descriptors_is_named(many_snapshots_run):
+    # with no descriptor free, the reload stops by name, not with a traceback
+    out, _ = many_snapshots_run
+    r = subprocess.run([sys.executable, "-c", RELOAD_WITH_TABLE_FULL,
+                        str(out / "run" / "snapshots")], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith(f"reloading {out / 'run' / 'snapshots'}: out of file "
+                               "descriptors after mapping 0 snapshot files "
+                               "(soft RLIMIT_NOFILE 64)")
 
 
 def test_repeated_scenario_key_rejected(tmp_path):
