@@ -7,7 +7,11 @@ perfbench workload's seed-0 scenario and each scenarios/*.cfg of this
 checkout through parse_scenario -> build -> run_flow -> write_outputs, in a
 temporary directory.  Prints one line per run: its name, status, step count,
 the sha256 of monitors.csv, of the snapshots (each file's name then its
-bytes, in sorted order) and of summary.json without its scenario_hash.
+bytes, in sorted order) and of summary.json without its scenario_hash.  A run
+with snapshots also prints rescale=, the sha256 of the JSON of the points
+rescale_trajectory measures on the run reloaded with load_run, along the
+by-curvature schedule at every snapshot time (unit factors on a flat run,
+which that policy rejects): it digests what reloading feeds the rescaling.
 Runs on two checkouts print the same lines when their outputs agree byte for
 byte; scenario_hash is left out because it hashes the serialized spec, which
 changes whenever a key is added or retired.  scenarios/cigar.cfg takes about
@@ -17,11 +21,13 @@ two minutes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,8 +43,10 @@ def runs() -> list:
 
 
 def digest_line(name: str, text: str, workdir: Path) -> str:
+    from riccilab.blowup import (RescalingSchedule, by_curvature_schedule,
+                                 rescale_trajectory)
     from riccilab.flows import run_flow
-    from riccilab.outputs import write_outputs
+    from riccilab.outputs import load_run, write_outputs
     from riccilab.scenario import build, parse_scenario
 
     setup = build(parse_scenario(text))
@@ -52,9 +60,22 @@ def digest_line(name: str, text: str, workdir: Path) -> str:
         snaps.update(path.read_bytes())
     summary.pop("scenario_hash")
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    return (f"{name} status={traj.status} steps={traj.n_steps} monitors={monitors} "
+    line = (f"{name} status={traj.status} steps={traj.n_steps} monitors={monitors} "
             f"snapshots={snaps.hexdigest()} "
             f"summary={hashlib.sha256(summary_text.encode()).hexdigest()}")
+    if traj.snapshots:
+        run = load_run(run_dir)
+        reloaded = SimpleNamespace(grid=run.snapshots[0].grid, snapshots=run.snapshots,
+                                   records=run.records)
+        times = [s.t for s in run.snapshots]
+        try:
+            schedule = by_curvature_schedule(reloaded, times)
+        except ValueError:      # sup |R| = 0: no factor to take
+            schedule = RescalingSchedule([(t, 1.0) for t in times])
+        points = json.dumps([dataclasses.asdict(p)
+                             for p in rescale_trajectory(reloaded, schedule)])
+        line += f" rescale={hashlib.sha256(points.encode()).hexdigest()}"
+    return line
 
 
 def main() -> int:

@@ -100,10 +100,10 @@ def suite_l2_monotonicity() -> list:
     traj_b = _cached_run(_conformal_form_spec())
     rep_b = l2_monotonicity_report(traj_b, "main")
     out.append(CriterionResult(
-        "l2-monotonicity", "evolving conformal torus (hypothesis-gated)",
-        rep_b.passed,
-        f"{rep_b.checked} record pairs with min R >= 0; worst increment "
-        f"{rep_b.worst_margin:.2e}"))
+        "l2-monotonicity", "evolving conformal torus",
+        rep_b.passed and rep_b.checked > 0,
+        f"worst step increment {rep_b.worst_margin:.2e} over {rep_b.checked} pairs "
+        f"(tol {rep_b.notes['tolerance']:.2e})"))
     return out
 
 

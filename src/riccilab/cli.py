@@ -100,7 +100,7 @@ def _cmd_rescale(args) -> int:
     run_dir = Path(args.run_dir)
     try:
         run = load_run(run_dir)
-    except (FileNotFoundError, RicciLabError) as e:
+    except (OSError, RicciLabError) as e:
         print(str(e), file=sys.stderr)
         return USAGE_ERROR
     if not run.snapshots:

@@ -198,20 +198,15 @@ def _series(records, key):
 
 # ---------------------------------------------------------------------- reports
 def l2_monotonicity_report(traj, label: str) -> ReportResult:
-    """Non-increase of the L2 norm of a tracked form, asserted only on record
-    pairs where min R >= 0 held at both ends (the statement is conditional on
-    nonnegative scalar curvature)."""
-    rec = traj.records
-    series = _series(rec, f"{label}_l2")
+    """Non-increase of the L2 norm of a tracked form on every record pair,
+    with no sign condition on the curvature: in 2-D, Ric = (R/2) g turns
+    d/dt |phi|^2 into -2(|d phi|^2 + |delta phi|^2) <= 0.  Tolerance 1e-8 of
+    the initial value per pair; a series with no pair to check fails."""
+    series = _series(traj.records, f"{label}_l2")
     tol = 1e-8 * series[0]
-    worst = 0.0
-    checked = 0
-    for k in range(len(rec) - 1):
-        if rec[k].hypothesis_nonneg_R() and rec[k + 1].hypothesis_nonneg_R():
-            checked += 1
-            worst = max(worst, float(series[k + 1] - series[k]))
-    passed = checked == 0 or worst <= tol
-    return ReportResult("l2_monotone", passed, worst, checked,
+    worst = max([0.0, *np.diff(series)])
+    checked = len(series) - 1
+    return ReportResult("l2_monotone", checked > 0 and worst <= tol, float(worst), checked,
                         {"tolerance": float(tol), "initial": float(series[0])})
 
 

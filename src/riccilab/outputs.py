@@ -7,23 +7,11 @@ files.  A snapshot is the state's flat float64 vector written as raw
 little-endian bytes in its StateLayout's order, beside a JSON header that
 lists the layout's fields (row-major x-then-theta, form components ordered
 phi_x then phi_theta).
-
-Reloading reads each snapshot's metric parameters, the head of its vector,
-into memory and maps the other fields (forms, gauge, subsolution) read-only
-from its .bin, so a consumer that reads only metrics never pages the rest in.
-A loaded run therefore references its files: a snapshot file is never
-rewritten in place (the writer unlinks it first, so a live mapping keeps the
-old inode), and each live snapshot with mapped fields holds one file
-descriptor.  A reload maps no more snapshots than leave FD_RESERVE
-descriptors free under the soft RLIMIT_NOFILE and reads the others whole.
 """
 
 from __future__ import annotations
 
-import errno
 import json
-import os
-import resource
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,73 +121,38 @@ def write_snapshots(traj: Trajectory, directory) -> None:
         }
         stem = directory / f"snap_{idx:05d}"
         stem.with_suffix(".json").write_text(json.dumps(header, indent=1) + "\n")
-        bin_path = stem.with_suffix(".bin")
-        bin_path.unlink(missing_ok=True)    # a new inode: a loaded run may map the old one
-        layout.pack(snap).astype("<f8", copy=False).tofile(bin_path)
+        layout.pack(snap).astype("<f8", copy=False).tofile(stem.with_suffix(".bin"))
 
 
-FD_RESERVE = 32     # descriptors a reload leaves free for the opens after it
-
-
-def _map_budget() -> int:
-    """How many snapshot files a reload may map: the soft RLIMIT_NOFILE less
-    the descriptors open now and FD_RESERVE; 0 when they cannot be counted."""
-    try:
-        open_now = len(os.listdir("/dev/fd"))
-    except OSError:     # no /dev/fd, or not one descriptor free to list it
-        return 0
-    return resource.getrlimit(resource.RLIMIT_NOFILE)[0] - open_now - FD_RESERVE
+def read_header(header_path) -> tuple[dict, StateLayout]:
+    """A snapshot's JSON header and the StateLayout its fields list.  A .bin
+    beside it whose length is not the element count those fields add up to
+    is rejected, naming the file and both counts, before any of it is read."""
+    header_path = Path(header_path)
+    bin_path = header_path.with_suffix(".bin")
+    header = json.loads(header_path.read_text())
+    gh = header["grid"]
+    grid = Grid2D(gh["nx"], gh["ny"], gh["lx"], gh["ly"],
+                  gh["topology_x"], gh["topology_y"], tuple(gh["origin"]))
+    layout = StateLayout(grid, header["metric_tag"],
+                         [(f["name"], f["shape"]) for f in header["fields"]])
+    found = bin_path.stat().st_size / 8
+    if found != layout.size:
+        raise RicciLabError(f"snapshot {bin_path}: its header lists {layout.size} "
+                            f"float64 elements, the file holds {found:.15g}")
+    return header, layout
 
 
 def load_snapshots(directory) -> list[FlowState]:
-    """The snapshots under `directory`, in file order.  A .bin file whose
-    length is not the element count its header's fields add up to is
-    rejected, naming the file and both counts, before any of it is read.
-
-    The metric.* fields, the head of each vector, are read into memory; the
-    fields after them are read-only views of one np.memmap of the rest of
-    the file.  Each snapshot with mapped fields holds one file descriptor
-    while it lives, so a reload maps no more snapshots than leave FD_RESERVE
-    descriptors free under the soft RLIMIT_NOFILE, and reads the snapshots
-    past that count whole.  A loaded state carries no layout or vector.
-    Running out of descriptors anyway raises RicciLabError naming the file,
-    the count mapped so far and the soft RLIMIT_NOFILE."""
-    directory = Path(directory)
-    states, mapped, budget = [], 0, _map_budget()
-    bin_path = directory
-    try:
-        for header_path in sorted(directory.glob("snap_*.json")):
-            bin_path = header_path.with_suffix(".bin")
-            header = json.loads(header_path.read_text())
-            gh = header["grid"]
-            grid = Grid2D(gh["nx"], gh["ny"], gh["lx"], gh["ly"],
-                          gh["topology_x"], gh["topology_y"], tuple(gh["origin"]))
-            layout = StateLayout(grid, header["metric_tag"],
-                                 [(f["name"], f["shape"]) for f in header["fields"]])
-            found = bin_path.stat().st_size / 8
-            if found != layout.size:
-                raise RicciLabError(f"snapshot {bin_path}: its header lists {layout.size} "
-                                    f"float64 elements, the file holds {found:.15g}")
-            # np.memmap rejects an empty range: a bare metric maps nothing
-            if layout.head == layout.size or mapped >= budget:
-                vec, rest = np.fromfile(bin_path, dtype="<f8"), None
-            else:
-                vec = np.fromfile(bin_path, dtype="<f8", count=layout.head)
-                rest = np.asarray(np.memmap(bin_path, dtype="<f8", mode="r",
-                                            offset=8 * layout.head,
-                                            shape=(layout.size - layout.head,)))
-                mapped += 1
-            params, forms, gauge, sub = layout.parts(vec, rest)
-            states.append(FlowState(header["t"], grid, layout.metric(params), forms, gauge,
-                                    sub, header["step"]))
-    except OSError as e:
-        if e.errno != errno.EMFILE:
-            raise
-        soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
-        raise RicciLabError(
-            f"reloading {bin_path}: out of file descriptors after mapping {mapped} "
-            f"snapshot files (soft RLIMIT_NOFILE {soft}); each loaded snapshot "
-            "with mapped fields keeps one open") from e
+    """The snapshots under `directory`, in file order, each carrying its
+    metric alone: only the metric parameters, the head of each .bin, are
+    read, after read_header has checked the file's length."""
+    states = []
+    for header_path in sorted(Path(directory).glob("snap_*.json")):
+        header, layout = read_header(header_path)
+        head = layout.metric_only
+        vec = np.fromfile(header_path.with_suffix(".bin"), dtype="<f8", count=head.size)
+        states.append(head.unpack(vec, header["t"], header["step"]))
     return states
 
 

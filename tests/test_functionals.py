@@ -253,15 +253,17 @@ def test_max_principle_report_flags_violation():
     assert not max_principle_report(bad, "main").passed
 
 
-def test_l2_report_hypothesis_gating():
+def test_l2_report_checks_every_pair():
+    # no curvature sign is assumed: an increase while R < 0 fails, and a
+    # series with no pair to check fails rather than passing on nothing
     recs = [_rec(0.0, 0.1, {"main_l2": 1.0}, min_R=-1.0),
-            _rec(0.1, 0.1, {"main_l2": 2.0}, min_R=-1.0)]
+            _rec(0.1, 0.1, {"main_l2": 0.5}, min_R=-1.0),
+            _rec(0.2, 0.1, {"main_l2": 2.0}, min_R=-1.0)]
     rep = l2_monotonicity_report(_Traj(recs), "main")
-    assert rep.passed and rep.checked == 0    # hypothesis never held
-    recs2 = [_rec(0.0, 0.1, {"main_l2": 1.0}),
-             _rec(0.1, 0.1, {"main_l2": 2.0})]
-    rep2 = l2_monotonicity_report(_Traj(recs2), "main")
-    assert not rep2.passed and rep2.checked == 1
+    assert not rep.passed and rep.checked == 2 and rep.worst_margin == 1.5
+    assert l2_monotonicity_report(_Traj(recs[:2]), "main").passed
+    rep = l2_monotonicity_report(_Traj(recs[:1]), "main")
+    assert not rep.passed and rep.checked == 0
 
 
 def test_l1_report_requires_columns():

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from riccilab.errors import RicciLabError, ScenarioError
 from riccilab.flows import FlowProblem, FlowState, IntegratorSpec, run_flow
 from riccilab.geometry import Grid2D, MetricField, OneFormField, general_metric
-from riccilab.outputs import (FD_RESERVE, load_run, load_snapshots,
-                              monitors_csv_text, write_outputs, write_snapshots)
+from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text, read_header,
+                              write_outputs, write_snapshots)
 from riccilab.scenario import (FAMILIES, FormSpec, ProbeSpec, RunSetup, build, make_scenario,
                                parse_scenario, serialize_scenario)
 
@@ -375,6 +375,16 @@ def _state_arrays(st):
     return arrays
 
 
+def _read_whole(directory):
+    # every field of every snapshot under `directory`, read whole
+    states = []
+    for header_path in sorted(Path(directory).glob("snap_*.json")):
+        header, layout = read_header(header_path)
+        vec = np.fromfile(header_path.with_suffix(".bin"), dtype="<f8")
+        states.append(layout.unpack(vec, header["t"], header["step"]))
+    return states
+
+
 def _general_torus_setup():
     grid = Grid2D.torus(16, 16)
     X, T = grid.mesh()
@@ -400,7 +410,7 @@ def test_snapshot_round_trip(neck_run, tmp_path):
         runs.append((run, tmp_path / tag, tag,
                      {"u", "main.x", "gauge", "sub"} if tag == "conformal" else {"main.x"}))
     for run, directory, tag, carried in runs:
-        loaded = load_snapshots(directory / "snapshots")
+        loaded = _read_whole(directory / "snapshots")
         assert len(loaded) == len(run.snapshots) > 1
         for a, b in zip(run.snapshots, loaded):
             assert (a.t, a.step, b.metric.tag) == (b.t, b.step, tag)
@@ -561,55 +571,49 @@ def test_snapshot_length_checked_against_header(neck_run, tmp_path, change):
     assert not (out / "rescale_report.json").exists()
 
 
-def _conformal_run(coefficient=0.3):
+def _conformal_run(amplitude=0.05):
     spec = make_scenario(name="conformal", family="conformal-torus", nx=16, ny=16,
-                         forms=[FormSpec("main", "dtheta_dsinx", coefficient)],
+                         metric_amplitude=amplitude,
+                         forms=[FormSpec("main", "dtheta_dsinx", 0.3)],
                          gauge_form="main", subsolution="one-plus-cos",
                          t_final=0.05, cadence=2, snapshot_every=1)
     setup = build(spec)
     return run_flow(setup), setup.problem
 
 
-def _memmap_under(a):
-    while a is not None and not isinstance(a, np.memmap):
-        a = a.base
-    return a
-
-
-def test_reload_reads_metrics_and_maps_the_rest(neck_run, tmp_path):
-    # the metric parameters own their memory; forms, gauge and subsolution
-    # are read-only views of a map of their own .bin
+def test_reload_reads_metrics_alone(neck_run, tmp_path):
+    # a reloaded snapshot carries its metric parameters, bitwise the run's,
+    # in memory of its own, and no form, gauge or subsolution
     traj, problem = _conformal_run()
     write_outputs(traj, tmp_path, problem=problem)
-    for out, params in ((neck_run[3], ("h", "f")), (tmp_path, ("u",))):
+    for run, out, params in ((neck_run[2], neck_run[3], ("h", "f")),
+                             (traj, tmp_path, ("u",))):
         snaps = load_run(out).snapshots
-        assert len(snaps) > 1
-        for idx, snap in enumerate(snaps):
-            assert snap.layout is None and snap.vector is None
+        assert len(snaps) == len(run.snapshots) > 1
+        for a, b in zip(run.snapshots, snaps):
+            assert (b.t, b.step, b.forms, b.gauge, b.subsolution) == (a.t, a.step, {},
+                                                                      None, None)
+            assert b.layout.size == b.vector.size == sum(
+                getattr(a.metric, p).size for p in params)
             for p in params:
-                assert _memmap_under(getattr(snap.metric, p)) is None
-            mapped = [a for phi in snap.forms.values() for a in (phi.x, phi.theta)]
-            mapped += [a for a in (snap.gauge, snap.subsolution) if a is not None]
-            assert len(mapped) == (2 if params == ("h", "f") else 4)
-            bin_path = (out / "snapshots" / f"snap_{idx:05d}.bin").resolve()
-            for a in mapped:
-                assert Path(_memmap_under(a).filename).resolve() == bin_path
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[0, 0] = 1.0
+                arr = getattr(b.metric, p)
+                assert np.array_equal(arr, getattr(a.metric, p))
+                while arr is not None:
+                    assert not isinstance(arr, np.memmap)
+                    arr = arr.base
 
 
 def test_rewrite_leaves_a_live_reload_unchanged(tmp_path):
-    # runs written into a directory a LoadedRun still maps, by write_snapshots
-    # alone or by write_outputs, land in new files: the live run keeps its
-    # bits, a fresh load sees the new run
+    # runs written into the directory of a live LoadedRun, by write_snapshots
+    # alone or by write_outputs, leave the live run's bits as they were; a
+    # fresh load sees the new run
     traj, problem = _conformal_run()
     write_outputs(traj, tmp_path, problem=problem)
     live = load_run(tmp_path).snapshots
     before = [{k: v.copy() for k, v in _state_arrays(s).items()} for s in live]
-    for coefficient, write in ((0.7, lambda t, p: write_snapshots(t, tmp_path / "snapshots")),
-                               (0.9, lambda t, p: write_outputs(t, tmp_path, problem=p))):
-        other, problem = _conformal_run(coefficient)
+    for amplitude, write in ((0.07, lambda t, p: write_snapshots(t, tmp_path / "snapshots")),
+                             (0.09, lambda t, p: write_outputs(t, tmp_path, problem=p))):
+        other, problem = _conformal_run(amplitude)
         write(other, problem)
         for snap, kept in zip(live, before):
             arrays = _state_arrays(snap)
@@ -617,15 +621,15 @@ def test_rewrite_leaves_a_live_reload_unchanged(tmp_path):
             assert all(np.array_equal(arrays[k], kept[k]) for k in kept)
         fresh = load_run(tmp_path).snapshots
         assert len(fresh) == len(live) == len(other.snapshots)
-        assert all(np.array_equal(a.forms["main"].x, b.forms["main"].x)
+        assert all(np.array_equal(a.metric.u, b.metric.u)
                    for a, b in zip(fresh, other.snapshots))
-        assert not np.array_equal(fresh[-1].forms["main"].x, live[-1].forms["main"].x)
+        assert not np.array_equal(fresh[-1].metric.u, live[-1].metric.u)
 
 
 @pytest.fixture(scope="module")
 def many_snapshots_run(tmp_path_factory):
     # ~100 form-carrying snapshots of a 16² conformal torus, and its
-    # by-curvature rescale report with every snapshot mapped
+    # by-curvature rescale report
     out = tmp_path_factory.mktemp("many")
     spec = make_scenario(name="many", family="conformal-torus", nx=16, ny=16,
                          forms=[FormSpec("main", "dtheta")], t_final=3.0, cadence=1,
@@ -647,21 +651,20 @@ soft = len(os.listdir("/dev/fd")) + int(limit[1:]) if limit[0] == "+" else int(l
 resource.setrlimit(resource.RLIMIT_NOFILE,
                    (soft, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 code = main(["rescale", run_dir, "--schedule", sched, "--out", out])
+open_before = len(os.listdir("/dev/fd"))
 snaps = load_run(run_dir).snapshots
+open_after = len(os.listdir("/dev/fd"))
 spare = [open(os.devnull) for _ in range(8)]
-print(json.dumps({"code": code, "soft": soft, "snapshots": len(snaps),
-                  "mapped": sum(not s.forms["main"].x.flags.writeable for s in snaps)}))
+print(json.dumps({"code": code, "snapshots": len(snaps),
+                  "open": [open_before, open_after]}))
 """
 
 
 @pytest.mark.parametrize("limit", ["64", "+n"])
 def test_rescale_under_a_low_descriptor_limit(many_snapshots_run, tmp_path, limit):
-    # each live snapshot with mapped forms holds a descriptor: a reload maps
-    # no more than leave FD_RESERVE free and reads the others whole, so a run
-    # of more snapshots than the soft limit allows rescales to the same
-    # report, and files still open after the load.  "+n" leaves exactly one
-    # descriptor per snapshot free, the count that filled the table when
-    # every snapshot was mapped
+    # a live reload holds no descriptor, so a run of more snapshots than the
+    # soft limit allows rescales to the same report, and files still open
+    # after the load.  "+n" leaves exactly one descriptor per snapshot free
     out, n = many_snapshots_run
     assert n > 90
     r = subprocess.run([sys.executable, "-c", RESCALE_UNDER_LIMIT, str(out / "run"),
@@ -671,14 +674,13 @@ def test_rescale_under_a_low_descriptor_limit(many_snapshots_run, tmp_path, limi
     assert r.returncode == 0, r.stderr
     got = json.loads(r.stdout.splitlines()[-1])
     assert got["code"] == 0 and got["snapshots"] == n
-    assert 0 < got["mapped"] <= got["soft"] - FD_RESERVE - 3 < n   # 3: stdin/out/err
+    assert got["open"][0] == got["open"][1]
     assert (tmp_path / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
-RELOAD_WITH_TABLE_FULL = """\
+RESCALE_WITH_TABLE_FULL = """\
 import os, resource, sys
-from riccilab.errors import RicciLabError
-from riccilab.outputs import load_snapshots
+from riccilab.cli import main
 resource.setrlimit(resource.RLIMIT_NOFILE,
                    (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
 held = []
@@ -687,24 +689,20 @@ try:
         held.append(open(os.devnull))
 except OSError:
     pass
-try:
-    load_snapshots(sys.argv[1])
-except RicciLabError as e:
-    for f in held:
-        f.close()
-    print(e)
+sys.exit(main(["rescale", sys.argv[1], "--schedule", sys.argv[2]]))
 """
 
 
 def test_reload_out_of_descriptors_is_named(many_snapshots_run):
-    # with no descriptor free, the reload stops by name, not with a traceback
+    # with no descriptor free, rescale stops with exit 2 naming the path it
+    # could not open, not with a traceback
     out, _ = many_snapshots_run
-    r = subprocess.run([sys.executable, "-c", RELOAD_WITH_TABLE_FULL,
-                        str(out / "run" / "snapshots")], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.startswith(f"reloading {out / 'run' / 'snapshots'}: out of file "
-                               "descriptors after mapping 0 snapshot files "
-                               "(soft RLIMIT_NOFILE 64)")
+    r = subprocess.run([sys.executable, "-c", RESCALE_WITH_TABLE_FULL, str(out / "run"),
+                        str(out / "sched.cfg")], capture_output=True, text=True)
+    assert r.returncode == 2, r.stderr
+    assert "Too many open files" in r.stderr and str(out / "run") in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (out / "run" / "rescale_report.json").exists()
 
 
 def test_repeated_scenario_key_rejected(tmp_path):
