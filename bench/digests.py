@@ -27,7 +27,6 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,10 +63,8 @@ def digest_line(name: str, text: str, workdir: Path) -> str:
             f"snapshots={snaps.hexdigest()} "
             f"summary={hashlib.sha256(summary_text.encode()).hexdigest()}")
     if traj.snapshots:
-        run = load_run(run_dir)
-        reloaded = SimpleNamespace(grid=run.snapshots[0].grid, snapshots=run.snapshots,
-                                   records=run.records)
-        times = [s.t for s in run.snapshots]
+        reloaded = load_run(run_dir)
+        times = [s.t for s in reloaded.snapshots]
         try:
             schedule = by_curvature_schedule(reloaded, times)
         except ValueError:      # sup |R| = 0: no factor to take

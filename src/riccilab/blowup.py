@@ -23,11 +23,8 @@ from .geometry import MetricInvariants, OneFormField, distance_field
 @dataclass
 class RescalingSchedule:
     entries: list = field(default_factory=list)   # [(t_k, lambda_k)]
-    policy: str = "explicit"                      # "explicit" | "by-curvature"
 
     def __post_init__(self):
-        if self.policy not in ("explicit", "by-curvature"):
-            raise ValueError(f"unknown schedule policy {self.policy!r}")
         ts = [t for t, _ in self.entries]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("schedule times must be strictly increasing")
@@ -42,7 +39,7 @@ def by_curvature_schedule(traj, times) -> RescalingSchedule:
     for t in times:
         rec = min(traj.records, key=lambda r: abs(r.t - t))
         entries.append((t, max(abs(rec.sup_R), abs(rec.min_R))))
-    return RescalingSchedule(entries, policy="by-curvature")
+    return RescalingSchedule(entries)
 
 
 @dataclass

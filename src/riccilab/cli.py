@@ -10,8 +10,8 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 from .acceptance import SUITES, run_suites
 from .blowup import (DecayMonitorSpec, RescalingSchedule, by_curvature_schedule,
@@ -21,7 +21,7 @@ from .functionals import ThetaCircle
 from .flows import run_flow
 from .geometry import MetricInvariants
 from .outputs import load_run, write_outputs
-from .scenario import build, parse_scenario
+from .scenario import build, key_value_lines, parse_scenario
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
@@ -45,8 +45,7 @@ def _cmd_run(args) -> int:
         return USAGE_ERROR
     setup = build(spec)
     traj = run_flow(setup, collect_snapshots=not args.no_snapshots)
-    summary = write_outputs(traj, out_dir, problem=setup.problem,
-                            snapshots=not args.no_snapshots)
+    summary = write_outputs(traj, out_dir, problem=setup.problem)
     print(f"{spec.name}: status {traj.status}, t_end {traj.t_end:g}, "
           f"{traj.n_steps} steps, {len(traj.records)} records -> {out_dir}")
     for key, verdict in summary["verdicts"].items():
@@ -67,6 +66,8 @@ def _cmd_verify(args) -> int:
     return run_suites(names)
 
 
+# RescalePoint fields the rescale report writes under another name
+_REPORT_NAMES = {"lam": "lambda"}
 SCHEDULE_KEYS = ("policy", "times", "lambdas", "cycle_x", "sigma", "radii")
 
 
@@ -74,21 +75,14 @@ def _parse_schedule_file(text: str) -> dict:
     """The `key = value` lines of a rescale schedule.  A line of another form,
     a key outside SCHEDULE_KEYS or given twice, or one of sigma and radii
     without the other raises ValueError naming the line."""
-    out, lines = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
+    out, lines, problems = {}, {}, []
+    for lineno, key, value in key_value_lines(text, problems):
         if key not in SCHEDULE_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r} "
-                             f"(valid keys: {', '.join(SCHEDULE_KEYS)})")
-        if key in lines:
-            raise ValueError(f"line {lineno}: {key!r} repeats line {lines[key]}")
-        out[key], lines[key] = value.strip(), lineno
+            problems.append(f"line {lineno}: unknown key {key!r} "
+                            f"(valid keys: {', '.join(SCHEDULE_KEYS)})")
+        out[key], lines[key] = value, lineno
+    if problems:                # the first, in line order
+        raise ValueError(problems[0])
     if ("sigma" in out) != ("radii" in out):
         key, other = ("sigma", "radii") if "sigma" in out else ("radii", "sigma")
         raise ValueError(f"line {lines[key]}: {key} without {other}; the decay "
@@ -99,11 +93,11 @@ def _parse_schedule_file(text: str) -> dict:
 def _cmd_rescale(args) -> int:
     run_dir = Path(args.run_dir)
     try:
-        run = load_run(run_dir)
+        traj = load_run(run_dir)
     except (OSError, RicciLabError) as e:
         print(str(e), file=sys.stderr)
         return USAGE_ERROR
-    if not run.snapshots:
+    if not traj.snapshots:
         print(f"no snapshots under {run_dir}; re-run the scenario with snapshots",
               file=sys.stderr)
         return USAGE_ERROR
@@ -111,19 +105,20 @@ def _cmd_rescale(args) -> int:
     if not sched_path.exists():
         print(f"schedule file not found: {sched_path}", file=sys.stderr)
         return USAGE_ERROR
-    grid = run.snapshots[0].grid
-    traj = SimpleNamespace(grid=grid, snapshots=run.snapshots, records=run.records)
+    grid = traj.grid
     try:
         cfg = _parse_schedule_file(sched_path.read_text())
         policy = cfg.get("policy", "explicit")
         times = [float(v) for v in cfg.get("times", "").split(",") if v.strip()]
         if not times:
-            times = [s.t for s in run.snapshots]
+            times = [s.t for s in traj.snapshots]
         if policy == "by-curvature":
             schedule = by_curvature_schedule(traj, times)
         else:
             lams = [float(v) for v in cfg.get("lambdas", "").split(",") if v.strip()]
-            schedule = RescalingSchedule(list(zip(times, lams)), policy)
+            if policy != "explicit":
+                raise ValueError(f"unknown schedule policy {policy!r}")
+            schedule = RescalingSchedule(list(zip(times, lams)))
             if len(lams) != len(times):
                 raise ValueError("schedule needs matching times and lambdas")
         cycle = dspec = None
@@ -145,21 +140,15 @@ def _cmd_rescale(args) -> int:
         points = rescale_trajectory(traj, schedule)
         report = {
             "schedule_policy": policy,
-            "points": [{
-                "k": p.k, "t_request": p.t_request, "t_used": p.t_used,
-                "lambda": p.lam, "sup_R_before": p.sup_R_before,
-                "sup_R_after": p.sup_R_after,
-                "curvature_scale_residual": p.curvature_scale_residual,
-                "length_before": p.length_before, "length_after": p.length_after,
-                "length_scale_residual": p.length_scale_residual,
-            } for p in points],
+            "points": [{_REPORT_NAMES.get(k, k): v for k, v in asdict(p).items()}
+                       for p in points],
         }
         if cycle is not None:
             report["length_scaling"] = length_scaling_check(traj, schedule, cycle)
 
         lines = ["k,t,radius,profile"]
         if dspec is not None:       # computed before anything is written
-            for p, snap in zip(points, (min(run.snapshots,
+            for p, snap in zip(points, (min(traj.snapshots,
                                             key=lambda s: abs(s.t - t))
                                         for t, _ in schedule.entries)):
                 geo = MetricInvariants(snap.metric, grid)

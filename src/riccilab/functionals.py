@@ -177,7 +177,6 @@ class MonitorRecord:
 
 @dataclass
 class ReportResult:
-    name: str
     passed: bool
     worst_margin: float
     checked: int
@@ -206,20 +205,21 @@ def l2_monotonicity_report(traj, label: str) -> ReportResult:
     tol = 1e-8 * series[0]
     worst = max([0.0, *np.diff(series)])
     checked = len(series) - 1
-    return ReportResult("l2_monotone", checked > 0 and worst <= tol, float(worst), checked,
+    return ReportResult(checked > 0 and worst <= tol, float(worst), checked,
                         {"tolerance": float(tol), "initial": float(series[0])})
 
 
 def max_principle_report(traj, label: str) -> ReportResult:
     """Sup-norm non-increase of a tracked form; holds under the flow with
     bounded curvature with no sign hypothesis, tolerance 1e-8 of the initial
-    value per step.  The series is the operational upper bound for the
-    sup-norm of the cohomology class."""
+    value per step; a series with no step to check fails.  The series is the
+    operational upper bound for the sup-norm of the cohomology class."""
     series = _series(traj.records, f"{label}_sup")
     tol = 1e-8 * series[0]
     increments = np.diff(series)
-    worst = float(np.max(increments)) if len(increments) else 0.0
-    return ReportResult("sup_monotone", worst <= tol, worst, len(increments),
+    checked = len(increments)
+    worst = float(np.max(increments)) if checked else 0.0
+    return ReportResult(checked > 0 and worst <= tol, worst, checked,
                         {"tolerance": float(tol), "initial": float(series[0])})
 
 
@@ -252,8 +252,7 @@ def l1_monotonicity_report(traj) -> ReportResult:
         plain_ok = plain_worst <= 1e-8 * m[0] + tol
         notes["plain_monotone_worst"] = plain_worst
     notes["hypothesis_held_everywhere"] = all_nonneg
-    return ReportResult("mass_inequality", worst <= tol and plain_ok, worst,
-                        len(rec), notes)
+    return ReportResult(worst <= tol and plain_ok, worst, len(rec), notes)
 
 
 def form_energy_identity_report(traj, label: str) -> ReportResult:
@@ -271,7 +270,7 @@ def form_energy_identity_report(traj, label: str) -> ReportResult:
         raise IncompleteTrajectoryError("records not strictly ordered in time")
     residuals = np.abs(np.diff(m) / dts + 0.5 * (rhs[1:] + rhs[:-1]))
     worst = float(np.max(residuals)) if len(residuals) else 0.0
-    return ReportResult("energy_identity", True, worst, len(residuals),
+    return ReportResult(True, worst, len(residuals),
                         {"residuals": residuals.tolist(), "initial_energy": float(m[0])})
 
 
@@ -288,8 +287,7 @@ def length_bound_report(probe: CohomologyProbe, traj) -> ReportResult:
     bound = probe.pairing / probe.sup0
     bound_margin = float(np.min(lengths - bound))
     passed = chain_margin >= -slack and bound_margin >= -1e-6 * bound
-    return ReportResult("length_bound", passed,
-                        min(chain_margin, bound_margin), len(rec),
+    return ReportResult(passed, min(chain_margin, bound_margin), len(rec),
                         {"pairing": probe.pairing, "uniform_bound": bound,
                          "chain_margin": chain_margin, "bound_margin": bound_margin})
 
@@ -300,7 +298,7 @@ def closedness_report(traj, label: str) -> ReportResult:
     series = _series(traj.records, f"{label}_closedness")
     tol = max(10.0 * series[0], 1e-9)
     worst = float(np.max(series))
-    return ReportResult("closedness", worst <= tol, worst, len(series),
+    return ReportResult(worst <= tol, worst, len(series),
                         {"tolerance": float(tol), "initial": float(series[0])})
 
 
@@ -308,7 +306,7 @@ def pairing_invariance_report(traj, label: str) -> ReportResult:
     series = _series(traj.records, f"{label}_pairing")
     drift = float(np.max(np.abs(series - series[0])))
     tol = 1e-6 * abs(series[0])
-    return ReportResult("pairing_invariance", drift <= tol, drift, len(series),
+    return ReportResult(drift <= tol, drift, len(series),
                         {"tolerance": float(tol), "initial": float(series[0])})
 
 
@@ -318,7 +316,7 @@ def gauge_report(traj) -> ReportResult:
     series = _series(traj.records, "gauge_gap")
     tol = 1e-4
     worst = float(np.max(series))
-    return ReportResult("gauge_equivalence", worst <= tol, worst, len(series),
+    return ReportResult(worst <= tol, worst, len(series),
                         {"tolerance": tol})
 
 

@@ -123,9 +123,9 @@ class MetricField:
         else:
             gxx, gtt = lam * self.gxx, lam * self.gtt
         m = MetricField(gxx, gxt, gtt, tag=self.tag)
-        if self.tag == CONFORMAL and self.u is not None:
+        if self.tag == CONFORMAL:
             m.u = self.u + 0.5 * np.log(lam)
-        elif self.tag == WARPED and self.h is not None:
+        elif self.tag == WARPED:
             root = np.sqrt(lam)
             m.h = root * self.h
             m.f = root * self.f

@@ -12,7 +12,6 @@ phi_x then phi_theta).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,11 +66,10 @@ def summarize_trajectory(traj: Trajectory, problem=None) -> dict:
     return verdicts
 
 
-def write_outputs(traj: Trajectory, destination, problem=None,
-                  snapshots: bool = True) -> dict:
-    """Write monitors.csv, summary.json and (optionally) snapshots under
-    `destination`; returns the summary dict.  Snapshot files an earlier run
-    left under `destination` are removed first."""
+def write_outputs(traj: Trajectory, destination, problem=None) -> dict:
+    """Write monitors.csv, summary.json and the trajectory's snapshots, if it
+    collected any, under `destination`; returns the summary dict.  Snapshot
+    files an earlier run left under `destination` are removed first."""
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
     for suffix in ("json", "bin"):
@@ -94,7 +92,7 @@ def write_outputs(traj: Trajectory, destination, problem=None,
     }
     (dest / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True)
                                        + "\n")
-    if snapshots and traj.snapshots:
+    if traj.snapshots:
         write_snapshots(traj, dest / "snapshots")
     return summary
 
@@ -156,14 +154,13 @@ def load_snapshots(directory) -> list[FlowState]:
     return states
 
 
-@dataclass
-class LoadedRun:
-    summary: dict
-    records: list
-    snapshots: list
-
-
-def load_run(directory) -> LoadedRun:
+def load_run(directory) -> Trajectory:
+    """The Trajectory a run directory was written from, as far as its files
+    hold it: status, t_end, n_steps, scenario name and hash and the monitor
+    labels from summary.json, the records from monitors.csv (each with step
+    0, which the CSV does not hold) and the snapshots, each carrying its
+    metric alone, from snapshots/.  The grid is the one the snapshot headers
+    list, or None for a run written without snapshots."""
     directory = Path(directory)
     summary_path = directory / "summary.json"
     if not summary_path.exists():
@@ -181,7 +178,10 @@ def load_run(directory) -> LoadedRun:
                 t=row.pop("t"), dt=row.pop("dt"), step=0,
                 sup_R=row.pop("sup_R"), min_R=row.pop("min_R"),
                 vol=row.pop("vol"), values=row,
-                grid_hash=summary.get("grid_hash", "")))
+                grid_hash=summary["grid_hash"]))
     snap_dir = directory / "snapshots"
     snapshots = load_snapshots(snap_dir) if snap_dir.exists() else []
-    return LoadedRun(summary, records, snapshots)
+    return Trajectory(snapshots[0].grid if snapshots else None, records, snapshots,
+                      summary["status"], summary["t_end"], summary["n_steps"],
+                      summary["scenario"], summary["scenario_hash"],
+                      summary["monitor_labels"])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import difflib
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -81,29 +81,25 @@ class ScenarioSpec:
 
 
 # ------------------------------------------------------------------- key table
-def _set_form(spec, label, token):
-    preset, _, coeff = token.partition(":")
-    spec.forms = [fs for fs in spec.forms if fs.label != label]
-    spec.forms.append(FormSpec(label, preset, float(coeff) if coeff else 0.0))
-
-
-def _set_probe_form(spec, label, value):
-    probe = _probe(spec, label)
-    probe.form = value
-
-
-def _set_probe_cycle(spec, label, value):
-    probe = _probe(spec, label)
-    probe.cycle_x = None if value == "auto" else int(value)
-
-
-def _probe(spec, label) -> ProbeSpec:
-    for p in spec.probes:
-        if p.label == label:
-            return p
-    p = ProbeSpec(label, "")
-    spec.probes.append(p)
-    return p
+def key_value_lines(text: str, problems: list):
+    """The (line number, key, value) of each `key = value` line of `text`, in
+    order, stripped; blank lines and # comments are skipped.  A line without
+    '=' or a key given twice is appended to `problems`, naming its line, and
+    skipped."""
+    seen = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            problems.append(f"line {lineno}: expected 'key = value', got {line!r}")
+        elif key in seen:
+            problems.append(f"line {lineno}: {key!r} repeats line {seen[key]}")
+        else:
+            seen[key] = lineno
+            yield lineno, key, value.strip()
 
 
 def _parse_bool(s: str) -> bool:
@@ -123,85 +119,71 @@ def _parse_float(s: str) -> float:
     return value
 
 
-# key -> (setter(spec, value_str), serializer(spec) -> str or None to omit)
+# key -> (ScenarioSpec field, or integrator.<field>, and the parser of its
+# value); parsing and serialize_scenario both walk it, in this order.  The
+# tracked forms and the probes take the keys form.<label> and
+# probe.<label>.form / .cycle_x, handled beside it.
 _KEYS = {
-    "name": (lambda s, v: setattr(s, "name", v), lambda s: s.name),
-    "family": (lambda s, v: setattr(s, "family", v), lambda s: s.family),
-    "grid.nx": (lambda s, v: setattr(s, "nx", int(v)), lambda s: str(s.nx)),
-    "grid.ny": (lambda s, v: setattr(s, "ny", int(v)), lambda s: str(s.ny)),
-    "grid.lx": (lambda s, v: setattr(s, "lx", _parse_float(v)), lambda s: repr(s.lx)),
-    "grid.ly": (lambda s, v: setattr(s, "ly", _parse_float(v)), lambda s: repr(s.ly)),
-    "metric.amplitude": (lambda s, v: setattr(s, "metric_amplitude", _parse_float(v)),
-                         lambda s: repr(s.metric_amplitude)),
-    "metric.outer_radius": (lambda s, v: setattr(s, "metric_outer", _parse_float(v)),
-                            lambda s: repr(s.metric_outer)),
-    "metric.dip": (lambda s, v: setattr(s, "metric_dip", _parse_float(v)),
-                   lambda s: repr(s.metric_dip)),
-    "metric.width": (lambda s, v: setattr(s, "metric_width", _parse_float(v)),
-                     lambda s: repr(s.metric_width)),
-    "gauge.form": (lambda s, v: setattr(s, "gauge_form", v),
-                   lambda s: s.gauge_form or None),
-    "subsolution.preset": (lambda s, v: setattr(s, "subsolution", v),
-                           lambda s: s.subsolution),
-    "subsolution.amplitude": (lambda s, v: setattr(s, "sub_amplitude", _parse_float(v)),
-                              lambda s: repr(s.sub_amplitude)),
-    "subsolution.width": (lambda s, v: setattr(s, "sub_width", _parse_float(v)),
-                          lambda s: repr(s.sub_width)),
-    "subsolution.sink": (lambda s, v: setattr(s, "sink", _parse_float(v)),
-                         lambda s: repr(s.sink)),
-    "integrator.scheme": (lambda s, v: setattr(s.integrator, "scheme", v),
-                          lambda s: s.integrator.scheme),
-    "integrator.cfl": (lambda s, v: setattr(s.integrator, "cfl", _parse_float(v)),
-                       lambda s: repr(s.integrator.cfl)),
-    "integrator.dt_cap": (lambda s, v: setattr(s.integrator, "dt_cap", _parse_float(v)),
-                          lambda s: repr(s.integrator.dt_cap)),
-    "integrator.t_final": (lambda s, v: setattr(s.integrator, "t_final", _parse_float(v)),
-                           lambda s: repr(s.integrator.t_final)),
-    "integrator.max_steps": (lambda s, v: setattr(s.integrator, "max_steps", int(v)),
-                             lambda s: str(s.integrator.max_steps)),
-    "output.cadence": (lambda s, v: setattr(s.integrator, "cadence", int(v)),
-                       lambda s: str(s.integrator.cadence)),
-    "output.snapshot_every": (lambda s, v: setattr(s.integrator, "snapshot_every", int(v)),
-                              lambda s: str(s.integrator.snapshot_every)),
-    "buffer.threshold": (lambda s, v: setattr(s, "buffer_threshold", _parse_float(v)),
-                         lambda s: repr(s.buffer_threshold)),
-    "monitor.energy": (lambda s, v: setattr(s, "monitor_energy", _parse_bool(v)),
-                       lambda s: str(s.monitor_energy).lower()),
+    "name": ("name", str),
+    "family": ("family", str),
+    "grid.nx": ("nx", int),
+    "grid.ny": ("ny", int),
+    "grid.lx": ("lx", _parse_float),
+    "grid.ly": ("ly", _parse_float),
+    "metric.amplitude": ("metric_amplitude", _parse_float),
+    "metric.outer_radius": ("metric_outer", _parse_float),
+    "metric.dip": ("metric_dip", _parse_float),
+    "metric.width": ("metric_width", _parse_float),
+    "gauge.form": ("gauge_form", str),
+    "subsolution.preset": ("subsolution", str),
+    "subsolution.amplitude": ("sub_amplitude", _parse_float),
+    "subsolution.width": ("sub_width", _parse_float),
+    "subsolution.sink": ("sink", _parse_float),
+    "integrator.scheme": ("integrator.scheme", str),
+    "integrator.cfl": ("integrator.cfl", _parse_float),
+    "integrator.dt_cap": ("integrator.dt_cap", _parse_float),
+    "integrator.t_final": ("integrator.t_final", _parse_float),
+    "integrator.max_steps": ("integrator.max_steps", int),
+    "output.cadence": ("integrator.cadence", int),
+    "output.snapshot_every": ("integrator.snapshot_every", int),
+    "buffer.threshold": ("buffer_threshold", _parse_float),
+    "monitor.energy": ("monitor_energy", _parse_bool),
 }
+
+
+def _slot(spec: ScenarioSpec, target: str):
+    """The object and attribute a key's target names."""
+    owner, _, name = target.rpartition(".")
+    return (spec.integrator if owner else spec), name
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and validate; raises ScenarioError carrying every problem found."""
     spec = ScenarioSpec()
-    problems, seen = [], {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            problems.append(f"line {lineno}: expected 'key = value', got {line!r}")
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in seen:
-            problems.append(f"line {lineno}: {key!r} repeats line {seen[key]}")
-            continue
-        seen[key] = lineno
+    problems, forms, probes = [], {}, {}
+    for lineno, key, value in key_value_lines(text, problems):
         try:
             if key in _KEYS:
-                _KEYS[key][0](spec, value)
+                target, parse = _KEYS[key]
+                setattr(*_slot(spec, target), parse(value))
             elif key.startswith("form.") and key.count(".") == 1:
-                _set_form(spec, key.split(".", 1)[1], value)
-            elif key.startswith("probe.") and key.endswith(".form"):
-                _set_probe_form(spec, key.split(".")[1], value)
-            elif key.startswith("probe.") and key.endswith(".cycle_x"):
-                _set_probe_cycle(spec, key.split(".")[1], value)
+                label = key.split(".", 1)[1]
+                preset, _, coeff = value.partition(":")
+                forms[label] = FormSpec(label, preset, float(coeff) if coeff else 0.0)
+            elif key.startswith("probe.") and key.endswith((".form", ".cycle_x")):
+                label = key.split(".")[1]
+                probe = probes.setdefault(label, ProbeSpec(label, ""))
+                if key.endswith(".form"):
+                    probe.form = value
+                else:
+                    probe.cycle_x = None if value == "auto" else int(value)
             else:
                 near = difflib.get_close_matches(key, list(_KEYS), n=1, cutoff=0.0)
                 hint = f" (nearest valid key: {near[0]!r})" if near else ""
                 problems.append(f"line {lineno}: unknown key {key!r}{hint}")
         except (ValueError, TypeError) as e:
             problems.append(f"line {lineno}: bad value for {key!r}: {e}")
+    spec.forms, spec.probes = list(forms.values()), list(probes.values())
 
     _fill_defaults(spec)
     problems.extend(validate(spec))
@@ -244,6 +226,11 @@ def validate(spec: ScenarioSpec) -> list:
                 f"{spec.metric_outer - spec.metric_dip:g} <= 0")
         if not spec.metric_width > 0:
             problems.append("neck width must be positive")
+    elif math.isnan(spec.metric_width):
+        problems.append("metric.width must not be NaN")
+    for key, (target, parse) in _KEYS.items():
+        if parse is int and type(getattr(*_slot(spec, target))) is not int:  # not bool
+            problems.append(f"{key} must be an integer")
     for fs in spec.forms:
         if fs.preset not in ("dtheta", "sinx_dx", "dtheta_dsinx"):
             problems.append(f"form {fs.label!r}: unknown preset {fs.preset!r}")
@@ -253,7 +240,9 @@ def validate(spec: ScenarioSpec) -> list:
     for p in spec.probes:
         if p.form not in labels:
             problems.append(f"probe {p.label!r} references unknown form {p.form!r}")
-        if p.cycle_x is not None and not (0 <= p.cycle_x < max(spec.nx, 1)):
+        if p.cycle_x is not None and type(p.cycle_x) is not int:
+            problems.append(f"probe {p.label!r}: cycle_x must be an integer")
+        elif p.cycle_x is not None and not (0 <= p.cycle_x < max(spec.nx, 1)):
             problems.append(f"probe {p.label!r}: cycle_x {p.cycle_x} outside the grid")
     if spec.probes and spec.family == "conformal-plane":
         problems.append("theta-circle probes need a periodic theta axis")
@@ -276,10 +265,15 @@ def validate(spec: ScenarioSpec) -> list:
 def serialize_scenario(spec: ScenarioSpec) -> str:
     """Canonical text form; parse(serialize(spec)) reproduces the spec."""
     lines = []
-    for key, (_, to_str) in _KEYS.items():
-        val = to_str(spec)
-        if val is not None:
-            lines.append(f"{key} = {val}")
+    for key, (target, parse) in _KEYS.items():
+        value = getattr(*_slot(spec, target))
+        if key == "gauge.form" and not value:
+            continue                    # no gauge flow
+        if parse is _parse_bool:
+            value = str(value).lower()
+        elif parse is not str:
+            value = repr(value)
+        lines.append(f"{key} = {value}")
     for fs in spec.forms:
         lines.append(f"form.{fs.label} = {fs.token()}")
     for p in spec.probes:
@@ -398,9 +392,8 @@ def make_scenario(**overrides) -> ScenarioSpec:
     """Programmatic construction with the same defaults and validation as the
     text format."""
     spec = ScenarioSpec()
-    integ_fields = {f: overrides.pop(f) for f in
-                    ("scheme", "cfl", "dt_cap", "t_final", "max_steps",
-                     "cadence", "snapshot_every") if f in overrides}
+    integ_fields = {f.name: overrides.pop(f.name) for f in fields(IntegratorSpec)
+                    if f.name in overrides}
     for key, val in overrides.items():
         if not hasattr(spec, key):
             raise ScenarioError([f"unknown scenario field {key!r}"])

@@ -78,7 +78,6 @@ def test_schedule_validation():
 
 def test_by_curvature_schedule(neck_traj):
     sched = by_curvature_schedule(neck_traj, [0.0, 0.05])
-    assert sched.policy == "by-curvature"
     assert all(lam > 0 for _, lam in sched.entries)
     # the neck's dominant curvature magnitude at t=0 is about |R| = 4
     assert sched.entries[0][1] == pytest.approx(4.0, rel=0.1)

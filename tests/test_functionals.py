@@ -251,6 +251,10 @@ def test_max_principle_report_flags_violation():
     bad = _Traj([_rec(0.0, 0.1, {"main_sup": 1.0}),
                  _rec(0.1, 0.1, {"main_sup": 1.1})])
     assert not max_principle_report(bad, "main").passed
+    # one record, as when a buffer breach ends a run at record 0: nothing was
+    # checked, so the verdict fails rather than passing on nothing
+    rep = max_principle_report(_Traj(good.records[:1]), "main")
+    assert not rep.passed and rep.checked == 0 and rep.worst_margin == 0.0
 
 
 def test_l2_report_checks_every_pair():

@@ -20,7 +20,7 @@ from riccilab.geometry import Grid2D, MetricField, OneFormField, general_metric
 from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text, read_header,
                               write_outputs, write_snapshots)
 from riccilab.scenario import (FAMILIES, FormSpec, ProbeSpec, RunSetup, build, make_scenario,
-                               parse_scenario, serialize_scenario)
+                               parse_scenario, scenario_hash, serialize_scenario)
 
 MINIMAL = "family = flat-torus\n"
 
@@ -119,14 +119,17 @@ def test_nan_value_rejected_at_parse(key, tmp_path):
     assert r.returncode == 2 and "not a number" in r.stderr
 
 
-@pytest.mark.parametrize("field", ["dt_cap", "t_final", "buffer_threshold", "sink"])
+@pytest.mark.parametrize("field", ["dt_cap", "t_final", "buffer_threshold", "sink",
+                                   "metric_width"])
 def test_nan_field_rejected_at_validation(field):
     # make_scenario takes floats unparsed, so a NaN reaches validation, where
-    # it must fail its bound; -0.0 is a valid sink
+    # it must fail its bound, on every family; -0.0 is a valid sink, and an
+    # infinite width stays valid off the cylinder too
     with pytest.raises(ScenarioError) as err:
         make_scenario(family="flat-torus", **{field: math.nan})
     assert len(err.value.problems) == 1
     assert make_scenario(family="flat-torus", sink=-0.0).sink == 0.0
+    assert make_scenario(family="flat-torus", metric_width=math.inf).metric_width == math.inf
 
 
 def _assert_unknown_key(line, tmp_path):
@@ -181,9 +184,13 @@ def test_bad_value_rejected_at_validation(line, problem):
 @pytest.mark.parametrize("overrides", [
     {"sub_amplitude": math.nan}, {"sub_width": math.nan}, {"sub_width": 0.0},
     {"forms": [FormSpec("main", "dtheta_dsinx", math.nan)]},
-    {"sink": math.inf}, {"lx": math.nan}, {"ly": math.inf}])
+    {"sink": math.inf}, {"lx": math.nan}, {"ly": math.inf},
+    {"nx": 16.0}, {"max_steps": True}, {"cadence": 2.5},
+    {"forms": [FormSpec("main", "dtheta")], "probes": [ProbeSpec("p", "main", 2.0)]}])
 def test_bad_field_rejected_by_make_scenario(overrides):
-    # make_scenario takes floats unparsed, so NaN reaches validation too
+    # make_scenario takes values unparsed, so NaN reaches validation too, and
+    # so does a count that is not an int, which would serialize to text that
+    # int() does not parse
     with pytest.raises(ScenarioError) as err:
         make_scenario(family="flat-torus", subsolution="bump", **overrides)
     assert len(err.value.problems) == 1
@@ -323,6 +330,28 @@ def test_round_trip_property(spec):
     assert serialize_scenario(back) == text       # and the sign of every -0.0
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_HASHES = {
+    "scenarios/cigar.cfg": "7a12a66b16a4fabe",
+    "scenarios/conformal-torus.cfg": "30cea678410fe48a",
+    "scenarios/flat-torus.cfg": "559e83236623db39",
+    "scenarios/neck-cylinder.cfg": "8d51aac1d9228565",
+    "perfbench/scenarios/cigar.cfg": "12943fd7b8f0a1dc",
+    "perfbench/scenarios/coupled-torus.cfg": "e186ad64b93aedd6",
+    "perfbench/scenarios/neck-snapshots.cfg": "0ff0b1103b5aac95",
+}
+
+
+def test_shipped_scenario_hashes_pinned():
+    # the serialized text, not only its round trip: a change to the key
+    # table's order, names or number formats moves these hashes
+    paths = sorted(str(p.relative_to(ROOT)) for d in ("scenarios", "perfbench/scenarios")
+                   for p in (ROOT / d).glob("*.cfg"))
+    assert paths == sorted(SCENARIO_HASHES)
+    for path, digest in SCENARIO_HASHES.items():
+        assert scenario_hash(parse_scenario((ROOT / path).read_text())) == digest, path
+
+
 # ----------------------------------------------------------------- outputs
 @pytest.fixture(scope="module")
 def neck_run(tmp_path_factory):
@@ -429,7 +458,11 @@ def test_snapshot_round_trip(neck_run, tmp_path):
 def test_load_run(neck_run):
     _, _, traj, out = neck_run
     run = load_run(out)
-    assert run.summary["status"] == "completed"
+    assert run.status == "completed"
+    assert (run.t_end, run.n_steps, run.scenario_name, run.scenario_hash,
+            run.monitor_labels, run.grid.hash_hex) == (
+        traj.t_end, traj.n_steps, traj.scenario_name, traj.scenario_hash,
+        traj.monitor_labels, traj.grid.hash_hex)
     assert len(run.records) == len(traj.records)
     assert run.records[-1].values["main_l2"] == traj.records[-1].values["main_l2"]
 
@@ -453,8 +486,8 @@ def test_rerun_replaces_old_snapshots(tmp_path):
     def run_into(t_final, snapshots=True):
         spec = make_scenario(name="rerun", family="flat-torus", nx=16, ny=16,
                              t_final=t_final, cadence=1, snapshot_every=1)
-        traj = run_flow(spec)
-        write_outputs(traj, tmp_path, snapshots=snapshots)
+        traj = run_flow(spec, collect_snapshots=snapshots)
+        write_outputs(traj, tmp_path)
         return traj
 
     (tmp_path / "snapshots" / "notes.txt").parent.mkdir()
@@ -463,7 +496,7 @@ def test_rerun_replaces_old_snapshots(tmp_path):
     short = run_into(0.02)
     run = load_run(tmp_path)
     assert len(run.snapshots) == len(short.snapshots) == 2
-    assert run.snapshots[-1].t == run.summary["t_end"] == short.t_end
+    assert run.snapshots[-1].t == run.t_end == short.t_end
     run_into(0.2)
     run_into(0.02, snapshots=False)
     assert load_run(tmp_path).snapshots == []
