@@ -42,6 +42,16 @@ def by_curvature_schedule(traj, times) -> RescalingSchedule:
     return RescalingSchedule(entries)
 
 
+def nearest_snapshots(traj, schedule: RescalingSchedule):
+    """For each schedule entry in turn, the snapshot of `traj` nearest its
+    time, the first of equals.  Each snapshot's time is read once, in one
+    pass, and a chosen snapshot is read when the caller reaches it."""
+    snap_times = [s.t for s in traj.snapshots]
+    for t, _ in schedule.entries:
+        yield traj.snapshots[min(range(len(snap_times)),
+                                 key=lambda i: abs(snap_times[i] - t))]
+
+
 @dataclass
 class RescalePoint:
     k: int
@@ -66,8 +76,8 @@ def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
         raise IncompleteTrajectoryError("trajectory carries no snapshots to rescale")
     grid = traj.grid
     points = []
-    for k, (t_k, lam) in enumerate(schedule.entries):
-        snap = min(traj.snapshots, key=lambda s: abs(s.t - t_k))
+    chosen = nearest_snapshots(traj, schedule)
+    for k, ((t_k, lam), snap) in enumerate(zip(schedule.entries, chosen)):
         g = snap.metric
         scaled = g.rescaled(lam)
         r0 = MetricInvariants(g, grid).scalar
@@ -103,8 +113,8 @@ def length_scaling_check(traj, schedule: RescalingSchedule, cycle) -> dict:
         raise IncompleteTrajectoryError("trajectory carries no snapshots")
     grid = traj.grid
     rows = []
-    for k, (t_k, lam) in enumerate(schedule.entries):
-        snap = min(traj.snapshots, key=lambda s: abs(s.t - t_k))
+    chosen = nearest_snapshots(traj, schedule)
+    for k, ((_, lam), snap) in enumerate(zip(schedule.entries, chosen)):
         L = loop_length(cycle, snap.metric, grid)
         L_scaled = loop_length(cycle, snap.metric.rescaled(lam), grid)
         rows.append({

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .acceptance import SUITES, run_suites
 from .blowup import (DecayMonitorSpec, RescalingSchedule, by_curvature_schedule,
-                     decay_monitor, length_scaling_check, rescale_trajectory)
+                     decay_monitor, length_scaling_check, nearest_snapshots,
+                     rescale_trajectory)
 from .errors import RicciLabError, ScenarioError
 from .functionals import ThetaCircle
 from .flows import run_flow
@@ -148,9 +149,7 @@ def _cmd_rescale(args) -> int:
 
         lines = ["k,t,radius,profile"]
         if dspec is not None:       # computed before anything is written
-            for p, snap in zip(points, (min(traj.snapshots,
-                                            key=lambda s: abs(s.t - t))
-                                        for t, _ in schedule.entries)):
+            for p, snap in zip(points, nearest_snapshots(traj, schedule)):
                 geo = MetricInvariants(snap.metric, grid)
                 prof = decay_monitor(geo.scalar, geo, dspec)
                 for rho, val in zip(prof["radii"], prof["profile"]):

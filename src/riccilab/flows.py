@@ -28,12 +28,18 @@ parameters, then each form's two components, then the gauge potential and the
 subsolution.  A state's arrays are views into its vector, so every RK stage
 combination, the frozen-node zeroing and the finiteness check are single
 vector expressions, and a snapshot's .bin file is that vector's bytes in
-layout order.
+layout order.  run_flow spills each snapshot's vector to one unlinked
+temporary file as it is taken (SpilledSnapshots), so a run holds no snapshot
+fields in memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import tempfile
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -407,11 +413,42 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
     )
 
 
+class SpilledSnapshots(Sequence):
+    """A run's snapshots, spilled to disk as they are taken.
+
+    Each appended state's vector goes to the end of one temporary file, which
+    is unlinked when it is created and closed when this sequence is collected;
+    only each snapshot's layout, offset, t and step stay in memory.  Every
+    item access reads its vector back into an array of its own and unpacks
+    it, so a caller may write into a read without changing the next one."""
+
+    def __init__(self):
+        self._file = tempfile.TemporaryFile()
+        weakref.finalize(self, self._file.close)
+        self._index = []          # (layout, byte offset, t, step) per snapshot
+
+    def append(self, state: FlowState) -> None:
+        layout = StateLayout.of(state)
+        offset = self._file.seek(0, os.SEEK_END)
+        self._file.write(layout.pack(state))
+        self._index.append((layout, offset, state.t, state.step))
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, i: int) -> FlowState:
+        layout, offset, t, step = self._index[i]
+        vec = np.empty(layout.size)
+        self._file.seek(offset)
+        self._file.readinto(vec)
+        return layout.unpack(vec, t, step)
+
+
 @dataclass
 class Trajectory:
     grid: Grid2D
     records: list
-    snapshots: list
+    snapshots: Sequence       # FlowStates: spilled by run_flow, a list from load_run
     status: str
     t_end: float
     n_steps: int
@@ -451,7 +488,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
                               for label, phi in state.forms.items()}}
 
     records: list[MonitorRecord] = []
-    snapshots: list[FlowState] = []
+    snapshots = SpilledSnapshots() if collect_snapshots else []
 
     dt0 = cfl_dt(geo, spec)
     snap_every = spec.snapshot_every
@@ -465,7 +502,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         rec = monitor_record(state, problem, dt_used, geo_now, baseline)
         records.append(rec)
         if collect_snapshots and (len(records) - 1) % snap_every == 0:
-            snapshots.append(state.copy())
+            snapshots.append(state)
         flux = rec.values.get("buffer_flux", 0.0)
         return flux > problem.buffer_threshold
 
@@ -505,8 +542,10 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
 
     if records and records[-1].step != state.step:
         record_state(records[-1].dt, geo)
-    if collect_snapshots and (not snapshots or snapshots[-1].step != state.step):
-        snapshots.append(state.copy())
+    # the last record is the final state's; it took a snapshot unless its
+    # index is off the snapshot cadence
+    if collect_snapshots and (len(records) - 1) % snap_every:
+        snapshots.append(state)
 
     labels = list(records[0].values.keys()) if records else []
     return Trajectory(grid, records, snapshots, status, state.t, state.step,

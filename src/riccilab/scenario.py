@@ -151,6 +151,11 @@ _KEYS = {
 }
 
 
+# a parser -> what its keys hold, named, and the types a value may have
+_KINDS = {str: ("text", (str,)), int: ("an integer", (int,)),
+          _parse_float: ("a number", (int, float))}
+
+
 def _slot(spec: ScenarioSpec, target: str):
     """The object and attribute a key's target names."""
     owner, _, name = target.rpartition(".")
@@ -204,7 +209,13 @@ def _fill_defaults(spec: ScenarioSpec):
 
 def validate(spec: ScenarioSpec) -> list:
     """Every problem found; each comparison is written so that NaN fails."""
-    problems = []
+    # each key holds the type its parser gives, as the checks below compare
+    # values; a bool is no count or number
+    problems = [f"{key} must be {_KINDS[parse][0]}" for key, (target, parse) in _KEYS.items()
+                if parse in _KINDS
+                and type(getattr(*_slot(spec, target))) not in _KINDS[parse][1]]
+    if problems:
+        return problems
     if spec.family not in FAMILIES:
         near = difflib.get_close_matches(spec.family, FAMILIES, n=1)
         hint = f" (did you mean {near[0]!r}?)" if near else ""
@@ -228,9 +239,6 @@ def validate(spec: ScenarioSpec) -> list:
             problems.append("neck width must be positive")
     elif math.isnan(spec.metric_width):
         problems.append("metric.width must not be NaN")
-    for key, (target, parse) in _KEYS.items():
-        if parse is int and type(getattr(*_slot(spec, target))) is not int:  # not bool
-            problems.append(f"{key} must be an integer")
     for fs in spec.forms:
         if fs.preset not in ("dtheta", "sinx_dx", "dtheta_dsinx"):
             problems.append(f"form {fs.label!r}: unknown preset {fs.preset!r}")

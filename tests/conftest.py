@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from riccilab.geometry import Grid2D, conformal_metric, flat_metric, warped_metric
+from riccilab.scenario import FormSpec, make_scenario
 
 # property tests draw the same examples on every run and have no per-example
 # deadline: tier-1 runs on shared hosts
@@ -41,3 +42,11 @@ def cigar_grid():
 def cigar_metric(cigar_grid):
     X, T = cigar_grid.mesh()
     return conformal_metric(cigar_grid, -0.5 * np.log1p(X ** 2 + T ** 2))
+
+
+@pytest.fixture(scope="session")
+def many_snapshots_spec():
+    # ~100 form-carrying snapshots of a 16² conformal torus, one per step
+    return make_scenario(name="many", family="conformal-torus", nx=16, ny=16,
+                         forms=[FormSpec("main", "dtheta")], t_final=3.0, cadence=1,
+                         snapshot_every=1)

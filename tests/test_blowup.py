@@ -1,6 +1,7 @@
 """Rescaling laws, schedules, and decay-at-infinity profiles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ import pytest
 from riccilab.blowup import (DecayMonitorSpec, RescalingSchedule,
                              by_curvature_schedule, decay_monitor,
                              decay_preserved, length_scaling_check,
-                             rescale_trajectory)
+                             nearest_snapshots, rescale_trajectory)
 from riccilab.errors import DomainTooSmallError, IncompleteTrajectoryError
 from riccilab.functionals import ThetaCircle, min_circumference
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                flat_metric, warped_metric)
 from riccilab.oracles import cigar_oracle
 from riccilab.scenario import FormSpec, make_scenario
-from riccilab.flows import run_flow
+from riccilab.flows import SpilledSnapshots, run_flow
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +103,28 @@ def test_rescale_needs_snapshots(neck_traj):
                             0.1, 10)
     with pytest.raises(IncompleteTrajectoryError):
         rescale_trajectory(empty, RescalingSchedule([(0.0, 1.0)]))
+
+
+def test_nearest_snapshots_takes_the_first_of_equals():
+    traj = SimpleNamespace(snapshots=[SimpleNamespace(t=t) for t in (0.0, 1.0, 2.0, 3.0)])
+    schedule = RescalingSchedule([(0.5, 1.0), (1.9, 1.0), (2.5, 1.0), (10.0, 1.0)])
+    assert [traj.snapshots.index(s) for s in nearest_snapshots(traj, schedule)] == \
+        [0, 2, 2, 3]
+
+
+def test_rescale_reads_each_spilled_snapshot_once_plus_once_per_entry(
+        many_snapshots_spec, monkeypatch):
+    # the nearest-snapshot lookup reads the times in one pass, not once per
+    # schedule entry; iterating a Sequence ends on one read past its end
+    traj = run_flow(many_snapshots_spec)
+    reads = []
+    read = SpilledSnapshots.__getitem__
+    monkeypatch.setattr(SpilledSnapshots, "__getitem__",
+                        lambda self, i: reads.append(i) or read(self, i))
+    schedule = by_curvature_schedule(traj, [r.t for r in traj.records[::4]])
+    rescale_trajectory(traj, schedule)
+    n = len(traj.snapshots)
+    assert n > 90 and len(reads) == n + 1 + len(schedule.entries)
 
 
 # ------------------------------------------------------------------ decay

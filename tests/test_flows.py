@@ -2,6 +2,8 @@
 conservation/monotonicity behavior of each flow."""
 
 import math
+import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -645,3 +647,53 @@ def test_run_records_are_deterministic():
     b = run_flow(spec, collect_snapshots=False)
     for ra, rb in zip(a.records, b.records):
         assert ra.values == rb.values and ra.t == rb.t
+
+
+# ----------------------------------------------------------------- snapshots
+def _open_descriptors() -> int:
+    return len(os.listdir("/dev/fd"))
+
+
+def test_snapshots_spill_to_one_descriptor(many_snapshots_spec):
+    # a run's snapshots live in one unlinked file, open while its trajectory
+    # lives; a run without snapshots opens none
+    before = _open_descriptors()
+    traj = run_flow(many_snapshots_spec, collect_snapshots=False)
+    assert traj.snapshots == [] and _open_descriptors() == before
+    traj = run_flow(many_snapshots_spec)
+    assert len(traj.snapshots) > 90
+    assert _open_descriptors() == before + 1
+    del traj
+    assert _open_descriptors() == before
+
+
+def test_snapshot_reads_are_arrays_of_their_own(many_snapshots_spec):
+    # each read of a snapshot is a fresh copy of the state taken: equal to
+    # the last read, sharing no memory with it, and writing into it changes
+    # no later read
+    snaps = run_flow(many_snapshots_spec).snapshots
+    a, b = snaps[5], snaps[5]
+    assert (a.t, a.step) == (b.t, b.step) == (snaps[5].t, 5)
+    assert a.vector is not b.vector and not np.shares_memory(a.vector, b.vector)
+    assert np.array_equal(a.vector, b.vector)
+    assert np.array_equal(a.forms["main"].x, b.forms["main"].x)
+    kept = b.vector.copy()
+    a.metric.u[...] = 0.0
+    a.forms["main"].theta[...] = np.nan
+    assert np.array_equal(snaps[5].vector, kept)
+    assert [s.step for s in snaps] == list(range(len(snaps)))
+    assert snaps[-1].step == len(snaps) - 1
+
+
+def test_snapshots_leave_memory_during_the_run(many_snapshots_spec):
+    # the traced peak of a run stays below the bytes of the snapshot vectors
+    # it took, which a run holding them all would exceed
+    setup = build(many_snapshots_spec)
+    tracemalloc.start()
+    try:
+        traj = run_flow(setup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.snapshots) > 90
+    assert peak < sum(s.vector.nbytes for s in traj.snapshots)

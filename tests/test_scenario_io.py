@@ -186,11 +186,12 @@ def test_bad_value_rejected_at_validation(line, problem):
     {"forms": [FormSpec("main", "dtheta_dsinx", math.nan)]},
     {"sink": math.inf}, {"lx": math.nan}, {"ly": math.inf},
     {"nx": 16.0}, {"max_steps": True}, {"cadence": 2.5},
-    {"forms": [FormSpec("main", "dtheta")], "probes": [ProbeSpec("p", "main", 2.0)]}])
+    {"forms": [FormSpec("main", "dtheta")], "probes": [ProbeSpec("p", "main", 2.0)]},
+    {"name": 5}, {"nx": "16"}, {"cadence": "2"}, {"lx": "3"}])
 def test_bad_field_rejected_by_make_scenario(overrides):
     # make_scenario takes values unparsed, so NaN reaches validation too, and
-    # so does a count that is not an int, which would serialize to text that
-    # int() does not parse
+    # so does a count that is not an int or a text key that is not a str,
+    # which would serialize to text that parses to another value or not at all
     with pytest.raises(ScenarioError) as err:
         make_scenario(family="flat-torus", subsolution="bump", **overrides)
     assert len(err.value.problems) == 1
@@ -637,9 +638,9 @@ def test_reload_reads_metrics_alone(neck_run, tmp_path):
 
 
 def test_rewrite_leaves_a_live_reload_unchanged(tmp_path):
-    # runs written into the directory of a live LoadedRun, by write_snapshots
-    # alone or by write_outputs, leave the live run's bits as they were; a
-    # fresh load sees the new run
+    # runs written into the directory of a reloaded run that is still alive,
+    # by write_snapshots alone or by write_outputs, leave the reloaded bits as
+    # they were; a fresh load sees the new run
     traj, problem = _conformal_run()
     write_outputs(traj, tmp_path, problem=problem)
     live = load_run(tmp_path).snapshots
@@ -660,14 +661,11 @@ def test_rewrite_leaves_a_live_reload_unchanged(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def many_snapshots_run(tmp_path_factory):
-    # ~100 form-carrying snapshots of a 16² conformal torus, and its
-    # by-curvature rescale report
+def many_snapshots_run(tmp_path_factory, many_snapshots_spec):
+    # the run of many_snapshots_spec, written, and its by-curvature rescale
+    # report
     out = tmp_path_factory.mktemp("many")
-    spec = make_scenario(name="many", family="conformal-torus", nx=16, ny=16,
-                         forms=[FormSpec("main", "dtheta")], t_final=3.0, cadence=1,
-                         snapshot_every=1)
-    write_outputs(run_flow(build(spec)), out / "run")
+    write_outputs(run_flow(build(many_snapshots_spec)), out / "run")
     (out / "sched.cfg").write_text("policy = by-curvature\n")
     r = _cli("rescale", str(out / "run"), "--schedule", str(out / "sched.cfg"),
              "--out", str(out / "report.json"))
