@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainTooSmallError, IncompleteTrajectoryError
 from .functionals import loop_length, min_circumference
-from .geometry import MetricInvariants, OneFormField, distance_field
+from .geometry import MetricInvariants, OneFormField, distance_field, unbroadcast
 
 
 @dataclass
@@ -80,8 +80,8 @@ def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
     for k, ((t_k, lam), snap) in enumerate(zip(schedule.entries, chosen)):
         g = snap.metric
         scaled = g.rescaled(lam)
-        r0 = MetricInvariants(g, grid).scalar
-        r1 = MetricInvariants(scaled, grid).scalar
+        r0 = unbroadcast(MetricInvariants(g, grid).scalar)     # a warped R's column
+        r1 = unbroadcast(MetricInvariants(scaled, grid).scalar)
         denom = max(float(np.max(np.abs(r0))), 1e-300)
         resid = float(np.max(np.abs(r1 - r0 / lam))) / denom
         point = RescalePoint(

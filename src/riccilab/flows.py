@@ -359,7 +359,7 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
     `baseline` holds the buffer-zone mask, R and |phi|^2 of the run's initial
     state when the grid has a truncated axis."""
     grid, g = state.grid, state.metric
-    vol = float(np.sum(geo.sqrt_det * grid.weights))   # integrate(1), bitwise
+    vol = float(np.sum(unbroadcast(geo.sqrt_det) * grid.weights))   # integrate(1), bitwise
     values: dict = {}
     nsq = {label: phi.norm_sq(geo) for label, phi in state.forms.items()}
 
@@ -369,7 +369,8 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
         values[f"{label}_closedness"] = closedness_residual(phi, grid)
         if problem.monitor_energy:
             values[f"{label}_grad_energy"] = integrate(grad_norm_sq(phi, geo), geo)
-            values[f"{label}_curv_energy"] = integrate(geo.scalar * nsq[label], geo)
+            values[f"{label}_curv_energy"] = integrate(unbroadcast(geo.scalar) * nsq[label],
+                                                       geo)
         probe = problem.probes.get(label)
         if probe is not None:
             values[f"{label}_pairing"] = cycle_integral(phi, probe.cycle, grid)

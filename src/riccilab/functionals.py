@@ -17,7 +17,7 @@ from .errors import (DomainTooSmallError, IncompleteTrajectoryError,
                      InvalidCycleError, InvalidSubsolutionError,
                      ProbeOrderError)
 from .geometry import (Grid2D, MetricField, MetricInvariants, OneFormField,
-                       distance_field, exterior_derivative)
+                       distance_field, exterior_derivative, unbroadcast)
 
 CLOSEDNESS_TOL = 1e-10
 HYPOTHESIS_TOL = 1e-10   # min R >= -this counts as "R >= 0 held"
@@ -25,8 +25,9 @@ HYPOTHESIS_TOL = 1e-10   # min R >= -this counts as "R >= 0 held"
 
 # ---------------------------------------------------------------------- quadrature
 def integrate(values: np.ndarray, geo: MetricInvariants) -> float:
-    """Integral of a scalar density against dv_g (fixed-order summation)."""
-    return float(np.sum(values * geo.sqrt_det * geo.grid.weights))
+    """Integral of a scalar density against dv_g (fixed-order summation).
+    A warped sqrt(det g) is read on its column, with the same products."""
+    return float(np.sum(values * unbroadcast(geo.sqrt_det) * geo.grid.weights))
 
 
 def l2_norm_form(phi: OneFormField, geo: MetricInvariants) -> float:
@@ -109,8 +110,10 @@ def loop_length(cycle, g: MetricField, grid: Grid2D) -> float:
 
 def min_circumference(g: MetricField, grid: Grid2D):
     """Shortest theta-circle: (length, argmin x index).  For a warped metric this
-    is 2 pi min f."""
-    lengths = np.sum(np.sqrt(g.gtt), axis=1) * grid.hy
+    is 2 pi min f.  The root is taken on the column of a warped gtt and summed
+    over its broadcast, which gives the bits of the full-grid sum."""
+    root = np.broadcast_to(np.sqrt(unbroadcast(g.gtt)), g.gtt.shape)
+    lengths = np.sum(root, axis=1) * grid.hy
     i = int(np.argmin(lengths))
     return float(lengths[i]), i
 

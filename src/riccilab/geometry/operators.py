@@ -56,7 +56,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import CONFORMAL, GENERAL, WARPED, MetricField, OneFormField
+from .fields import CONFORMAL, GENERAL, WARPED, MetricField, OneFormField, unbroadcast
 from .grid import PERIODIC, TRUNCATED, Grid2D
 
 
@@ -380,14 +380,22 @@ def covariant_derivative(phi: OneFormField, geo: MetricInvariants) -> np.ndarray
 def grad_norm_sq(phi: OneFormField, geo: MetricInvariants) -> np.ndarray:
     """|nabla phi|^2_g = g^{km} g^{in} S_ki S_mn, the full covariant gradient
     energy density.  On a tagged metric only the k = m, i = n terms are
-    summed, component by component, with no S array."""
-    out = np.zeros(phi.x.shape)
+    summed, component by component, with no S array; the weights g^kk g^ii
+    are taken on a warped inverse's column, and the sum starts from the first
+    term (each term is >= +0, so 0.0 + t is t)."""
     if geo.metric.tag != GENERAL:       # g^xt = -0.0: the other 12 terms are +-0
         ixx, _, itt = geo.inv
-        diag = (ixx, itt)
+        diag = (unbroadcast(ixx), unbroadcast(itt))
+        out = None
         for (k, i), ski in zip(_PAIRS, _nabla(phi, geo)):
-            out += diag[k] * diag[i] * ski * ski
+            term = diag[k] * diag[i] * ski
+            term *= ski
+            if out is None:
+                out = term
+            else:
+                out += term
         return out
+    out = np.zeros(phi.x.shape)
     s = covariant_derivative(phi, geo)
     inv = _sym2(*geo.inv)
     for k in range(2):
