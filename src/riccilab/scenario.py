@@ -153,7 +153,7 @@ _KEYS = {
 
 # a parser -> what its keys hold, named, and the types a value may have
 _KINDS = {str: ("text", (str,)), int: ("an integer", (int,)),
-          _parse_float: ("a number", (int, float))}
+          _parse_float: ("a number", (int, float)), _parse_bool: ("a boolean", (bool,))}
 
 
 def _slot(spec: ScenarioSpec, target: str):
@@ -210,10 +210,9 @@ def _fill_defaults(spec: ScenarioSpec):
 def validate(spec: ScenarioSpec) -> list:
     """Every problem found; each comparison is written so that NaN fails."""
     # each key holds the type its parser gives, as the checks below compare
-    # values; a bool is no count or number
+    # values; a bool is no count or number, and a flag is a bool alone
     problems = [f"{key} must be {_KINDS[parse][0]}" for key, (target, parse) in _KEYS.items()
-                if parse in _KINDS
-                and type(getattr(*_slot(spec, target))) not in _KINDS[parse][1]]
+                if type(getattr(*_slot(spec, target))) not in _KINDS[parse][1]]
     if problems:
         return problems
     if spec.family not in FAMILIES:

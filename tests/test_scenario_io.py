@@ -187,11 +187,13 @@ def test_bad_value_rejected_at_validation(line, problem):
     {"sink": math.inf}, {"lx": math.nan}, {"ly": math.inf},
     {"nx": 16.0}, {"max_steps": True}, {"cadence": 2.5},
     {"forms": [FormSpec("main", "dtheta")], "probes": [ProbeSpec("p", "main", 2.0)]},
-    {"name": 5}, {"nx": "16"}, {"cadence": "2"}, {"lx": "3"}])
+    {"name": 5}, {"nx": "16"}, {"cadence": "2"}, {"lx": "3"},
+    {"monitor_energy": 1}, {"monitor_energy": "yes"}, {"monitor_energy": 0.0}])
 def test_bad_field_rejected_by_make_scenario(overrides):
     # make_scenario takes values unparsed, so NaN reaches validation too, and
-    # so does a count that is not an int or a text key that is not a str,
-    # which would serialize to text that parses to another value or not at all
+    # so does a count that is not an int, a text key that is not a str or a
+    # flag that is not a bool, which would serialize to text that parses to
+    # another value or not at all
     with pytest.raises(ScenarioError) as err:
         make_scenario(family="flat-torus", subsolution="bump", **overrides)
     assert len(err.value.problems) == 1
