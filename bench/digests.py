@@ -12,8 +12,11 @@ with snapshots also prints rescale=, the sha256 of the JSON of the points
 rescale_trajectory measures on the run reloaded with load_run, along the
 by-curvature schedule at every snapshot time (unit factors on a flat run,
 which that policy rejects): it digests what reloading feeds the rescaling.
-Runs on two checkouts print the same lines when their outputs agree byte for
-byte; scenario_hash is left out because it hashes the serialized spec, which
+Every line ends with verdicts=, each summary.json verdict as name:pass:checked
+(or name:fail:checked), sorted by name: a change whose arithmetic moves the
+digests can show that every verdict held, on as many checks.  Runs on two
+checkouts print the same lines when their outputs agree byte for byte;
+scenario_hash is left out because it hashes the serialized spec, which
 changes whenever a key is added or retired.  scenarios/cigar.cfg takes about
 two minutes.
 """
@@ -72,7 +75,9 @@ def digest_line(name: str, text: str, workdir: Path) -> str:
         points = json.dumps([dataclasses.asdict(p)
                              for p in rescale_trajectory(reloaded, schedule)])
         line += f" rescale={hashlib.sha256(points.encode()).hexdigest()}"
-    return line
+    verdicts = ",".join(f"{key}:{'pass' if v['pass'] else 'fail'}:{v['checked']}"
+                        for key, v in sorted(summary["verdicts"].items()))
+    return line + f" verdicts={verdicts}"
 
 
 def main() -> int:

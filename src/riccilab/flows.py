@@ -360,6 +360,7 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
     state when the grid has a truncated axis."""
     grid, g = state.grid, state.metric
     vol = float(np.sum(unbroadcast(geo.sqrt_det) * grid.weights))   # integrate(1), bitwise
+    R = unbroadcast(geo.scalar)
     values: dict = {}
     nsq = {label: phi.norm_sq(geo) for label, phi in state.forms.items()}
 
@@ -369,8 +370,7 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
         values[f"{label}_closedness"] = closedness_residual(phi, grid)
         if problem.monitor_energy:
             values[f"{label}_grad_energy"] = integrate(grad_norm_sq(phi, geo), geo)
-            values[f"{label}_curv_energy"] = integrate(unbroadcast(geo.scalar) * nsq[label],
-                                                       geo)
+            values[f"{label}_curv_energy"] = integrate(R * nsq[label], geo)
         probe = problem.probes.get(label)
         if probe is not None:
             values[f"{label}_pairing"] = cycle_integral(phi, probe.cycle, grid)
@@ -395,7 +395,7 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
         values["u_mass"] = integrate(clipped, geo)
         values["u_min"] = float(np.min(u))
         values["u_max"] = float(np.max(u))
-        values["u_curv_mass"] = integrate(clipped * geo.scalar, geo)
+        values["u_curv_mass"] = integrate(clipped * R, geo)
 
     if baseline is not None:
         mask = baseline["mask"]
@@ -406,7 +406,6 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
                 flux = max(flux, float(np.max(np.abs(nsq[label][mask] - nsq0))))
         values["buffer_flux"] = flux
 
-    R = unbroadcast(geo.scalar)
     return MonitorRecord(
         t=state.t, dt=dt, step=state.step,
         sup_R=float(np.max(R)), min_R=float(np.min(R)),

@@ -8,18 +8,19 @@ first derivative appears, so composed operators (d after d, div after grad)
 inherit exact structural identities.
 
 The stencil is computed without temporaries and gives the bits of its plain
-form, (roll(a, -1) - roll(a, 1)) / (2h) or the one-sided closures, on every
-input.  Along the last axis of a C-contiguous array the interior is one flat
-sweep over the raveled array; the values it leaves at each row seam are
-overwritten by the end formulas, which are therefore written after the
-interior.  When 2h is a power of two the differences are scaled by 1/(2h),
-which is exact and so bitwise equal to the division.
+form, (roll(a, -1) - roll(a, 1)) * (1/(2h)) or the one-sided closures times
+the same factor, on every input.  Along the last axis of a C-contiguous array
+the interior is one flat sweep over the raveled array; the values it leaves
+at each row seam are overwritten by the end formulas, which are therefore
+written after the interior.  Multiplying by the rounded reciprocal adds at
+most one rounding per difference to the quotient form, far below the O(h^2)
+truncation error; when 2h is a power of two the reciprocal is exact and the
+product is the quotient's bits.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -139,7 +140,7 @@ class Grid2D:
     def _diff(self, a: np.ndarray, axis: int, h: float, topology: str) -> np.ndarray:
         # Differences are written into one output array, interior first and
         # ends last, and then scaled in place: the bits of
-        # (roll(a, -1) - roll(a, 1)) / (2h), without its temporaries.
+        # (roll(a, -1) - roll(a, 1)) * (1/(2h)), without its temporaries.
         out = np.empty_like(a, dtype=np.result_type(a, 1.0))
         (hi, lo, mid), (first, second, last, before_last), closures = \
             _stencil_slices(a.ndim, axis)
@@ -157,12 +158,7 @@ class Grid2D:
             e0, e1, e2, f0, f1, f2 = closures
             out[e0] = -3.0 * a[e0] + 4.0 * a[e1] - a[e2]
             out[f0] = 3.0 * a[f0] - 4.0 * a[f1] + a[f2]
-        two_h = 2.0 * h
-        frac, exp = math.frexp(two_h)
-        if frac == 0.5 and exp >= -1022:
-            out *= 1.0 / two_h          # 2h = 2^k with 2^-k finite: bitwise the quotient
-        else:
-            out /= two_h
+        out *= 1.0 / (2.0 * h)
         return out
 
     def diff_x(self, a: np.ndarray) -> np.ndarray:

@@ -390,10 +390,7 @@ def grad_norm_sq(phi: OneFormField, geo: MetricInvariants) -> np.ndarray:
         for (k, i), ski in zip(_PAIRS, _nabla(phi, geo)):
             term = diag[k] * diag[i] * ski
             term *= ski
-            if out is None:
-                out = term
-            else:
-                out += term
+            out = term if out is None else np.add(out, term, out=out)
         return out
     out = np.zeros(phi.x.shape)
     s = covariant_derivative(phi, geo)

@@ -40,11 +40,12 @@ def test_diff_exact_on_linear_truncated():
     assert np.max(np.abs(d - 3.0)) < 1e-13   # one-sided ends exact on linears too
 
 
-def _reference_diff(a, axis, h, topology):
-    """The stencil in its plain form: the np.roll pair on periodic axes, the
-    centered slice with one-sided 3-point closures on truncated ones."""
+def _differences(a, axis, topology):
+    """The stencil's unscaled differences in their plain form: the np.roll
+    pair on periodic axes, the centered slice with one-sided 3-point closures
+    on truncated ones."""
     if topology == "periodic":
-        return (np.roll(a, -1, axis) - np.roll(a, 1, axis)) / (2.0 * h)
+        return np.roll(a, -1, axis) - np.roll(a, 1, axis)
 
     def at(idx):
         s = [slice(None)] * a.ndim
@@ -52,10 +53,15 @@ def _reference_diff(a, axis, h, topology):
         return tuple(s)
 
     out = np.empty_like(a)
-    out[at(slice(1, -1))] = (a[at(slice(2, None))] - a[at(slice(0, -2))]) / (2.0 * h)
-    out[at(0)] = (-3.0 * a[at(0)] + 4.0 * a[at(1)] - a[at(2)]) / (2.0 * h)
-    out[at(-1)] = (3.0 * a[at(-1)] - 4.0 * a[at(-2)] + a[at(-3)]) / (2.0 * h)
+    out[at(slice(1, -1))] = a[at(slice(2, None))] - a[at(slice(0, -2))]
+    out[at(0)] = -3.0 * a[at(0)] + 4.0 * a[at(1)] - a[at(2)]
+    out[at(-1)] = 3.0 * a[at(-1)] - 4.0 * a[at(-2)] + a[at(-3)]
     return out
+
+
+def _reference_diff(a, axis, h, topology):
+    """The stencil in its plain form: the differences times 1/(2h)."""
+    return _differences(a, axis, topology) * (1.0 / (2.0 * h))
 
 
 @pytest.mark.parametrize("grid", [Grid2D.torus(128, 128),
@@ -77,10 +83,25 @@ def test_slice_stencil_bitwise_equals_reference(grid):
                           _reference_diff(profile, 0, grid.hx, grid.topology_x))
 
 
+def test_stencil_within_two_ulp_of_quotient():
+    # the product by the rounded 1/(2h) adds at most one rounding to the
+    # quotient form; on the plane 2h = 1/8, whose reciprocal is exact
+    rng = np.random.default_rng(11)
+    for grid, exact in ((Grid2D.torus(128, 128), False),
+                        (Grid2D.plane(257, 257, 16.0, 16.0), True),
+                        (Grid2D.cylinder(512, 64, 20.0), False)):
+        a = rng.standard_normal((grid.nx, grid.ny))
+        for d, axis, h, topology in ((grid.diff_x(a), 0, grid.hx, grid.topology_x),
+                                     (grid.diff_t(a), 1, grid.hy, grid.topology_y)):
+            quotient = _differences(a, axis, topology) / (2.0 * h)
+            assert np.all(np.abs(d - quotient) <= 2 * np.spacing(np.abs(quotient)))
+            assert np.array_equal(d, quotient) == exact
+
+
 @st.composite
 def _grids(draw):
-    """Random node counts and topologies, with spacings on both sides of the
-    exact-reciprocal rule: 2h a power of two, or not."""
+    """Random node counts and topologies, with spacings whose 2h is a power of
+    two (its reciprocal exact) or not."""
     axes = []
     for _ in range(2):
         n = draw(st.integers(8, 70))
