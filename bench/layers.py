@@ -4,34 +4,43 @@
 
 Imports riccilab from DIR (the src/ directory of a checkout) and times each
 layer on fixed grids: a periodic 128^2 torus, a truncated 257^2 plane (the
-cigar's) and a 512x64 cylinder (the neck's).  Each figure is the median, in
+cigar's) and a 512x64 cylinder (the neck's), and, where the imported riccilab
+steps theta-invariant states as (nx, 1) columns, the 128x1 and 512x1 columns
+of the torus and the cylinder.  In one process each figure is the median, in
 microseconds, of single calls timed with time.perf_counter after one warm-up
-call.  Operators get one bundle for all their calls, so the warm-up computes
-the parts they read and they are timed alone; each is timed on its tagged
-metric and, as the reference cost, on its general-tagged copy
+call.  The layers are timed in PROCESSES fresh interpreters, one after the
+other; the column holds each layer's median over them and "spreads" its
+minimum and maximum, so a layer whose processes disagree shows it.
+Operators get one bundle for all their calls, so the warm-up computes
+the parts they read and they are timed alone; each full-grid one is timed on
+its tagged metric and, as the reference cost, on its general-tagged copy
 general_metric(g.gxx, g.gxt, g.gtt) (the `.general` entries).  grad_norm_sq
 drops the bundle's cached Christoffel symbols before each call, as a run reads
 them once per record bundle.  det g and the inverse
 are timed on their own, and monitor_record is timed with a fresh bundle per
 call, as a run builds one per state.
 
-FILE holds {"unit", "statistic", "machine", "columns": {NAME: {layer: us}}}.
-An existing FILE keeps its other columns, so runs on two checkouts, one after
-the other on the same machine, fill one before/after file.
+FILE holds {"unit", "statistic", "spread", "machine", "columns": {NAME:
+{layer: us}}, "spreads": {NAME: {layer: [min, max]}}}.  An existing FILE keeps
+its other columns, so runs on two checkouts, one after the other on the same
+machine, fill one before/after file.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 MIN_SAMPLES, MAX_SAMPLES, BUDGET_S = 7, 2000, 0.4
+PROCESSES = 5
 
 
 def median_us(fn) -> float:
@@ -79,12 +88,19 @@ def layers() -> dict:
     X, T = torus.mesh()
     metrics = {"128": (torus, conformal_metric(torus, 0.3 * np.sin(X) * np.cos(T))),
                "257": (plane, cigar), "512x64": (cylinder, neck)}
+    if "width" in inspect.signature(warped_metric).parameters:   # steps (nx, 1) columns
+        metrics["128x1"] = (torus, conformal_metric(torus, 0.3 * np.sin(X[:, :1])))
+        metrics["512x1"] = (cylinder, warped_metric(cylinder, np.ones_like(x),
+                                                    2.0 - np.exp(-x ** 2), width=1))
     for n, (grid, g) in metrics.items():
-        X, T = grid.mesh()
+        width = g.gxx.shape[1]
+        X, T = (c[:, :width] for c in grid.mesh())
         phi = OneFormField(np.sin(X) * np.cos(T), np.cos(X + T))
         F = np.sin(X + 2 * T)
-        copy = general_metric(g.gxx, g.gxt, g.gtt)
-        for metric, suffix in ((g, ""), (copy, ".general")):
+        variants = [(g, "")]
+        if width == grid.ny:
+            variants.append((general_metric(g.gxx, g.gxt, g.gtt), ".general"))
+        for metric, suffix in variants:
             geo = MetricInvariants(metric, grid)   # parts computed by the warm-up call
             out[f"codifferential.{n}{suffix}"] = median_us(
                 lambda: codifferential(phi, geo))
@@ -94,23 +110,33 @@ def layers() -> dict:
                 lambda: laplace_beltrami(F, geo))
             out[f"grad_norm_sq.{n}{suffix}"] = median_us(
                 lambda: (geo.__dict__.pop("gamma", None), grad_norm_sq(phi, geo)))
-            out[f"norm_sq.{n}{suffix}"] = median_us(lambda: phi.norm_sq(geo))
-        if n == "512x64":
-            continue
-        geo = MetricInvariants(g, grid)
-        out[f"reduced_scalar_curvature.{n}"] = median_us(
-            lambda: reduced_scalar_curvature(g, grid))
-        out[f"curvature_reduced.{n}"] = median_us(lambda: curvature_reduced(g, geo.scalar))
+            if width == grid.ny:
+                out[f"norm_sq.{n}{suffix}"] = median_us(lambda: phi.norm_sq(geo))
 
         state = FlowState(0.0, grid, g, {"main": phi}, F.copy(), 1.0 + 0.5 * np.cos(X))
         problem = FlowProblem()
         out[f"monitor_record.{n}"] = median_us(
             lambda: monitor_record(state, problem, 1e-4, MetricInvariants(g, grid)))
+        if n not in ("128", "257"):
+            continue
+        geo = MetricInvariants(g, grid)
+        out[f"reduced_scalar_curvature.{n}"] = median_us(
+            lambda: reduced_scalar_curvature(g, grid))
+        out[f"curvature_reduced.{n}"] = median_us(lambda: curvature_reduced(g, geo.scalar))
         layout = StateLayout.of(state)
         vec = layout.pack(state)
         out[f"StateLayout.pack.{n}"] = median_us(lambda: layout.pack(state))
         out[f"StateLayout.unpack.{n}"] = median_us(lambda: layout.unpack(vec))
     return out
+
+
+def fresh_process_layers(src: Path) -> dict:
+    """layers() in a new interpreter importing riccilab from `src`."""
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; from layers import layers; "
+            "print(json.dumps(layers()))")
+    run = subprocess.run([sys.executable, "-c", code, str(src), str(Path(__file__).parent)],
+                         check=True, capture_output=True, text=True)
+    return json.loads(run.stdout)
 
 
 def main() -> int:
@@ -129,15 +155,21 @@ def main() -> int:
         print(f"riccilab imported from {riccilab.__file__}, not from {src}", file=sys.stderr)
         return 2
 
-    result = layers()
+    runs = [fresh_process_layers(src) for _ in range(PROCESSES)]
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update({
         "unit": "us",
-        "statistic": "median of single-call time.perf_counter samples",
+        "statistic": (f"median over {PROCESSES} fresh processes of each process's "
+                      "median of single-call time.perf_counter samples"),
+        "spread": "min and max over the processes",
         "machine": {"nproc": os.cpu_count(), "machine": platform.machine(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
     })
-    doc.setdefault("columns", {})[args.column] = {k: round(v, 2) for k, v in result.items()}
+    doc.setdefault("columns", {})[args.column] = {
+        k: round(statistics.median(r[k] for r in runs), 2) for k in runs[0]}
+    doc.setdefault("spreads", {})[args.column] = {
+        k: [round(min(r[k] for r in runs), 2), round(max(r[k] for r in runs), 2)]
+        for k in runs[0]}
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc["columns"][args.column]))
     return 0

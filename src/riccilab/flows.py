@@ -31,6 +31,15 @@ vector expressions, and a snapshot's .bin file is that vector's bytes in
 layout order.  run_flow spills each snapshot's vector to one unlinked
 temporary file as it is taken (SpilledSnapshots), so a run holds no snapshot
 fields in memory.
+
+A theta-invariant state on a periodic theta axis is stepped as its (nx, 1)
+columns (_columns decides, comparing bits, so +0.0 and -0.0 differ).  The
+operators run on them through broadcasting: Grid2D.diff_t of a length-1 last
+axis is the full-grid stencil's value at every node, and every other
+operation acts node by node, so each column node has its row's full-grid
+bits.  Sums over the grid (integrals, volume, loop pairings, minimal
+circumference) read the full width, and snapshots are spilled as columns and
+read back widened to the (nx, ny) layout.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import os
 import tempfile
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -48,7 +57,7 @@ import numpy as np
 from .errors import DegenerateMetricError
 from .functionals import (MonitorRecord, closedness_residual, cycle_integral,
                           integrate, min_circumference)
-from .geometry import (CONFORMAL, GENERAL, WARPED, Grid2D, MetricField,
+from .geometry import (CONFORMAL, GENERAL, PERIODIC, WARPED, Grid2D, MetricField,
                        MetricInvariants, OneFormField, codifferential,
                        conformal_metric, flat_laplacian, general_metric,
                        grad_norm_sq, hodge_laplacian, laplace_beltrami, unbroadcast,
@@ -125,8 +134,9 @@ class StateLayout:
     Snapshot files carry these names, and a snapshot's .bin is the vector's
     bytes."""
 
-    def __init__(self, grid: Grid2D, tag: str, fields):
+    def __init__(self, grid: Grid2D, tag: str, fields, width: int | None = None):
         self.grid, self.tag = grid, tag
+        self.width = grid.ny if width is None else width   # of each 2-D field
         self.fields, self.size = [], 0
         for name, shape in fields:
             self.fields.append((name, tuple(shape), self.size))
@@ -152,7 +162,8 @@ class StateLayout:
         if state.layout is not None:
             return state.layout
         return cls(state.grid, state.metric.tag,
-                   [(name, arr.shape) for name, arr in cls._arrays(state)])
+                   [(name, arr.shape) for name, arr in cls._arrays(state)],
+                   state.metric.gxx.shape[1])
 
     def pack(self, state: FlowState) -> np.ndarray:
         """The state as one vector; a state this layout unpacked is not copied."""
@@ -165,7 +176,18 @@ class StateLayout:
         """The layout of the metric parameters alone, the head of the vector."""
         n = len(_METRIC_PARAMS[self.tag])
         return StateLayout(self.grid, self.tag,
-                           [(name, shape) for name, shape, _ in self.fields[:n]])
+                           [(name, shape) for name, shape, _ in self.fields[:n]], self.width)
+
+    def widen(self, vec: np.ndarray):
+        """A column layout's full-width layout, and `vec` in it: each column
+        repeated over theta, bit for bit."""
+        arrays = [vec[offset:offset + math.prod(shape)].reshape(shape)
+                  for _, shape, offset in self.fields]
+        wide = [np.broadcast_to(a, (a.shape[0], self.grid.ny)) if a.ndim == 2 else a
+                for a in arrays]
+        return (StateLayout(self.grid, self.tag,
+                            [(name, a.shape) for (name, _, _), a in zip(self.fields, wide)]),
+                np.concatenate([a.ravel() for a in wide]))
 
     def parts(self, vec: np.ndarray):
         """Views into `vec`: the metric parameters in tag order, the forms by
@@ -181,7 +203,7 @@ class StateLayout:
         if self.tag == CONFORMAL:
             return conformal_metric(self.grid, *params)
         if self.tag == WARPED:
-            return warped_metric(self.grid, *params)
+            return warped_metric(self.grid, *params, width=self.width)
         return general_metric(*params)
 
     def unpack(self, vec: np.ndarray, t: float = 0.0, step: int = 0) -> FlowState:
@@ -191,10 +213,10 @@ class StateLayout:
 
     @cached_property
     def frozen(self) -> np.ndarray:
-        """Indices of the nodes flows hold fixed: grid.boundary_mask on 2-D
-        fields and both end nodes of 1-D warped profiles, none without a
-        truncated axis."""
-        boundary = self.grid.boundary_mask
+        """Indices of the nodes flows hold fixed: grid.boundary_mask, cut to
+        the layout's width, on 2-D fields and both end nodes of 1-D warped
+        profiles, none without a truncated axis."""
+        boundary = self.grid.boundary_mask[:, :self.width]
         mask = np.zeros(self.size, dtype=bool)
         if boundary.any():
             for _, shape, offset in self.fields:
@@ -420,7 +442,9 @@ class SpilledSnapshots(Sequence):
     is unlinked when it is created and closed when this sequence is collected;
     only each snapshot's layout, offset, t and step stay in memory.  Every
     item access reads its vector back into an array of its own and unpacks
-    it, so a caller may write into a read without changing the next one."""
+    it, so a caller may write into a read without changing the next one.  A
+    column state is spilled as its column vector and read back widened to
+    the full layout."""
 
     def __init__(self):
         self._file = tempfile.TemporaryFile()
@@ -441,7 +465,37 @@ class SpilledSnapshots(Sequence):
         vec = np.empty(layout.size)
         self._file.seek(offset)
         self._file.readinto(vec)
+        if layout.width < layout.grid.ny:
+            layout, vec = layout.widen(vec)
         return layout.unpack(vec, t, step)
+
+
+def _theta_invariant(a: np.ndarray) -> bool:
+    """Every column of the 2-D `a` holds the bits of its first: compared as
+    int64, so +0.0 and -0.0 differ and a NaN equals its own bits."""
+    bits = np.asarray(a, np.float64).view(np.int64)
+    return bool((bits == bits[:, :1]).all())
+
+
+def _columns(state: FlowState, problem: FlowProblem):
+    """The state and problem a run steps.  On a periodic theta axis, when
+    every 2-D array of the state and of the gauge base form is
+    theta-invariant, their (nx, 1) columns in a new state and problem;
+    otherwise a copy of the state and the problem itself."""
+    arrays = StateLayout._arrays(state)
+    base = problem.gauge_base
+    planes = [a for _, a in arrays if a.ndim == 2]
+    if base is not None:
+        planes += [base.x, base.theta]
+    if state.grid.topology_y != PERIODIC or not all(map(_theta_invariant, planes)):
+        return state.copy(), problem
+    column = [(name, a[:, :1] if a.ndim == 2 else a) for name, a in arrays]
+    layout = StateLayout(state.grid, state.metric.tag,
+                         [(name, a.shape) for name, a in column], width=1)
+    if base is not None:
+        problem = replace(problem, gauge_base=OneFormField(base.x[:, :1], base.theta[:, :1]))
+    vec = np.concatenate([a.ravel() for _, a in column])
+    return layout.unpack(vec, state.t, state.step), problem
 
 
 @dataclass
@@ -468,8 +522,8 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
 
     setup = build(scenario_or_setup) if isinstance(scenario_or_setup, ScenarioSpec) \
         else scenario_or_setup
-    state, problem, spec = setup.state.copy(), setup.problem, setup.integrator
-    grid = state.grid
+    state, problem = _columns(setup.state, setup.problem)
+    spec, grid = setup.integrator, state.grid
 
     if spec.max_steps <= 0:
         return Trajectory(grid, [], [], BUDGET, state.t, 0,
@@ -482,7 +536,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
                           setup.name, setup.scenario_hash)
     baseline = None
     if grid.boundary_mask.any():
-        mask = grid.buffer_mask()
+        mask = grid.buffer_mask()[:, :StateLayout.of(state).width]
         baseline = {"mask": mask, "R0": geo.scalar[mask],
                     "form0": {label: phi.norm_sq(geo)[mask]
                               for label, phi in state.forms.items()}}

@@ -78,16 +78,19 @@ class NodePath:
 
 
 def cycle_integral(phi: OneFormField, cycle, grid: Grid2D) -> float:
-    """Line integral of phi along the cycle (trapezoid in the coordinates)."""
+    """Line integral of phi along the cycle (trapezoid in the coordinates).
+    The components are read through their broadcast over the grid, so the
+    (nx, 1) columns of a theta-invariant form give the full-grid sums."""
+    x, theta = (np.broadcast_to(c, (grid.nx, grid.ny)) for c in (phi.x, phi.theta))
     if isinstance(cycle, ThetaCircle):
-        return float(np.sum(phi.theta[cycle.x_index, :]) * grid.hy)
+        return float(np.sum(theta[cycle.x_index, :]) * grid.hy)
     if isinstance(cycle, NodePath):
         total = 0.0
         for (i0, j0), (i1, j1) in zip(cycle.nodes[:-1], cycle.nodes[1:]):
             dx = (grid.x[i1] - grid.x[i0])
             dt = (grid.theta[j1] - grid.theta[j0])
-            total += 0.5 * (phi.x[i0, j0] + phi.x[i1, j1]) * dx
-            total += 0.5 * (phi.theta[i0, j0] + phi.theta[i1, j1]) * dt
+            total += 0.5 * (x[i0, j0] + x[i1, j1]) * dx
+            total += 0.5 * (theta[i0, j0] + theta[i1, j1]) * dt
         return float(total)
     raise InvalidCycleError(f"unsupported cycle type {type(cycle).__name__}")
 
@@ -110,9 +113,10 @@ def loop_length(cycle, g: MetricField, grid: Grid2D) -> float:
 
 def min_circumference(g: MetricField, grid: Grid2D):
     """Shortest theta-circle: (length, argmin x index).  For a warped metric this
-    is 2 pi min f.  The root is taken on the column of a warped gtt and summed
-    over its broadcast, which gives the bits of the full-grid sum."""
-    root = np.broadcast_to(np.sqrt(unbroadcast(g.gtt)), g.gtt.shape)
+    is 2 pi min f.  The root is taken on the column of a warped gtt, or of a
+    column state's, and summed over its broadcast to the grid, which gives
+    the bits of the full-grid sum."""
+    root = np.broadcast_to(np.sqrt(unbroadcast(g.gtt)), (grid.nx, grid.ny))
     lengths = np.sum(root, axis=1) * grid.hy
     i = int(np.argmin(lengths))
     return float(lengths[i]), i

@@ -159,13 +159,15 @@ def conformal_metric(grid, u: np.ndarray) -> MetricField:
     return MetricField(e2u, _diagonal_gxt(e2u), e2u, tag=CONFORMAL, u=u)
 
 
-def warped_metric(grid, h: np.ndarray, f: np.ndarray) -> MetricField:
+def warped_metric(grid, h: np.ndarray, f: np.ndarray, width: int | None = None) -> MetricField:
     """g = h(x)^2 dx^2 + f(x)^2 dtheta^2 on a cylinder grid.  gxx and gtt are
     read-only broadcasts of the profiles h^2 and f^2 over theta, so the
-    metric holds no (nx, ny) array, and its invariants are computed per row."""
+    metric holds no (nx, ny) array, and its invariants are computed per row.
+    They are (nx, width) broadcasts: grid.ny wide by default, 1 wide for the
+    (nx, 1) column states flows.run_flow steps."""
     if h.ndim != 1 or f.ndim != 1:
         raise ValueError("warped profiles must be 1-D functions of x")
-    shape = (grid.nx, grid.ny)
+    shape = (grid.nx, grid.ny if width is None else width)
     gxx = np.broadcast_to((h ** 2)[:, None], shape)
     gtt = np.broadcast_to((f ** 2)[:, None], shape)
     return MetricField(gxx, _diagonal_gxt(gxx), gtt, tag=WARPED, h=h, f=f)

@@ -168,7 +168,12 @@ class Grid2D:
         return self._diff(a, axis, self.hx, self.topology_x)
 
     def diff_t(self, a: np.ndarray) -> np.ndarray:
-        """d/dtheta along the last axis."""
+        """d/dtheta along the last axis.  On a periodic theta axis an array
+        whose last axis has length 1 is the column of a theta-invariant field,
+        and its derivative is (a - a) * (1/(2h)): the full-grid stencil's
+        value at every node, inf and NaN included."""
+        if a.shape[-1] == 1 and self.topology_y == PERIODIC:
+            return (a - a) * (1.0 / (2.0 * self.hy))
         return self._diff(a, a.ndim - 1, self.hy, self.topology_y)
 
     def diff(self, a: np.ndarray, axis_index: int) -> np.ndarray:

@@ -12,8 +12,9 @@ import pytest
 
 from riccilab.flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED,
                             FlowProblem, FlowState, IntegratorSpec, StateLayout,
-                            _rhs, cfl_dt, flow_step, run_flow)
-from riccilab.functionals import integrate
+                            _rhs, cfl_dt, flow_step, monitor_record, run_flow)
+from riccilab.functionals import (CohomologyProbe, NodePath, integrate,
+                                  l2_monotonicity_report, max_principle_report)
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                conformal_metric, flat_metric, general_metric,
                                hodge_laplacian, reduced_scalar_curvature,
@@ -592,6 +593,128 @@ def test_run_flow_leaves_problem_alone():
     after = vars(setup.problem)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+# ----------------------------------------------------------------- column runs
+def _reference_run(setup):
+    """run_flow's loop on full (nx, ny) states, for a setup that records and
+    snapshots every step and stops on its step budget: the records, and each
+    snapshot's layout fields and vector."""
+    state, problem, spec = setup.state.copy(), setup.problem, setup.integrator
+    grid = state.grid
+    geo = MetricInvariants(state.metric, grid)
+    baseline = None
+    if grid.boundary_mask.any():
+        mask = grid.buffer_mask()
+        baseline = {"mask": mask, "R0": geo.scalar[mask],
+                    "form0": {label: phi.norm_sq(geo)[mask]
+                              for label, phi in state.forms.items()}}
+    records, snapshots, dt = [], [], cfl_dt(geo, spec)
+    while True:
+        records.append(monitor_record(state, problem, dt, geo, baseline))
+        layout = StateLayout.of(state)
+        snapshots.append((layout.fields, layout.pack(state).copy()))
+        if state.step >= spec.max_steps:
+            return records, snapshots
+        k1, sup_R = _rhs(layout.pack(state), layout, problem, geo, with_sup_R=True)
+        dt = min(cfl_dt(geo, spec, sup_R=sup_R), spec.t_final - state.t)
+        state = flow_step(state, dt, problem, spec.scheme, k1=k1)
+        geo = MetricInvariants(state.metric, grid)
+
+
+def _record_bits(rec):
+    floats = [rec.t, rec.dt, rec.sup_R, rec.min_R, rec.vol, *rec.values.values()]
+    return rec.step, rec.grid_hash, list(rec.values), np.array(floats).view(np.int64).tolist()
+
+
+def _spilled_width(traj) -> int:
+    """The width of the layout run_flow stepped, read off its first spilled
+    snapshot."""
+    return traj.snapshots._index[0][0].width
+
+
+def _state_bits(setup):
+    layout = StateLayout.of(setup.state)
+    return layout.fields, layout.pack(setup.state).view(np.int64).copy()
+
+
+def _theta_dependent_torus(n, **kw):
+    """A conformal torus with u = 0.2 sin x cos theta and the form
+    sin x cos 2theta dx + cos(x + theta) dtheta."""
+    setup = build(make_scenario(name="torus-2d", family="conformal-torus", nx=n, ny=n,
+                                forms=[FormSpec("main", "sinx_dx")], **kw))
+    grid = setup.state.grid
+    X, T = grid.mesh()
+    state = replace(setup.state, metric=conformal_metric(grid, 0.2 * np.sin(X) * np.cos(T)),
+                    forms={"main": OneFormField(np.sin(X) * np.cos(2 * T), np.cos(X + T))})
+    return replace(setup, state=state)
+
+
+def _with_node_path_probe(setup):
+    # a closed path that crosses theta nodes, wrapping through theta = 0
+    path = NodePath(((10, 0), (11, 1), (12, 3), (11, 6), (10, 7), (10, 0)))
+    probes = {"main": CohomologyProbe("main", path, 1.0, 1.0)}
+    return replace(setup, problem=replace(setup.problem, probes=probes))
+
+
+_STEPS = dict(t_final=10.0, max_steps=6, cadence=1, snapshot_every=1)
+_COLUMN_CASES = {
+    "flat-torus": lambda: build(make_scenario(
+        name="flat", family="flat-torus", nx=16, ny=16,
+        forms=[FormSpec("main", "sinx_dx")], subsolution="one-plus-cos", **_STEPS)),
+    "conformal-torus": lambda: build(make_scenario(
+        name="conformal", family="conformal-torus", nx=16, ny=16, metric_amplitude=0.05,
+        forms=[FormSpec("main", "dtheta_dsinx", 0.3)], gauge_form="main",
+        subsolution="one-plus-cos", **_STEPS)),
+    "neck": lambda: build(make_scenario(
+        name="neck", family="warped-cylinder", nx=64, ny=8, lx=20.0,
+        forms=[FormSpec("main", "dtheta")], probes=[ProbeSpec("loop", "main")], **_STEPS)),
+    "neck-node-path": lambda: _with_node_path_probe(_COLUMN_CASES["neck"]()),
+    "torus-2d": lambda: _theta_dependent_torus(32, **_STEPS),
+}
+
+
+@pytest.mark.parametrize("case", _COLUMN_CASES)
+def test_column_run_is_the_full_grid_run_bitwise(case):
+    # a theta-invariant state runs on (nx, 1) columns, a theta-dependent one
+    # at full width; either way every record and snapshot vector is the
+    # full-grid reference's, bit for bit, and the setup is left as it was
+    setup = _COLUMN_CASES[case]()
+    state_before, problem_before = _state_bits(setup), dict(vars(setup.problem))
+    traj = run_flow(setup)
+    records, snapshots = _reference_run(setup)
+    assert _spilled_width(traj) == (setup.state.grid.ny if case == "torus-2d" else 1)
+    assert traj.status == BUDGET and len(traj.records) == _STEPS["max_steps"] + 1
+    assert [_record_bits(r) for r in traj.records] == [_record_bits(r) for r in records]
+    assert len(traj.snapshots) == len(snapshots)
+    for snap, (fields, vec) in zip(traj.snapshots, snapshots):
+        assert StateLayout.of(snap).fields == fields
+        assert np.array_equal(snap.vector.view(np.int64), vec.view(np.int64))
+    fields, bits = _state_bits(setup)
+    assert fields == state_before[0] and np.array_equal(bits, state_before[1])
+    assert all(vars(setup.problem)[key] is value for key, value in problem_before.items())
+
+
+def test_theta_dependent_torus_passes_l2_and_sup_on_every_pair():
+    traj = run_flow(_theta_dependent_torus(32, t_final=0.25, cadence=1),
+                    collect_snapshots=False)
+    assert traj.status == COMPLETED
+    for report in (l2_monotonicity_report, max_principle_report):
+        result = report(traj, "main")
+        assert result.passed and result.checked == len(traj.records) - 1
+
+
+def test_signed_zero_keeps_the_state_full_width():
+    # +0.0 and -0.0 compare equal, but a column run would lose the -0.0 node
+    setup = build(make_scenario(name="zero", family="flat-torus", nx=16, ny=16,
+                                forms=[FormSpec("main", "dtheta")], **_STEPS))
+    x = setup.state.forms["main"].x
+    x[3, 5] = -0.0
+    assert (x == x[:, :1]).all()
+    traj = run_flow(setup)
+    assert _spilled_width(traj) == 16
+    first = traj.snapshots[0].forms["main"].x
+    assert np.signbit(first[3, 5]) and np.signbit(first).sum() == 1
 
 
 # ----------------------------------------------------------------- steppers

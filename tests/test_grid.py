@@ -136,6 +136,24 @@ def test_stencil_bitwise_equals_reference_on_random_grids(grid, seed):
                           _reference_diff(profile, 0, grid.hx, grid.topology_x))
 
 
+@pytest.mark.parametrize("grid", [Grid2D.torus(16, 12, 2 * np.pi, 3.0),
+                                  Grid2D.cylinder(16, 8, 20.0)],
+                         ids=["torus", "cylinder"])
+def test_column_diff_t_is_the_full_grid_stencil_bitwise(grid):
+    # the (nx, 1) column of a theta-invariant field differentiates to column
+    # 0 of the full-grid result, bit for bit, with +-0, +-inf and NaN entries
+    rng = np.random.default_rng(3)
+    column = rng.standard_normal((grid.nx, 1))
+    column[:6, 0] = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0]
+    for a in (column, np.stack([column, -column])):          # and stacked tensors
+        full = np.repeat(a, grid.ny, axis=-1)
+        with np.errstate(invalid="ignore"):                  # inf - inf
+            wide, narrow = grid.diff_t(full), grid.diff_t(a)
+        assert narrow.shape == a.shape
+        assert np.array_equal(wide.view(np.int64),
+                              np.repeat(narrow, grid.ny, axis=-1).view(np.int64))
+
+
 def test_diff_periodic_second_order():
     errs = []
     for n in (32, 64):
