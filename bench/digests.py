@@ -19,6 +19,21 @@ checkouts print the same lines when their outputs agree byte for byte;
 scenario_hash is left out because it hashes the serialized spec, which
 changes whenever a key is added or retired.  scenarios/cigar.cfg takes about
 two minutes.
+
+    python3 bench/digests.py --src DIR --against PARENT
+
+also runs every scenario on the riccilab of PARENT (the src/ directory of
+the parent checkout, in a child interpreter) and, after the digest lines,
+prints a drift report for each run: whether the step counts and the
+verdicts= lines are equal, then one line per monitors.csv column and per
+snapshot field (over all snapshots) with its largest drift from the
+parent's.  rel= is max |change - parent| over the column's largest
+|parent|, and ulp= is max |change - parent| in units in the last place of
+that largest |parent|, so a field's nodes near zero swamp neither figure.
+A column whose largest |parent| is below NEAR_ZERO (rounding residue such
+as gauge_gap, or u_curv_mass on a torus) reports abs=, max |change -
+parent|, in their place, and a column whose shape differs between the runs
+reports shape= alone.
 """
 
 from __future__ import annotations
@@ -27,11 +42,15 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+NEAR_ZERO = 1e-12
 
 
 def runs() -> list:
@@ -75,15 +94,69 @@ def digest_line(name: str, text: str, workdir: Path) -> str:
         points = json.dumps([dataclasses.asdict(p)
                              for p in rescale_trajectory(reloaded, schedule)])
         line += f" rescale={hashlib.sha256(points.encode()).hexdigest()}"
-    verdicts = ",".join(f"{key}:{'pass' if v['pass'] else 'fail'}:{v['checked']}"
-                        for key, v in sorted(summary["verdicts"].items()))
-    return line + f" verdicts={verdicts}"
+    return line + f" verdicts={verdicts(run_dir)}"
+
+
+def verdicts(run_dir: Path) -> str:
+    summary = json.loads((run_dir / "summary.json").read_text())
+    return ",".join(f"{key}:{'pass' if v['pass'] else 'fail'}:{v['checked']}"
+                    for key, v in sorted(summary["verdicts"].items()))
+
+
+def drift(parent: np.ndarray, change: np.ndarray) -> str:
+    """The largest drift of `change` from `parent`, as the report prints it."""
+    if parent.shape != change.shape:
+        return f"shape={list(parent.shape)}->{list(change.shape)}"
+    largest = float(np.max(np.abs(change - parent)))
+    scale = float(np.max(np.abs(parent)))
+    if scale < NEAR_ZERO:
+        return f"abs={largest:.3g}"
+    return f"rel={largest / scale:.3g} ulp={largest / np.spacing(scale):.3g}"
+
+
+def columns(run_dir: Path) -> dict:
+    """Every monitors.csv column and every snapshot field of a run directory
+    as a float64 array, keyed "monitors <column>" and "snapshots <field>"."""
+    lines = (run_dir / "monitors.csv").read_text().split()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    out = {f"monitors {name}": np.array([float(row[i]) for row in rows])
+           for i, name in enumerate(header)}
+    fields: dict = {}
+    for path in sorted((run_dir / "snapshots").glob("snap_*.json")):
+        vec = np.fromfile(path.with_suffix(".bin"), dtype="<f8")
+        for f in json.loads(path.read_text())["fields"]:
+            start = f["offset"] // 8
+            count = int(np.prod(f["shape"]))
+            fields.setdefault(f["name"], []).append(vec[start:start + count])
+    out.update((f"snapshots {name}", np.concatenate(parts)) for name, parts in fields.items())
+    return out
+
+
+def drift_report(name: str, parent_dir: Path, change_dir: Path) -> list:
+    """The report lines of one run, written under both directories."""
+    steps = [json.loads((d / "summary.json").read_text())["n_steps"]
+             for d in (parent_dir, change_dir)]
+    same = {"steps": steps[0] == steps[1],
+            "verdicts": verdicts(parent_dir) == verdicts(change_dir)}
+    lines = [f"drift {name} " + " ".join(f"{k}={'equal' if v else 'differ'}"
+                                         for k, v in same.items())]
+    parent, change = columns(parent_dir), columns(change_dir)
+    for key in sorted(parent.keys() | change.keys()):
+        if key not in parent or key not in change:
+            lines.append(f"  {key} only in {'change' if key in change else 'parent'}")
+        else:
+            lines.append(f"  {key} {drift(parent[key], change[key])}")
+    return lines
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, type=Path,
                         help="the src/ directory riccilab is imported from")
+    parser.add_argument("--against", type=Path,
+                        help="the parent's src/ directory: also print each run's drift from it")
+    parser.add_argument("--out", type=Path,
+                        help="keep the run directories under this directory")
     args = parser.parse_args()
 
     src = args.src.resolve()
@@ -94,8 +167,19 @@ def main() -> int:
         return 2
 
     with tempfile.TemporaryDirectory() as tmp:
+        out = args.out or Path(tmp) / "change"
+        names = []
         for name, text in runs():
-            print(digest_line(name, text, Path(tmp)), flush=True)
+            print(digest_line(name, text, out), flush=True)
+            names.append(name)
+        if args.against is None:
+            return 0
+        parent_out = Path(tmp) / "parent"
+        subprocess.run([sys.executable, __file__, "--src", str(args.against),
+                        "--out", str(parent_out)], check=True, stdout=subprocess.DEVNULL)
+        for name in names:
+            run = name.replace("/", "_")
+            print("\n".join(drift_report(name, parent_out / run, out / run)), flush=True)
     return 0
 
 

@@ -18,7 +18,9 @@ general_metric(g.gxx, g.gxt, g.gtt) (the `.general` entries).  grad_norm_sq
 drops the bundle's cached Christoffel symbols before each call, as a run reads
 them once per record bundle.  det g and the inverse
 are timed on their own, and monitor_record is timed with a fresh bundle per
-call, as a run builds one per state.
+call, as a run builds one per state.  run_flow_step.cigar257 is run_flow of
+the perfbench cigar workload's seed-0 setup, capped at RUN_STEPS steps with
+no record between the first and the last and no snapshot, per step.
 
 FILE holds {"unit", "statistic", "spread", "machine", "columns": {NAME:
 {layer: us}}, "spreads": {NAME: {layer: [min, max]}}}.  An existing FILE keeps
@@ -29,6 +31,7 @@ machine, fill one before/after file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -41,6 +44,8 @@ from pathlib import Path
 
 MIN_SAMPLES, MAX_SAMPLES, BUDGET_S = 7, 2000, 0.4
 PROCESSES = 5
+RUN_STEPS = 40
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def median_us(fn) -> float:
@@ -57,12 +62,16 @@ def median_us(fn) -> float:
 
 def layers() -> dict:
     import numpy as np
-    from riccilab.flows import FlowProblem, FlowState, StateLayout, monitor_record
+    from riccilab.flows import (FlowProblem, FlowState, StateLayout, monitor_record,
+                                run_flow)
     from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                    codifferential, conformal_metric, curvature_reduced,
                                    general_metric, grad_norm_sq, hodge_laplacian,
                                    laplace_beltrami, reduced_scalar_curvature,
                                    warped_metric)
+    from riccilab.scenario import build, parse_scenario
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, scenario_text
 
     rng = np.random.default_rng(0)
     torus = Grid2D.torus(128, 128)
@@ -127,6 +136,12 @@ def layers() -> dict:
         vec = layout.pack(state)
         out[f"StateLayout.pack.{n}"] = median_us(lambda: layout.pack(state))
         out[f"StateLayout.unpack.{n}"] = median_us(lambda: layout.unpack(vec))
+
+    setup = build(parse_scenario(scenario_text(WORKLOADS["cigar"], 0)))
+    setup.integrator = dataclasses.replace(setup.integrator, max_steps=RUN_STEPS,
+                                           cadence=RUN_STEPS + 1)
+    out["run_flow_step.cigar257"] = median_us(
+        lambda: run_flow(setup, collect_snapshots=False)) / RUN_STEPS
     return out
 
 

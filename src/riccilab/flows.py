@@ -15,13 +15,18 @@ Each metric is measured once.  Every RK stage that reads its metric builds one
 MetricInvariants bundle and hands it to each operator of that stage as its
 one geometry argument; the bundle SPD-checks the metric on construction and
 computes sqrt(det g), the inverse, the Christoffel symbols and the curvature
-only when an operator first reads them.  The
-state's own bundle is the only SPD check of a new state, and it is shared by
-the state's monitor record, stage 1 of the next step and that step's CFL.
-The CFL's sup |R| is taken from stage 1, before the frozen-node zeroing: on the
-conformal metric R = -2 du/dt, on a warped one R = 2K, on a general one the
-bundle's scalar curvature.  Metric arrays are never mutated in place, so
-states and stage vectors share them freely.
+only when an operator first reads them.  A new state's metric is checked
+right after its step, by its own bundle, which the state's monitor record
+and stage 1 of the next step share, or on a conformal metric by
+require_conformal_spd on u, the same predicate.  So a conformal run builds a
+state's metric and bundle only where one is read (a record, a snapshot, the
+final state, or stage 1 of a run with forms, gauge or subsolution), and
+between records run_flow carries the state vector alone.  The CFL bounds are
+taken from stage 1, before the frozen-node zeroing: sup |R| from
+R = -2 du/dt, R = 2K or the bundle's scalar curvature, the inverse metric
+from the bundle or, on a conformal metric, from g^xx = g^tt = e^{-2u}, read
+off the rate before its multiply.  Metric arrays are never mutated in place,
+so states and stage vectors share them freely.
 
 The state is one contiguous float64 vector with one StateLayout: the metric
 parameters, then each form's two components, then the gauge potential and the
@@ -60,8 +65,9 @@ from .functionals import (MonitorRecord, closedness_residual, cycle_integral,
 from .geometry import (CONFORMAL, GENERAL, PERIODIC, WARPED, Grid2D, MetricField,
                        MetricInvariants, OneFormField, codifferential,
                        conformal_metric, flat_laplacian, general_metric,
-                       grad_norm_sq, hodge_laplacian, laplace_beltrami, unbroadcast,
-                       warped_gauss_curvature, warped_metric)
+                       grad_norm_sq, hodge_laplacian, laplace_beltrami,
+                       require_conformal_spd, unbroadcast, warped_gauss_curvature,
+                       warped_metric)
 
 DT_UNDERFLOW = 1e-12
 
@@ -243,22 +249,23 @@ class FlowProblem:
 
 # ----------------------------------------------------------------- right-hand side
 def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
-         geo: MetricInvariants | None = None, with_sup_R: bool = False):
+         geo: MetricInvariants | None = None, with_cfl: bool = False):
     """Rates of every tracked equation at one stage, as one vector in the
-    layout of `vec`, and sup |R| of the stage metric when `with_sup_R` (else
-    None).  `geo` is the stage metric's bundle when the caller has it;
-    otherwise the metric and its bundle are built from `vec`, only if some
-    equation reads them."""
+    layout of `vec`, and, when `with_cfl`, the stage metric's CFL bounds
+    (sup g^xx, sup |g^xt|, sup g^tt, sup |R|) (else None).  `geo` is the
+    stage metric's bundle when the caller has it; otherwise the metric and
+    its bundle are built from `vec`, only if some equation or bound reads
+    them."""
     grid, tag = layout.grid, layout.tag
     params, forms, gauge, sub = layout.parts(vec)
     k = np.empty(layout.size)
     k_params, k_forms, k_gauge, k_sub = layout.parts(k)
-    sup_R = None
+    sup_R = bounds = None
 
-    # the metric and its bundle are built only if some equation reads them;
-    # the conformal flow runs on u alone, the warped one on h and f
+    # the conformal flow and its CFL bounds run on u alone, the warped flow
+    # on h and f and its bounds on the bundle's inverse
     needs_metric = bool(forms) or gauge is not None or sub is not None \
-        or tag == GENERAL
+        or tag == GENERAL or (with_cfl and tag == WARPED)
     if needs_metric and geo is None:
         geo = MetricInvariants(layout.metric(params), grid)
 
@@ -268,22 +275,30 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
         (u,), (rate,) = params, k_params
         np.multiply(u, -2.0, out=rate)     # e^{-2u} Lap0 u
         np.exp(rate, out=rate)
+        if with_cfl:                       # g^xx = g^tt = e^{-2u}
+            sup_inv = np.max(rate)
         rate *= flat_laplacian(u, grid)
-        if with_sup_R:
-            sup_R = 2.0 * float(np.max(np.abs(rate)))
+        if with_cfl:
+            bounds = (sup_inv, 0.0, sup_inv, 2.0 * float(np.max(np.abs(rate))))
     elif tag == WARPED:
         # dg/dt = -2 K g componentwise in 2-D, so the profiles obey
         # dh/dt = -K h and df/dt = -K f with the stage Gauss curvature
         gauss = warped_gauss_curvature(*params, grid)
-        if with_sup_R:
+        if with_cfl:
             sup_R = 2.0 * float(np.max(np.abs(gauss)))
         for profile, rate in zip(params, k_params):
             np.multiply(-gauss, profile, out=rate)
     else:
         for ricci, rate in zip(geo.ricci, k_params):
             np.multiply(ricci, -2.0, out=rate)
-        if with_sup_R:
+        if with_cfl:
             sup_R = float(np.max(np.abs(geo.scalar)))
+    if with_cfl and bounds is None:
+        # a tagged metric's g^xt is -0.0, not scanned; a warped one's g^xx and
+        # g^tt are scanned on their column
+        ixx, ixt, itt = geo.inv
+        cross = float(np.max(np.abs(ixt))) if tag == GENERAL else 0.0
+        bounds = (np.max(unbroadcast(ixx)), cross, np.max(unbroadcast(itt)), sup_R)
 
     for label, phi in forms.items():
         lap = hodge_laplacian(phi, geo)
@@ -299,35 +314,20 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
 
     if layout.frozen.size:
         k[layout.frozen] = 0.0
-    return k, sup_R
+    return k, bounds
 
 
 # ----------------------------------------------------------------- CFL control
-def diffusion_rate(geo: MetricInvariants, sup_R: float) -> float:
-    """Worst-node parabolic rate: inverse-metric magnitudes against the grid
-    spacings plus the curvature scale.  A tagged metric's g^xt is -0.0, so its
-    cross term is not scanned; a conformal g^tt is g^xx, scanned once, and a
-    warped one's is scanned on its column."""
-    grid, (ixx, ixt, itt) = geo.grid, geo.inv
-    sup_xx = np.max(unbroadcast(ixx))
-    rate = (sup_xx / grid.hx ** 2
-            + (sup_xx if itt is ixx else np.max(unbroadcast(itt))) / grid.hy ** 2)
-    if geo.metric.tag == GENERAL:
-        cross = float(np.max(np.abs(ixt)))
-        if cross > 0:
-            rate += 2.0 * cross / (grid.hx * grid.hy)
-    return float(rate) + abs(sup_R)
-
-
-def cfl_dt(geo: MetricInvariants, spec: IntegratorSpec,
-           sup_R: float | None = None) -> float:
-    """dt = 2 c_cfl / rate for the bundle's metric, capped.  On a flat unit
-    metric with equal spacing h this is exactly c_cfl h^2; it shrinks as the
-    inverse metric or the curvature grows."""
-    if sup_R is None:
-        sup_R = float(np.max(np.abs(geo.scalar)))
-    rate = diffusion_rate(geo, sup_R)
-    return min(2.0 * spec.cfl / rate, spec.dt_cap)
+def cfl_dt(grid: Grid2D, spec: IntegratorSpec, bounds: tuple) -> float:
+    """dt = 2 c_cfl / rate, capped, with the worst-node parabolic rate of the
+    CFL bounds (sup g^xx, sup |g^xt|, sup g^tt, sup |R|) that _rhs reads off
+    stage 1.  On a flat unit metric with equal spacing h this is exactly
+    c_cfl h^2; it shrinks as the inverse metric or the curvature grows."""
+    sup_xx, cross, sup_tt, sup_R = bounds
+    rate = sup_xx / grid.hx ** 2 + sup_tt / grid.hy ** 2
+    if cross > 0:
+        rate += 2.0 * cross / (grid.hx * grid.hy)
+    return min(2.0 * spec.cfl / (float(rate) + abs(sup_R)), spec.dt_cap)
 
 
 # ----------------------------------------------------------------- steppers
@@ -354,15 +354,13 @@ def _advance(vec: np.ndarray, k1: np.ndarray, layout: StateLayout,
 
 
 @np.errstate(over="ignore", invalid="ignore")   # blow-up shows up as None
-def flow_step(state: FlowState, dt: float, problem: FlowProblem,
-              scheme: str = "rk2", k1: np.ndarray | None = None) -> FlowState | None:
-    """One coupled step of every tracked equation.  Returns None when a stage
-    metric failed its SPD check or the new state is not finite (blow-up).  The
-    new state's own metric is not checked here: its bundle does that, and
-    run_flow builds it next.  `k1` are the stage-1 rates when the caller
-    already has them."""
-    layout = StateLayout.of(state)
-    vec = layout.pack(state)
+def flow_step(vec: np.ndarray, layout: StateLayout, dt: float, problem: FlowProblem,
+              scheme: str = "rk2", k1: np.ndarray | None = None) -> np.ndarray | None:
+    """One coupled step of every tracked equation: the next state vector of
+    the state vector `vec`, in `layout`.  Returns None when a stage metric
+    failed its SPD check or the new vector is not finite (blow-up).  The new
+    state's own metric is not checked here: run_flow checks it next.  `k1`
+    are the stage-1 rates when the caller already has them."""
     try:
         if k1 is None:
             k1 = _rhs(vec, layout, problem)[0]
@@ -371,7 +369,7 @@ def flow_step(state: FlowState, dt: float, problem: FlowProblem,
         return None
     if not np.isfinite(new_vec).all():
         return None
-    return layout.unpack(new_vec, state.t + dt, state.step + 1)
+    return new_vec
 
 
 # ----------------------------------------------------------------- monitoring
@@ -534,9 +532,11 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     except DegenerateMetricError:
         return Trajectory(grid, [], [], BLOWUP, state.t, 0,
                           setup.name, setup.scenario_hash)
+    layout = StateLayout.of(state)
+    vec, t, step = layout.pack(state), state.t, state.step
     baseline = None
     if grid.boundary_mask.any():
-        mask = grid.buffer_mask()[:, :StateLayout.of(state).width]
+        mask = grid.buffer_mask()[:, :layout.width]
         baseline = {"mask": mask, "R0": geo.scalar[mask],
                     "form0": {label: phi.norm_sq(geo)[mask]
                               for label, phi in state.forms.items()}}
@@ -544,7 +544,9 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     records: list[MonitorRecord] = []
     snapshots = SpilledSnapshots() if collect_snapshots else []
 
-    dt0 = cfl_dt(geo, spec)
+    # stage 1 of the first step, evaluated first for the CFL bounds
+    k1, bounds = _rhs(vec, layout, problem, geo, with_cfl=True)
+    dt0 = cfl_dt(grid, spec, bounds)
     snap_every = spec.snapshot_every
     if snap_every == 0:
         # capped by the step budget before int(), which an infinite horizon overflows
@@ -552,8 +554,15 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         est_records = min(spec.max_steps, int(est_steps) + 1) // spec.cadence + 2
         snap_every = max(1, est_records // 24)
 
-    def record_state(dt_used, geo_now):
-        rec = monitor_record(state, problem, dt_used, geo_now, baseline)
+    def record_state(dt_used):
+        # the loop carries the vector alone: the state and its bundle are
+        # built here when the steps since the last read left them unbuilt
+        nonlocal state, geo
+        if state is None:
+            state = layout.unpack(vec, t, step)
+        if geo is None:
+            geo = MetricInvariants(state.metric, grid)
+        rec = monitor_record(state, problem, dt_used, geo, baseline)
         records.append(rec)
         if collect_snapshots and (len(records) - 1) % snap_every == 0:
             snapshots.append(state)
@@ -561,46 +570,51 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         return flux > problem.buffer_threshold
 
     status = COMPLETED
-    if record_state(dt0, geo):
+    if record_state(dt0):
         status = BUFFER_BREACH
 
     horizon = spec.t_final * (1.0 - 1e-12)
-    while status == COMPLETED and state.t < horizon:
-        if state.step >= spec.max_steps:
+    while status == COMPLETED and t < horizon:
+        if step >= spec.max_steps:
             status = BUDGET
             break
-        # stage 1 of the step, evaluated first for the sup |R| the CFL needs
-        layout = StateLayout.of(state)
-        k1, sup_R = _rhs(layout.pack(state), layout, problem, geo, with_sup_R=True)
-        dt_stable = cfl_dt(geo, spec, sup_R=sup_R)
+        if k1 is None:      # stage 1 of the step, evaluated first for the CFL
+            k1, bounds = _rhs(vec, layout, problem, geo, with_cfl=True)
+        dt_stable = cfl_dt(grid, spec, bounds)
         if dt_stable < DT_UNDERFLOW:
             status = BLOWUP
             break
-        dt = min(dt_stable, spec.t_final - state.t)
-        new_state = flow_step(state, dt, problem, spec.scheme, k1=k1)
-        if new_state is None:
+        dt = min(dt_stable, spec.t_final - t)
+        new_vec = flow_step(vec, layout, dt, problem, spec.scheme, k1=k1)
+        if new_vec is None:
             status = BLOWUP
             break
+        params = layout.parts(new_vec)[0]
         try:
-            # the new state's bundle, read by its record or by the next stage 1;
-            # a metric failing its SPD check ends the run on the last valid state
-            new_geo = MetricInvariants(new_state.metric, grid)
+            # the new state's SPD check, on u alone on a conformal metric; a
+            # metric failing it ends the run on the last valid state
+            if layout.tag == CONFORMAL:
+                require_conformal_spd(grid, *params)
+                new_geo = None
+            else:
+                new_geo = MetricInvariants(layout.metric(params), grid)
         except DegenerateMetricError:
             status = BLOWUP
             break
-        state, geo = new_state, new_geo
-        done = state.t >= horizon or state.step >= spec.max_steps
-        if state.step % spec.cadence == 0 or done:
-            if record_state(dt, geo):
+        vec, geo, state, k1 = new_vec, new_geo, None, None
+        t, step = t + dt, step + 1
+        done = t >= horizon or step >= spec.max_steps
+        if step % spec.cadence == 0 or done:
+            if record_state(dt):
                 status = BUFFER_BREACH
 
-    if records and records[-1].step != state.step:
-        record_state(records[-1].dt, geo)
+    if records[-1].step != step:
+        record_state(records[-1].dt)
     # the last record is the final state's; it took a snapshot unless its
     # index is off the snapshot cadence
     if collect_snapshots and (len(records) - 1) % snap_every:
         snapshots.append(state)
 
-    labels = list(records[0].values.keys()) if records else []
-    return Trajectory(grid, records, snapshots, status, state.t, state.step,
+    labels = list(records[0].values.keys())
+    return Trajectory(grid, records, snapshots, status, t, step,
                       setup.name, setup.scenario_hash, labels)

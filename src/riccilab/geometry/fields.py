@@ -30,11 +30,14 @@ curvature) lives in operators.MetricInvariants, never on the MetricField:
 metric arrays are never mutated in place, so several fields and states may
 share them.  The bundle computes det g once and hands it to sqrt_det, inv and
 require_spd, the one degeneracy predicate; operators take the bundle, not
-the metric.
+the metric.  require_conformal_spd is that predicate read off a conformal
+factor u, for states that build no metric.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -46,6 +49,9 @@ if TYPE_CHECKING:
     from .operators import MetricInvariants
 
 DET_FLOOR = 1e-12
+# the u of e^{4u} = 2 DET_FLOOR and of e^{4u} = half the largest float
+_U_FLOOR = 0.25 * math.log(2.0 * DET_FLOOR)
+_U_CEIL = 0.25 * math.log(0.5 * sys.float_info.max)
 
 GENERAL = "general"
 CONFORMAL = "conformal"
@@ -157,6 +163,21 @@ def conformal_metric(grid, u: np.ndarray) -> MetricField:
     np.exp(e2u, out=e2u)
     # gxx and gtt share one array: metric arrays are never mutated in place
     return MetricField(e2u, _diagonal_gxt(e2u), e2u, tag=CONFORMAL, u=u)
+
+
+def require_conformal_spd(grid, u: np.ndarray) -> None:
+    """The SPD check of conformal_metric(grid, u), taken on u: it passes and
+    raises exactly as MetricInvariants of that metric does.  When min u and
+    max u lie strictly between _U_FLOOR and _U_CEIL, det g = e^{2u} e^{2u}
+    clears DET_FLOOR and stays finite at every node by a factor 2 that no
+    rounding closes, so every node passes.  Otherwise (a NaN fails both
+    comparisons) the metric is built and checked node by node: numpy's exp
+    need not be monotone bit for bit, so near the floor the extremes of u
+    cannot decide."""
+    if _U_FLOOR < np.min(u) and np.max(u) < _U_CEIL:
+        return
+    g = conformal_metric(grid, u)
+    g.require_spd(g.det())
 
 
 def warped_metric(grid, h: np.ndarray, f: np.ndarray, width: int | None = None) -> MetricField:

@@ -1,0 +1,29 @@
+"""The drift figures of bench/digests.py --against on fixed numbers."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from digests import drift  # noqa: E402
+
+
+def test_drift_is_relative_to_the_column_scale_in_ulps():
+    parent = np.array([4.0, -2.0, 1e-300, 0.0])
+    assert drift(parent, parent.copy()) == "rel=0 ulp=0"
+    change = parent.copy()
+    change[1] = np.nextafter(-2.0, 0.0)          # a quarter ulp of 4.0
+    change[2] = 0.0                              # a node near zero moves far in ulps
+    assert drift(parent, change) == f"rel={2 ** -52 / 4.0:.3g} ulp=0.25"
+    change[0] = np.nextafter(4.0, 5.0) + 2 * np.spacing(4.0)
+    assert drift(parent, change) == f"rel={3 * 2 ** -52:.3g} ulp=3"
+
+
+def test_drift_of_a_near_zero_column_is_absolute():
+    parent = np.array([1e-16, -2e-16, 0.0])
+    assert drift(parent, np.array([1e-16, 3e-16, 0.0])) == "abs=5e-16"
+
+
+def test_drift_names_a_shape_change():
+    assert drift(np.zeros(3), np.zeros(4)) == "shape=[3]->[4]"

@@ -27,6 +27,19 @@ def _state(grid, metric, **kw):
     return FlowState(t=0.0, grid=grid, metric=metric, **kw)
 
 
+def _step(state, dt, problem):
+    """flow_step of a FlowState: the next state, or None on blow-up."""
+    layout = StateLayout.of(state)
+    vec = flow_step(layout.pack(state), layout, dt, problem)
+    return None if vec is None else layout.unpack(vec, state.t + dt, state.step + 1)
+
+
+def _cfl_bounds(state):
+    """The CFL bounds stage 1 of a step from `state` reads."""
+    layout = StateLayout.of(state)
+    return _rhs(layout.pack(state), layout, FlowProblem(), with_cfl=True)[1]
+
+
 def _general_copy(setup):
     """The setup with its metric replaced by the general-tagged copy
     general_metric(g.gxx, g.gxt, g.gtt), which takes the general algebra."""
@@ -39,8 +52,8 @@ def _general_copy(setup):
 def test_cfl_flat_torus_exact(torus64, flat64):
     spec = IntegratorSpec(cfl=0.2)
     h = torus64.hx
-    assert cfl_dt(MetricInvariants(flat64, torus64), spec,
-                  sup_R=0.0) == pytest.approx(0.2 * h * h, rel=1e-12)
+    assert cfl_dt(torus64, spec, _cfl_bounds(_state(torus64, flat64))) == \
+        pytest.approx(0.2 * h * h, rel=1e-12)
 
 
 def test_cfl_smaller_on_cigar(cigar_grid, cigar_metric):
@@ -48,8 +61,8 @@ def test_cfl_smaller_on_cigar(cigar_grid, cigar_metric):
     flat_grid = Grid2D.torus(cigar_grid.nx, cigar_grid.ny,
                              cigar_grid.lx, cigar_grid.ly)
     spec = IntegratorSpec(cfl=0.2)
-    dt_flat = cfl_dt(MetricInvariants(flat_metric(flat_grid), flat_grid), spec, sup_R=0.0)
-    dt_cigar = cfl_dt(MetricInvariants(cigar_metric, cigar_grid), spec, sup_R=4.0)
+    dt_flat = cfl_dt(flat_grid, spec, _cfl_bounds(_state(flat_grid, flat_metric(flat_grid))))
+    dt_cigar = cfl_dt(cigar_grid, spec, _cfl_bounds(_state(cigar_grid, cigar_metric)))
     assert dt_cigar < dt_flat
 
 
@@ -77,12 +90,18 @@ def test_integrator_spec_validation():
 def test_stage_one_sup_R_is_reduced_curvature_bitwise(cigar_grid, cigar_metric,
                                                       neck_grid, neck_metric):
     # the CFL reads sup |R| off stage 1: 2 max|du/dt| on the conformal path and
-    # 2 max|K| on the warped path, both exactly max|reduced_scalar_curvature|
+    # 2 max|K| on the warped path, both exactly max|reduced_scalar_curvature|;
+    # its inverse-metric bounds are the bundle's, read off e^{-2u} on the
+    # conformal path (to rounding) and off the bundle's inverse on the warped
     for grid, g in ((cigar_grid, cigar_metric), (neck_grid, neck_metric)):
-        st = _state(grid, g)
-        layout = StateLayout.of(st)
-        _, sup_R = _rhs(layout.pack(st), layout, FlowProblem(), with_sup_R=True)
+        sup_xx, cross, sup_tt, sup_R = _cfl_bounds(_state(grid, g))
         assert sup_R == float(np.max(np.abs(reduced_scalar_curvature(g, grid))))
+        ixx, _, itt = MetricInvariants(g, grid).inv
+        assert cross == 0.0
+        assert sup_xx == pytest.approx(np.max(ixx), rel=1e-15, abs=0.0)
+        assert sup_tt == pytest.approx(np.max(itt), rel=1e-15, abs=0.0)
+        if g.tag == "warped":
+            assert (sup_xx, sup_tt) == (np.max(ixx), np.max(itt))
 
 
 # ----------------------------------------------------------------- state vector
@@ -323,7 +342,7 @@ def test_scalar_constant_preserved():
     grid = Grid2D.torus(32, 32)
     st = _state(grid, flat_metric(grid),
                 subsolution=2.5 * np.ones((32, 32)))
-    out = flow_step(st, 1e-3, FlowProblem())
+    out = _step(st, 1e-3, FlowProblem())
     assert np.max(np.abs(out.subsolution - 2.5)) == 0.0
 
 
@@ -421,7 +440,7 @@ def test_flow_step_detects_nonfinite():
                 forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
     problem = FlowProblem()
     with np.errstate(over="ignore", invalid="ignore"):
-        assert flow_step(st, 1e308, problem) is None
+        assert _step(st, 1e308, problem) is None
 
 
 def test_stage_metric_failure_ends_as_blowup():
@@ -431,7 +450,7 @@ def test_stage_metric_failure_ends_as_blowup():
     X, T = grid.mesh()
     g = general_metric(1 + 0.3 * np.sin(X), 0.1 * np.cos(T), 1 + 0.3 * np.cos(X + T))
     st = _state(grid, g, forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
-    assert flow_step(st, 5.0, FlowProblem()) is None
+    assert _step(st, 5.0, FlowProblem()) is None
     setup = RunSetup("degenerate", "d" * 16, st, FlowProblem(),
                      IntegratorSpec(cfl=200.0, t_final=50.0))
     traj = run_flow(setup)
@@ -549,8 +568,7 @@ def test_state_metric_failure_ends_as_blowup(cadence):
     last = traj.snapshots[-1]
     assert last.metric.det().min() > 1e-12
     # the step past it is finite but under the floor
-    nxt = flow_step(last, cfl_dt(MetricInvariants(last.metric, grid), setup.integrator),
-                    FlowProblem())
+    nxt = _step(last, cfl_dt(grid, setup.integrator, _cfl_bounds(last)), FlowProblem())
     assert np.all(np.isfinite(nxt.metric.u)) and nxt.metric.det().min() <= 1e-12
 
 
@@ -597,9 +615,10 @@ def test_run_flow_leaves_problem_alone():
 
 # ----------------------------------------------------------------- column runs
 def _reference_run(setup):
-    """run_flow's loop on full (nx, ny) states, for a setup that records and
-    snapshots every step and stops on its step budget: the records, and each
-    snapshot's layout fields and vector."""
+    """run_flow's loop on full (nx, ny) states, unpacked and measured by their
+    bundle after every step, for a setup that records and snapshots every step
+    and stops on its step budget: the records, and each snapshot's layout
+    fields and vector."""
     state, problem, spec = setup.state.copy(), setup.problem, setup.integrator
     grid = state.grid
     geo = MetricInvariants(state.metric, grid)
@@ -609,17 +628,20 @@ def _reference_run(setup):
         baseline = {"mask": mask, "R0": geo.scalar[mask],
                     "form0": {label: phi.norm_sq(geo)[mask]
                               for label, phi in state.forms.items()}}
-    records, snapshots, dt = [], [], cfl_dt(geo, spec)
+    layout = StateLayout.of(state)
+    k1, bounds = _rhs(layout.pack(state), layout, problem, geo, with_cfl=True)
+    records, snapshots, dt = [], [], cfl_dt(grid, spec, bounds)
     while True:
         records.append(monitor_record(state, problem, dt, geo, baseline))
-        layout = StateLayout.of(state)
         snapshots.append((layout.fields, layout.pack(state).copy()))
         if state.step >= spec.max_steps:
             return records, snapshots
-        k1, sup_R = _rhs(layout.pack(state), layout, problem, geo, with_sup_R=True)
-        dt = min(cfl_dt(geo, spec, sup_R=sup_R), spec.t_final - state.t)
-        state = flow_step(state, dt, problem, spec.scheme, k1=k1)
-        geo = MetricInvariants(state.metric, grid)
+        if k1 is None:
+            k1, bounds = _rhs(layout.pack(state), layout, problem, geo, with_cfl=True)
+        dt = min(cfl_dt(grid, spec, bounds), spec.t_final - state.t)
+        vec = flow_step(layout.pack(state), layout, dt, problem, spec.scheme, k1=k1)
+        state = layout.unpack(vec, state.t + dt, state.step + 1)
+        geo, k1 = MetricInvariants(state.metric, grid), None
 
 
 def _record_bits(rec):
@@ -695,6 +717,44 @@ def test_column_run_is_the_full_grid_run_bitwise(case):
     assert all(vars(setup.problem)[key] is value for key, value in problem_before.items())
 
 
+def test_conformal_run_builds_metrics_only_where_read(monkeypatch):
+    # a metric-only conformal run checks each new state on u alone and builds
+    # a metric and a bundle only for a state that is read: here one of each
+    # per record (steps 0, 50, 100 and the final 120), where a run that
+    # measured every state would build 121; the records and the final state
+    # keep the bits of the reference run, which does
+    import riccilab.flows as flows
+    import riccilab.geometry.fields as fields
+    setup = build(make_scenario(name="plane", family="conformal-plane", nx=33, ny=33,
+                                lx=4.0, ly=4.0, buffer_threshold=1.0, t_final=10.0,
+                                max_steps=120, cadence=50))
+    calls = {"metric": 0, "bundle": 0}
+    conformal_metric_, bundle_ = fields.conformal_metric, flows.MetricInvariants
+
+    def counted_metric(grid, u):
+        calls["metric"] += 1
+        return conformal_metric_(grid, u)
+
+    def counted_bundle(g, grid):
+        calls["bundle"] += 1
+        return bundle_(g, grid)
+
+    monkeypatch.setattr(fields, "conformal_metric", counted_metric)
+    monkeypatch.setattr(flows, "conformal_metric", counted_metric)
+    monkeypatch.setattr(flows, "MetricInvariants", counted_bundle)
+    traj = run_flow(setup)
+    monkeypatch.undo()
+    assert traj.status == BUDGET and [r.step for r in traj.records] == [0, 50, 100, 120]
+    assert calls == {"metric": len(traj.records), "bundle": len(traj.records)}
+
+    records, snapshots = _reference_run(replace(
+        setup, integrator=replace(setup.integrator, cadence=1, snapshot_every=1)))
+    assert [_record_bits(r) for r in traj.records] == \
+        [_record_bits(records[r.step]) for r in traj.records]
+    assert np.array_equal(traj.snapshots[-1].vector.view(np.int64),
+                          snapshots[-1][1].view(np.int64))
+
+
 def test_theta_dependent_torus_passes_l2_and_sup_on_every_pair():
     traj = run_flow(_theta_dependent_torus(32, t_final=0.25, cadence=1),
                     collect_snapshots=False)
@@ -726,10 +786,10 @@ def test_single_system_steps_leave_others_alone():
     st = _state(grid, flat_metric(grid),
                 forms={"main": OneFormField(np.sin(X), np.zeros_like(X))},
                 subsolution=1.0 + 0.3 * np.cos(X))
-    out = flow_step(_state(grid, st.metric), 1e-3, FlowProblem())
+    out = _step(_state(grid, st.metric), 1e-3, FlowProblem())
     assert out.forms == {} and out.subsolution is None
     assert st.forms["main"].x == pytest.approx(np.sin(X))
-    out2 = flow_step(_state(grid, st.metric, forms=st.forms), 1e-3, FlowProblem())
+    out2 = _step(_state(grid, st.metric, forms=st.forms), 1e-3, FlowProblem())
     assert out2.subsolution is None
     assert st.subsolution == pytest.approx(1.0 + 0.3 * np.cos(X))
     assert np.max(np.abs(out2.forms["main"].x - st.forms["main"].x)) > 0
@@ -741,7 +801,7 @@ def test_gauge_diffusion_step_runs():
     base = OneFormField(np.sin(X), np.zeros_like(X))
     st = _state(grid, flat_metric(grid), forms={"main": base.copy()},
                 gauge=np.zeros((32, 32)))
-    out = flow_step(st, 1e-3, FlowProblem(gauge_base=base))
+    out = _step(st, 1e-3, FlowProblem(gauge_base=base))
     assert np.max(np.abs(out.gauge)) > 0.0
 
 

@@ -13,8 +13,9 @@ from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                curvature, curvature_reduced,
                                exterior_derivative, flat_metric, general_metric,
                                grad_norm_sq, hodge_laplacian, laplace_beltrami,
-                               reduced_scalar_curvature, rough_laplacian,
-                               warped_metric)
+                               reduced_scalar_curvature, require_conformal_spd,
+                               rough_laplacian, warped_metric)
+from riccilab.geometry.fields import DET_FLOOR
 from riccilab.geometry.operators import _codifferential_two_form, _sym2
 
 
@@ -93,6 +94,68 @@ def test_overflowing_det_fails_spd_check():
         MetricInvariants(g, Grid2D.torus(16, 16))
     assert err.value.node == (4, 9)
     assert err.value.det == np.inf
+
+
+def _verdict(check, u):
+    """None when check(u) passes, else the (node, det) it raises."""
+    try:
+        with np.errstate(over="ignore"):
+            check(u)
+    except DegenerateMetricError as err:
+        return err.node, err.det
+    return None
+
+
+def _u_at(value, *more):
+    """A 16x16 conformal factor of 0 but `value` at node (3, 5), and each
+    (node, value) of `more`."""
+    u = np.zeros((16, 16))
+    for node, v in (((3, 5), value),) + more:
+        u[node] = v
+    return u
+
+
+def test_conformal_spd_check_on_u_is_the_bundles():
+    # require_conformal_spd decides on u what the bundle of its metric decides,
+    # and names the same node and det g: 1 ulp on each side of a change of the
+    # bundle's verdict at the det floor and at det overflow, non-finite nodes,
+    # and passing factors whose min u lies inside the check's factor-2 margin
+    grid = Grid2D.torus(16, 16)
+
+    def bundle(u):
+        MetricInvariants(conformal_metric(grid, u), grid)
+
+    def crossing(lo, hi):
+        """Adjacent floats, between lo and hi, on which the bundle's verdict
+        on _u_at changes."""
+        side = _verdict(bundle, _u_at(lo)) is None
+        assert (_verdict(bundle, _u_at(hi)) is None) != side
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                mid = np.nextafter(lo, hi)
+            if (_verdict(bundle, _u_at(mid)) is None) == side:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    floor, overflow = crossing(-7.0, -6.8), crossing(177.0, 178.0)
+    margin = 0.25 * np.log(1.5 * DET_FLOOR)          # e^{4u} = 1.5 DET_FLOOR
+    cases = [_u_at(v) for v in (*floor, *overflow, np.nan, np.inf, -np.inf, margin)]
+    cases += [_u_at(np.nan, ((2, 9), -8.0), ((9, 1), 200.0)),
+              0.3 * np.sin(np.arange(256.0)).reshape(16, 16)]
+    verdicts = [_verdict(bundle, u) for u in cases]
+    assert [v is None for v in verdicts] == [False, True, True, False, False, False,
+                                             False, True, False, True]
+    for u, expected in zip(cases, verdicts):
+        got = _verdict(lambda a: require_conformal_spd(grid, a), u)
+        if expected is None:
+            assert got is None
+        else:
+            assert got[0] == expected[0]
+            assert np.array_equal(got[1], expected[1], equal_nan=True)
+    assert verdicts[8][0] == (2, 9)                  # the first degenerate node
 
 
 @pytest.mark.parametrize("source", ["built", "unpacked", "rescaled"])
