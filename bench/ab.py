@@ -32,7 +32,19 @@ median CPU seconds over its untraced iterations, taken from the "perfbench:"
 detail line, with medians, quartiles, wins and the interval but no verdict, since
 BENCHMARK.json fixes no bound for it.  Last it prints failed/attempted per
 side, both perfbench runs and the iterations they report, and exits 1 when a
-run failed.  Layout randomization is not done here.
+run failed.
+
+Each run gets its own memory layout, so that a claimed gain is not one
+layout's luck (Mytkowicz et al., ASPLOS 2009; Curtsinger and Berger,
+ASPLOS 2013).  A random.Random seeded by the pair's seed and the side draws
+an environment pad of 0 to PAD_MAX - 1 bytes, the value of AB_LAYOUT_PAD,
+which shifts the initial stack, and a glibc.malloc.top_pad of 0 to
+TOP_PAD_MAX - 4096 bytes in whole pages, set through GLIBC_TUNABLES (after
+any tunables already set), which shifts where the heap grows; riccilab
+pins only the mmap and trim thresholds, so the pad still acts.  The
+perfbench run and its workers inherit both.  Each run's draw is printed
+with its pair.  Running a checkout against itself measures the spread
+layout alone gives a metric.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import statistics
 import subprocess
@@ -49,6 +62,8 @@ from pathlib import Path
 WIN_SHARE = 0.9
 RESAMPLES = 10_000
 BOOTSTRAP_SEED = 0
+PAD_MAX = 4096
+TOP_PAD_MAX = 1 << 21
 
 
 def quartiles(xs) -> tuple:
@@ -103,11 +118,24 @@ def median_cpu_s(stdout: str) -> float | None:
     return None
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run from `root`: its last-line result, or a failure."""
+def layout_env(seed: int, side: str, base: dict) -> tuple:
+    """The environment of the `side` run of the pair with seed `seed`: `base`
+    with a random environment pad and glibc heap top pad, and the draw as
+    "pad=<bytes> top_pad=<bytes>"."""
+    rng = random.Random(f"layout:{seed}:{side}")
+    pad, top_pad = rng.randrange(PAD_MAX), rng.randrange(0, TOP_PAD_MAX, 4096)
+    tunable = f"glibc.malloc.top_pad={top_pad}"
+    env = dict(base, AB_LAYOUT_PAD="x" * pad,
+               GLIBC_TUNABLES=":".join(filter(None, (base.get("GLIBC_TUNABLES"), tunable))))
+    return env, f"pad={pad} top_pad={top_pad}"
+
+
+def run_side(root: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
+    """One perfbench run from `root` in `env`: its last-line result, or a
+    failure."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
     try:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
@@ -139,15 +167,21 @@ def main() -> int:
     seconds = args.seconds or declared["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results = {side: [] for side in sides}
+    layouts = []
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        drawn = {}
         for side in order:
-            results[side].append(run_side(sides[side], args.workload, args.seed + k, seconds))
-        print(f"pair {k} seed {args.seed + k} done ({order[0]} first)", file=sys.stderr,
-              flush=True)
+            env, drawn[side] = layout_env(args.seed + k, side, os.environ)
+            results[side].append(run_side(sides[side], args.workload, args.seed + k,
+                                          seconds, env))
+        layouts.append(f"pair {k} seed {args.seed + k} ({order[0]} first): "
+                       f"parent {drawn['parent']}, change {drawn['change']}")
+        print(layouts[-1], file=sys.stderr, flush=True)
 
     print(f"workload {args.workload}: {args.pairs} pairs of {seconds:g} s, "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}")
+    print("\n".join(layouts))
     print(f"{'metric':<12} {'unit':<4} {'parent median [q1, q3]':<28} "
           f"{'change median [q1, q3]':<28} {'wins':>7}  {'ratio 95% CI':<16}  gain  worse")
     for m in declared["end_to_end"]:

@@ -37,14 +37,18 @@ layout order.  run_flow spills each snapshot's vector to one unlinked
 temporary file as it is taken (SpilledSnapshots), so a run holds no snapshot
 fields in memory.
 
-A theta-invariant state on a periodic theta axis is stepped as its (nx, 1)
-columns (_columns decides, comparing bits, so +0.0 and -0.0 differ).  The
-operators run on them through broadcasting: Grid2D.diff_t of a length-1 last
-axis is the full-grid stencil's value at every node, and every other
-operation acts node by node, so each column node has its row's full-grid
-bits.  Sums over the grid (integrals, volume, loop pairings, minimal
-circumference) read the full width, and snapshots are spilled as columns and
-read back widened to the (nx, ny) layout.
+A state steps reduced by a bitwise symmetry it has (_reduce decides,
+comparing bits, so +0.0 and -0.0 differ).  A theta-invariant state on a
+periodic theta axis steps as its (nx, 1) columns, through broadcasting:
+Grid2D.diff_t of a length-1 last axis is the full-grid stencil's value at
+every node, and every other operation acts node by node.  Sums over the grid
+read the full width, and snapshots are spilled as columns and read back
+widened.  A metric-only conformal state whose u is even about the center
+node of a truncated axis steps as the half of that axis from the center on
+(the cigar's quadrant): centered differences turn even into odd and back
+exactly, the one-sided closures mirror each other with the sign flipped,
+and the rest acts node by node, so the rate reads u with two mirror nodes
+before each halved axis, and each record unfolds the half to the full grid.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ import numpy as np
 from .errors import DegenerateMetricError
 from .functionals import (MonitorRecord, closedness_residual, cycle_integral,
                           integrate, min_circumference)
-from .geometry import (CONFORMAL, GENERAL, PERIODIC, WARPED, Grid2D, MetricField,
-                       MetricInvariants, OneFormField, codifferential,
+from .geometry import (CONFORMAL, GENERAL, PERIODIC, TRUNCATED, WARPED, Grid2D,
+                       MetricField, MetricInvariants, OneFormField, codifferential,
                        conformal_metric, flat_laplacian, general_metric,
                        grad_norm_sq, hodge_laplacian, laplace_beltrami,
                        require_conformal_spd, unbroadcast, warped_gauss_curvature,
@@ -140,9 +144,11 @@ class StateLayout:
     Snapshot files carry these names, and a snapshot's .bin is the vector's
     bytes."""
 
-    def __init__(self, grid: Grid2D, tag: str, fields, width: int | None = None):
+    def __init__(self, grid: Grid2D, tag: str, fields, width: int | None = None,
+                 halves: tuple = ()):
         self.grid, self.tag = grid, tag
         self.width = grid.ny if width is None else width   # of each 2-D field
+        self.halves = halves    # axes whose 2-D fields start at grid.origin
         self.fields, self.size = [], 0
         for name, shape in fields:
             self.fields.append((name, tuple(shape), self.size))
@@ -182,15 +188,34 @@ class StateLayout:
         """The layout of the metric parameters alone, the head of the vector."""
         n = len(_METRIC_PARAMS[self.tag])
         return StateLayout(self.grid, self.tag,
-                           [(name, shape) for name, shape, _ in self.fields[:n]], self.width)
+                           [(name, shape) for name, shape, _ in self.fields[:n]],
+                           self.width, self.halves)
+
+    @cached_property
+    def window(self) -> tuple:
+        """The nodes of the full grid a 2-D field holds: from the origin on
+        along a halved axis, the first `width` along theta."""
+        ox, oy = self.grid.origin
+        return (slice(ox, None) if 0 in self.halves else slice(None),
+                slice(oy, None) if 1 in self.halves else slice(0, self.width))
+
+    def mirrored(self, a: np.ndarray, depth: int | None = None) -> np.ndarray:
+        """The 2-D field `a` of this layout with its mirror image about the
+        origin put before each halved axis: `depth` nodes of it, or all of it
+        (a[:0:-1], then a), which unfolds `a` to the full grid's field."""
+        start = None if depth is None else -1 - depth
+        for axis in self.halves:
+            mirror = np.flip(a, axis)[(slice(None),) * axis + (slice(start, -1),)]
+            a = np.concatenate([mirror, a], axis)
+        return a
 
     def widen(self, vec: np.ndarray):
-        """A column layout's full-width layout, and `vec` in it: each column
-        repeated over theta, bit for bit."""
+        """A reduced layout's full layout, and `vec` in it, bit for bit: each
+        halved axis unfolded, each column repeated over theta."""
         arrays = [vec[offset:offset + math.prod(shape)].reshape(shape)
                   for _, shape, offset in self.fields]
-        wide = [np.broadcast_to(a, (a.shape[0], self.grid.ny)) if a.ndim == 2 else a
-                for a in arrays]
+        wide = [np.broadcast_to(self.mirrored(a), (self.grid.nx, self.grid.ny))
+                if a.ndim == 2 else a for a in arrays]
         return (StateLayout(self.grid, self.tag,
                             [(name, a.shape) for (name, _, _), a in zip(self.fields, wide)]),
                 np.concatenate([a.ravel() for a in wide]))
@@ -220,9 +245,9 @@ class StateLayout:
     @cached_property
     def frozen(self) -> np.ndarray:
         """Indices of the nodes flows hold fixed: grid.boundary_mask, cut to
-        the layout's width, on 2-D fields and both end nodes of 1-D warped
+        the layout's window, on 2-D fields and both end nodes of 1-D warped
         profiles, none without a truncated axis."""
-        boundary = self.grid.boundary_mask[:, :self.width]
+        boundary = self.grid.boundary_mask[self.window]
         mask = np.zeros(self.size, dtype=bool)
         if boundary.any():
             for _, shape, offset in self.fields:
@@ -277,7 +302,15 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
         np.exp(rate, out=rate)
         if with_cfl:                       # g^xx = g^tt = e^{-2u}
             sup_inv = np.max(rate)
-        rate *= flat_laplacian(u, grid)
+        if layout.halves:
+            # two mirror nodes before each halved axis (np.pad's "reflect")
+            # give every kept node the full grid's stencil operands; the
+            # pad is cut off again
+            lap = flat_laplacian(layout.mirrored(u, 2), grid)
+            rate *= lap[tuple(slice(2 if axis in layout.halves else 0, None)
+                              for axis in (0, 1))]
+        else:
+            rate *= flat_laplacian(u, grid)
         if with_cfl:
             bounds = (sup_inv, 0.0, sup_inv, 2.0 * float(np.max(np.abs(rate))))
     elif tag == WARPED:
@@ -475,25 +508,48 @@ def _theta_invariant(a: np.ndarray) -> bool:
     return bool((bits == bits[:, :1]).all())
 
 
-def _columns(state: FlowState, problem: FlowProblem):
-    """The state and problem a run steps.  On a periodic theta axis, when
-    every 2-D array of the state and of the gauge base form is
-    theta-invariant, their (nx, 1) columns in a new state and problem;
-    otherwise a copy of the state and the problem itself."""
+def _mirrored_axes(grid: Grid2D, u: np.ndarray) -> tuple:
+    """The truncated axes whose origin is their center node (so their node
+    count is odd) and about which the bits of u equal their flip, compared
+    as int64 like _theta_invariant."""
+    bits = np.asarray(u, np.float64).view(np.int64)
+    axes = zip((grid.topology_x, grid.topology_y), (grid.nx, grid.ny), grid.origin)
+    return tuple(axis for axis, (topology, n, origin) in enumerate(axes)
+                 if topology == TRUNCATED and 2 * origin == n - 1
+                 and (bits == np.flip(bits, axis)).all())
+
+
+def _reduce(state: FlowState, problem: FlowProblem):
+    """The run's own state, the layout and vector it steps, and its problem,
+    reduced by a bitwise symmetry of the state.  On a periodic theta axis,
+    when every 2-D array of the state and of the gauge base form is
+    theta-invariant, the state is its (nx, 1) columns, which it steps, and
+    the gauge base form is cut the same way.  Otherwise the state is a copy;
+    a metric-only conformal one steps its u from the origin on along its
+    _mirrored_axes, the rest at full width."""
     arrays = StateLayout._arrays(state)
     base = problem.gauge_base
     planes = [a for _, a in arrays if a.ndim == 2]
     if base is not None:
         planes += [base.x, base.theta]
-    if state.grid.topology_y != PERIODIC or not all(map(_theta_invariant, planes)):
-        return state.copy(), problem
-    column = [(name, a[:, :1] if a.ndim == 2 else a) for name, a in arrays]
-    layout = StateLayout(state.grid, state.metric.tag,
-                         [(name, a.shape) for name, a in column], width=1)
-    if base is not None:
-        problem = replace(problem, gauge_base=OneFormField(base.x[:, :1], base.theta[:, :1]))
-    vec = np.concatenate([a.ravel() for _, a in column])
-    return layout.unpack(vec, state.t, state.step), problem
+    if state.grid.topology_y == PERIODIC and all(map(_theta_invariant, planes)):
+        column = [(name, a[:, :1] if a.ndim == 2 else a) for name, a in arrays]
+        layout = StateLayout(state.grid, state.metric.tag,
+                             [(name, a.shape) for name, a in column], width=1)
+        if base is not None:
+            problem = replace(problem,
+                              gauge_base=OneFormField(base.x[:, :1], base.theta[:, :1]))
+        vec = np.concatenate([a.ravel() for _, a in column])
+        return layout.unpack(vec, state.t, state.step), layout, vec, problem
+    state = state.copy()
+    metric_only = state.metric.tag == CONFORMAL and len(arrays) == 1
+    halves = _mirrored_axes(state.grid, state.metric.u) if metric_only else ()
+    if not halves:
+        return state, state.layout, state.vector, problem
+    ox, oy = state.grid.origin
+    u = state.metric.u[ox if 0 in halves else 0:, oy if 1 in halves else 0:]
+    layout = StateLayout(state.grid, CONFORMAL, [("metric.u", u.shape)], halves=halves)
+    return state, layout, u.flatten(), problem
 
 
 @dataclass
@@ -520,7 +576,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
 
     setup = build(scenario_or_setup) if isinstance(scenario_or_setup, ScenarioSpec) \
         else scenario_or_setup
-    state, problem = _columns(setup.state, setup.problem)
+    state, layout, vec, problem = _reduce(setup.state, setup.problem)
     spec, grid = setup.integrator, state.grid
 
     if spec.max_steps <= 0:
@@ -532,8 +588,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     except DegenerateMetricError:
         return Trajectory(grid, [], [], BLOWUP, state.t, 0,
                           setup.name, setup.scenario_hash)
-    layout = StateLayout.of(state)
-    vec, t, step = layout.pack(state), state.t, state.step
+    t, step = state.t, state.step
     baseline = None
     if grid.boundary_mask.any():
         mask = grid.buffer_mask()[:, :layout.width]
@@ -544,7 +599,8 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     records: list[MonitorRecord] = []
     snapshots = SpilledSnapshots() if collect_snapshots else []
 
-    # stage 1 of the first step, evaluated first for the CFL bounds
+    # stage 1 of the first step, evaluated first for the CFL bounds; a
+    # halved layout is metric-only conformal, and its rates never read geo
     k1, bounds = _rhs(vec, layout, problem, geo, with_cfl=True)
     dt0 = cfl_dt(grid, spec, bounds)
     snap_every = spec.snapshot_every
@@ -556,10 +612,12 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
 
     def record_state(dt_used):
         # the loop carries the vector alone: the state and its bundle are
-        # built here when the steps since the last read left them unbuilt
+        # built here when the steps since the last read left them unbuilt,
+        # the state of a halved layout on the full grid
         nonlocal state, geo
         if state is None:
-            state = layout.unpack(vec, t, step)
+            wide, wide_vec = layout.widen(vec) if layout.halves else (layout, vec)
+            state = wide.unpack(wide_vec, t, step)
         if geo is None:
             geo = MetricInvariants(state.metric, grid)
         rec = monitor_record(state, problem, dt_used, geo, baseline)
@@ -591,10 +649,11 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
             break
         params = layout.parts(new_vec)[0]
         try:
-            # the new state's SPD check, on u alone on a conformal metric; a
-            # metric failing it ends the run on the last valid state
+            # the new state's SPD check, on u alone on a conformal metric and
+            # node by node on the full grid's; a metric failing it ends the
+            # run on the last valid state
             if layout.tag == CONFORMAL:
-                require_conformal_spd(grid, *params)
+                require_conformal_spd(grid, *params, full=layout.mirrored)
                 new_geo = None
             else:
                 new_geo = MetricInvariants(layout.metric(params), grid)

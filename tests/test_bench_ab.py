@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from ab import compare, median_cpu_s, quartiles, ratio_ci  # noqa: E402
+from ab import (PAD_MAX, TOP_PAD_MAX, compare, layout_env, median_cpu_s,  # noqa: E402
+                quartiles, ratio_ci)
 
 PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 10.5, 11.5, 12.5, 13.5, 14.5]
 
@@ -97,3 +98,28 @@ def test_cpu_s_is_the_median_of_the_untraced_iterations():
     assert median_cpu_s(json.dumps({"correct": True}) + "\n") is None
     detail["iterations"] = [it for it in detail["iterations"] if it["traced"]]
     assert median_cpu_s("perfbench: " + json.dumps(detail)) is None
+
+
+def test_layout_env_is_a_seeded_draw_per_pair_and_side():
+    base = {"PATH": "/bin"}
+    env, drawn = layout_env(7, "parent", base)
+    assert layout_env(7, "parent", base) == (env, drawn)
+    assert base == {"PATH": "/bin"} and env["PATH"] == "/bin"
+    pad, top_pad = (int(part.split("=")[1]) for part in drawn.split())
+    assert drawn == f"pad={pad} top_pad={top_pad}"
+    assert env["AB_LAYOUT_PAD"] == "x" * pad
+    assert env["GLIBC_TUNABLES"] == f"glibc.malloc.top_pad={top_pad}"
+    # every draw lies in range, top pads in whole pages, and the draws vary
+    # with the seed and the side
+    draws = [layout_env(seed, side, base)[1] for seed in range(40)
+             for side in ("parent", "change")]
+    pads = [[int(part.split("=")[1]) for part in d.split()] for d in draws]
+    assert all(0 <= p < PAD_MAX and 0 <= t < TOP_PAD_MAX and t % 4096 == 0
+               for p, t in pads)
+    assert len(set(draws)) == len(draws)
+
+
+def test_layout_env_keeps_tunables_already_set():
+    env, drawn = layout_env(3, "change", {"GLIBC_TUNABLES": "glibc.malloc.arena_max=1"})
+    top_pad = drawn.split("top_pad=")[1]
+    assert env["GLIBC_TUNABLES"] == f"glibc.malloc.arena_max=1:glibc.malloc.top_pad={top_pad}"

@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import riccilab.flows as flows
+from riccilab.errors import DegenerateMetricError
 from riccilab.flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED,
                             FlowProblem, FlowState, IntegratorSpec, StateLayout,
                             _rhs, cfl_dt, flow_step, monitor_record, run_flow)
@@ -18,7 +20,7 @@ from riccilab.functionals import (CohomologyProbe, NodePath, integrate,
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                conformal_metric, flat_metric, general_metric,
                                hodge_laplacian, reduced_scalar_curvature,
-                               warped_metric)
+                               require_conformal_spd, warped_metric)
 from riccilab.oracles import TrigMode, flat_spectral_oracle
 from riccilab.scenario import FormSpec, ProbeSpec, RunSetup, build, make_scenario
 
@@ -617,8 +619,9 @@ def test_run_flow_leaves_problem_alone():
 def _reference_run(setup):
     """run_flow's loop on full (nx, ny) states, unpacked and measured by their
     bundle after every step, for a setup that records and snapshots every step
-    and stops on its step budget: the records, and each snapshot's layout
-    fields and vector."""
+    and stops on its step budget or a blow-up: the records, each snapshot's
+    layout fields and vector, and the DegenerateMetricError of a new state
+    that failed its SPD check (else None)."""
     state, problem, spec = setup.state.copy(), setup.problem, setup.integrator
     grid = state.grid
     geo = MetricInvariants(state.metric, grid)
@@ -635,13 +638,20 @@ def _reference_run(setup):
         records.append(monitor_record(state, problem, dt, geo, baseline))
         snapshots.append((layout.fields, layout.pack(state).copy()))
         if state.step >= spec.max_steps:
-            return records, snapshots
+            return records, snapshots, None
         if k1 is None:
             k1, bounds = _rhs(layout.pack(state), layout, problem, geo, with_cfl=True)
         dt = min(cfl_dt(grid, spec, bounds), spec.t_final - state.t)
         vec = flow_step(layout.pack(state), layout, dt, problem, spec.scheme, k1=k1)
+        if vec is None:
+            return records, snapshots, None
         state = layout.unpack(vec, state.t + dt, state.step + 1)
-        geo, k1 = MetricInvariants(state.metric, grid), None
+        try:
+            geo, k1 = MetricInvariants(state.metric, grid), None
+        except DegenerateMetricError as err:
+            # without its traceback, whose frames would keep the caller's
+            # trajectory and its open spill file alive until a collection
+            return records, snapshots, err.with_traceback(None)
 
 
 def _record_bits(rec):
@@ -651,7 +661,7 @@ def _record_bits(rec):
 
 def _spilled_width(traj) -> int:
     """The width of the layout run_flow stepped, read off its first spilled
-    snapshot."""
+    snapshot: a column run spills columns (a halved run spills full states)."""
     return traj.snapshots._index[0][0].width
 
 
@@ -679,6 +689,32 @@ def _with_node_path_probe(setup):
     return replace(setup, problem=replace(setup.problem, probes=probes))
 
 
+def _plane(nx=33, ny=33, edit=None, **kw):
+    """The cigar plane patch with spacing 1/8 (4 x 4 on 33 nodes), with `edit`
+    applied to a copy of its u.  Its coordinates are exact, so u is mirror
+    symmetric bit for bit about the middle of each axis, a node or not."""
+    setup = build(make_scenario(name="plane", family="conformal-plane", nx=nx, ny=ny,
+                                lx=(nx - 1) / 8, ly=(ny - 1) / 8, buffer_threshold=1.0,
+                                **kw, **_STEPS))
+    if edit is None:
+        return setup
+    grid, u = setup.state.grid, setup.state.metric.u.copy()
+    edit(u)
+    return replace(setup, state=replace(setup.state, metric=conformal_metric(grid, u)))
+
+
+def _one_ulp_off_the_mirror(u):
+    u[3, 5] = np.nextafter(u[3, 5], np.inf)
+
+
+def _signed_zero_pair(u):
+    # +0.0 at the four mirror images of node (12, 10), then -0.0 at (12, 10):
+    # u still equals its flips under ==, but not bit for bit
+    u[[12, 12, 20, 20], [10, 22, 10, 22]] = 0.0
+    u[12, 10] = -0.0
+    assert (u == u[::-1]).all() and (u == u[:, ::-1]).all()
+
+
 _STEPS = dict(t_final=10.0, max_steps=6, cadence=1, snapshot_every=1)
 _COLUMN_CASES = {
     "flat-torus": lambda: build(make_scenario(
@@ -693,19 +729,49 @@ _COLUMN_CASES = {
         forms=[FormSpec("main", "dtheta")], probes=[ProbeSpec("loop", "main")], **_STEPS)),
     "neck-node-path": lambda: _with_node_path_probe(_COLUMN_CASES["neck"]()),
     "torus-2d": lambda: _theta_dependent_torus(32, **_STEPS),
+    "plane": _plane,
+    "plane-odd-theta": lambda: _plane(nx=32),
+    "plane-ulp": lambda: _plane(edit=_one_ulp_off_the_mirror),
+    "plane-signed-zero": lambda: _plane(edit=_signed_zero_pair),
+    "plane-even": lambda: _plane(nx=32, ny=32),
+    "plane-form": lambda: _plane(forms=[FormSpec("main", "dtheta")]),
+    "plane-subsolution": lambda: _plane(subsolution="bump"),
 }
+# the shape of each 2-D field the run steps
+_STEPPED = {"flat-torus": (16, 1), "conformal-torus": (16, 1), "neck": (64, 1),
+            "neck-node-path": (64, 1), "torus-2d": (32, 32), "plane": (17, 17),
+            "plane-odd-theta": (32, 17), "plane-ulp": (33, 33),
+            "plane-signed-zero": (33, 33), "plane-even": (32, 32),
+            "plane-form": (33, 33), "plane-subsolution": (33, 33)}
+
+
+def _stepped_shapes(monkeypatch, setup):
+    """run_flow of `setup`, and the shapes of the 2-D fields of every layout
+    its rates were taken in."""
+    shapes, rhs = set(), flows._rhs
+
+    def spy(vec, layout, *args, **kw):
+        shapes.update(shape for _, shape, _ in layout.fields if len(shape) == 2)
+        return rhs(vec, layout, *args, **kw)
+
+    monkeypatch.setattr(flows, "_rhs", spy)
+    traj = run_flow(setup)
+    monkeypatch.undo()
+    return traj, shapes
 
 
 @pytest.mark.parametrize("case", _COLUMN_CASES)
-def test_column_run_is_the_full_grid_run_bitwise(case):
-    # a theta-invariant state runs on (nx, 1) columns, a theta-dependent one
-    # at full width; either way every record and snapshot vector is the
-    # full-grid reference's, bit for bit, and the setup is left as it was
+def test_column_run_is_the_full_grid_run_bitwise(case, monkeypatch):
+    # a theta-invariant state runs on (nx, 1) columns, a metric-only
+    # conformal plane whose u is mirror-symmetric bit for bit on the half of
+    # each such axis from its center node on, any other state at full
+    # width; either way every record and snapshot vector is the full-grid
+    # reference's, bit for bit, and the setup is left as it was
     setup = _COLUMN_CASES[case]()
     state_before, problem_before = _state_bits(setup), dict(vars(setup.problem))
-    traj = run_flow(setup)
-    records, snapshots = _reference_run(setup)
-    assert _spilled_width(traj) == (setup.state.grid.ny if case == "torus-2d" else 1)
+    traj, shapes = _stepped_shapes(monkeypatch, setup)
+    records, snapshots, _ = _reference_run(setup)
+    assert shapes == {_STEPPED[case]}
     assert traj.status == BUDGET and len(traj.records) == _STEPS["max_steps"] + 1
     assert [_record_bits(r) for r in traj.records] == [_record_bits(r) for r in records]
     assert len(traj.snapshots) == len(snapshots)
@@ -747,12 +813,44 @@ def test_conformal_run_builds_metrics_only_where_read(monkeypatch):
     assert traj.status == BUDGET and [r.step for r in traj.records] == [0, 50, 100, 120]
     assert calls == {"metric": len(traj.records), "bundle": len(traj.records)}
 
-    records, snapshots = _reference_run(replace(
+    records, snapshots, _ = _reference_run(replace(
         setup, integrator=replace(setup.integrator, cadence=1, snapshot_every=1)))
     assert [_record_bits(r) for r in traj.records] == \
         [_record_bits(records[r.step]) for r in traj.records]
     assert np.array_equal(traj.snapshots[-1].vector.view(np.int64),
                           snapshots[-1][1].view(np.int64))
+
+
+def test_halved_state_metric_failure_ends_as_blowup_on_the_full_grid(monkeypatch):
+    # a mirror-symmetric conformal factor between the det floor and the
+    # fast check's margin, stepped past stability on its quadrant: every new
+    # state takes the node-by-node check, which reads the unfolded u, so the
+    # run ends blow-up-detected where the full-grid reference does, with its
+    # records, and the check names the reference's node off the quadrant
+    grid = Grid2D.plane(33, 33, 4.0, 4.0)
+    X, T = grid.mesh()
+    u = -6.8 + 0.05 * np.exp(-(X ** 2 + T ** 2))
+    setup = RunSetup("underflow", "u" * 16, _state(grid, conformal_metric(grid, u)),
+                     FlowProblem(buffer_threshold=math.inf),
+                     IntegratorSpec(cfl=3.0, t_final=100.0, max_steps=50, cadence=1,
+                                    snapshot_every=1))
+    errors = []
+
+    def spy(grid, u, full=None):
+        try:
+            require_conformal_spd(grid, u, full)
+        except DegenerateMetricError as err:
+            errors.append((err.node, err.det))
+            raise
+
+    monkeypatch.setattr(flows, "require_conformal_spd", spy)
+    traj, shapes = _stepped_shapes(monkeypatch, setup)
+    records, _, err = _reference_run(setup)
+    assert shapes == {(17, 17)}
+    assert traj.status == BLOWUP and err is not None
+    assert traj.n_steps == records[-1].step < setup.integrator.max_steps
+    assert [_record_bits(r) for r in traj.records] == [_record_bits(r) for r in records]
+    assert errors == [(err.node, err.det)] and err.node[0] < grid.origin[0]
 
 
 def test_theta_dependent_torus_passes_l2_and_sup_on_every_pair():
