@@ -302,15 +302,12 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
         np.exp(rate, out=rate)
         if with_cfl:                       # g^xx = g^tt = e^{-2u}
             sup_inv = np.max(rate)
-        if layout.halves:
-            # two mirror nodes before each halved axis (np.pad's "reflect")
-            # give every kept node the full grid's stencil operands; the
-            # pad is cut off again
-            lap = flat_laplacian(layout.mirrored(u, 2), grid)
-            rate *= lap[tuple(slice(2 if axis in layout.halves else 0, None)
-                              for axis in (0, 1))]
-        else:
-            rate *= flat_laplacian(u, grid)
+        # two mirror nodes before each halved axis (np.pad's "reflect") give
+        # every kept node the full grid's stencil operands; the pad is cut
+        # off again (with no halved axis, u itself and the whole of lap)
+        lap = flat_laplacian(layout.mirrored(u, 2), grid)
+        rate *= lap[tuple(slice(2 if axis in layout.halves else 0, None)
+                          for axis in (0, 1))]
         if with_cfl:
             bounds = (sup_inv, 0.0, sup_inv, 2.0 * float(np.max(np.abs(rate))))
     elif tag == WARPED:

@@ -772,6 +772,8 @@ def test_column_run_is_the_full_grid_run_bitwise(case, monkeypatch):
     traj, shapes = _stepped_shapes(monkeypatch, setup)
     records, snapshots, _ = _reference_run(setup)
     assert shapes == {_STEPPED[case]}
+    # a column run spills its columns, a halved or full one full states
+    assert _spilled_width(traj) == (1 if _STEPPED[case][1] == 1 else setup.state.grid.ny)
     assert traj.status == BUDGET and len(traj.records) == _STEPS["max_steps"] + 1
     assert [_record_bits(r) for r in traj.records] == [_record_bits(r) for r in records]
     assert len(traj.snapshots) == len(snapshots)
