@@ -26,7 +26,9 @@ changes whenever a key is added or retired.  scenarios/cigar.cfg takes about
 also runs every scenario on the riccilab of PARENT (the src/ directory of
 the parent checkout, in a child interpreter) and, after the digest lines,
 prints a drift report for each run: whether the step counts and the
-verdicts= lines are equal, then one line per monitors.csv column and per
+verdicts= lines are equal and whether the parent's digest line is
+identical to the change's (lines=identical, else lines=differ and the
+parent's line below it), then one line per monitors.csv column and per
 snapshot field (over all snapshots) with its largest drift from the
 parent's.  rel= is max |change - parent| over the column's largest
 |parent|, and ulp= is max |change - parent| in units in the last place of
@@ -133,14 +135,19 @@ def columns(run_dir: Path) -> dict:
     return out
 
 
-def drift_report(name: str, parent_dir: Path, change_dir: Path) -> list:
-    """The report lines of one run, written under both directories."""
+def drift_report(name: str, parent_dir: Path, change_dir: Path,
+                 parent_line: str, change_line: str) -> list:
+    """The report lines of one run, written under both directories, whose
+    digest lines were `parent_line` and `change_line`."""
     steps = [json.loads((d / "summary.json").read_text())["n_steps"]
              for d in (parent_dir, change_dir)]
     same = {"steps": steps[0] == steps[1],
             "verdicts": verdicts(parent_dir) == verdicts(change_dir)}
     lines = [f"drift {name} " + " ".join(f"{k}={'equal' if v else 'differ'}"
-                                         for k, v in same.items())]
+                                         for k, v in same.items())
+             + f" lines={'identical' if parent_line == change_line else 'differ'}"]
+    if parent_line != change_line:
+        lines.append(f"  parent {parent_line}")
     parent, change = columns(parent_dir), columns(change_dir)
     for key in sorted(parent.keys() | change.keys()):
         if key not in parent or key not in change:
@@ -169,18 +176,21 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         out = args.out or Path(tmp) / "change"
-        names = []
+        lines = {}
         for name, text in runs():
-            print(digest_line(name, text, out), flush=True)
-            names.append(name)
+            lines[name] = digest_line(name, text, out)
+            print(lines[name], flush=True)
         if args.against is None:
             return 0
         parent_out = Path(tmp) / "parent"
-        subprocess.run([sys.executable, __file__, "--src", str(args.against),
-                        "--out", str(parent_out)], check=True, stdout=subprocess.DEVNULL)
-        for name in names:
+        child = subprocess.run([sys.executable, __file__, "--src", str(args.against),
+                                "--out", str(parent_out)], check=True,
+                               stdout=subprocess.PIPE, text=True)
+        parent_lines = {line.split(" ", 1)[0]: line for line in child.stdout.splitlines()}
+        for name, line in lines.items():
             run = name.replace("/", "_")
-            print("\n".join(drift_report(name, parent_out / run, out / run)), flush=True)
+            print("\n".join(drift_report(name, parent_out / run, out / run,
+                                         parent_lines[name], line)), flush=True)
     return 0
 
 

@@ -38,17 +38,19 @@ temporary file as it is taken (SpilledSnapshots), so a run holds no snapshot
 fields in memory.
 
 A state steps reduced by a bitwise symmetry it has (_reduce decides,
-comparing bits, so +0.0 and -0.0 differ).  A theta-invariant state on a
-periodic theta axis steps as its (nx, 1) columns, through broadcasting:
-Grid2D.diff_t of a length-1 last axis is the full-grid stencil's value at
-every node, and every other operation acts node by node.  Sums over the grid
-read the full width, and snapshots are spilled as columns and read back
-widened.  A metric-only conformal state whose u is even about the center
-node of a truncated axis steps as the half of that axis from the center on
-(the cigar's quadrant): centered differences turn even into odd and back
-exactly, the one-sided closures mirror each other with the sign flipped,
-and the rest acts node by node, so the rate reads u with two mirror nodes
-before each halved axis, and each record unfolds the half to the full grid.
+comparing bits, so +0.0 and -0.0 differ) to one window of the full grid,
+which its StateLayout holds.  A theta-invariant state on a periodic theta
+axis steps as its (nx, 1) columns, through broadcasting: Grid2D.diff_t of a
+length-1 last axis is the full-grid stencil's value at every node, and every
+other operation acts node by node; sums over the grid read the full width.
+A metric-only conformal state whose u is even about the center node of a
+truncated axis steps as the half of that axis from the center on (the
+cigar's quadrant): centered differences turn even into odd and back exactly,
+the one-sided closures mirror each other with the sign flipped, and the rest
+acts node by node, so the rate reads u with two mirror nodes before each
+halved axis.  Records read the stepped state with its halved axes unfolded
+to the full grid.  Snapshots are spilled as stepped, columns and quadrants
+alike, and read back widened to the full grid.
 """
 
 from __future__ import annotations
@@ -124,14 +126,9 @@ class FlowState:
     layout: StateLayout | None = field(default=None, repr=False, compare=False)
     vector: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def copy(self) -> "FlowState":
-        """A state of its own vector, unpacked through the same layout, so a
-        conformal metric's gxx and gtt stay one array."""
-        layout = StateLayout.of(self)
-        return layout.unpack(layout.pack(self).copy(), self.t, self.step)
-
 
 _METRIC_PARAMS = {CONFORMAL: ("u",), WARPED: ("h", "f"), GENERAL: ("gxx", "gxt", "gtt")}
+_FULL = (slice(None), slice(None))
 
 
 class StateLayout:
@@ -142,13 +139,14 @@ class StateLayout:
     metric.gxx, metric.gxt, metric.gtt), then form.<label>.phi_x and
     form.<label>.phi_theta per form, then gauge.F and sub.u when tracked.
     Snapshot files carry these names, and a snapshot's .bin is the vector's
-    bytes."""
+    bytes.  `window` is the one description of a reduction: a slice per axis
+    of the full grid, the nodes each 2-D field holds.  A column's is
+    slice(0, 1) on theta, a halved axis's slice(origin, None); the halved
+    axes are those whose window starts past 0."""
 
-    def __init__(self, grid: Grid2D, tag: str, fields, width: int | None = None,
-                 halves: tuple = ()):
-        self.grid, self.tag = grid, tag
-        self.width = grid.ny if width is None else width   # of each 2-D field
-        self.halves = halves    # axes whose 2-D fields start at grid.origin
+    def __init__(self, grid: Grid2D, tag: str, fields, window: tuple = _FULL):
+        self.grid, self.tag, self.window = grid, tag, window
+        self.halves = tuple(axis for axis, s in enumerate(window) if s.start)
         self.fields, self.size = [], 0
         for name, shape in fields:
             self.fields.append((name, tuple(shape), self.size))
@@ -171,11 +169,11 @@ class StateLayout:
 
     @classmethod
     def of(cls, state: FlowState) -> "StateLayout":
+        """The layout a state was unpacked through, else its full layout."""
         if state.layout is not None:
             return state.layout
         return cls(state.grid, state.metric.tag,
-                   [(name, arr.shape) for name, arr in cls._arrays(state)],
-                   state.metric.gxx.shape[1])
+                   [(name, arr.shape) for name, arr in cls._arrays(state)])
 
     def pack(self, state: FlowState) -> np.ndarray:
         """The state as one vector; a state this layout unpacked is not copied."""
@@ -189,15 +187,7 @@ class StateLayout:
         n = len(_METRIC_PARAMS[self.tag])
         return StateLayout(self.grid, self.tag,
                            [(name, shape) for name, shape, _ in self.fields[:n]],
-                           self.width, self.halves)
-
-    @cached_property
-    def window(self) -> tuple:
-        """The nodes of the full grid a 2-D field holds: from the origin on
-        along a halved axis, the first `width` along theta."""
-        ox, oy = self.grid.origin
-        return (slice(ox, None) if 0 in self.halves else slice(None),
-                slice(oy, None) if 1 in self.halves else slice(0, self.width))
+                           self.window)
 
     def mirrored(self, a: np.ndarray, depth: int | None = None) -> np.ndarray:
         """The 2-D field `a` of this layout with its mirror image about the
@@ -233,8 +223,9 @@ class StateLayout:
         """The metric of its parameters, through the per-tag constructor."""
         if self.tag == CONFORMAL:
             return conformal_metric(self.grid, *params)
-        if self.tag == WARPED:
-            return warped_metric(self.grid, *params, width=self.width)
+        if self.tag == WARPED:    # broadcast as wide as the window on theta
+            return warped_metric(self.grid, *params,
+                                 width=len(range(self.grid.ny)[self.window[1]]))
         return general_metric(*params)
 
     def unpack(self, vec: np.ndarray, t: float = 0.0, step: int = 0) -> FlowState:
@@ -466,24 +457,24 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
 class SpilledSnapshots(Sequence):
     """A run's snapshots, spilled to disk as they are taken.
 
-    Each appended state's vector goes to the end of one temporary file, which
+    Each appended state vector goes to the end of one temporary file, which
     is unlinked when it is created and closed when this sequence is collected;
-    only each snapshot's layout, offset, t and step stay in memory.  Every
-    item access reads its vector back into an array of its own and unpacks
-    it, so a caller may write into a read without changing the next one.  A
-    column state is spilled as its column vector and read back widened to
-    the full layout."""
+    only each snapshot's layout, offset, t and step stay in memory.  A run
+    appends the vector it steps, in the layout it steps, so a column run
+    spills columns and a halved run its quadrant.  Every item access reads
+    its vector back into an array of its own, widened to the full layout
+    when the window is not the full grid, and unpacks it, so a caller may
+    write into a read without changing the next one."""
 
     def __init__(self):
         self._file = tempfile.TemporaryFile()
         weakref.finalize(self, self._file.close)
         self._index = []          # (layout, byte offset, t, step) per snapshot
 
-    def append(self, state: FlowState) -> None:
-        layout = StateLayout.of(state)
+    def append(self, layout: StateLayout, vec: np.ndarray, t: float, step: int) -> None:
         offset = self._file.seek(0, os.SEEK_END)
-        self._file.write(layout.pack(state))
-        self._index.append((layout, offset, state.t, state.step))
+        self._file.write(vec)
+        self._index.append((layout, offset, t, step))
 
     def __len__(self) -> int:
         return len(self._index)
@@ -493,7 +484,7 @@ class SpilledSnapshots(Sequence):
         vec = np.empty(layout.size)
         self._file.seek(offset)
         self._file.readinto(vec)
-        if layout.width < layout.grid.ny:
+        if layout.window != _FULL:
             layout, vec = layout.widen(vec)
         return layout.unpack(vec, t, step)
 
@@ -517,36 +508,31 @@ def _mirrored_axes(grid: Grid2D, u: np.ndarray) -> tuple:
 
 
 def _reduce(state: FlowState, problem: FlowProblem):
-    """The run's own state, the layout and vector it steps, and its problem,
-    reduced by a bitwise symmetry of the state.  On a periodic theta axis,
-    when every 2-D array of the state and of the gauge base form is
-    theta-invariant, the state is its (nx, 1) columns, which it steps, and
-    the gauge base form is cut the same way.  Otherwise the state is a copy;
-    a metric-only conformal one steps its u from the origin on along its
-    _mirrored_axes, the rest at full width."""
+    """The layout and vector a run steps, and its problem, reduced by a
+    bitwise symmetry of the state to one window of the full grid.  On a
+    periodic theta axis, when every 2-D array of the state and of the gauge
+    base form is theta-invariant, the window is the (nx, 1) columns; else
+    a metric-only conformal state's runs from the origin on along its
+    _mirrored_axes; else it is the full grid.  Every 2-D array and the gauge
+    base form are cut by it; the vector is the run's own."""
     arrays = StateLayout._arrays(state)
     base = problem.gauge_base
     planes = [a for _, a in arrays if a.ndim == 2]
     if base is not None:
         planes += [base.x, base.theta]
+    window = _FULL
     if state.grid.topology_y == PERIODIC and all(map(_theta_invariant, planes)):
-        column = [(name, a[:, :1] if a.ndim == 2 else a) for name, a in arrays]
-        layout = StateLayout(state.grid, state.metric.tag,
-                             [(name, a.shape) for name, a in column], width=1)
-        if base is not None:
-            problem = replace(problem,
-                              gauge_base=OneFormField(base.x[:, :1], base.theta[:, :1]))
-        vec = np.concatenate([a.ravel() for _, a in column])
-        return layout.unpack(vec, state.t, state.step), layout, vec, problem
-    state = state.copy()
-    metric_only = state.metric.tag == CONFORMAL and len(arrays) == 1
-    halves = _mirrored_axes(state.grid, state.metric.u) if metric_only else ()
-    if not halves:
-        return state, state.layout, state.vector, problem
-    ox, oy = state.grid.origin
-    u = state.metric.u[ox if 0 in halves else 0:, oy if 1 in halves else 0:]
-    layout = StateLayout(state.grid, CONFORMAL, [("metric.u", u.shape)], halves=halves)
-    return state, layout, u.flatten(), problem
+        window = (slice(None), slice(0, 1))
+    elif state.metric.tag == CONFORMAL and len(arrays) == 1:
+        halves = _mirrored_axes(state.grid, state.metric.u)
+        window = tuple(slice(origin, None) if axis in halves else slice(None)
+                       for axis, origin in enumerate(state.grid.origin))
+    cut = [(name, a[window] if a.ndim == 2 else a) for name, a in arrays]
+    layout = StateLayout(state.grid, state.metric.tag,
+                         [(name, a.shape) for name, a in cut], window)
+    if base is not None:
+        problem = replace(problem, gauge_base=OneFormField(base.x[window], base.theta[window]))
+    return layout, np.concatenate([a.ravel() for _, a in cut]), problem
 
 
 @dataclass
@@ -573,22 +559,27 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
 
     setup = build(scenario_or_setup) if isinstance(scenario_or_setup, ScenarioSpec) \
         else scenario_or_setup
-    state, layout, vec, problem = _reduce(setup.state, setup.problem)
-    spec, grid = setup.integrator, state.grid
+    layout, vec, problem = _reduce(setup.state, setup.problem)
+    spec, grid = setup.integrator, setup.state.grid
+    t, step = setup.state.t, setup.state.step
 
     if spec.max_steps <= 0:
-        return Trajectory(grid, [], [], BUDGET, state.t, 0,
-                          setup.name, setup.scenario_hash)
+        return Trajectory(grid, [], [], BUDGET, t, 0, setup.name, setup.scenario_hash)
 
+    def unfolded() -> FlowState:
+        # the state records read: (layout, vec) with its halved axes unfolded
+        wide, wide_vec = layout.widen(vec) if layout.halves else (layout, vec)
+        return wide.unpack(wide_vec, t, step)
+
+    state = unfolded()
     try:
         geo = MetricInvariants(state.metric, grid)   # the current state's bundle
     except DegenerateMetricError:
-        return Trajectory(grid, [], [], BLOWUP, state.t, 0,
-                          setup.name, setup.scenario_hash)
-    t, step = state.t, state.step
+        return Trajectory(grid, [], [], BLOWUP, t, 0, setup.name, setup.scenario_hash)
     baseline = None
     if grid.boundary_mask.any():
-        mask = grid.buffer_mask()[:, :layout.width]
+        # in the frame of the recorded state: a column, or the full grid
+        mask = grid.buffer_mask()[state.layout.window]
         baseline = {"mask": mask, "R0": geo.scalar[mask],
                     "form0": {label: phi.norm_sq(geo)[mask]
                               for label, phi in state.forms.items()}}
@@ -609,18 +600,16 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
 
     def record_state(dt_used):
         # the loop carries the vector alone: the state and its bundle are
-        # built here when the steps since the last read left them unbuilt,
-        # the state of a halved layout on the full grid
+        # built here when the steps since the last read left them unbuilt
         nonlocal state, geo
         if state is None:
-            wide, wide_vec = layout.widen(vec) if layout.halves else (layout, vec)
-            state = wide.unpack(wide_vec, t, step)
+            state = unfolded()
         if geo is None:
             geo = MetricInvariants(state.metric, grid)
         rec = monitor_record(state, problem, dt_used, geo, baseline)
         records.append(rec)
         if collect_snapshots and (len(records) - 1) % snap_every == 0:
-            snapshots.append(state)
+            snapshots.append(layout, vec, t, step)
         flux = rec.values.get("buffer_flux", 0.0)
         return flux > problem.buffer_threshold
 
@@ -646,11 +635,10 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
             break
         params = layout.parts(new_vec)[0]
         try:
-            # the new state's SPD check, on u alone on a conformal metric and
-            # node by node on the full grid's; a metric failing it ends the
-            # run on the last valid state
+            # the new state's SPD check, on u alone on a conformal metric; a
+            # metric failing it ends the run on the last valid state
             if layout.tag == CONFORMAL:
-                require_conformal_spd(grid, *params, full=layout.mirrored)
+                require_conformal_spd(grid, *params)
                 new_geo = None
             else:
                 new_geo = MetricInvariants(layout.metric(params), grid)
@@ -669,7 +657,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     # the last record is the final state's; it took a snapshot unless its
     # index is off the snapshot cadence
     if collect_snapshots and (len(records) - 1) % snap_every:
-        snapshots.append(state)
+        snapshots.append(layout, vec, t, step)
 
     labels = list(records[0].values.keys())
     return Trajectory(grid, records, snapshots, status, t, step,

@@ -165,7 +165,7 @@ def conformal_metric(grid, u: np.ndarray) -> MetricField:
     return MetricField(e2u, _diagonal_gxt(e2u), e2u, tag=CONFORMAL, u=u)
 
 
-def require_conformal_spd(grid, u: np.ndarray, full=None) -> None:
+def require_conformal_spd(grid, u: np.ndarray) -> None:
     """The SPD check of conformal_metric(grid, u), taken on u: it passes and
     raises exactly as MetricInvariants of that metric does.  When min u and
     max u lie strictly between _U_FLOOR and _U_CEIL, det g = e^{2u} e^{2u}
@@ -173,12 +173,12 @@ def require_conformal_spd(grid, u: np.ndarray, full=None) -> None:
     rounding closes, so every node passes.  Otherwise (a NaN fails both
     comparisons) the metric is built and checked node by node: numpy's exp
     need not be monotone bit for bit, so near the floor the extremes of u
-    cannot decide.  `full`, when given, maps a part of the grid's u that
-    holds each of its values to the whole, which the node-by-node check then
-    reads, so that it names the grid's first degenerate node."""
+    cannot decide.  u may be any part of the grid's u that holds each of its
+    values, such as the half a halved run steps: pass and fail are those of
+    the whole, and a failure names the part's first degenerate node."""
     if _U_FLOOR < np.min(u) and np.max(u) < _U_CEIL:
         return
-    g = conformal_metric(grid, u if full is None else full(u))
+    g = conformal_metric(grid, u)
     g.require_spd(g.det())
 
 

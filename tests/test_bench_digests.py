@@ -1,12 +1,13 @@
 """The drift figures of bench/digests.py --against on fixed numbers."""
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from digests import drift  # noqa: E402
+from digests import drift, drift_report  # noqa: E402
 
 
 def test_drift_is_relative_to_the_column_scale_in_ulps():
@@ -27,3 +28,23 @@ def test_drift_of_a_near_zero_column_is_absolute():
 
 def test_drift_names_a_shape_change():
     assert drift(np.zeros(3), np.zeros(4)) == "shape=[3]->[4]"
+
+
+def _run_dir(path, dt):
+    path.mkdir()
+    (path / "summary.json").write_text(json.dumps(
+        {"n_steps": 3, "verdicts": {"l2": {"pass": True, "checked": 2}}}))
+    (path / "monitors.csv").write_text(f"t,dt\n0,{dt}\n")
+    return path
+
+
+def test_drift_report_says_whether_the_digest_lines_are_identical(tmp_path):
+    parent, change = _run_dir(tmp_path / "parent", 0.5), _run_dir(tmp_path / "change", 0.5)
+    line = "run status=completed steps=3 monitors=ab"
+    assert drift_report("run", parent, change, line, line) == [
+        "drift run steps=equal verdicts=equal lines=identical",
+        "  monitors dt rel=0 ulp=0", "  monitors t abs=0"]
+    moved = _run_dir(tmp_path / "moved", 0.25)
+    assert drift_report("run", parent, moved, line, line + "c") == [
+        "drift run steps=equal verdicts=equal lines=differ", f"  parent {line}",
+        "  monitors dt rel=0.5 ulp=2.25e+15", "  monitors t abs=0"]
