@@ -20,7 +20,10 @@ them once per record bundle.  det g and the inverse
 are timed on their own, and monitor_record is timed with a fresh bundle per
 call, as a run builds one per state.  run_flow_step.cigar257 is run_flow of
 the perfbench cigar workload's seed-0 setup, capped at RUN_STEPS steps with
-no record between the first and the last and no snapshot, per step.
+no record between the first and the last and no snapshot, per step, and
+conformal_rate.cigar129 is one stage rate with its CFL bounds,
+_rhs(..., with_cfl=True), of that setup's seed state in the layout
+flows._reduce gives it (the 129^2 quadrant), timed alone.
 
 FILE holds {"unit", "statistic", "spread", "machine", "columns": {NAME:
 {layer: us}}, "spreads": {NAME: {layer: [min, max]}}}.  An existing FILE keeps
@@ -62,8 +65,8 @@ def median_us(fn) -> float:
 
 def layers() -> dict:
     import numpy as np
-    from riccilab.flows import (FlowProblem, FlowState, StateLayout, monitor_record,
-                                run_flow)
+    from riccilab.flows import (FlowProblem, FlowState, StateLayout, _reduce, _rhs,
+                                monitor_record, run_flow)
     from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                    codifferential, conformal_metric, curvature_reduced,
                                    general_metric, grad_norm_sq, hodge_laplacian,
@@ -138,6 +141,9 @@ def layers() -> dict:
         out[f"StateLayout.unpack.{n}"] = median_us(lambda: layout.unpack(vec))
 
     setup = build(parse_scenario(scenario_text(WORKLOADS["cigar"], 0)))
+    layout, vec, problem = _reduce(setup.state, setup.problem)
+    out["conformal_rate.cigar129"] = median_us(
+        lambda: _rhs(vec, layout, problem, with_cfl=True))
     setup.integrator = dataclasses.replace(setup.integrator, max_steps=RUN_STEPS,
                                            cadence=RUN_STEPS + 1)
     out["run_flow_step.cigar257"] = median_us(

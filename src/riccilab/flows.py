@@ -48,9 +48,12 @@ truncated axis steps as the half of that axis from the center on (the
 cigar's quadrant): centered differences turn even into odd and back exactly,
 the one-sided closures mirror each other with the sign flipped, and the rest
 acts node by node, so the rate reads u with two mirror nodes before each
-halved axis.  Records read the stepped state with its halved axes unfolded
-to the full grid.  Snapshots are spilled as stepped, columns and quadrants
-alike, and read back widened to the full grid.
+halved axis.  Where that u equals its transpose bit for bit on alike axes,
+d_t d_t u is (d_x d_x u).T bit for bit, so the rate adds d_x d_x u to its
+transpose, and every stage keeps the symmetry node by node.  Records read
+the stepped state with its halved axes unfolded to the full grid.
+Snapshots are spilled as stepped, columns and quadrants alike, and read
+back widened to the full grid.
 """
 
 from __future__ import annotations
@@ -142,10 +145,13 @@ class StateLayout:
     bytes.  `window` is the one description of a reduction: a slice per axis
     of the full grid, the nodes each 2-D field holds.  A column's is
     slice(0, 1) on theta, a halved axis's slice(origin, None); the halved
-    axes are those whose window starts past 0."""
+    axes are those whose window starts past 0.  `transposed`, decided with
+    the window, says that its metric-only conformal u equals its transpose
+    bit for bit, so the rate differences it along x alone."""
 
-    def __init__(self, grid: Grid2D, tag: str, fields, window: tuple = _FULL):
-        self.grid, self.tag, self.window = grid, tag, window
+    def __init__(self, grid: Grid2D, tag: str, fields, window: tuple = _FULL,
+                 transposed: bool = False):
+        self.grid, self.tag, self.window, self.transposed = grid, tag, window, transposed
         self.halves = tuple(axis for axis, s in enumerate(window) if s.start)
         self.fields, self.size = [], 0
         for name, shape in fields:
@@ -189,12 +195,12 @@ class StateLayout:
                            [(name, shape) for name, shape, _ in self.fields[:n]],
                            self.window)
 
-    def mirrored(self, a: np.ndarray, depth: int | None = None) -> np.ndarray:
+    def mirrored(self, a: np.ndarray, depth: int | None = None, axes=(0, 1)) -> np.ndarray:
         """The 2-D field `a` of this layout with its mirror image about the
-        origin put before each halved axis: `depth` nodes of it, or all of it
-        (a[:0:-1], then a), which unfolds `a` to the full grid's field."""
+        origin put before each halved axis of `axes`: `depth` nodes of it, or
+        all of it (a[:0:-1], then a), which unfolds `a` to the full grid's."""
         start = None if depth is None else -1 - depth
-        for axis in self.halves:
+        for axis in (axis for axis in self.halves if axis in axes):
             mirror = np.flip(a, axis)[(slice(None),) * axis + (slice(start, -1),)]
             a = np.concatenate([mirror, a], axis)
         return a
@@ -295,12 +301,17 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
             sup_inv = np.max(rate)
         # two mirror nodes before each halved axis (np.pad's "reflect") give
         # every kept node the full grid's stencil operands; the pad is cut
-        # off again (with no halved axis, u itself and the whole of lap)
-        lap = flat_laplacian(layout.mirrored(u, 2), grid)
-        rate *= lap[tuple(slice(2 if axis in layout.halves else 0, None)
-                          for axis in (0, 1))]
-        if with_cfl:
-            bounds = (sup_inv, 0.0, sup_inv, 2.0 * float(np.max(np.abs(rate))))
+        # off again (with no halved axis, u itself and the whole Laplacian).  On
+        # a transposed layout d_t d_t u is (d_x d_x u).T bit for bit
+        cut = tuple(slice(2 if axis in layout.halves else 0, None) for axis in (0, 1))
+        if layout.transposed:
+            dxx = grid.diff_x(grid.diff_x(layout.mirrored(u, 2, axes=(0,))))[cut[0]]
+            rate *= dxx + dxx.T
+        else:
+            rate *= flat_laplacian(layout.mirrored(u, 2), grid)[cut]
+        if with_cfl:   # max |rate| with no temporary; NaN where a node is NaN
+            sup_R = 2.0 * float(max(abs(np.max(rate)), abs(np.min(rate))))
+            bounds = (sup_inv, 0.0, sup_inv, sup_R)
     elif tag == WARPED:
         # dg/dt = -2 K g componentwise in 2-D, so the profiles obey
         # dh/dt = -K h and df/dt = -K f with the stage Gauss curvature
@@ -378,17 +389,19 @@ def _advance(vec: np.ndarray, k1: np.ndarray, layout: StateLayout,
 def flow_step(vec: np.ndarray, layout: StateLayout, dt: float, problem: FlowProblem,
               scheme: str = "rk2", k1: np.ndarray | None = None) -> np.ndarray | None:
     """One coupled step of every tracked equation: the next state vector of
-    the state vector `vec`, in `layout`.  Returns None when a stage metric
-    failed its SPD check or the new vector is not finite (blow-up).  The new
-    state's own metric is not checked here: run_flow checks it next.  `k1`
-    are the stage-1 rates when the caller already has them."""
+    the state vector `vec`, in `layout`.  Returns None (blow-up) when a stage
+    metric failed its SPD check or a value of the new vector is not finite.
+    A conformal u is not scanned: run_flow checks the new state's metric
+    next, and require_conformal_spd fails on a NaN or infinite u.  `k1` are
+    the stage-1 rates when the caller already has them."""
     try:
         if k1 is None:
             k1 = _rhs(vec, layout, problem)[0]
         new_vec = _advance(vec, k1, layout, problem, dt, scheme)
     except DegenerateMetricError:
         return None
-    if not np.isfinite(new_vec).all():
+    head = math.prod(layout.fields[0][1]) if layout.tag == CONFORMAL else 0
+    if not np.isfinite(new_vec[head:]).all():
         return None
     return new_vec
 
@@ -513,23 +526,30 @@ def _reduce(state: FlowState, problem: FlowProblem):
     periodic theta axis, when every 2-D array of the state and of the gauge
     base form is theta-invariant, the window is the (nx, 1) columns; else
     a metric-only conformal state's runs from the origin on along its
-    _mirrored_axes; else it is the full grid.  Every 2-D array and the gauge
-    base form are cut by it; the vector is the run's own."""
+    _mirrored_axes, transposed when u[window] equals its transpose; else it
+    is the full grid.  Every 2-D array and the gauge base form are cut by
+    it; the vector is the run's own."""
     arrays = StateLayout._arrays(state)
     base = problem.gauge_base
     planes = [a for _, a in arrays if a.ndim == 2]
     if base is not None:
         planes += [base.x, base.theta]
-    window = _FULL
+    window, transposed = _FULL, False
     if state.grid.topology_y == PERIODIC and all(map(_theta_invariant, planes)):
         window = (slice(None), slice(0, 1))
     elif state.metric.tag == CONFORMAL and len(arrays) == 1:
-        halves = _mirrored_axes(state.grid, state.metric.u)
+        grid, u = state.grid, state.metric.u
+        halves = _mirrored_axes(grid, u)
         window = tuple(slice(origin, None) if axis in halves else slice(None)
-                       for axis, origin in enumerate(state.grid.origin))
+                       for axis, origin in enumerate(grid.origin))
+        # axes alike, one window on both (the origin acts only through it),
+        # and u[window] the bits of its transpose, compared as int64
+        bits = np.asarray(u[window], np.float64).view(np.int64)
+        transposed = (grid.nx, grid.lx, grid.topology_x) == (grid.ny, grid.ly, grid.topology_y) \
+            and window[0] == window[1] and bool((bits == bits.T).all())
     cut = [(name, a[window] if a.ndim == 2 else a) for name, a in arrays]
     layout = StateLayout(state.grid, state.metric.tag,
-                         [(name, a.shape) for name, a in cut], window)
+                         [(name, a.shape) for name, a in cut], window, transposed)
     if base is not None:
         problem = replace(problem, gauge_base=OneFormField(base.x[window], base.theta[window]))
     return layout, np.concatenate([a.ravel() for _, a in cut]), problem

@@ -1,8 +1,8 @@
 """Acceptance gate: every monitored guarantee at its pinned tolerance.
 
 One pass/fail line is printed per criterion (run with -s to watch them live).
-The same suites back `riccilab verify`.  This module takes about 30 s on a
-2-vCPU x86_64 host, about 22 s of it the cigar run; runs are cached across
+The same suites back `riccilab verify`.  This module takes about 15 s on a
+2-vCPU x86_64 host, about 10 s of it the cigar run; runs are cached across
 suites within the session.
 """
 

@@ -699,22 +699,42 @@ def _with_node_path_probe(setup):
     return replace(setup, problem=replace(setup.problem, probes=probes))
 
 
-def _plane(nx=33, ny=33, edit=None, **kw):
-    """The cigar plane patch with spacing 1/8 (4 x 4 on 33 nodes), with `edit`
-    applied to a copy of its u.  Its coordinates are exact, so u is mirror
-    symmetric bit for bit about the middle of each axis, a node or not."""
+def _plane(nx=33, ny=33, edit=None, hy=1 / 8, origin=None, **kw):
+    """The cigar plane patch with spacing 1/8 on x and `hy` on theta (4 x 4
+    on 33 nodes), with `edit` applied to a copy of its u, on a grid with
+    `origin` when given.  Its coordinates are exact, so u is mirror
+    symmetric bit for bit about the middle of each axis, a node or not, and
+    on square axes it equals its transpose bit for bit."""
     setup = build(make_scenario(name="plane", family="conformal-plane", nx=nx, ny=ny,
-                                lx=(nx - 1) / 8, ly=(ny - 1) / 8, buffer_threshold=1.0,
+                                lx=(nx - 1) / 8, ly=(ny - 1) * hy, buffer_threshold=1.0,
                                 **kw, **_STEPS))
-    if edit is None:
+    if edit is None and origin is None:
         return setup
     grid, u = setup.state.grid, setup.state.metric.u.copy()
-    edit(u)
-    return replace(setup, state=replace(setup.state, metric=conformal_metric(grid, u)))
+    if origin is not None:
+        grid = replace(grid, origin=origin)
+    if edit is not None:
+        edit(u)
+    state = replace(setup.state, grid=grid, metric=conformal_metric(grid, u))
+    return replace(setup, state=state)
+
+
+def _at_mirror_images(u, i, j):
+    """The index arrays of node (i, j) of a square u and its images under
+    both mirrors."""
+    n = len(u) - 1
+    return np.array([i, i, n - i, n - i]), np.array([j, n - j, j, n - j])
 
 
 def _one_ulp_off_the_mirror(u):
     u[3, 5] = np.nextafter(u[3, 5], np.inf)
+
+
+def _one_ulp_off_the_diagonal(u):
+    # node (3, 5) and its mirror images, but not (5, 3): the quadrant stays
+    nodes = _at_mirror_images(u, 3, 5)
+    u[nodes] = np.nextafter(u[nodes], np.inf)
+    assert (u == u[::-1]).all() and (u == u[:, ::-1]).all() and (u != u.T).any()
 
 
 def _signed_zero_pair(u):
@@ -723,6 +743,22 @@ def _signed_zero_pair(u):
     u[[12, 12, 20, 20], [10, 22, 10, 22]] = 0.0
     u[12, 10] = -0.0
     assert (u == u[::-1]).all() and (u == u[:, ::-1]).all()
+
+
+def _signed_zero_across_the_diagonal(u):
+    # +0.0 at node (12, 10) and -0.0 at (10, 12), each at its mirror images:
+    # u equals its flips bit for bit and its transpose under ==, not bitwise
+    u[_at_mirror_images(u, 12, 10)] = 0.0
+    u[_at_mirror_images(u, 10, 12)] = -0.0
+    assert (u == u.T).all()
+
+
+def _index_bump(u):
+    # a function of the node indices, so it equals its transpose and its
+    # flips bit for bit on any spacing
+    k = np.arange(len(u)) - len(u) // 2
+    bump = np.exp(-(k / 8.0) ** 2)
+    u[...] = 0.1 * np.multiply.outer(bump, bump)
 
 
 _STEPS = dict(t_final=10.0, max_steps=6, cadence=1, snapshot_every=1)
@@ -744,6 +780,10 @@ _COLUMN_CASES = {
     "plane-ulp": lambda: _plane(edit=_one_ulp_off_the_mirror),
     "plane-signed-zero": lambda: _plane(edit=_signed_zero_pair),
     "plane-even": lambda: _plane(nx=32, ny=32),
+    "plane-stretched": lambda: _plane(hy=1 / 4, edit=_index_bump),
+    "plane-ulp-diagonal": lambda: _plane(edit=_one_ulp_off_the_diagonal),
+    "plane-signed-zero-diagonal": lambda: _plane(edit=_signed_zero_across_the_diagonal),
+    "plane-origin": lambda: _plane(origin=(16, 5)),
     "plane-form": lambda: _plane(forms=[FormSpec("main", "dtheta")]),
     "plane-subsolution": lambda: _plane(subsolution="bump"),
 }
@@ -752,22 +792,36 @@ _STEPPED = {"flat-torus": (16, 1), "conformal-torus": (16, 1), "neck": (64, 1),
             "neck-node-path": (64, 1), "torus-2d": (32, 32), "plane": (17, 17),
             "plane-odd-theta": (32, 17), "plane-ulp": (33, 33),
             "plane-signed-zero": (33, 33), "plane-even": (32, 32),
+            "plane-stretched": (17, 17), "plane-ulp-diagonal": (17, 17),
+            "plane-signed-zero-diagonal": (17, 17), "plane-origin": (17, 33),
             "plane-form": (33, 33), "plane-subsolution": (33, 33)}
+# the cases whose rates take d_t d_t u as the transpose of d_x d_x u
+_TRANSPOSED = {"plane", "plane-even"}
 
 
 def _stepped_shapes(monkeypatch, setup):
-    """run_flow of `setup`, and the shapes of the 2-D fields of every layout
-    its rates were taken in."""
-    shapes, rhs = set(), flows._rhs
+    """run_flow of `setup`, the shapes of the 2-D fields of every layout its
+    rates were taken in, and for each rate whether it differenced along
+    theta (a transposed rate does not)."""
+    shapes, thetas, rhs, diff_t = set(), set(), flows._rhs, Grid2D.diff_t
+    calls = []
+
+    def counted_diff_t(grid, a):
+        calls.append(a.shape)
+        return diff_t(grid, a)
 
     def spy(vec, layout, *args, **kw):
         shapes.update(shape for _, shape, _ in layout.fields if len(shape) == 2)
-        return rhs(vec, layout, *args, **kw)
+        before = len(calls)
+        out = rhs(vec, layout, *args, **kw)
+        thetas.add(len(calls) > before)
+        return out
 
     monkeypatch.setattr(flows, "_rhs", spy)
+    monkeypatch.setattr(Grid2D, "diff_t", counted_diff_t)
     traj = run_flow(setup)
     monkeypatch.undo()
-    return traj, shapes
+    return traj, shapes, thetas
 
 
 @pytest.mark.parametrize("case", _COLUMN_CASES)
@@ -775,13 +829,16 @@ def test_column_run_is_the_full_grid_run_bitwise(case, monkeypatch):
     # a theta-invariant state runs on (nx, 1) columns, a metric-only
     # conformal plane whose u is mirror-symmetric bit for bit on the half of
     # each such axis from its center node on, any other state at full
-    # width; either way every record and snapshot vector is the full-grid
+    # width; a metric-only conformal u that equals its transpose bit for bit
+    # on matching axes and one window on both differences along x alone;
+    # either way every record and snapshot vector is the full-grid
     # reference's, bit for bit, and the setup is left as it was
     setup = _COLUMN_CASES[case]()
     state_before, problem_before = _state_bits(setup), dict(vars(setup.problem))
-    traj, shapes = _stepped_shapes(monkeypatch, setup)
+    traj, shapes, thetas = _stepped_shapes(monkeypatch, setup)
     records, snapshots, _ = _reference_run(setup)
     assert shapes == {_STEPPED[case]}
+    assert thetas == {case not in _TRANSPOSED}
     # a run spills the fields it steps: columns, a quadrant or the full grid
     assert _spilled_shape(traj) == _STEPPED[case]
     assert traj.status == BUDGET and len(traj.records) == _STEPS["max_steps"] + 1
@@ -857,13 +914,41 @@ def test_halved_state_metric_failure_ends_as_blowup_on_the_full_grid(monkeypatch
             raise
 
     monkeypatch.setattr(flows, "require_conformal_spd", spy)
-    traj, shapes = _stepped_shapes(monkeypatch, setup)
+    traj, shapes, _ = _stepped_shapes(monkeypatch, setup)
     records, _, err = _reference_run(setup)
     assert shapes == {(17, 17)}
     assert traj.status == BLOWUP and err is not None
     assert traj.n_steps == records[-1].step < setup.integrator.max_steps
     assert [_record_bits(r) for r in traj.records] == [_record_bits(r) for r in records]
     assert [det for _, det in errors] == [err.det]
+
+
+@pytest.mark.parametrize("case", ["plane", "conformal-torus"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_nonfinite_u_ends_as_blowup_at_its_step(case, value, monkeypatch):
+    # flow_step does not scan a conformal u: a NaN or infinite node that the
+    # third step writes into u fails the new state's require_conformal_spd,
+    # so the run ends blow-up-detected after two steps, with the records of
+    # the full-grid reference run through step 2 and no warning
+    setup = _COLUMN_CASES[case]()
+    advance, calls = flows._advance, []
+
+    def poisoned(vec, *args):
+        new = advance(vec, *args)
+        calls.append(None)
+        if len(calls) == 3:
+            new[5] = value
+        return new
+
+    monkeypatch.setattr(flows, "_advance", poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = run_flow(setup)
+    monkeypatch.undo()
+    records, _, _ = _reference_run(replace(setup, integrator=replace(
+        setup.integrator, max_steps=2)))
+    assert traj.status == BLOWUP and traj.n_steps == 2 and len(calls) == 3
+    assert [_record_bits(r) for r in traj.records] == [_record_bits(r) for r in records]
 
 
 def test_theta_dependent_torus_passes_l2_and_sup_on_every_pair():
