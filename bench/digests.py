@@ -37,7 +37,10 @@ that largest |parent|, so a field's nodes near zero swamp neither figure.
 A column whose largest |parent| is below NEAR_ZERO (rounding residue such
 as gauge_gap, or u_curv_mass on a torus) reports abs=, max |change -
 parent|, in their place, and a column whose shape differs between the runs
-reports shape= alone.
+reports shape= alone.  Each snapshot field is widened to the full grid
+through its header's window before it is compared, so a run whose files
+hold a column or a quadrant and a run whose files hold the full grid show
+the drift of their values, not of their format.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -120,18 +124,20 @@ def drift(parent: np.ndarray, change: np.ndarray) -> str:
 
 def columns(run_dir: Path) -> dict:
     """Every monitors.csv column and every snapshot field of a run directory
-    as a float64 array, keyed "monitors <column>" and "snapshots <field>"."""
+    as a float64 array, keyed "monitors <column>" and "snapshots <field>";
+    each snapshot widened to the full grid through its header's window."""
+    from riccilab.outputs import read_header
+
     lines = (run_dir / "monitors.csv").read_text().split()
     header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
     out = {f"monitors {name}": np.array([float(row[i]) for row in rows])
            for i, name in enumerate(header)}
     fields: dict = {}
     for path in sorted((run_dir / "snapshots").glob("snap_*.json")):
-        vec = np.fromfile(path.with_suffix(".bin"), dtype="<f8")
-        for f in json.loads(path.read_text())["fields"]:
-            start = f["offset"] // 8
-            count = int(np.prod(f["shape"]))
-            fields.setdefault(f["name"], []).append(vec[start:start + count])
+        _, layout = read_header(path)
+        layout, vec = layout.widen(np.fromfile(path.with_suffix(".bin"), dtype="<f8"))
+        for name, shape, offset in layout.fields:
+            fields.setdefault(name, []).append(vec[offset:offset + math.prod(shape)])
     out.update((f"snapshots {name}", np.concatenate(parts)) for name, parts in fields.items())
     return out
 

@@ -17,13 +17,17 @@ its tagged metric and, as the reference cost, on its general-tagged copy
 general_metric(g.gxx, g.gxt, g.gtt) (the `.general` entries).  grad_norm_sq
 drops the bundle's cached Christoffel symbols before each call, as a run reads
 them once per record bundle.  det g and the inverse
-are timed on their own, and monitor_record is timed with a fresh bundle per
-call, as a run builds one per state.  run_flow_step.cigar257 is run_flow of
-the perfbench cigar workload's seed-0 setup, capped at RUN_STEPS steps with
-no record between the first and the last and no snapshot, per step, and
+are timed on their own, monitor_record with a fresh bundle per call, as a
+run builds one per state, and integrate with one bundle.
+run_flow_step.cigar257 is run_flow of the perfbench cigar workload's seed-0
+setup with no snapshot and no record between the first and the last, per
+step: the time for 2 RUN_STEPS steps less the time for RUN_STEPS steps,
+over RUN_STEPS, so the work of the two records at the ends cancels.
 conformal_rate.cigar129 is one stage rate with its CFL bounds,
 _rhs(..., with_cfl=True), of that setup's seed state in the layout
 flows._reduce gives it (the 129^2 quadrant), timed alone.
+write_snapshots.neck is outputs.write_snapshots of the perfbench
+neck-snapshots workload's seed-0 run, rewriting one directory per call.
 
 FILE holds {"unit", "statistic", "spread", "machine", "columns": {NAME:
 {layer: us}}, "spreads": {NAME: {layer: [min, max]}}}.  An existing FILE keeps
@@ -42,6 +46,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -67,11 +72,13 @@ def layers() -> dict:
     import numpy as np
     from riccilab.flows import (FlowProblem, FlowState, StateLayout, _reduce, _rhs,
                                 monitor_record, run_flow)
+    from riccilab.functionals import integrate
     from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                    codifferential, conformal_metric, curvature_reduced,
                                    general_metric, grad_norm_sq, hodge_laplacian,
                                    laplace_beltrami, reduced_scalar_curvature,
                                    warped_metric)
+    from riccilab.outputs import write_snapshots
     from riccilab.scenario import build, parse_scenario
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS, scenario_text
@@ -129,6 +136,8 @@ def layers() -> dict:
         problem = FlowProblem()
         out[f"monitor_record.{n}"] = median_us(
             lambda: monitor_record(state, problem, 1e-4, MetricInvariants(g, grid)))
+        geo = MetricInvariants(g, grid)
+        out[f"integrate.{n}"] = median_us(lambda: integrate(F, geo))
         if n not in ("128", "257"):
             continue
         geo = MetricInvariants(g, grid)
@@ -144,10 +153,16 @@ def layers() -> dict:
     layout, vec, problem = _reduce(setup.state, setup.problem)
     out["conformal_rate.cigar129"] = median_us(
         lambda: _rhs(vec, layout, problem, with_cfl=True))
-    setup.integrator = dataclasses.replace(setup.integrator, max_steps=RUN_STEPS,
-                                           cadence=RUN_STEPS + 1)
-    out["run_flow_step.cigar257"] = median_us(
-        lambda: run_flow(setup, collect_snapshots=False)) / RUN_STEPS
+    per_run = []
+    for steps in (RUN_STEPS, 2 * RUN_STEPS):
+        capped = dataclasses.replace(setup, integrator=dataclasses.replace(
+            setup.integrator, max_steps=steps, cadence=steps + 1))
+        per_run.append(median_us(lambda: run_flow(capped, collect_snapshots=False)))
+    out["run_flow_step.cigar257"] = (per_run[1] - per_run[0]) / RUN_STEPS
+
+    traj = run_flow(build(parse_scenario(scenario_text(WORKLOADS["neck-snapshots"], 0))))
+    with tempfile.TemporaryDirectory() as tmp:
+        out["write_snapshots.neck"] = median_us(lambda: write_snapshots(traj, tmp))
     return out
 
 

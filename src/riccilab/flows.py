@@ -42,7 +42,10 @@ comparing bits, so +0.0 and -0.0 differ) to one window of the full grid,
 which its StateLayout holds.  A theta-invariant state on a periodic theta
 axis steps as its (nx, 1) columns, through broadcasting: Grid2D.diff_t of a
 length-1 last axis is the full-grid stencil's value at every node, and every
-other operation acts node by node; sums over the grid read the full width.
+other operation acts node by node, so the state keeps the full grid's bits.
+Its records are taken on the columns too: maxima and minima give the full
+grid's bits, and integrals sum the first column times ny (integrate), within
+a few ulp of the full-grid sums.
 A metric-only conformal state whose u is even about the center node of a
 truncated axis steps as the half of that axis from the center on (the
 cigar's quadrant): centered differences turn even into odd and back exactly,
@@ -52,8 +55,8 @@ halved axis.  Where that u equals its transpose bit for bit on alike axes,
 d_t d_t u is (d_x d_x u).T bit for bit, so the rate adds d_x d_x u to its
 transpose, and every stage keeps the symmetry node by node.  Records read
 the stepped state with its halved axes unfolded to the full grid.
-Snapshots are spilled as stepped, columns and quadrants alike, and read
-back widened to the full grid.
+Snapshots are spilled and written to their files as stepped, columns and
+quadrants alike, and read back widened to the full grid.
 """
 
 from __future__ import annotations
@@ -207,7 +210,10 @@ class StateLayout:
 
     def widen(self, vec: np.ndarray):
         """A reduced layout's full layout, and `vec` in it, bit for bit: each
-        halved axis unfolded, each column repeated over theta."""
+        halved axis unfolded, each column repeated over theta.  A full
+        layout is its own, with `vec` itself."""
+        if self.window == _FULL:
+            return self, vec
         arrays = [vec[offset:offset + math.prod(shape)].reshape(shape)
                   for _, shape, offset in self.fields]
         wide = [np.broadcast_to(self.mirrored(a), (self.grid.nx, self.grid.ny))
@@ -411,9 +417,10 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
                    geo: MetricInvariants, baseline: dict | None = None) -> MonitorRecord:
     """The monitored values of one state.  `geo` is the bundle of state.metric;
     `baseline` holds the buffer-zone mask, R and |phi|^2 of the run's initial
-    state when the grid has a truncated axis."""
+    state when the grid has a truncated axis.  Every integral, vol included,
+    goes through integrate, so a column state's are column sums."""
     grid, g = state.grid, state.metric
-    vol = float(np.sum(unbroadcast(geo.sqrt_det) * grid.weights))   # integrate(1), bitwise
+    vol = integrate(np.ones((1, 1)), geo)
     R = unbroadcast(geo.scalar)
     values: dict = {}
     nsq = {label: phi.norm_sq(geo) for label, phi in state.forms.items()}
@@ -474,10 +481,10 @@ class SpilledSnapshots(Sequence):
     is unlinked when it is created and closed when this sequence is collected;
     only each snapshot's layout, offset, t and step stay in memory.  A run
     appends the vector it steps, in the layout it steps, so a column run
-    spills columns and a halved run its quadrant.  Every item access reads
-    its vector back into an array of its own, widened to the full layout
-    when the window is not the full grid, and unpacks it, so a caller may
-    write into a read without changing the next one."""
+    spills columns and a halved run its quadrant.  `stepped` reads one back
+    as it was appended; every item access widens that read to the full
+    layout and unpacks it.  Each read is an array of its own, so a caller
+    may write into one without changing the next."""
 
     def __init__(self):
         self._file = tempfile.TemporaryFile()
@@ -492,13 +499,18 @@ class SpilledSnapshots(Sequence):
     def __len__(self) -> int:
         return len(self._index)
 
-    def __getitem__(self, i: int) -> FlowState:
+    def stepped(self, i: int) -> tuple:
+        """(layout, vector, t, step) of snapshot i, in the layout it was
+        appended in."""
         layout, offset, t, step = self._index[i]
         vec = np.empty(layout.size)
         self._file.seek(offset)
         self._file.readinto(vec)
-        if layout.window != _FULL:
-            layout, vec = layout.widen(vec)
+        return layout, vec, t, step
+
+    def __getitem__(self, i: int) -> FlowState:
+        layout, vec, t, step = self.stepped(i)
+        layout, vec = layout.widen(vec)
         return layout.unpack(vec, t, step)
 
 

@@ -3,10 +3,14 @@
 The CSV column order is fixed (t, dt, sup_R, min_R, vol, then the monitor
 labels in registration order) and floats are written as their shortest
 round-trip decimals, so two runs of the same scenario produce byte-identical
-files.  A snapshot is the state's flat float64 vector written as raw
-little-endian bytes in its StateLayout's order, beside a JSON header that
-lists the layout's fields (row-major x-then-theta, form components ordered
-phi_x then phi_theta).
+files.  A snapshot is the state vector a run stepped, written as raw
+little-endian float64 bytes in its StateLayout's order, beside a JSON header
+that lists the layout's fields (row-major x-then-theta, form components
+ordered phi_x then phi_theta) and its window, the [start, stop] of the nodes
+each 2-D field holds on each axis of the grid: a column run's (nx, 1)
+columns, a halved run's quadrant, or the full grid.  A header without a
+window is a full-grid one.  Reloading widens each snapshot to the full grid,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -67,9 +71,10 @@ def summarize_trajectory(traj: Trajectory, problem=None) -> dict:
 
 
 def write_outputs(traj: Trajectory, destination, problem=None) -> dict:
-    """Write monitors.csv, summary.json and the trajectory's snapshots, if it
-    collected any, under `destination`; returns the summary dict.  Snapshot
-    files an earlier run left under `destination` are removed first."""
+    """Write monitors.csv, summary.json and the snapshots run_flow spilled,
+    if it collected any, under `destination`; returns the summary dict.
+    Snapshot files an earlier run left under `destination` are removed
+    first."""
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
     for suffix in ("json", "bin"):
@@ -104,36 +109,76 @@ def _grid_header(grid: Grid2D) -> dict:
             "origin": list(grid.origin)}
 
 
+def _spans(grid: Grid2D, window: tuple) -> list:
+    """[start, stop] of a window's slice on each axis of `grid`."""
+    return [[r.start, r.stop] for r in (range(n)[s] for n, s in zip((grid.nx, grid.ny), window))]
+
+
+def _window(spans, grid: Grid2D) -> tuple | None:
+    """The slices of a header's window, or None unless `spans` is one
+    [start, stop] of ints per axis and each axis is whole, its first node
+    (a column) or the half from its center node on (a halved axis)."""
+    if not (isinstance(spans, list) and len(spans) == 2):
+        return None
+    window = []
+    for span, n in zip(spans, (grid.nx, grid.ny)):
+        kinds = {(0, n): slice(None), (0, 1): slice(0, 1)}
+        if n % 2:
+            kinds[(n // 2, n)] = slice(n // 2, None)
+        if not (isinstance(span, list) and all(type(v) is int for v in span)
+                and tuple(span) in kinds):
+            return None
+        window.append(kinds[tuple(span)])
+    return tuple(window)
+
+
 def write_snapshots(traj: Trajectory, directory) -> None:
+    """One .json header and one .bin per snapshot a run spilled, each vector
+    in the layout it was stepped in."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for idx, snap in enumerate(traj.snapshots):
-        layout = StateLayout.of(snap)
+    grid = traj.grid
+    for idx in range(len(traj.snapshots)):
+        layout, vec, t, step = traj.snapshots.stepped(idx)
         header = {
-            "t": snap.t, "step": snap.step, "metric_tag": layout.tag,
+            "t": t, "step": step, "metric_tag": layout.tag,
             "axis_order": "row-major x-then-theta",
             "component_order": ["phi_x", "phi_theta"],
-            "grid": _grid_header(traj.grid),
+            "grid": _grid_header(grid),
+            "window": _spans(grid, layout.window),
             "fields": [{"name": name, "dtype": "<f8", "shape": list(shape),
                         "offset": 8 * offset} for name, shape, offset in layout.fields],
         }
         stem = directory / f"snap_{idx:05d}"
         stem.with_suffix(".json").write_text(json.dumps(header, indent=1) + "\n")
-        layout.pack(snap).astype("<f8", copy=False).tofile(stem.with_suffix(".bin"))
+        vec.astype("<f8", copy=False).tofile(stem.with_suffix(".bin"))
 
 
 def read_header(header_path) -> tuple[dict, StateLayout]:
-    """A snapshot's JSON header and the StateLayout its fields list.  A .bin
-    beside it whose length is not the element count those fields add up to
-    is rejected, naming the file and both counts, before any of it is read."""
+    """A snapshot's JSON header and the StateLayout its fields and window
+    list.  Before any of the .bin beside it is read, a malformed window, a
+    2-D field whose shape is not the window's, and a .bin whose length is
+    not the element count the fields add up to are rejected, naming the
+    file."""
     header_path = Path(header_path)
     bin_path = header_path.with_suffix(".bin")
     header = json.loads(header_path.read_text())
     gh = header["grid"]
     grid = Grid2D(gh["nx"], gh["ny"], gh["lx"], gh["ly"],
                   gh["topology_x"], gh["topology_y"], tuple(gh["origin"]))
+    spans = header.get("window", [[0, grid.nx], [0, grid.ny]])
+    window = _window(spans, grid)
+    if window is None:
+        raise RicciLabError(f"snapshot {header_path}: window {spans!r} is not one "
+                            f"[start, stop] per axis of the {grid.nx}x{grid.ny} grid "
+                            "that is the whole axis, a column or a half from its center")
+    shape = [stop - start for start, stop in _spans(grid, window)]
+    for f in header["fields"]:
+        if len(f["shape"]) == 2 and list(f["shape"]) != shape:
+            raise RicciLabError(f"snapshot {header_path}: field {f['name']} has shape "
+                                f"{list(f['shape'])}, its window {spans!r} holds {shape}")
     layout = StateLayout(grid, header["metric_tag"],
-                         [(f["name"], f["shape"]) for f in header["fields"]])
+                         [(f["name"], f["shape"]) for f in header["fields"]], window)
     found = bin_path.stat().st_size / 8
     if found != layout.size:
         raise RicciLabError(f"snapshot {bin_path}: its header lists {layout.size} "
@@ -143,13 +188,14 @@ def read_header(header_path) -> tuple[dict, StateLayout]:
 
 def load_snapshots(directory) -> list[FlowState]:
     """The snapshots under `directory`, in file order, each carrying its
-    metric alone: only the metric parameters, the head of each .bin, are
-    read, after read_header has checked the file's length."""
+    metric alone, widened to the full grid: only the metric parameters, the
+    head of each .bin, are read, after read_header has checked the file."""
     states = []
     for header_path in sorted(Path(directory).glob("snap_*.json")):
         header, layout = read_header(header_path)
         head = layout.metric_only
         vec = np.fromfile(header_path.with_suffix(".bin"), dtype="<f8", count=head.size)
+        head, vec = head.widen(vec)
         states.append(head.unpack(vec, header["t"], header["step"]))
     return states
 

@@ -48,3 +48,31 @@ def test_drift_report_says_whether_the_digest_lines_are_identical(tmp_path):
     assert drift_report("run", parent, moved, line, line + "c") == [
         "drift run steps=equal verdicts=equal lines=differ", f"  parent {line}",
         "  monitors dt rel=0.5 ulp=2.25e+15", "  monitors t abs=0"]
+
+
+def _snapshot(run_dir, shape, window=None):
+    """One snapshot of an 8x8 torus's metric.u under `run_dir`: u[i, j] = i
+    over `shape`, with `window` in its header when given."""
+    snaps = run_dir / "snapshots"
+    snaps.mkdir()
+    header = {"t": 0.0, "step": 0, "metric_tag": "conformal",
+              "grid": {"nx": 8, "ny": 8, "lx": 1.0, "ly": 1.0, "topology_x": "periodic",
+                       "topology_y": "periodic", "origin": [0, 0]},
+              "fields": [{"name": "metric.u", "dtype": "<f8", "shape": list(shape),
+                          "offset": 0}]}
+    if window is not None:
+        header["window"] = window
+    (snaps / "snap_00000.json").write_text(json.dumps(header))
+    np.broadcast_to(np.arange(8.0)[:, None], shape).astype("<f8").tofile(
+        snaps / "snap_00000.bin")
+
+
+def test_drift_report_widens_snapshots_through_their_window(tmp_path):
+    # a full-grid snapshot with no window against the same values kept as a
+    # column: the format moved, the values did not, so the drift is zero
+    parent, change = _run_dir(tmp_path / "parent", 0.5), _run_dir(tmp_path / "change", 0.5)
+    _snapshot(parent, (8, 8))
+    _snapshot(change, (8, 1), [[0, 8], [0, 1]])
+    line = "run status=completed steps=3 monitors=ab"
+    assert drift_report("run", parent, change, line, line + "c")[-1] == \
+        "  snapshots metric.u rel=0 ulp=0"

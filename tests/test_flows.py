@@ -577,13 +577,15 @@ def test_state_metric_failure_ends_as_blowup(cadence):
 
 def test_blowup_run_emits_no_runtime_warning():
     # a CFL coefficient far past stability overflows the form; the run ends
-    # with the blow-up status and numpy stays silent, with no global setting
+    # with the blow-up status and numpy stays silent, with no global setting.
+    # It takes 56 steps; the budget of 200 makes a finiteness check that
+    # misses the overflow end the run budget-exhausted, not hang
     grid = Grid2D.torus(16, 16)
     X, _ = grid.mesh()
     st = _state(grid, flat_metric(grid),
                 forms={"main": OneFormField(np.sin(X), np.zeros_like(X))})
     setup = RunSetup("overflow", "o" * 16, st,
-                     FlowProblem(), IntegratorSpec(cfl=1e3, t_final=1e9))
+                     FlowProblem(), IntegratorSpec(cfl=1e3, t_final=1e9, max_steps=200))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         traj = run_flow(setup)
@@ -665,6 +667,70 @@ def _reference_run(setup):
 def _record_bits(rec):
     floats = [rec.t, rec.dt, rec.sup_R, rec.min_R, rec.vol, *rec.values.values()]
     return rec.step, rec.grid_hash, list(rec.values), np.array(floats).view(np.int64).tolist()
+
+
+_INTEGRALS = ("vol", "u_mass", "u_curv_mass")
+_INTEGRAL_SUFFIXES = ("_l2", "_grad_energy", "_curv_energy")
+
+
+def _record_values(rec) -> dict:
+    return {"t": rec.t, "dt": rec.dt, "sup_R": rec.sup_R, "min_R": rec.min_R,
+            "vol": rec.vol, **rec.values}
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _column_records(setup, records, snapshots) -> tuple:
+    """For each reference state: monitor_record of the state cut to its
+    (nx, 1) columns as run_flow records a column run (through _reduce, with
+    the baseline of the first cut state), and of the full state with the
+    scalar curvature taken as |R|, whose integrals are those of each
+    integrand's magnitude, the scale of its rounding."""
+    full, baseline, cut, magnitudes = StateLayout.of(setup.state), None, [], []
+    for rec, (_, vec) in zip(records, snapshots):
+        state = full.unpack(vec, rec.t, rec.step)
+        geo = MetricInvariants(state.metric, state.grid)
+        geo.scalar = np.abs(geo.scalar)
+        magnitudes.append(monitor_record(state, setup.problem, rec.dt, geo))
+        layout, column, problem = flows._reduce(state, setup.problem)
+        assert layout.window == (slice(None), slice(0, 1))
+        column = layout.unpack(column, rec.t, rec.step)
+        geo = MetricInvariants(column.metric, column.grid)
+        if baseline is None and column.grid.boundary_mask.any():
+            mask = column.grid.buffer_mask()[layout.window]
+            baseline = {"mask": mask, "R0": geo.scalar[mask],
+                        "form0": {label: phi.norm_sq(geo)[mask]
+                                  for label, phi in column.forms.items()}}
+        cut.append(monitor_record(column, problem, rec.dt, geo, baseline))
+    return cut, magnitudes
+
+
+def _assert_records_of_the_reference(traj, setup, records, snapshots):
+    """run_flow's records against the full-grid reference run's.  A run that
+    is not on columns records the reference's bits.  A column run's
+    non-integral values are the reference's bits; its integrals (vol, *_l2,
+    *_grad_energy, *_curv_energy, u_mass, u_curv_mass) are the bits of the
+    reference states cut to the column, and lie within 16 ulp of the
+    integral of the integrand's magnitude: the value itself where the
+    integrand is not negative, else the integral with |R| for R, which keeps
+    a near-zero u_curv_mass to an absolute bound."""
+    if not _spilled_shape(traj)[1] == 1 < traj.grid.ny:
+        assert [_record_bits(r) for r in traj.records] == [_record_bits(r) for r in records]
+        return
+    assert [(r.step, r.grid_hash, list(r.values)) for r in traj.records] == \
+        [(r.step, r.grid_hash, list(r.values)) for r in records]
+    names = list(_record_values(records[0]))
+    integrals = [n for n in names if n in _INTEGRALS or n.endswith(_INTEGRAL_SUFFIXES)]
+    assert "vol" in integrals and len(integrals) > 1
+    cut, magnitudes = _column_records(setup, records, snapshots)
+    for recs in zip(traj.records, records, cut, magnitudes):
+        run, ref, col, mag = map(_record_values, recs)
+        assert [_bits(run[n]) for n in names] == \
+            [_bits((col if n in integrals else ref)[n]) for n in names]
+        for n in integrals:
+            assert abs(run[n] - ref[n]) <= 16 * np.spacing(mag[n]), n
 
 
 def _spilled_shape(traj) -> tuple:
@@ -831,8 +897,10 @@ def test_column_run_is_the_full_grid_run_bitwise(case, monkeypatch):
     # each such axis from its center node on, any other state at full
     # width; a metric-only conformal u that equals its transpose bit for bit
     # on matching axes and one window on both differences along x alone;
-    # either way every record and snapshot vector is the full-grid
-    # reference's, bit for bit, and the setup is left as it was
+    # either way every snapshot vector is the full-grid reference's, bit for
+    # bit, and so is every record value but a column run's integrals, which
+    # are column sums (_assert_records_of_the_reference); the setup is left
+    # as it was
     setup = _COLUMN_CASES[case]()
     state_before, problem_before = _state_bits(setup), dict(vars(setup.problem))
     traj, shapes, thetas = _stepped_shapes(monkeypatch, setup)
@@ -842,7 +910,7 @@ def test_column_run_is_the_full_grid_run_bitwise(case, monkeypatch):
     # a run spills the fields it steps: columns, a quadrant or the full grid
     assert _spilled_shape(traj) == _STEPPED[case]
     assert traj.status == BUDGET and len(traj.records) == _STEPS["max_steps"] + 1
-    assert [_record_bits(r) for r in traj.records] == [_record_bits(r) for r in records]
+    _assert_records_of_the_reference(traj, setup, records, snapshots)
     assert len(traj.snapshots) == len(snapshots)
     for snap, (fields, vec) in zip(traj.snapshots, snapshots):
         assert StateLayout.of(snap).fields == fields
@@ -945,10 +1013,10 @@ def test_nonfinite_u_ends_as_blowup_at_its_step(case, value, monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         traj = run_flow(setup)
     monkeypatch.undo()
-    records, _, _ = _reference_run(replace(setup, integrator=replace(
+    records, snapshots, _ = _reference_run(replace(setup, integrator=replace(
         setup.integrator, max_steps=2)))
     assert traj.status == BLOWUP and traj.n_steps == 2 and len(calls) == 3
-    assert [_record_bits(r) for r in traj.records] == [_record_bits(r) for r in records]
+    _assert_records_of_the_reference(traj, setup, records, snapshots)
 
 
 def test_theta_dependent_torus_passes_l2_and_sup_on_every_pair():

@@ -408,11 +408,13 @@ def _state_arrays(st):
 
 
 def _read_whole(directory):
-    # every field of every snapshot under `directory`, read whole
+    # every field of every snapshot under `directory`, read whole and widened
+    # through its header's window to the full grid
     states = []
     for header_path in sorted(Path(directory).glob("snap_*.json")):
         header, layout = read_header(header_path)
         vec = np.fromfile(header_path.with_suffix(".bin"), dtype="<f8")
+        layout, vec = layout.widen(vec)
         states.append(layout.unpack(vec, header["t"], header["step"]))
     return states
 
@@ -429,19 +431,32 @@ def _general_torus_setup():
 def test_snapshot_round_trip(neck_run, tmp_path):
     # every field, t and step reload bitwise, for each metric tag: the warped
     # neck with a form, a conformal torus with form, gauge and subsolution, and
-    # a general-metric torus with a form
+    # a general-metric torus with a form, and a metric-only conformal plane.
+    # Each file holds the vector as stepped, its header window naming the
+    # nodes: the (nx, 1) columns of the theta-invariant neck and torus, the
+    # plane's quadrant from its center node, the general torus's full grid
     _, _, traj, out = neck_run
     conformal = make_scenario(name="conformal", family="conformal-torus", nx=16, ny=16,
                               forms=[FormSpec("main", "dtheta_dsinx", 0.3)],
                               gauge_form="main", subsolution="one-plus-cos",
                               t_final=0.05, cadence=2, snapshot_every=1)
-    runs = [(traj, out, "warped", {"h", "f", "main.x"})]
-    for tag, setup in (("conformal", build(conformal)), ("general", _general_torus_setup())):
+    plane = make_scenario(name="plane", family="conformal-plane", nx=33, ny=33, lx=4.0,
+                          ly=4.0, buffer_threshold=1.0, t_final=0.01, cadence=2,
+                          snapshot_every=1)
+    runs = [(traj, out, "warped", {"h", "f", "main.x"}, [[0, 64], [0, 1]])]
+    for name, tag, setup, carried, window in (
+            ("conformal", "conformal", build(conformal), {"u", "main.x", "gauge", "sub"},
+             [[0, 16], [0, 1]]),
+            ("general", "general", _general_torus_setup(), {"main.x"}, [[0, 16], [0, 16]]),
+            ("plane", "conformal", build(plane), {"u"}, [[16, 33], [16, 33]])):
         run = run_flow(setup)
-        write_outputs(run, tmp_path / tag, problem=setup.problem)
-        runs.append((run, tmp_path / tag, tag,
-                     {"u", "main.x", "gauge", "sub"} if tag == "conformal" else {"main.x"}))
-    for run, directory, tag, carried in runs:
+        write_outputs(run, tmp_path / name, problem=setup.problem)
+        runs.append((run, tmp_path / name, tag, carried, window))
+    for run, directory, tag, carried, window in runs:
+        for header_path in (directory / "snapshots").glob("snap_*.json"):
+            header, layout = read_header(header_path)
+            assert header["window"] == window
+            assert header_path.with_suffix(".bin").stat().st_size == 8 * layout.size
         loaded = _read_whole(directory / "snapshots")
         assert len(loaded) == len(run.snapshots) > 1
         for a, b in zip(run.snapshots, loaded):
@@ -456,6 +471,70 @@ def test_snapshot_round_trip(neck_run, tmp_path):
     names = {f.name for f in dataclasses.fields(MetricField)}
     for snap in (*traj.snapshots, *load_run(out).snapshots):
         assert set(vars(snap.metric)) == names
+
+
+def _rewrite_header(snap: Path, **changes) -> None:
+    """Set (or, given None, drop) keys of a snapshot's JSON header."""
+    header = json.loads(snap.read_text())
+    header.update(changes)
+    snap.write_text(json.dumps({k: v for k, v in header.items() if v is not None}))
+
+
+def test_full_grid_directory_without_window_reloads_bitwise(neck_run, tmp_path):
+    # a run directory whose snapshots hold the full grid and whose headers
+    # name no window, as written before files were kept as stepped, reloads
+    # to the bits of the stepped files, through load_run and read whole
+    traj, problem = _conformal_run()
+    write_outputs(traj, tmp_path / "conformal", problem=problem)
+    for out in (neck_run[3], tmp_path / "conformal"):
+        wide = tmp_path / f"wide-{out.name}"
+        shutil.copytree(out, wide)
+        for header_path in sorted((wide / "snapshots").glob("snap_*.json")):
+            _, layout = read_header(header_path)
+            bin_path = header_path.with_suffix(".bin")
+            layout, vec = layout.widen(np.fromfile(bin_path, dtype="<f8"))
+            vec.tofile(bin_path)
+            _rewrite_header(header_path, window=None, fields=[
+                {"name": name, "dtype": "<f8", "shape": list(shape), "offset": 8 * offset}
+                for name, shape, offset in layout.fields])
+            assert "window" not in json.loads(header_path.read_text())
+            assert bin_path.stat().st_size > (out / "snapshots" / bin_path.name).stat().st_size
+        for a, b in ((load_run(out).snapshots, load_run(wide).snapshots),
+                     (_read_whole(out / "snapshots"), _read_whole(wide / "snapshots"))):
+            assert len(a) == len(b) > 1
+            for sa, sb in zip(a, b):
+                fa, fb = _state_arrays(sa), _state_arrays(sb)
+                assert (sa.t, sa.step, fa.keys()) == (sb.t, sb.step, fb.keys())
+                assert all(np.array_equal(fa[k].view(np.int64), fb[k].view(np.int64))
+                           for k in fa)
+
+
+@pytest.mark.parametrize("window, problem", [
+    ([[0, 64]], "is not one [start, stop] per axis"),
+    ([[0, 64], [0, 1, 2]], "is not one [start, stop] per axis"),
+    ([[0, 64], [0.0, 1]], "is not one [start, stop] per axis"),
+    ("column", "is not one [start, stop] per axis"),
+    ([[0, 64], [0, 2]], "is not one [start, stop] per axis"),
+    ([[32, 64], [0, 1]], "is not one [start, stop] per axis"),   # 64 nodes: no center
+    ([[0, 64], [0, 16]], "field form.main.phi_x has shape [64, 1]"),
+])
+def test_bad_snapshot_window_rejected_before_any_read(neck_run, tmp_path, window, problem):
+    # a window that is malformed, or that disagrees with a 2-D field's shape,
+    # is rejected by the header's name with its .bin gone (so before any of
+    # it is read), and rescale exits 2 writing nothing
+    out = tmp_path / "run"
+    shutil.copytree(neck_run[3], out)
+    snap = out / "snapshots" / "snap_00001.json"
+    _rewrite_header(snap, window=window)
+    snap.with_suffix(".bin").unlink()
+    with pytest.raises(RicciLabError) as err:
+        load_snapshots(out / "snapshots")
+    assert str(snap) in str(err.value) and problem in str(err.value)
+    sched = tmp_path / "sched.cfg"
+    sched.write_text("policy = by-curvature\n")
+    r = _cli("rescale", str(out), "--schedule", str(sched))
+    assert r.returncode == 2 and str(snap) in r.stderr
+    assert not (out / "rescale_report.json").exists()
 
 
 def test_load_run(neck_run):
@@ -586,8 +665,8 @@ def test_cli_bad_rescale_schedule_exits_2(flat_run_dir, tmp_path, schedule, prob
 
 @pytest.mark.parametrize("change", [-8, 8])
 def test_snapshot_length_checked_against_header(neck_run, tmp_path, change):
-    # a .bin 8 bytes short or long of its header's 64x16 metric.f, metric.h and
-    # form fields is rejected by name, and rescale exits 2 writing nothing
+    # a .bin 8 bytes short or long of its header's metric.h, metric.f and
+    # 64x1 form fields is rejected by name, and rescale exits 2 writing nothing
     out = tmp_path / "run"
     shutil.copytree(neck_run[3], out)
     snap = out / "snapshots" / "snap_00001.bin"
