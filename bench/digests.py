@@ -6,12 +6,15 @@ Imports riccilab from DIR (the src/ directory of a checkout) and runs each
 perfbench workload's seed-0 scenario and each scenarios/*.cfg of this
 checkout through parse_scenario -> build -> run_flow -> write_outputs, in a
 temporary directory.  Prints one line per run: its name, status, step count,
-the sha256 of monitors.csv, of the snapshots (each file's name then its
-bytes, in sorted order) and of summary.json without its scenario_hash.  A run
-with snapshots also prints rescale=, the sha256 of the JSON of the points
-rescale_trajectory measures on the run reloaded with load_run, along the
-by-curvature schedule at every snapshot time (unit factors on a flat run,
-which that policy rejects): it digests what reloading feeds the rescaling.
+the sha256 of monitors.csv, of the snapshots (each one's t, step, window,
+field names and shapes and vector bytes as run_flow spilled it, read in
+memory through SpilledSnapshots.stepped, so the digest does not depend on
+how write_outputs lays snapshots out in files) and of summary.json without
+its scenario_hash.  A run with snapshots also prints rescale=, the sha256 of
+the JSON of the points rescale_trajectory measures on the run reloaded with
+load_run, along the by-curvature schedule at every snapshot time (unit
+factors on a flat run, which that policy rejects): it digests what reloading
+feeds the rescaling.
 Every line ends with verdicts=, each summary.json verdict as name:pass:checked
 (or name:fail:checked), sorted by name: a change whose arithmetic moves the
 digests can show that every verdict held, on as many checks.  Runs on two
@@ -38,9 +41,10 @@ A column whose largest |parent| is below NEAR_ZERO (rounding residue such
 as gauge_gap, or u_curv_mass on a torus) reports abs=, max |change -
 parent|, in their place, and a column whose shape differs between the runs
 reports shape= alone.  Each snapshot field is widened to the full grid
-through its header's window before it is compared, so a run whose files
-hold a column or a quadrant and a run whose files hold the full grid show
-the drift of their values, not of their format.
+through its layout's window, in the process that ran it, and saved beside
+its run directory (fields_path) before it is compared, so a run that
+stepped a column or a quadrant and a run that stepped the full grid show
+the drift of their values, and neither side reads the other's files.
 """
 
 from __future__ import annotations
@@ -83,14 +87,11 @@ def digest_line(name: str, text: str, workdir: Path) -> str:
     run_dir = workdir / name.replace("/", "_")
     summary = write_outputs(traj, run_dir, problem=setup.problem)
     monitors = hashlib.sha256((run_dir / "monitors.csv").read_bytes()).hexdigest()
-    snaps = hashlib.sha256()
-    for path in sorted((run_dir / "snapshots").glob("*")):
-        snaps.update(path.name.encode())
-        snaps.update(path.read_bytes())
+    snaps = snapshot_digest(traj.snapshots, fields_path(run_dir))
     summary.pop("scenario_hash")
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     line = (f"{name} status={traj.status} steps={traj.n_steps} monitors={monitors} "
-            f"snapshots={snaps.hexdigest()} "
+            f"snapshots={snaps} "
             f"summary={hashlib.sha256(summary_text.encode()).hexdigest()}")
     if traj.snapshots:
         reloaded = load_run(run_dir)
@@ -103,6 +104,31 @@ def digest_line(name: str, text: str, workdir: Path) -> str:
                              for p in rescale_trajectory(reloaded, schedule)])
         line += f" rescale={hashlib.sha256(points.encode()).hexdigest()}"
     return line + f" verdicts={verdicts(run_dir)}"
+
+
+def fields_path(run_dir: Path) -> Path:
+    """Where snapshot_digest saves the widened snapshot fields of a run."""
+    return run_dir.with_name(run_dir.name + ".snapshots.npz")
+
+
+def snapshot_digest(snapshots, path: Path) -> str:
+    """The sha256 of each snapshot's t, step, window, field names and shapes
+    and vector bytes, as stepped; saves each field, widened to the full grid
+    and concatenated over the snapshots, to the .npz `path`."""
+    digest, fields = hashlib.sha256(), {}
+    for i in range(len(snapshots)):
+        layout, vec, t, step = snapshots.stepped(i)
+        grid = layout.grid
+        spans = [[r.start, r.stop] for r in (range(n)[s] for n, s in
+                                             zip((grid.nx, grid.ny), layout.window))]
+        names = [[name, list(shape)] for name, shape, _ in layout.fields]
+        digest.update(json.dumps([t, step, spans, names]).encode())
+        digest.update(vec.astype("<f8", copy=False).tobytes())
+        wide, vec = layout.widen(vec)
+        for name, shape, offset in wide.fields:
+            fields.setdefault(name, []).append(vec[offset:offset + math.prod(shape)])
+    np.savez(path, **{name: np.concatenate(parts) for name, parts in fields.items()})
+    return digest.hexdigest()
 
 
 def verdicts(run_dir: Path) -> str:
@@ -123,22 +149,16 @@ def drift(parent: np.ndarray, change: np.ndarray) -> str:
 
 
 def columns(run_dir: Path) -> dict:
-    """Every monitors.csv column and every snapshot field of a run directory
-    as a float64 array, keyed "monitors <column>" and "snapshots <field>";
-    each snapshot widened to the full grid through its header's window."""
-    from riccilab.outputs import read_header
-
+    """Every monitors.csv column of a run directory and every snapshot field
+    snapshot_digest saved for it (none if it saved none), widened, as a
+    float64 array, keyed "monitors <column>" and "snapshots <field>"."""
     lines = (run_dir / "monitors.csv").read_text().split()
     header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
     out = {f"monitors {name}": np.array([float(row[i]) for row in rows])
            for i, name in enumerate(header)}
-    fields: dict = {}
-    for path in sorted((run_dir / "snapshots").glob("snap_*.json")):
-        _, layout = read_header(path)
-        layout, vec = layout.widen(np.fromfile(path.with_suffix(".bin"), dtype="<f8"))
-        for name, shape, offset in layout.fields:
-            fields.setdefault(name, []).append(vec[offset:offset + math.prod(shape)])
-    out.update((f"snapshots {name}", np.concatenate(parts)) for name, parts in fields.items())
+    if fields_path(run_dir).exists():
+        with np.load(fields_path(run_dir)) as fields:
+            out.update((f"snapshots {name}", fields[name]) for name in fields.files)
     return out
 
 

@@ -27,7 +27,10 @@ conformal_rate.cigar129 is one stage rate with its CFL bounds,
 _rhs(..., with_cfl=True), of that setup's seed state in the layout
 flows._reduce gives it (the 129^2 quadrant), timed alone.
 write_snapshots.neck is outputs.write_snapshots of the perfbench
-neck-snapshots workload's seed-0 run, rewriting one directory per call.
+neck-snapshots workload's seed-0 run, rewriting one directory per call, and
+load_run.neck is outputs.load_run of that run, written once by
+write_outputs.  StateLayout.pack and .unpack time tests/state_vectors.py's
+pack of a full state and StateLayout.unpack of its vector.
 
 FILE holds {"unit", "statistic", "spread", "machine", "columns": {NAME:
 {layer: us}}, "spreads": {NAME: {layer: [min, max]}}}.  An existing FILE keeps
@@ -70,17 +73,17 @@ def median_us(fn) -> float:
 
 def layers() -> dict:
     import numpy as np
-    from riccilab.flows import (FlowProblem, FlowState, StateLayout, _reduce, _rhs,
-                                monitor_record, run_flow)
+    from riccilab.flows import FlowProblem, FlowState, _reduce, _rhs, monitor_record, run_flow
     from riccilab.functionals import integrate
     from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                    codifferential, conformal_metric, curvature_reduced,
                                    general_metric, grad_norm_sq, hodge_laplacian,
                                    laplace_beltrami, reduced_scalar_curvature,
                                    warped_metric)
-    from riccilab.outputs import write_snapshots
+    from riccilab.outputs import load_run, write_outputs, write_snapshots
     from riccilab.scenario import build, parse_scenario
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+    from state_vectors import layout_of, pack
     from workloads import WORKLOADS, scenario_text
 
     rng = np.random.default_rng(0)
@@ -144,9 +147,9 @@ def layers() -> dict:
         out[f"reduced_scalar_curvature.{n}"] = median_us(
             lambda: reduced_scalar_curvature(g, grid))
         out[f"curvature_reduced.{n}"] = median_us(lambda: curvature_reduced(g, geo.scalar))
-        layout = StateLayout.of(state)
-        vec = layout.pack(state)
-        out[f"StateLayout.pack.{n}"] = median_us(lambda: layout.pack(state))
+        layout = layout_of(state)
+        vec = pack(layout, state)
+        out[f"StateLayout.pack.{n}"] = median_us(lambda: pack(layout, state))
         out[f"StateLayout.unpack.{n}"] = median_us(lambda: layout.unpack(vec))
 
     setup = build(parse_scenario(scenario_text(WORKLOADS["cigar"], 0)))
@@ -163,6 +166,9 @@ def layers() -> dict:
     traj = run_flow(build(parse_scenario(scenario_text(WORKLOADS["neck-snapshots"], 0))))
     with tempfile.TemporaryDirectory() as tmp:
         out["write_snapshots.neck"] = median_us(lambda: write_snapshots(traj, tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_outputs(traj, tmp)
+        out["load_run.neck"] = median_us(lambda: load_run(tmp))
     return out
 
 

@@ -32,10 +32,9 @@ The state is one contiguous float64 vector with one StateLayout: the metric
 parameters, then each form's two components, then the gauge potential and the
 subsolution.  A state's arrays are views into its vector, so every RK stage
 combination, the frozen-node zeroing and the finiteness check are single
-vector expressions, and a snapshot's .bin file is that vector's bytes in
-layout order.  run_flow spills each snapshot's vector to one unlinked
-temporary file as it is taken (SpilledSnapshots), so a run holds no snapshot
-fields in memory.
+vector expressions, and a snapshot is that vector's bytes in layout order.
+run_flow spills each snapshot's vector to one unlinked temporary file as it
+is taken (SpilledSnapshots), so a run holds no snapshot fields in memory.
 
 A state steps reduced by a bitwise symmetry it has (_reduce decides,
 comparing bits, so +0.0 and -0.0 differ) to one window of the full grid,
@@ -55,14 +54,13 @@ halved axis.  Where that u equals its transpose bit for bit on alike axes,
 d_t d_t u is (d_x d_x u).T bit for bit, so the rate adds d_x d_x u to its
 transpose, and every stage keeps the symmetry node by node.  Records read
 the stepped state with its halved axes unfolded to the full grid.
-Snapshots are spilled and written to their files as stepped, columns and
-quadrants alike, and read back widened to the full grid.
+Snapshots are spilled and written to the run's one data file as stepped,
+columns and quadrants alike, and read back widened to the full grid.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import tempfile
 import weakref
 from collections.abc import Sequence
@@ -144,13 +142,14 @@ class StateLayout:
     the metric parameters of its tag (metric.u | metric.h, metric.f |
     metric.gxx, metric.gxt, metric.gtt), then form.<label>.phi_x and
     form.<label>.phi_theta per form, then gauge.F and sub.u when tracked.
-    Snapshot files carry these names, and a snapshot's .bin is the vector's
-    bytes.  `window` is the one description of a reduction: a slice per axis
-    of the full grid, the nodes each 2-D field holds.  A column's is
-    slice(0, 1) on theta, a halved axis's slice(origin, None); the halved
-    axes are those whose window starts past 0.  `transposed`, decided with
-    the window, says that its metric-only conformal u equals its transpose
-    bit for bit, so the rate differences it along x alone."""
+    A run's snapshot index carries these names, and its data file holds
+    each snapshot's vector bytes.  `window` is the one description of a
+    reduction: a slice per axis of the full grid, the nodes each 2-D field
+    holds.  A column's is slice(0, 1) on theta, a halved axis's
+    slice(origin, None); the halved axes are those whose window starts past
+    0.  `transposed`, decided with the window, says that its metric-only
+    conformal u equals its transpose bit for bit, so the rate differences it
+    along x alone."""
 
     def __init__(self, grid: Grid2D, tag: str, fields, window: tuple = _FULL,
                  transposed: bool = False):
@@ -175,20 +174,6 @@ class StateLayout:
         if state.subsolution is not None:
             arrays.append(("sub.u", state.subsolution))
         return arrays
-
-    @classmethod
-    def of(cls, state: FlowState) -> "StateLayout":
-        """The layout a state was unpacked through, else its full layout."""
-        if state.layout is not None:
-            return state.layout
-        return cls(state.grid, state.metric.tag,
-                   [(name, arr.shape) for name, arr in cls._arrays(state)])
-
-    def pack(self, state: FlowState) -> np.ndarray:
-        """The state as one vector; a state this layout unpacked is not copied."""
-        if state.layout is self:
-            return state.vector
-        return np.concatenate([arr.ravel() for _, arr in self._arrays(state)])
 
     @cached_property
     def metric_only(self) -> "StateLayout":
@@ -477,36 +462,38 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
 class SpilledSnapshots(Sequence):
     """A run's snapshots, spilled to disk as they are taken.
 
-    Each appended state vector goes to the end of one temporary file, which
-    is unlinked when it is created and closed when this sequence is collected;
-    only each snapshot's layout, offset, t and step stay in memory.  A run
-    appends the vector it steps, in the layout it steps, so a column run
-    spills columns and a halved run its quadrant.  `stepped` reads one back
-    as it was appended; every item access widens that read to the full
-    layout and unpacks it.  Each read is an array of its own, so a caller
-    may write into one without changing the next."""
+    A run steps one StateLayout from start to end, given when this sequence
+    is built, and appends the vector it steps, so a column run spills
+    columns and a halved run its quadrant.  The vectors go back to back into
+    one temporary file, unlinked when it is created and closed when this
+    sequence is collected: snapshot i starts at byte 8 i layout.size, and
+    only each snapshot's t and step (`times`) stay in memory.  `stepped`
+    reads one back as it was appended; every item access widens that read
+    to the full layout and unpacks it.  Each read is an array of its own, so
+    a caller may write into one without changing the next."""
 
-    def __init__(self):
+    def __init__(self, layout: StateLayout):
+        self.layout = layout
         self._file = tempfile.TemporaryFile()
         weakref.finalize(self, self._file.close)
-        self._index = []          # (layout, byte offset, t, step) per snapshot
+        self.times = []           # (t, step) per snapshot
 
-    def append(self, layout: StateLayout, vec: np.ndarray, t: float, step: int) -> None:
-        offset = self._file.seek(0, os.SEEK_END)
+    def append(self, vec: np.ndarray, t: float, step: int) -> None:
+        self._file.seek(8 * len(self) * self.layout.size)
         self._file.write(vec)
-        self._index.append((layout, offset, t, step))
+        self.times.append((t, step))
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self.times)
 
     def stepped(self, i: int) -> tuple:
         """(layout, vector, t, step) of snapshot i, in the layout it was
         appended in."""
-        layout, offset, t, step = self._index[i]
-        vec = np.empty(layout.size)
-        self._file.seek(offset)
+        t, step = self.times[i]
+        vec = np.empty(self.layout.size)
+        self._file.seek(8 * (i % len(self)) * self.layout.size)
         self._file.readinto(vec)
-        return layout, vec, t, step
+        return self.layout, vec, t, step
 
     def __getitem__(self, i: int) -> FlowState:
         layout, vec, t, step = self.stepped(i)
@@ -617,7 +604,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
                               for label, phi in state.forms.items()}}
 
     records: list[MonitorRecord] = []
-    snapshots = SpilledSnapshots() if collect_snapshots else []
+    snapshots = SpilledSnapshots(layout) if collect_snapshots else []
 
     # stage 1 of the first step, evaluated first for the CFL bounds; a
     # halved layout is metric-only conformal, and its rates never read geo
@@ -641,7 +628,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
         rec = monitor_record(state, problem, dt_used, geo, baseline)
         records.append(rec)
         if collect_snapshots and (len(records) - 1) % snap_every == 0:
-            snapshots.append(layout, vec, t, step)
+            snapshots.append(vec, t, step)
         flux = rec.values.get("buffer_flux", 0.0)
         return flux > problem.buffer_threshold
 
@@ -689,7 +676,7 @@ def run_flow(scenario_or_setup, collect_snapshots: bool = True) -> Trajectory:
     # the last record is the final state's; it took a snapshot unless its
     # index is off the snapshot cadence
     if collect_snapshots and (len(records) - 1) % snap_every:
-        snapshots.append(layout, vec, t, step)
+        snapshots.append(vec, t, step)
 
     labels = list(records[0].values.keys())
     return Trajectory(grid, records, snapshots, status, t, step,

@@ -1,27 +1,26 @@
-"""Run artifacts: monitors.csv, summary.json, and binary field snapshots.
+"""Run artifacts: monitors.csv, summary.json, and a binary snapshot store.
 
 The CSV column order is fixed (t, dt, sup_R, min_R, vol, then the monitor
 labels in registration order) and floats are written as their shortest
 round-trip decimals, so two runs of the same scenario produce byte-identical
-files.  A snapshot is the state vector a run stepped, written as raw
-little-endian float64 bytes in its StateLayout's order, beside a JSON header
-that lists the layout's fields (row-major x-then-theta, form components
-ordered phi_x then phi_theta) and its window, the [start, stop] of the nodes
-each 2-D field holds on each axis of the grid: a column run's (nx, 1)
-columns, a halved run's quadrant, or the full grid.  A header without a
-window is a full-grid one.  Reloading widens each snapshot to the full grid,
-bit for bit.
-"""
+files.  A run's snapshots are two files under snapshots/: data.bin, each
+vector the run stepped, back to back, as little-endian float64 in its one
+StateLayout's order (row-major x-then-theta, phi_x before phi_theta), and
+index.json, the grid, metric tag, fields and window (the [start, stop] of
+the nodes each 2-D field holds per axis: (nx, 1) columns, a quadrant or the
+full grid), then each snapshot's t and step.  Reloading widens each
+snapshot's metric to the full grid, bit for bit."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import RicciLabError
-from .flows import FlowState, StateLayout, Trajectory
+from .flows import FlowState, SpilledSnapshots, StateLayout, Trajectory
 from .functionals import (MonitorRecord, closedness_report, gauge_report,
                           l1_monotonicity_report, l2_monotonicity_report,
                           length_bound_report, max_principle_report,
@@ -29,6 +28,7 @@ from .functionals import (MonitorRecord, closedness_report, gauge_report,
 from .geometry import Grid2D
 
 BASE_COLUMNS = ("t", "dt", "sup_R", "min_R", "vol")
+INDEX, DATA = "index.json", "data.bin"   # a run's snapshot store, under snapshots/
 
 
 def _fmt(x: float) -> str:
@@ -71,15 +71,17 @@ def summarize_trajectory(traj: Trajectory, problem=None) -> dict:
 
 
 def write_outputs(traj: Trajectory, destination, problem=None) -> dict:
-    """Write monitors.csv, summary.json and the snapshots run_flow spilled,
-    if it collected any, under `destination`; returns the summary dict.
-    Snapshot files an earlier run left under `destination` are removed
-    first."""
+    """Write the snapshots run_flow spilled first, so that a reloaded run is
+    rejected before any file is touched, replacing an earlier run's store
+    (removing it, with none), then monitors.csv and summary.json, under
+    `destination`; returns the summary dict."""
     dest = Path(destination)
+    if traj.snapshots:
+        write_snapshots(traj, dest / "snapshots")
+    else:
+        for name in (INDEX, DATA):
+            (dest / "snapshots" / name).unlink(missing_ok=True)
     dest.mkdir(parents=True, exist_ok=True)
-    for suffix in ("json", "bin"):
-        for stale in (dest / "snapshots").glob(f"snap_*.{suffix}"):
-            stale.unlink()
     (dest / "monitors.csv").write_text(monitors_csv_text(traj))
 
     verdicts = summarize_trajectory(traj, problem) if traj.records else {}
@@ -97,25 +99,17 @@ def write_outputs(traj: Trajectory, destination, problem=None) -> dict:
     }
     (dest / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True)
                                        + "\n")
-    if traj.snapshots:
-        write_snapshots(traj, dest / "snapshots")
     return summary
 
 
 # ------------------------------------------------------------------- snapshots
-def _grid_header(grid: Grid2D) -> dict:
-    return {"nx": grid.nx, "ny": grid.ny, "lx": grid.lx, "ly": grid.ly,
-            "topology_x": grid.topology_x, "topology_y": grid.topology_y,
-            "origin": list(grid.origin)}
-
-
 def _spans(grid: Grid2D, window: tuple) -> list:
     """[start, stop] of a window's slice on each axis of `grid`."""
     return [[r.start, r.stop] for r in (range(n)[s] for n, s in zip((grid.nx, grid.ny), window))]
 
 
 def _window(spans, grid: Grid2D) -> tuple | None:
-    """The slices of a header's window, or None unless `spans` is one
+    """The slices of an index's window, or None unless `spans` is one
     [start, stop] of ints per axis and each axis is whole, its first node
     (a column) or the half from its center node on (a halved axis)."""
     if not (isinstance(spans, list) and len(spans) == 2):
@@ -133,80 +127,87 @@ def _window(spans, grid: Grid2D) -> tuple | None:
 
 
 def write_snapshots(traj: Trajectory, directory) -> None:
-    """One .json header and one .bin per snapshot a run spilled, each vector
-    in the layout it was stepped in."""
+    """data.bin, every vector a run spilled back to back as it was stepped,
+    and index.json; a reloaded run's snapshots are rejected before a write."""
+    snapshots = traj.snapshots
+    if not isinstance(snapshots, SpilledSnapshots):
+        raise RicciLabError("snapshots reloaded by load_run carry the metric alone, not "
+                            "the vectors a run stepped: write what run_flow returned")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    grid = traj.grid
-    for idx in range(len(traj.snapshots)):
-        layout, vec, t, step = traj.snapshots.stepped(idx)
-        header = {
-            "t": t, "step": step, "metric_tag": layout.tag,
-            "axis_order": "row-major x-then-theta",
-            "component_order": ["phi_x", "phi_theta"],
-            "grid": _grid_header(grid),
-            "window": _spans(grid, layout.window),
-            "fields": [{"name": name, "dtype": "<f8", "shape": list(shape),
-                        "offset": 8 * offset} for name, shape, offset in layout.fields],
-        }
-        stem = directory / f"snap_{idx:05d}"
-        stem.with_suffix(".json").write_text(json.dumps(header, indent=1) + "\n")
-        vec.astype("<f8", copy=False).tofile(stem.with_suffix(".bin"))
+    layout, grid = snapshots.layout, traj.grid
+    with open(directory / DATA, "wb") as data:
+        for i in range(len(snapshots)):
+            data.write(snapshots.stepped(i)[1].astype("<f8", copy=False))
+    index = {
+        "metric_tag": layout.tag,
+        "grid": dataclasses.asdict(grid),
+        "window": _spans(grid, layout.window),
+        "fields": [{"name": name, "dtype": "<f8", "shape": list(shape),
+                    "offset": 8 * offset} for name, shape, offset in layout.fields],
+        "snapshots": [{"t": t, "step": step} for t, step in snapshots.times],
+    }
+    (directory / INDEX).write_text(json.dumps(index, indent=1) + "\n")
 
 
-def read_header(header_path) -> tuple[dict, StateLayout]:
-    """A snapshot's JSON header and the StateLayout its fields and window
-    list.  Before any of the .bin beside it is read, a malformed window, a
-    2-D field whose shape is not the window's, and a .bin whose length is
-    not the element count the fields add up to are rejected, naming the
-    file."""
-    header_path = Path(header_path)
-    bin_path = header_path.with_suffix(".bin")
-    header = json.loads(header_path.read_text())
-    gh = header["grid"]
-    grid = Grid2D(gh["nx"], gh["ny"], gh["lx"], gh["ly"],
-                  gh["topology_x"], gh["topology_y"], tuple(gh["origin"]))
-    spans = header.get("window", [[0, grid.nx], [0, grid.ny]])
+def read_index(directory) -> tuple[dict, StateLayout]:
+    """A snapshot store's index.json and the StateLayout it lists.  Before
+    any of data.bin is read, a malformed window or a 2-D field not of the
+    window's shape is rejected naming index.json, and a data.bin length not
+    the snapshot count times layout.size naming data.bin and both counts."""
+    index_path, data_path = Path(directory) / INDEX, Path(directory) / DATA
+    index = json.loads(index_path.read_text())
+    grid = Grid2D(**index["grid"] | {"origin": tuple(index["grid"]["origin"])})
+    spans = index["window"]
     window = _window(spans, grid)
     if window is None:
-        raise RicciLabError(f"snapshot {header_path}: window {spans!r} is not one "
+        raise RicciLabError(f"snapshot index {index_path}: window {spans!r} is not one "
                             f"[start, stop] per axis of the {grid.nx}x{grid.ny} grid "
                             "that is the whole axis, a column or a half from its center")
     shape = [stop - start for start, stop in _spans(grid, window)]
-    for f in header["fields"]:
+    for f in index["fields"]:
         if len(f["shape"]) == 2 and list(f["shape"]) != shape:
-            raise RicciLabError(f"snapshot {header_path}: field {f['name']} has shape "
+            raise RicciLabError(f"snapshot index {index_path}: field {f['name']} has shape "
                                 f"{list(f['shape'])}, its window {spans!r} holds {shape}")
-    layout = StateLayout(grid, header["metric_tag"],
-                         [(f["name"], f["shape"]) for f in header["fields"]], window)
-    found = bin_path.stat().st_size / 8
-    if found != layout.size:
-        raise RicciLabError(f"snapshot {bin_path}: its header lists {layout.size} "
-                            f"float64 elements, the file holds {found:.15g}")
-    return header, layout
+    layout = StateLayout(grid, index["metric_tag"],
+                         [(f["name"], f["shape"]) for f in index["fields"]], window)
+    n, found = len(index["snapshots"]), data_path.stat().st_size / 8
+    if found != n * layout.size:
+        raise RicciLabError(f"snapshot data {data_path}: its index lists {n} snapshots of "
+                            f"{layout.size} float64 elements, {n * layout.size} in all, "
+                            f"the file holds {found:.15g}")
+    return index, layout
 
 
 def load_snapshots(directory) -> list[FlowState]:
-    """The snapshots under `directory`, in file order, each carrying its
-    metric alone, widened to the full grid: only the metric parameters, the
-    head of each .bin, are read, after read_header has checked the file."""
+    """The snapshots of the store under `directory`, each carrying its metric
+    alone, widened to the full grid: data.bin is opened once, after
+    read_index, and only each vector's metric head is read.  Per-snapshot
+    snap_*.json files without an index.json are rejected by name."""
+    directory = Path(directory)
+    if not (directory / INDEX).exists():
+        if any(directory.glob("snap_*.json")):
+            raise RicciLabError(f"snapshots {directory}: snap_*.json files, a layout no "
+                                f"longer read, and no {INDEX}; re-run the scenario")
+        return []
+    index, layout = read_index(directory)
+    head = layout.metric_only
     states = []
-    for header_path in sorted(Path(directory).glob("snap_*.json")):
-        header, layout = read_header(header_path)
-        head = layout.metric_only
-        vec = np.fromfile(header_path.with_suffix(".bin"), dtype="<f8", count=head.size)
-        head, vec = head.widen(vec)
-        states.append(head.unpack(vec, header["t"], header["step"]))
+    with open(directory / DATA, "rb") as data:
+        for i, snap in enumerate(index["snapshots"]):
+            data.seek(8 * i * layout.size)
+            vec = np.empty(head.size, "<f8")
+            data.readinto(vec)
+            wide, vec = head.widen(vec)
+            states.append(wide.unpack(vec, snap["t"], snap["step"]))
     return states
 
 
 def load_run(directory) -> Trajectory:
     """The Trajectory a run directory was written from, as far as its files
-    hold it: status, t_end, n_steps, scenario name and hash and the monitor
-    labels from summary.json, the records from monitors.csv (each with step
-    0, which the CSV does not hold) and the snapshots, each carrying its
-    metric alone, from snapshots/.  The grid is the one the snapshot headers
-    list, or None for a run written without snapshots."""
+    hold it: summary.json's status, t_end, n_steps, scenario and labels,
+    monitors.csv's records (with step 0, which the CSV does not hold) and
+    load_snapshots; the grid is the snapshot index's, else None."""
     directory = Path(directory)
     summary_path = directory / "summary.json"
     if not summary_path.exists():
@@ -225,8 +226,7 @@ def load_run(directory) -> Trajectory:
                 sup_R=row.pop("sup_R"), min_R=row.pop("min_R"),
                 vol=row.pop("vol"), values=row,
                 grid_hash=summary["grid_hash"]))
-    snap_dir = directory / "snapshots"
-    snapshots = load_snapshots(snap_dir) if snap_dir.exists() else []
+    snapshots = load_snapshots(directory / "snapshots")
     return Trajectory(snapshots[0].grid if snapshots else None, records, snapshots,
                       summary["status"], summary["t_end"], summary["n_steps"],
                       summary["scenario"], summary["scenario_hash"],

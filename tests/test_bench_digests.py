@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
+from riccilab.flows import SpilledSnapshots, StateLayout
+from riccilab.geometry import Grid2D
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from digests import drift, drift_report  # noqa: E402
+from digests import drift, drift_report, fields_path, snapshot_digest  # noqa: E402
 
 
 def test_drift_is_relative_to_the_column_scale_in_ulps():
@@ -50,29 +53,23 @@ def test_drift_report_says_whether_the_digest_lines_are_identical(tmp_path):
         "  monitors dt rel=0.5 ulp=2.25e+15", "  monitors t abs=0"]
 
 
-def _snapshot(run_dir, shape, window=None):
-    """One snapshot of an 8x8 torus's metric.u under `run_dir`: u[i, j] = i
-    over `shape`, with `window` in its header when given."""
-    snaps = run_dir / "snapshots"
-    snaps.mkdir()
-    header = {"t": 0.0, "step": 0, "metric_tag": "conformal",
-              "grid": {"nx": 8, "ny": 8, "lx": 1.0, "ly": 1.0, "topology_x": "periodic",
-                       "topology_y": "periodic", "origin": [0, 0]},
-              "fields": [{"name": "metric.u", "dtype": "<f8", "shape": list(shape),
-                          "offset": 0}]}
-    if window is not None:
-        header["window"] = window
-    (snaps / "snap_00000.json").write_text(json.dumps(header))
-    np.broadcast_to(np.arange(8.0)[:, None], shape).astype("<f8").tofile(
-        snaps / "snap_00000.bin")
+def _snapshot(run_dir, shape, window=(slice(None), slice(None))):
+    """One snapshot of an 8x8 torus's metric.u, u[i, j] = i over `shape` in
+    the layout of `window`, digested as run_flow would have spilled it."""
+    layout = StateLayout(Grid2D.torus(8, 8, 1.0, 1.0), "conformal", [("metric.u", shape)],
+                         window)
+    snapshots = SpilledSnapshots(layout)
+    snapshots.append(np.broadcast_to(np.arange(8.0)[:, None], shape).ravel(), 0.0, 0)
+    return snapshot_digest(snapshots, fields_path(run_dir))
 
 
 def test_drift_report_widens_snapshots_through_their_window(tmp_path):
-    # a full-grid snapshot with no window against the same values kept as a
-    # column: the format moved, the values did not, so the drift is zero
+    # a full-grid snapshot against the same values stepped as a column: the
+    # layout moved, the values did not, so the drift is zero and the
+    # snapshots= digests, which hash the stepped vectors, differ
     parent, change = _run_dir(tmp_path / "parent", 0.5), _run_dir(tmp_path / "change", 0.5)
-    _snapshot(parent, (8, 8))
-    _snapshot(change, (8, 1), [[0, 8], [0, 1]])
+    assert _snapshot(parent, (8, 8)) != _snapshot(change, (8, 1), (slice(None), slice(0, 1)))
+    assert _snapshot(tmp_path / "again", (8, 8)) == _snapshot(parent, (8, 8))
     line = "run status=completed steps=3 monitors=ab"
     assert drift_report("run", parent, change, line, line + "c")[-1] == \
         "  snapshots metric.u rel=0 ulp=0"

@@ -14,8 +14,8 @@ import pytest
 import riccilab.flows as flows
 from riccilab.errors import DegenerateMetricError
 from riccilab.flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED,
-                            FlowProblem, FlowState, IntegratorSpec, StateLayout,
-                            _rhs, cfl_dt, flow_step, monitor_record, run_flow)
+                            FlowProblem, FlowState, IntegratorSpec, _rhs, cfl_dt,
+                            flow_step, monitor_record, run_flow)
 from riccilab.functionals import (CohomologyProbe, NodePath, integrate,
                                   l2_monotonicity_report, max_principle_report)
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
@@ -24,6 +24,7 @@ from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                require_conformal_spd, warped_metric)
 from riccilab.oracles import TrigMode, flat_spectral_oracle
 from riccilab.scenario import FormSpec, ProbeSpec, RunSetup, build, make_scenario
+from state_vectors import layout_of, pack
 
 
 def _state(grid, metric, **kw):
@@ -32,15 +33,15 @@ def _state(grid, metric, **kw):
 
 def _step(state, dt, problem):
     """flow_step of a FlowState: the next state, or None on blow-up."""
-    layout = StateLayout.of(state)
-    vec = flow_step(layout.pack(state), layout, dt, problem)
+    layout = layout_of(state)
+    vec = flow_step(pack(layout, state), layout, dt, problem)
     return None if vec is None else layout.unpack(vec, state.t + dt, state.step + 1)
 
 
 def _cfl_bounds(state):
     """The CFL bounds stage 1 of a step from `state` reads."""
-    layout = StateLayout.of(state)
-    return _rhs(layout.pack(state), layout, FlowProblem(), with_cfl=True)[1]
+    layout = layout_of(state)
+    return _rhs(pack(layout, state), layout, FlowProblem(), with_cfl=True)[1]
 
 
 def _general_copy(setup):
@@ -135,15 +136,15 @@ def _fields(st):
 
 def test_unpack_of_pack_is_the_state_bitwise():
     for st in _coupled_states(Grid2D.cylinder(33, 16, 6.0)):
-        layout = StateLayout.of(st)
-        vec = layout.pack(st)
+        layout = layout_of(st)
+        vec = pack(layout, st)
         assert vec.dtype == np.float64 and vec.shape == (layout.size,)
         back = layout.unpack(vec, st.t, st.step)
         assert back.metric.tag == st.metric.tag
         for a, b in zip(_fields(st), _fields(back), strict=True):
             assert np.array_equal(a, b)
         # a state the layout unpacked packs to its own vector, with no copy
-        assert StateLayout.of(back) is layout and layout.pack(back) is vec
+        assert layout_of(back) is layout and pack(layout, back) is vec
         # its gauge and subsolution, where tracked, are plain arrays viewing it
         scalars = [a for a in (back.gauge, back.subsolution) if a is not None]
         assert len(scalars) == (2 if st.metric.tag == "conformal" else 0)
@@ -156,7 +157,7 @@ def test_frozen_nodes_match_per_array_rule():
     for grid in (Grid2D.plane(257, 257, 16.0, 16.0), Grid2D.cylinder(512, 64, 20.0),
                  Grid2D.torus(32, 32)):
         for st in _coupled_states(grid):
-            layout = StateLayout.of(st)
+            layout = layout_of(st)
             k = np.ones(layout.size)
             if layout.frozen.size:
                 k[layout.frozen] = 0.0
@@ -622,8 +623,8 @@ def test_run_flow_leaves_problem_alone():
 def _copy(state):
     """A state of its own vector, unpacked through the same layout, so a
     conformal metric's gxx and gtt stay one array."""
-    layout = StateLayout.of(state)
-    return layout.unpack(layout.pack(state).copy(), state.t, state.step)
+    layout = layout_of(state)
+    return layout.unpack(pack(layout, state).copy(), state.t, state.step)
 
 
 def _reference_run(setup):
@@ -641,18 +642,18 @@ def _reference_run(setup):
         baseline = {"mask": mask, "R0": geo.scalar[mask],
                     "form0": {label: phi.norm_sq(geo)[mask]
                               for label, phi in state.forms.items()}}
-    layout = StateLayout.of(state)
-    k1, bounds = _rhs(layout.pack(state), layout, problem, geo, with_cfl=True)
+    layout = layout_of(state)
+    k1, bounds = _rhs(pack(layout, state), layout, problem, geo, with_cfl=True)
     records, snapshots, dt = [], [], cfl_dt(grid, spec, bounds)
     while True:
         records.append(monitor_record(state, problem, dt, geo, baseline))
-        snapshots.append((layout.fields, layout.pack(state).copy()))
+        snapshots.append((layout.fields, pack(layout, state).copy()))
         if state.step >= spec.max_steps:
             return records, snapshots, None
         if k1 is None:
-            k1, bounds = _rhs(layout.pack(state), layout, problem, geo, with_cfl=True)
+            k1, bounds = _rhs(pack(layout, state), layout, problem, geo, with_cfl=True)
         dt = min(cfl_dt(grid, spec, bounds), spec.t_final - state.t)
-        vec = flow_step(layout.pack(state), layout, dt, problem, spec.scheme, k1=k1)
+        vec = flow_step(pack(layout, state), layout, dt, problem, spec.scheme, k1=k1)
         if vec is None:
             return records, snapshots, None
         state = layout.unpack(vec, state.t + dt, state.step + 1)
@@ -688,7 +689,7 @@ def _column_records(setup, records, snapshots) -> tuple:
     the baseline of the first cut state), and of the full state with the
     scalar curvature taken as |R|, whose integrals are those of each
     integrand's magnitude, the scale of its rounding."""
-    full, baseline, cut, magnitudes = StateLayout.of(setup.state), None, [], []
+    full, baseline, cut, magnitudes = layout_of(setup.state), None, [], []
     for rec, (_, vec) in zip(records, snapshots):
         state = full.unpack(vec, rec.t, rec.step)
         geo = MetricInvariants(state.metric, state.grid)
@@ -735,15 +736,15 @@ def _assert_records_of_the_reference(traj, setup, records, snapshots):
 
 def _spilled_shape(traj) -> tuple:
     """The shape of the 2-D fields run_flow stepped, read off the window of
-    its first spilled snapshot's layout: a run spills the vector it steps."""
-    layout = traj.snapshots._index[0][0]
+    its snapshots' layout: a run spills the vector it steps."""
+    layout = traj.snapshots.layout
     grid = layout.grid
     return tuple(len(range(n)[s]) for n, s in zip((grid.nx, grid.ny), layout.window))
 
 
 def _state_bits(setup):
-    layout = StateLayout.of(setup.state)
-    return layout.fields, layout.pack(setup.state).view(np.int64).copy()
+    layout = layout_of(setup.state)
+    return layout.fields, pack(layout, setup.state).view(np.int64).copy()
 
 
 def _theta_dependent_torus(n, **kw):
@@ -913,7 +914,7 @@ def test_column_run_is_the_full_grid_run_bitwise(case, monkeypatch):
     _assert_records_of_the_reference(traj, setup, records, snapshots)
     assert len(traj.snapshots) == len(snapshots)
     for snap, (fields, vec) in zip(traj.snapshots, snapshots):
-        assert StateLayout.of(snap).fields == fields
+        assert layout_of(snap).fields == fields
         assert np.array_equal(snap.vector.view(np.int64), vec.view(np.int64))
     fields, bits = _state_bits(setup)
     assert fields == state_before[0] and np.array_equal(bits, state_before[1])

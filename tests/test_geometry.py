@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riccilab.errors import DegenerateMetricError
-from riccilab.flows import FlowState, StateLayout
+from riccilab.flows import FlowState
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                christoffel, codifferential, conformal_metric,
                                curvature, curvature_reduced,
@@ -17,6 +17,7 @@ from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                rough_laplacian, warped_metric)
 from riccilab.geometry.fields import DET_FLOOR
 from riccilab.geometry.operators import _codifferential_two_form, _sym2
+from state_vectors import layout_of, pack
 
 
 def _general(g):
@@ -163,9 +164,9 @@ def test_warped_metric_holds_row_profiles(neck_grid, neck_metric, source):
     # a warped metric depends on x alone: its components and invariants are
     # read-only broadcasts of (nx, 1) profiles, whichever way it was made
     state = FlowState(0.0, neck_grid, neck_metric)
-    layout = StateLayout.of(state)
+    layout = layout_of(state)
     g = {"built": lambda: neck_metric,
-         "unpacked": lambda: layout.unpack(layout.pack(state)).metric,
+         "unpacked": lambda: layout.unpack(pack(layout, state)).metric,
          "rescaled": lambda: neck_metric.rescaled(0.3)}[source]()
     geo = MetricInvariants(g, neck_grid)
     arrays = [g.gxx, g.gtt, geo.det, g.det(), geo.sqrt_det, *geo.inv, geo.scalar]

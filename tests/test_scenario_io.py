@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from riccilab.errors import RicciLabError, ScenarioError
 from riccilab.flows import FlowProblem, FlowState, IntegratorSpec, run_flow
 from riccilab.geometry import Grid2D, MetricField, OneFormField, general_metric
-from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text, read_header,
+from riccilab.outputs import (load_run, load_snapshots, monitors_csv_text, read_index,
                               write_outputs, write_snapshots)
 from riccilab.scenario import (FAMILIES, FormSpec, ProbeSpec, RunSetup, build, make_scenario,
                                parse_scenario, scenario_hash, serialize_scenario)
@@ -408,14 +408,14 @@ def _state_arrays(st):
 
 
 def _read_whole(directory):
-    # every field of every snapshot under `directory`, read whole and widened
-    # through its header's window to the full grid
+    # every field of every snapshot of the store under `directory`, read
+    # whole and widened through its index's window to the full grid
+    index, layout = read_index(directory)
+    vecs = np.fromfile(Path(directory) / "data.bin", dtype="<f8").reshape(-1, layout.size)
     states = []
-    for header_path in sorted(Path(directory).glob("snap_*.json")):
-        header, layout = read_header(header_path)
-        vec = np.fromfile(header_path.with_suffix(".bin"), dtype="<f8")
-        layout, vec = layout.widen(vec)
-        states.append(layout.unpack(vec, header["t"], header["step"]))
+    for vec, snap in zip(vecs, index["snapshots"], strict=True):
+        wide, vec = layout.widen(vec.copy())
+        states.append(wide.unpack(vec, snap["t"], snap["step"]))
     return states
 
 
@@ -432,9 +432,10 @@ def test_snapshot_round_trip(neck_run, tmp_path):
     # every field, t and step reload bitwise, for each metric tag: the warped
     # neck with a form, a conformal torus with form, gauge and subsolution, and
     # a general-metric torus with a form, and a metric-only conformal plane.
-    # Each file holds the vector as stepped, its header window naming the
-    # nodes: the (nx, 1) columns of the theta-invariant neck and torus, the
-    # plane's quadrant from its center node, the general torus's full grid
+    # Each store is index.json and data.bin, which holds the vectors as
+    # stepped, back to back, the index's window naming the nodes: the (nx, 1)
+    # columns of the theta-invariant neck and torus, the plane's quadrant
+    # from its center node, the general torus's full grid
     _, _, traj, out = neck_run
     conformal = make_scenario(name="conformal", family="conformal-torus", nx=16, ny=16,
                               forms=[FormSpec("main", "dtheta_dsinx", 0.3)],
@@ -453,10 +454,11 @@ def test_snapshot_round_trip(neck_run, tmp_path):
         write_outputs(run, tmp_path / name, problem=setup.problem)
         runs.append((run, tmp_path / name, tag, carried, window))
     for run, directory, tag, carried, window in runs:
-        for header_path in (directory / "snapshots").glob("snap_*.json"):
-            header, layout = read_header(header_path)
-            assert header["window"] == window
-            assert header_path.with_suffix(".bin").stat().st_size == 8 * layout.size
+        assert _store_files(directory) == ["data.bin", "index.json"]
+        index, layout = read_index(directory / "snapshots")
+        assert index["window"] == window
+        assert (directory / "snapshots" / "data.bin").stat().st_size == \
+            8 * layout.size * len(run.snapshots)
         loaded = _read_whole(directory / "snapshots")
         assert len(loaded) == len(run.snapshots) > 1
         for a, b in zip(run.snapshots, loaded):
@@ -473,40 +475,60 @@ def test_snapshot_round_trip(neck_run, tmp_path):
         assert set(vars(snap.metric)) == names
 
 
-def _rewrite_header(snap: Path, **changes) -> None:
-    """Set (or, given None, drop) keys of a snapshot's JSON header."""
-    header = json.loads(snap.read_text())
-    header.update(changes)
-    snap.write_text(json.dumps({k: v for k, v in header.items() if v is not None}))
+def _store_files(run_dir: Path) -> list:
+    return sorted(p.name for p in (run_dir / "snapshots").iterdir())
 
 
-def test_full_grid_directory_without_window_reloads_bitwise(neck_run, tmp_path):
-    # a run directory whose snapshots hold the full grid and whose headers
-    # name no window, as written before files were kept as stepped, reloads
-    # to the bits of the stepped files, through load_run and read whole
-    traj, problem = _conformal_run()
-    write_outputs(traj, tmp_path / "conformal", problem=problem)
-    for out in (neck_run[3], tmp_path / "conformal"):
-        wide = tmp_path / f"wide-{out.name}"
-        shutil.copytree(out, wide)
-        for header_path in sorted((wide / "snapshots").glob("snap_*.json")):
-            _, layout = read_header(header_path)
-            bin_path = header_path.with_suffix(".bin")
-            layout, vec = layout.widen(np.fromfile(bin_path, dtype="<f8"))
-            vec.tofile(bin_path)
-            _rewrite_header(header_path, window=None, fields=[
-                {"name": name, "dtype": "<f8", "shape": list(shape), "offset": 8 * offset}
-                for name, shape, offset in layout.fields])
-            assert "window" not in json.loads(header_path.read_text())
-            assert bin_path.stat().st_size > (out / "snapshots" / bin_path.name).stat().st_size
-        for a, b in ((load_run(out).snapshots, load_run(wide).snapshots),
-                     (_read_whole(out / "snapshots"), _read_whole(wide / "snapshots"))):
-            assert len(a) == len(b) > 1
-            for sa, sb in zip(a, b):
-                fa, fb = _state_arrays(sa), _state_arrays(sb)
-                assert (sa.t, sa.step, fa.keys()) == (sb.t, sb.step, fb.keys())
-                assert all(np.array_equal(fa[k].view(np.int64), fb[k].view(np.int64))
-                           for k in fa)
+def _rewrite_index(index_path: Path, **changes) -> None:
+    """Set keys of a snapshot store's index.json."""
+    index = json.loads(index_path.read_text())
+    index.update(changes)
+    index_path.write_text(json.dumps(index))
+
+
+def test_a_run_writes_two_snapshot_files(many_snapshots_run, tmp_path):
+    # a run's snapshots are index.json and data.bin whatever their count:
+    # perfbench's 512x64 neck (98 snapshots) and many_snapshots_run (over 90)
+    setup = build(parse_scenario((ROOT / "perfbench/scenarios/neck-snapshots.cfg").read_text()))
+    neck = run_flow(setup)
+    write_outputs(neck, tmp_path, problem=setup.problem)
+    out, n = many_snapshots_run
+    assert len(neck.snapshots) == 98 and n > 90
+    for run_dir, count in ((tmp_path, 98), (out / "run", n)):
+        assert _store_files(run_dir) == ["data.bin", "index.json"]
+        assert len(load_run(run_dir).snapshots) == count
+
+
+def test_per_snapshot_directory_rejected_by_name(neck_run, tmp_path):
+    # a directory of the dropped per-snapshot layout, snap_*.json and .bin
+    # files with no index.json, is rejected naming it, and rescale exits 2
+    # writing nothing
+    out = tmp_path / "run"
+    shutil.copytree(neck_run[3], out)
+    snaps = out / "snapshots"
+    (snaps / "index.json").rename(snaps / "snap_00000.json")
+    (snaps / "data.bin").rename(snaps / "snap_00000.bin")
+    with pytest.raises(RicciLabError) as err:
+        load_run(out)
+    assert str(snaps) in str(err.value) and "re-run the scenario" in str(err.value)
+    sched = tmp_path / "sched.cfg"
+    sched.write_text("policy = by-curvature\n")
+    r = _cli("rescale", str(out), "--schedule", str(sched))
+    assert r.returncode == 2 and str(snaps) in r.stderr and "Traceback" not in r.stderr
+    assert not (out / "rescale_report.json").exists()
+
+
+def test_writing_a_reloaded_run_is_rejected_by_name(neck_run, tmp_path):
+    # reloaded snapshots carry the metric alone, so writing them is refused
+    # before any file is touched, also into the run's own directory
+    out = tmp_path / "run"
+    shutil.copytree(neck_run[3], out)
+    before = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    for dest in (out, tmp_path / "other"):
+        with pytest.raises(RicciLabError, match="carry the metric alone"):
+            write_outputs(load_run(out), dest)
+    assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert not (tmp_path / "other").exists()
 
 
 @pytest.mark.parametrize("window, problem", [
@@ -520,13 +542,13 @@ def test_full_grid_directory_without_window_reloads_bitwise(neck_run, tmp_path):
 ])
 def test_bad_snapshot_window_rejected_before_any_read(neck_run, tmp_path, window, problem):
     # a window that is malformed, or that disagrees with a 2-D field's shape,
-    # is rejected by the header's name with its .bin gone (so before any of
+    # is rejected by the index's name with data.bin gone (so before any of
     # it is read), and rescale exits 2 writing nothing
     out = tmp_path / "run"
     shutil.copytree(neck_run[3], out)
-    snap = out / "snapshots" / "snap_00001.json"
-    _rewrite_header(snap, window=window)
-    snap.with_suffix(".bin").unlink()
+    snap = out / "snapshots" / "index.json"
+    _rewrite_index(snap, window=window)
+    (out / "snapshots" / "data.bin").unlink()
     with pytest.raises(RicciLabError) as err:
         load_snapshots(out / "snapshots")
     assert str(snap) in str(err.value) and problem in str(err.value)
@@ -665,19 +687,21 @@ def test_cli_bad_rescale_schedule_exits_2(flat_run_dir, tmp_path, schedule, prob
 
 @pytest.mark.parametrize("change", [-8, 8])
 def test_snapshot_length_checked_against_header(neck_run, tmp_path, change):
-    # a .bin 8 bytes short or long of its header's metric.h, metric.f and
-    # 64x1 form fields is rejected by name, and rescale exits 2 writing nothing
+    # a data.bin 8 bytes short or long of its index's snapshots of metric.h,
+    # metric.f and 64x1 form fields is rejected by name, and rescale exits 2
+    # writing nothing
     out = tmp_path / "run"
     shutil.copytree(neck_run[3], out)
-    snap = out / "snapshots" / "snap_00001.bin"
+    snap = out / "snapshots" / "data.bin"
     data = snap.read_bytes()
-    expected = len(data) // 8
+    expected, n = len(data) // 8, len(neck_run[2].snapshots)
     snap.write_bytes(data[:change] if change < 0 else data + bytes(change))
     with pytest.raises(RicciLabError) as err:
         load_snapshots(out / "snapshots")
     message = str(err.value)
     assert str(snap) in message
-    assert f"lists {expected} float64 elements" in message
+    assert f"lists {n} snapshots of {expected // n} float64 elements, {expected} in all" \
+        in message
     assert f"holds {expected + change // 8}" in message
     sched = tmp_path / "sched.cfg"
     sched.write_text("policy = by-curvature\n")
