@@ -21,9 +21,10 @@ digests can show that every verdict held, on as many checks.  Runs on two
 checkouts print the same lines when their outputs agree byte for byte;
 scenario_hash is left out because it hashes the serialized spec, which
 changes whenever a key is added or retired.  scenarios/cigar.cfg takes about
-10 s on a 2-vCPU x86_64 host (about 15 s on a riccilab that takes both second
-differences of its quadrant, and about 56 s on one that steps the whole 257^2
-grid, as --against PARENT may).
+7.5 s on a 2-vCPU x86_64 host (about 10 s on a riccilab that pads its
+quadrant with mirror rows, about 15 s on one that takes both second
+differences of it, and about 56 s on one that steps the whole 257^2 grid, as
+--against PARENT may).
 
     python3 bench/digests.py --src DIR --against PARENT
 

@@ -25,7 +25,11 @@ step: the time for 2 RUN_STEPS steps less the time for RUN_STEPS steps,
 over RUN_STEPS, so the work of the two records at the ends cancels.
 conformal_rate.cigar129 is one stage rate with its CFL bounds,
 _rhs(..., with_cfl=True), of that setup's seed state in the layout
-flows._reduce gives it (the 129^2 quadrant), timed alone.
+flows._reduce gives it (the 129^2 quadrant), timed alone.  On that
+quadrant's u, diff2_half.cigar129 is Grid2D.diff2_half along x, where the
+imported riccilab has it, and diff2_pad_cut.cigar129 the composition it
+replaces: two mirror rows put before u (np.pad's "reflect"), diff_x twice,
+and the two rows cut off.
 write_snapshots.neck is outputs.write_snapshots of the perfbench
 neck-snapshots workload's seed-0 run, rewriting one directory per call, and
 load_run.neck is outputs.load_run of that run, written once by
@@ -156,6 +160,11 @@ def layers() -> dict:
     layout, vec, problem = _reduce(setup.state, setup.problem)
     out["conformal_rate.cigar129"] = median_us(
         lambda: _rhs(vec, layout, problem, with_cfl=True))
+    grid, quadrant = layout.grid, layout.parts(vec)[0][0]
+    if hasattr(grid, "diff2_half"):
+        out["diff2_half.cigar129"] = median_us(lambda: grid.diff2_half(quadrant, 0))
+    out["diff2_pad_cut.cigar129"] = median_us(lambda: grid.diff_x(grid.diff_x(
+        np.pad(quadrant, ((2, 0), (0, 0)), mode="reflect")))[2:])
     per_run = []
     for steps in (RUN_STEPS, 2 * RUN_STEPS):
         capped = dataclasses.replace(setup, integrator=dataclasses.replace(

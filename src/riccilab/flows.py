@@ -49,11 +49,11 @@ A metric-only conformal state whose u is even about the center node of a
 truncated axis steps as the half of that axis from the center on (the
 cigar's quadrant): centered differences turn even into odd and back exactly,
 the one-sided closures mirror each other with the sign flipped, and the rest
-acts node by node, so the rate reads u with two mirror nodes before each
-halved axis.  Where that u equals its transpose bit for bit on alike axes,
-d_t d_t u is (d_x d_x u).T bit for bit, so the rate adds d_x d_x u to its
-transpose, and every stage keeps the symmetry node by node.  Records read
-the stepped state with its halved axes unfolded to the full grid.
+acts node by node, so Grid2D.diff2_half takes each halved axis's second
+difference on the half.  Where that u equals its transpose bit for bit on
+alike axes, d_t d_t u is (d_x d_x u).T bit for bit, so the rate adds a copy
+of that transpose to d_x d_x u, and every stage keeps the symmetry node by
+node.  Records read the stepped state with its halved axes unfolded.
 Snapshots are spilled and written to the run's one data file as stepped,
 columns and quadrants alike, and read back widened to the full grid.
 """
@@ -74,10 +74,9 @@ from .functionals import (MonitorRecord, closedness_residual, cycle_integral,
                           integrate, min_circumference)
 from .geometry import (CONFORMAL, GENERAL, PERIODIC, TRUNCATED, WARPED, Grid2D,
                        MetricField, MetricInvariants, OneFormField, codifferential,
-                       conformal_metric, flat_laplacian, general_metric,
-                       grad_norm_sq, hodge_laplacian, laplace_beltrami,
-                       require_conformal_spd, unbroadcast, warped_gauss_curvature,
-                       warped_metric)
+                       conformal_metric, general_metric, grad_norm_sq,
+                       hodge_laplacian, laplace_beltrami, require_conformal_spd,
+                       unbroadcast, warped_gauss_curvature, warped_metric)
 
 DT_UNDERFLOW = 1e-12
 
@@ -183,14 +182,11 @@ class StateLayout:
                            [(name, shape) for name, shape, _ in self.fields[:n]],
                            self.window)
 
-    def mirrored(self, a: np.ndarray, depth: int | None = None, axes=(0, 1)) -> np.ndarray:
-        """The 2-D field `a` of this layout with its mirror image about the
-        origin put before each halved axis of `axes`: `depth` nodes of it, or
-        all of it (a[:0:-1], then a), which unfolds `a` to the full grid's."""
-        start = None if depth is None else -1 - depth
-        for axis in (axis for axis in self.halves if axis in axes):
-            mirror = np.flip(a, axis)[(slice(None),) * axis + (slice(start, -1),)]
-            a = np.concatenate([mirror, a], axis)
+    def mirrored(self, a: np.ndarray) -> np.ndarray:
+        """The 2-D field `a` of this layout unfolded to the full grid's: its
+        mirror image about the origin, a[:0:-1], put before each halved axis."""
+        for axis in self.halves:
+            a = np.concatenate([a[(slice(None),) * axis + (slice(None, 0, -1),)], a], axis)
         return a
 
     def widen(self, vec: np.ndarray):
@@ -290,16 +286,15 @@ def _rhs(vec: np.ndarray, layout: StateLayout, problem: FlowProblem,
         np.exp(rate, out=rate)
         if with_cfl:                       # g^xx = g^tt = e^{-2u}
             sup_inv = np.max(rate)
-        # two mirror nodes before each halved axis (np.pad's "reflect") give
-        # every kept node the full grid's stencil operands; the pad is cut
-        # off again (with no halved axis, u itself and the whole Laplacian).  On
-        # a transposed layout d_t d_t u is (d_x d_x u).T bit for bit
-        cut = tuple(slice(2 if axis in layout.halves else 0, None) for axis in (0, 1))
-        if layout.transposed:
-            dxx = grid.diff_x(grid.diff_x(layout.mirrored(u, 2, axes=(0,))))[cut[0]]
-            rate *= dxx + dxx.T
-        else:
-            rate *= flat_laplacian(layout.mirrored(u, 2), grid)[cut]
+        # Lap0 u = d_x d_x u + d_t d_t u, a halved axis's term taken on the
+        # half; on a transposed layout d_t d_t u is (d_x d_x u).T bit for
+        # bit, and IEEE addition commutes
+        dd = [grid.diff2_half(u, axis) if axis in layout.halves
+              else grid.diff(grid.diff(u, axis), axis)
+              for axis in ((0,) if layout.transposed else (0, 1))]
+        lap = dd[0].T.copy() if layout.transposed else dd[0]
+        lap += dd[-1]
+        rate *= lap
         if with_cfl:   # max |rate| with no temporary; NaN where a node is NaN
             sup_R = 2.0 * float(max(abs(np.max(rate)), abs(np.min(rate))))
             bounds = (sup_inv, 0.0, sup_inv, sup_R)
@@ -495,7 +490,9 @@ class SpilledSnapshots(Sequence):
         self._file.readinto(vec)
         return self.layout, vec, t, step
 
-    def __getitem__(self, i: int) -> FlowState:
+    def __getitem__(self, i: int | slice) -> FlowState | list:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         layout, vec, t, step = self.stepped(i)
         layout, vec = layout.widen(vec)
         return layout.unpack(vec, t, step)

@@ -16,6 +16,12 @@ written after the interior.  Multiplying by the rounded reciprocal adds at
 most one rounding per difference to the quotient form, far below the O(h^2)
 truncation error; when 2h is a power of two the reciprocal is exact and the
 product is the quotient's bits.
+
+A field even about the center node of a truncated axis is known from the half
+of that axis from the center on.  Grid2D.diff2_half takes d d along the axis
+on that half alone, with the full grid's bits: where the composed stencil
+reads a node below the center it reads its mirror image, and the first
+differences it never reads, the low-end closures among them, are not taken.
 """
 
 from __future__ import annotations
@@ -160,6 +166,26 @@ class Grid2D:
             out[f0] = 3.0 * a[f0] - 4.0 * a[f1] + a[f2]
         out *= 1.0 / (2.0 * h)
         return out
+
+    def diff2_half(self, a: np.ndarray, axis: int) -> np.ndarray:
+        """d_a d_a u along `axis` (0 or 1) on the kept half a = u[origin:] of
+        a 2-D u even about the origin node of that truncated axis: the full
+        grid's diff(diff(u)) there, by the same operations on the same
+        operands.  The first differences run from the image of node 1
+        (a[0] - a[2]) and node 0 (a[1] - a[1], so inf and NaN give NaN) on."""
+        factor = 1.0 / (2.0 * (self.hx, self.hy)[axis])
+        a = a.T if axis else a        # the differenced axis first
+        d = np.empty((len(a) + 1,) + a.shape[1:])
+        np.subtract(a[0], a[2], out=d[0])
+        np.subtract(a[1], a[1], out=d[1])
+        np.subtract(a[2:], a[:-2], out=d[2:-1])
+        d[-1] = 3.0 * a[-1] - 4.0 * a[-2] + a[-3]
+        d *= factor
+        out = np.empty_like(a, dtype=d.dtype)
+        np.subtract(d[2:], d[:-2], out=out[:-1])
+        out[-1] = 3.0 * d[-1] - 4.0 * d[-2] + d[-3]
+        out *= factor
+        return out.T if axis else out
 
     def diff_x(self, a: np.ndarray) -> np.ndarray:
         """d/dx along axis -2 of a 2-D (or stacked ...,nx,ny) array, or axis 0 of a 1-D

@@ -23,6 +23,7 @@ from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                hodge_laplacian, reduced_scalar_curvature,
                                require_conformal_spd, warped_metric)
 from riccilab.oracles import TrigMode, flat_spectral_oracle
+from riccilab.outputs import load_run, write_outputs
 from riccilab.scenario import FormSpec, ProbeSpec, RunSetup, build, make_scenario
 from state_vectors import layout_of, pack
 
@@ -766,14 +767,14 @@ def _with_node_path_probe(setup):
     return replace(setup, problem=replace(setup.problem, probes=probes))
 
 
-def _plane(nx=33, ny=33, edit=None, hy=1 / 8, origin=None, **kw):
-    """The cigar plane patch with spacing 1/8 on x and `hy` on theta (4 x 4
-    on 33 nodes), with `edit` applied to a copy of its u, on a grid with
-    `origin` when given.  Its coordinates are exact, so u is mirror
-    symmetric bit for bit about the middle of each axis, a node or not, and
-    on square axes it equals its transpose bit for bit."""
+def _plane(nx=33, ny=33, edit=None, hx=1 / 8, hy=1 / 8, origin=None, **kw):
+    """The cigar plane patch with spacing `hx` on x and `hy` on theta (4 x 4
+    on 33 nodes by default), with `edit` applied to a copy of its u, on a
+    grid with `origin` when given.  Its coordinates are exact, so u is
+    mirror symmetric bit for bit about the middle of each axis, a node or
+    not, and on square axes it equals its transpose bit for bit."""
     setup = build(make_scenario(name="plane", family="conformal-plane", nx=nx, ny=ny,
-                                lx=(nx - 1) / 8, ly=(ny - 1) * hy, buffer_threshold=1.0,
+                                lx=(nx - 1) * hx, ly=(ny - 1) * hy, buffer_threshold=1.0,
                                 **kw, **_STEPS))
     if edit is None and origin is None:
         return setup
@@ -848,6 +849,8 @@ _COLUMN_CASES = {
     "plane-signed-zero": lambda: _plane(edit=_signed_zero_pair),
     "plane-even": lambda: _plane(nx=32, ny=32),
     "plane-stretched": lambda: _plane(hy=1 / 4, edit=_index_bump),
+    # spacing 3/32, so 1/(2h) = 16/3 is not a power of two and its products round
+    "plane-three-32nds": lambda: _plane(hx=3 / 32, hy=3 / 32),
     "plane-ulp-diagonal": lambda: _plane(edit=_one_ulp_off_the_diagonal),
     "plane-signed-zero-diagonal": lambda: _plane(edit=_signed_zero_across_the_diagonal),
     "plane-origin": lambda: _plane(origin=(16, 5)),
@@ -859,23 +862,31 @@ _STEPPED = {"flat-torus": (16, 1), "conformal-torus": (16, 1), "neck": (64, 1),
             "neck-node-path": (64, 1), "torus-2d": (32, 32), "plane": (17, 17),
             "plane-odd-theta": (32, 17), "plane-ulp": (33, 33),
             "plane-signed-zero": (33, 33), "plane-even": (32, 32),
-            "plane-stretched": (17, 17), "plane-ulp-diagonal": (17, 17),
+            "plane-stretched": (17, 17), "plane-three-32nds": (17, 17),
+            "plane-ulp-diagonal": (17, 17),
             "plane-signed-zero-diagonal": (17, 17), "plane-origin": (17, 33),
             "plane-form": (33, 33), "plane-subsolution": (33, 33)}
 # the cases whose rates take d_t d_t u as the transpose of d_x d_x u
-_TRANSPOSED = {"plane", "plane-even"}
+_TRANSPOSED = {"plane", "plane-even", "plane-three-32nds"}
 
 
 def _stepped_shapes(monkeypatch, setup):
     """run_flow of `setup`, the shapes of the 2-D fields of every layout its
     rates were taken in, and for each rate whether it differenced along
-    theta (a transposed rate does not)."""
-    shapes, thetas, rhs, diff_t = set(), set(), flows._rhs, Grid2D.diff_t
+    theta (a transposed rate does not): by Grid2D.diff_t, or by
+    Grid2D.diff2_half on axis 1."""
+    shapes, thetas, rhs = set(), set(), flows._rhs
+    diff_t, diff2_half = Grid2D.diff_t, Grid2D.diff2_half
     calls = []
 
     def counted_diff_t(grid, a):
         calls.append(a.shape)
         return diff_t(grid, a)
+
+    def counted_diff2_half(grid, a, axis):
+        if axis == 1:
+            calls.append(a.shape)
+        return diff2_half(grid, a, axis)
 
     def spy(vec, layout, *args, **kw):
         shapes.update(shape for _, shape, _ in layout.fields if len(shape) == 2)
@@ -886,6 +897,7 @@ def _stepped_shapes(monkeypatch, setup):
 
     monkeypatch.setattr(flows, "_rhs", spy)
     monkeypatch.setattr(Grid2D, "diff_t", counted_diff_t)
+    monkeypatch.setattr(Grid2D, "diff2_half", counted_diff2_half)
     traj = run_flow(setup)
     monkeypatch.undo()
     return traj, shapes, thetas
@@ -1134,6 +1146,25 @@ def test_snapshot_reads_are_arrays_of_their_own(many_snapshots_spec):
     assert np.array_equal(snaps[5].vector, kept)
     assert [s.step for s in snaps] == list(range(len(snaps)))
     assert snaps[-1].step == len(snaps) - 1
+
+
+@pytest.mark.parametrize("case", ["many", "plane"])
+def test_snapshot_slices_are_lists_of_the_items(case, many_snapshots_spec, tmp_path):
+    # a slice of the snapshots of a run, spilled, or of its reloaded
+    # directory, a list, holds the snapshots at the slice's indices, each
+    # read as an item access reads it; the plane's are read widened from
+    # its quadrant
+    traj = run_flow(many_snapshots_spec if case == "many" else _plane())
+    write_outputs(traj, tmp_path)
+    for snaps in (traj.snapshots, load_run(tmp_path).snapshots):
+        n = len(snaps)
+        for cut in (slice(0, 2), slice(0, 3), slice(None, None, -3), slice(-3, None),
+                    slice(5, 1), slice(n - 2, n + 5)):
+            sliced, items = snaps[cut], [snaps[i] for i in range(n)[cut]]
+            assert isinstance(sliced, list) and len(sliced) == len(items)
+            for a, b in zip(sliced, items):
+                assert (a.t, a.step, a.layout.fields) == (b.t, b.step, b.layout.fields)
+                assert np.array_equal(a.vector.view(np.int64), b.vector.view(np.int64))
 
 
 def test_snapshots_leave_memory_during_the_run(many_snapshots_spec):

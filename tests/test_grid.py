@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from riccilab.geometry import Grid2D
 
@@ -152,6 +153,43 @@ def test_column_diff_t_is_the_full_grid_stencil_bitwise(grid):
         assert narrow.shape == a.shape
         assert np.array_equal(wide.view(np.int64),
                               np.repeat(narrow, grid.ny, axis=-1).view(np.int64))
+
+
+_SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310]
+
+
+@st.composite
+def _kept_halves(draw):
+    """A grid truncated on both axes with an odd node count and its spacing
+    h, whose 1/(2h) is a power of two or not, and the kept half from its
+    center node on, 8 to 33 nodes, along axis 0 or 1 of a 2-D array: normal
+    draws, whose sums round, with drawn floats put in at drawn nodes, signed
+    zeros, NaN, infinities and subnormals among them."""
+    kept, width, axis = draw(st.integers(8, 33)), draw(st.integers(1, 4)), draw(st.integers(0, 1))
+    h = 2.0 ** draw(st.integers(-8, 3)) if draw(st.booleans()) else draw(st.floats(1e-3, 10.0))
+    n = 2 * kept - 1
+    grid = Grid2D.plane(n, n, (n - 1) * h, (n - 1) * h)
+    shape = (kept, width) if axis == 0 else (width, kept)
+    normal = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(shape)
+    values = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats(width=64))
+    drawn = draw(hnp.arrays(np.float64, shape, elements=values))
+    return grid, axis, np.where(draw(hnp.arrays(bool, shape)), drawn, normal)
+
+
+@settings(max_examples=100)
+@given(case=_kept_halves())
+def test_half_second_difference_is_the_pad_and_cut_composition_bitwise(case):
+    # the half of u even about the center node, padded with its two mirror
+    # nodes (np.pad's "reflect"), differenced twice along the axis and cut
+    # back to the half: diff2_half gives these bits, compared as int64
+    grid, axis, a = case
+    pad, cut = [(0, 0), (0, 0)], [slice(None), slice(None)]
+    pad[axis], cut[axis] = (2, 0), slice(2, None)
+    with np.errstate(all="ignore"):                          # inf - inf, overflow
+        full = grid.diff(grid.diff(np.pad(a, pad, mode="reflect"), axis), axis)
+        half = grid.diff2_half(a, axis)
+    assert half.shape == a.shape
+    assert np.array_equal(half.view(np.int64), full[tuple(cut)].view(np.int64))
 
 
 def test_diff_periodic_second_order():
