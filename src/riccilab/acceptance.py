@@ -22,10 +22,10 @@ from .functionals import (ThetaCircle, form_energy_identity_report,
                           length_bound_report, max_principle_report,
                           min_circumference)
 from .geometry import (Grid2D, MetricInvariants, OneFormField, codifferential,
-                       conformal_metric, flat_metric, general_metric,
-                       hodge_laplacian, laplace_beltrami,
-                       reduced_scalar_curvature, warped_metric)
-from .scenario import FormSpec, ProbeSpec, build, make_scenario, scenario_hash
+                       conformal_metric, general_metric, hodge_laplacian,
+                       laplace_beltrami, reduced_scalar_curvature)
+from .scenario import (FormSpec, ProbeSpec, build, build_geometry, make_scenario,
+                       scenario_hash)
 
 
 @dataclass
@@ -48,6 +48,12 @@ def _cached_run(spec, snapshots=False) -> Trajectory:
     if key not in _RUN_CACHE:
         _RUN_CACHE[key] = run_flow(spec, collect_snapshots=snapshots)
     return _RUN_CACHE[key]
+
+
+def _order(sizes, errors) -> float:
+    """The convergence order: minus the least-squares slope of log error
+    against log size, which at two sizes is the pairwise order."""
+    return float(-np.polyfit(np.log(sizes), np.log(errors), 1)[0])
 
 
 # ------------------------------------------------------------- shared scenarios
@@ -110,25 +116,24 @@ def suite_l2_monotonicity() -> list:
 # ------------------------------------------------------------- suite 2
 def suite_energy_identity() -> list:
     out = []
-    results = {}
+    sizes = (64, 128)
     for family, name in (("flat-torus", "static"), ("conformal-torus", "evolving")):
-        residuals = {}
-        for nx in (64, 128):
+        residuals = []
+        for nx in sizes:
             spec = make_scenario(
                 name=f"energy-{name}-{nx}", family=family, nx=nx, ny=nx,
                 metric_amplitude=0.05, forms=[FormSpec("main", "sinx_dx")],
                 t_final=0.25, cadence=1, monitor_energy=True)
             traj = _cached_run(spec)
             rep = form_energy_identity_report(traj, "main")
-            residuals[nx] = rep.worst_margin
+            residuals.append(rep.worst_margin)
             if nx == 128:
                 tol = 1e-3 * rep.notes["initial_energy"]
                 out.append(CriterionResult(
                     "energy-identity", f"{name} background residual at nx=128",
                     rep.worst_margin <= tol,
                     f"max residual {rep.worst_margin:.2e} <= {tol:.2e}"))
-        order = math.log2(residuals[64] / residuals[128])
-        results[name] = order
+        order = _order(sizes, residuals)
         out.append(CriterionResult(
             "energy-identity", f"{name} refinement order 64->128",
             order >= 1.5, f"measured order {order:.2f} (need >= 1.5)"))
@@ -231,13 +236,11 @@ def _background(label, n):
     """The suite's backgrounds at n nodes per axis: the cigar plane, the neck
     cylinder and a conformal torus."""
     if label == "cigar":
-        grid = Grid2D.plane(n, n, 10.0, 10.0)
-        X, T = grid.mesh()
-        return grid, conformal_metric(grid, -0.5 * np.log1p(X ** 2 + T ** 2))
+        return build_geometry(make_scenario(family="conformal-plane", nx=n, ny=n,
+                                            lx=10.0, ly=10.0))
     if label == "neck":
-        grid = Grid2D.cylinder(n, max((n - 1) // 4, 16), 20.0)
-        x = grid.x
-        return grid, warped_metric(grid, np.ones_like(x), 2.0 - np.exp(-(x / 2.5) ** 2))
+        return build_geometry(make_scenario(family="warped-cylinder", nx=n, lx=20.0,
+                                            ny=max((n - 1) // 4, 16), metric_width=2.5))
     grid = Grid2D.torus(n - 1, n - 1)
     X, T = grid.mesh()
     return grid, conformal_metric(grid, 0.05 * np.sin(X) * np.cos(T))
@@ -291,10 +294,8 @@ def suite_bochner_consistency() -> list:
     out = []
     sizes = (65, 129, 257)
 
-    flat_gaps = []
-    for n in sizes:
-        grid = Grid2D.torus(n - 1, n - 1)
-        flat_gaps.append(_operator_gap(grid, flat_metric(grid)))
+    flat_gaps = [_operator_gap(*build_geometry(make_scenario(
+        family="flat-torus", nx=n - 1, ny=n - 1))) for n in sizes]
     out.append(CriterionResult(
         "bochner-consistency", "flat torus (paths identical)",
         max(flat_gaps) <= 1e-12,
@@ -302,7 +303,7 @@ def suite_bochner_consistency() -> list:
 
     for label in ("cigar", "neck"):
         gaps = [_operator_gap(*_background(label, n)) for n in sizes]
-        slope = -np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
+        slope = _order(sizes, gaps)
         out.append(CriterionResult(
             "bochner-consistency", f"{label} background convergence order",
             slope >= 1.9,
@@ -331,9 +332,7 @@ def suite_cigar_steadiness() -> list:
 # ------------------------------------------------------------- suite 9
 def suite_scaling_laws() -> list:
     out = []
-    grid = Grid2D.cylinder(128, 32, 20.0)
-    x = grid.x
-    g = warped_metric(grid, np.ones_like(x), 2.0 - np.exp(-x ** 2))
+    grid, g = build_geometry(make_scenario(family="warped-cylinder", nx=128, ny=32, lx=20.0))
     grid_c = Grid2D.torus(64, 64)
     Xc, Tc = grid_c.mesh()
     g_c = conformal_metric(grid_c, 0.2 * np.sin(Xc) * np.cos(Tc))

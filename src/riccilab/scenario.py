@@ -2,13 +2,9 @@
 that collects every problem instead of failing fast, and builders that turn a
 spec into an initial state plus flow problem.
 
-Geometry families:
-  flat-torus        periodic x periodic, identity metric (held exactly flat)
-  conformal-torus   periodic x periodic, u(0) = amplitude * sin(2 pi x / lx)
-  warped-cylinder   truncated x, periodic theta; f(x,0) = a - b exp(-(x/w)^2), h = 1
-  conformal-plane   both axes truncated; the cigar profile u = -log(1+r^2)/2
-
-Tracked-form presets: "dtheta", "sinx_dx", and "dtheta_dsinx:<c>" which is
+Each geometry family is one row of `_FAMILIES`: its grid factory, its default
+grid sizes and its initial metric.  Each tracked-form preset is one row of
+`_FORM_PRESETS`: "dtheta", "sinx_dx", and "dtheta_dsinx:<c>" which is
 dtheta + c d(sin x); all are exactly closed at the stencil level.
 """
 
@@ -27,20 +23,10 @@ from .functionals import ThetaCircle, make_probe
 from .geometry import (Grid2D, MetricField, MetricInvariants, OneFormField,
                        conformal_metric, flat_metric, warped_metric)
 
-FAMILIES = ("flat-torus", "conformal-torus", "warped-cylinder", "conformal-plane")
-
-_GRID_DEFAULTS = {
-    "flat-torus": (64, 64, 2 * math.pi, 2 * math.pi),
-    "conformal-torus": (64, 64, 2 * math.pi, 2 * math.pi),
-    "warped-cylinder": (256, 32, 20.0, 2 * math.pi),
-    "conformal-plane": (129, 129, 16.0, 16.0),
-}
-
-
 @dataclass
 class FormSpec:
     label: str
-    preset: str            # dtheta | sinx_dx | dtheta_dsinx
+    preset: str            # a key of _FORM_PRESETS
     coeff: float = 0.0
 
     def token(self) -> str:
@@ -198,11 +184,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def _fill_defaults(spec: ScenarioSpec):
-    nx, ny, lx, ly = _GRID_DEFAULTS.get(spec.family, _GRID_DEFAULTS["flat-torus"])
-    spec.nx = spec.nx or nx
-    spec.ny = spec.ny or ny
-    spec.lx = spec.lx or lx
-    spec.ly = spec.ly or ly
+    defaults = _FAMILIES.get(spec.family, _FAMILIES["flat-torus"])[1]
+    for key, default in zip(("nx", "ny", "lx", "ly"), defaults):
+        setattr(spec, key, getattr(spec, key) or default)
     spec.probes.sort(key=lambda p: p.label)
     spec.forms.sort(key=lambda f: f.label)
 
@@ -239,7 +223,7 @@ def validate(spec: ScenarioSpec) -> list:
     elif math.isnan(spec.metric_width):
         problems.append("metric.width must not be NaN")
     for fs in spec.forms:
-        if fs.preset not in ("dtheta", "sinx_dx", "dtheta_dsinx"):
+        if fs.preset not in _FORM_PRESETS:
             problems.append(f"form {fs.label!r}: unknown preset {fs.preset!r}")
         if not math.isfinite(fs.coeff):
             problems.append(f"form {fs.label!r}: coefficient must be finite")
@@ -295,43 +279,57 @@ def scenario_hash(spec: ScenarioSpec) -> str:
 
 
 # ------------------------------------------------------------------- builders
-def build_grid(spec: ScenarioSpec) -> Grid2D:
-    if spec.family in ("flat-torus", "conformal-torus"):
-        return Grid2D.torus(spec.nx, spec.ny, spec.lx, spec.ly)
-    if spec.family == "warped-cylinder":
-        return Grid2D.cylinder(spec.nx, spec.ny, spec.lx, spec.ly)
-    return Grid2D.plane(spec.nx, spec.ny, spec.lx, spec.ly)
+def _conformal_torus(spec: ScenarioSpec, grid: Grid2D) -> MetricField:
+    X, _ = grid.mesh()
+    return conformal_metric(grid, spec.metric_amplitude * np.sin(2 * math.pi * X / spec.lx))
 
 
-def build_metric(spec: ScenarioSpec, grid: Grid2D) -> MetricField:
-    if spec.family == "flat-torus":
-        return flat_metric(grid)
-    if spec.family == "conformal-torus":
-        X, _ = grid.mesh()
-        u = spec.metric_amplitude * np.sin(2 * math.pi * X / spec.lx)
-        return conformal_metric(grid, u)
-    if spec.family == "warped-cylinder":
-        x = grid.x
-        f = spec.metric_outer - spec.metric_dip * np.exp(-(x / spec.metric_width) ** 2)
-        return warped_metric(grid, np.ones_like(x), f)
+def _neck(spec: ScenarioSpec, grid: Grid2D) -> MetricField:
+    x = grid.x
+    f = spec.metric_outer - spec.metric_dip * np.exp(-(x / spec.metric_width) ** 2)
+    return warped_metric(grid, np.ones_like(x), f)
+
+
+def _cigar(spec: ScenarioSpec, grid: Grid2D) -> MetricField:
     X, T = grid.mesh()
-    u = -0.5 * np.log1p(X ** 2 + T ** 2)
-    return conformal_metric(grid, u)
+    return conformal_metric(grid, -0.5 * np.log1p(X ** 2 + T ** 2))
+
+
+# family -> (its grid factory, its default (nx, ny, lx, ly), its initial metric)
+_FAMILIES = {
+    # periodic x periodic, identity metric (held exactly flat)
+    "flat-torus": (Grid2D.torus, (64, 64, 2 * math.pi, 2 * math.pi),
+                   lambda spec, grid: flat_metric(grid)),
+    # periodic x periodic, u(0) = amplitude * sin(2 pi x / lx)
+    "conformal-torus": (Grid2D.torus, (64, 64, 2 * math.pi, 2 * math.pi), _conformal_torus),
+    # truncated x, periodic theta; h = 1, f = outer - dip * exp(-(x / width)^2)
+    "warped-cylinder": (Grid2D.cylinder, (256, 32, 20.0, 2 * math.pi), _neck),
+    # both axes truncated; the cigar profile u = -log(1 + r^2) / 2
+    "conformal-plane": (Grid2D.plane, (129, 129, 16.0, 16.0), _cigar),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
+def build_geometry(spec: ScenarioSpec) -> tuple[Grid2D, MetricField]:
+    """The grid and the initial metric of spec's family, from its row."""
+    make_grid, _, make_metric = _FAMILIES[spec.family]
+    grid = make_grid(spec.nx, spec.ny, spec.lx, spec.ly)
+    return grid, make_metric(spec, grid)
+
+
+# preset -> its (dx, dtheta) components on the mesh X, with k = 2 pi / lx
+_FORM_PRESETS = {
+    "dtheta": lambda fs, k, X: (np.zeros_like(X), np.ones_like(X)),
+    "sinx_dx": lambda fs, k, X: (np.sin(k * X), np.zeros_like(X)),
+    # dtheta + c d(sin kx): the exact gradient is added analytically, so the
+    # discrete form is exactly closed
+    "dtheta_dsinx": lambda fs, k, X: (fs.coeff * k * np.cos(k * X), np.ones_like(X)),
+}
 
 
 def build_form(fs: FormSpec, grid: Grid2D) -> OneFormField:
     X, _ = grid.mesh()
-    k = 2 * math.pi / grid.lx
-    zero = np.zeros((grid.nx, grid.ny))
-    if fs.preset == "dtheta":
-        return OneFormField(zero, np.ones_like(zero))
-    if fs.preset == "sinx_dx":
-        return OneFormField(np.sin(k * X), zero)
-    if fs.preset == "dtheta_dsinx":
-        # dtheta + c d(sin kx): the exact gradient is added analytically, so the
-        # discrete form is exactly closed
-        return OneFormField(fs.coeff * k * np.cos(k * X), np.ones_like(zero))
-    raise ValueError(f"unknown form preset {fs.preset!r}")
+    return OneFormField(*_FORM_PRESETS[fs.preset](fs, 2 * math.pi / grid.lx, X))
 
 
 def build_subsolution(spec: ScenarioSpec, grid: Grid2D) -> np.ndarray | None:
@@ -361,8 +359,7 @@ def build(spec: ScenarioSpec) -> RunSetup:
     problems = validate(spec)
     if problems:
         raise ScenarioError(problems)
-    grid = build_grid(spec)
-    metric = build_metric(spec, grid)
+    grid, metric = build_geometry(spec)
     try:
         geo = MetricInvariants(metric, grid)
     except DegenerateMetricError as e:     # rejected here, not mid-run

@@ -50,6 +50,54 @@ def test_minimal_scenario_fills_defaults():
     assert spec.integrator.cfl == 0.2
 
 
+# each family's topologies and default (nx, ny, lx, ly)
+FAMILY_GRIDS = {
+    "flat-torus": ("periodic", "periodic", (64, 64, 2 * np.pi, 2 * np.pi)),
+    "conformal-torus": ("periodic", "periodic", (64, 64, 2 * np.pi, 2 * np.pi)),
+    "warped-cylinder": ("truncated", "periodic", (256, 32, 20.0, 2 * np.pi)),
+    "conformal-plane": ("truncated", "truncated", (129, 129, 16.0, 16.0)),
+}
+SIZED = dict(nx=24, ny=12, lx=7.0, ly=5.0, metric_amplitude=0.2, metric_outer=3.0,
+             metric_dip=0.5, metric_width=2.0)
+
+
+def _bits(a):
+    return a.shape, a.dtype, np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("params", [{}, SIZED], ids=["defaults", "sized"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_initial_data_is_its_closed_form(family, params):
+    # every family's grid and initial metric, and every form preset on it, bit
+    # for bit against its formula
+    spec = make_scenario(family=family, **params, forms=[
+        FormSpec("a", "dtheta"), FormSpec("b", "sinx_dx"), FormSpec("c", "dtheta_dsinx", 0.3)])
+    state = build(spec).state
+    grid, metric = state.grid, state.metric
+    topology_x, topology_y, defaults = FAMILY_GRIDS[family]
+    nx, ny, lx, ly = [params.get(key, d) for key, d in zip(("nx", "ny", "lx", "ly"), defaults)]
+    assert (grid.topology_x, grid.topology_y) == (topology_x, topology_y)
+    assert (grid.nx, grid.ny, grid.lx, grid.ly) == (nx, ny, lx, ly)
+
+    X, T = grid.mesh()
+    if family == "warped-cylinder":
+        f = spec.metric_outer - spec.metric_dip * np.exp(-(grid.x / spec.metric_width) ** 2)
+        assert _bits(metric.h) == _bits(np.ones(nx))
+        assert _bits(metric.f) == _bits(f)
+    else:
+        u = {"flat-torus": np.zeros((nx, ny)),
+             "conformal-torus": spec.metric_amplitude * np.sin(2 * np.pi * X / lx),
+             "conformal-plane": -0.5 * np.log1p(X ** 2 + T ** 2)}[family]
+        assert _bits(metric.u) == _bits(u)
+
+    k = 2 * np.pi / lx
+    zero, one = np.zeros((nx, ny)), np.ones((nx, ny))
+    for label, (dx, dtheta) in {"a": (zero, one), "b": (np.sin(k * X), zero),
+                                "c": (0.3 * k * np.cos(k * X), one)}.items():
+        assert _bits(state.forms[label].x) == _bits(dx)
+        assert _bits(state.forms[label].theta) == _bits(dtheta)
+
+
 # e^{2u} with u = -7 sin x falls under the det floor at one node
 DEGENERATE_CFG = ("family = conformal-torus\ngrid.nx = 16\ngrid.ny = 16\n"
                   "metric.amplitude = 7.0\n")
@@ -170,7 +218,8 @@ BAD_VALUES = [("subsolution.amplitude = inf", "subsolution amplitude must be fin
               ("form.main = dtheta_dsinx:nan", "form 'main': coefficient must be finite"),
               ("subsolution.sink = inf", "subsolution sink must be finite and >= 0"),
               ("grid.lx = inf", "domain lengths must be positive and finite"),
-              ("grid.ly = inf", "domain lengths must be positive and finite")]
+              ("grid.ly = inf", "domain lengths must be positive and finite"),
+              ("form.main = dtheta2", "form 'main': unknown preset 'dtheta2'")]
 
 
 @pytest.mark.parametrize("line, problem", BAD_VALUES)
@@ -646,6 +695,7 @@ def test_cli_missing_scenario_exits_2(tmp_path):
 def test_cli_bad_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     for text, problem in (("family = warped-cylinder\nmetric.dip = 9\n", "f not positive"),
+                          ("family = conformal-tori\n", "did you mean 'conformal-torus'"),
                           (DEGENERATE_CFG, "node (12, 0)")):
         cfg.write_text(text)
         r = _cli("run", str(cfg), "--out", str(tmp_path / "o"))
