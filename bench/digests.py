@@ -14,7 +14,12 @@ its scenario_hash.  A run with snapshots also prints rescale=, the sha256 of
 the JSON of the points rescale_trajectory measures on the run reloaded with
 load_run, along the by-curvature schedule at every snapshot time (unit
 factors on a flat run, which that policy rejects): it digests what reloading
-feeds the rescaling.
+feeds the rescaling.  Every line then prints rewrite=: the run reloaded with
+load_run is written with the setup's problem into a sibling directory, and
+rewrite=identical says that every file came out byte for byte, else it
+names the first file (in sorted order) that differs or is in one directory
+alone, or rewrite=refused when write_outputs raises RicciLabError, as a
+riccilab that cannot write a reloaded run does.
 Every line ends with verdicts=, each summary.json verdict as name:pass:checked
 (or name:fail:checked), sorted by name: a change whose arithmetic moves the
 digests can show that every verdict held, on as many checks.  Runs on two
@@ -79,6 +84,7 @@ def runs() -> list:
 def digest_line(name: str, text: str, workdir: Path) -> str:
     from riccilab.blowup import (RescalingSchedule, by_curvature_schedule,
                                  rescale_trajectory)
+    from riccilab.errors import RicciLabError
     from riccilab.flows import run_flow
     from riccilab.outputs import load_run, write_outputs
     from riccilab.scenario import build, parse_scenario
@@ -104,7 +110,25 @@ def digest_line(name: str, text: str, workdir: Path) -> str:
         points = json.dumps([dataclasses.asdict(p)
                              for p in rescale_trajectory(reloaded, schedule)])
         line += f" rescale={hashlib.sha256(points.encode()).hexdigest()}"
+    rewrite_dir = run_dir.with_name(run_dir.name + ".rewrite")
+    try:
+        write_outputs(load_run(run_dir), rewrite_dir, problem=setup.problem)
+        line += f" rewrite={first_difference(run_dir, rewrite_dir)}"
+    except RicciLabError:
+        line += " rewrite=refused"
     return line + f" verdicts={verdicts(run_dir)}"
+
+
+def first_difference(run_dir: Path, other: Path) -> str:
+    """"identical" when both directories hold the same files byte for byte,
+    else the first file, in sorted order, that differs or is in one alone."""
+    names = sorted({str(p.relative_to(d)) for d in (run_dir, other)
+                    for p in d.rglob("*") if p.is_file()})
+    for name in names:
+        a, b = run_dir / name, other / name
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return name
+    return "identical"
 
 
 def fields_path(run_dir: Path) -> Path:

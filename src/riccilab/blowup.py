@@ -44,12 +44,11 @@ def by_curvature_schedule(traj, times) -> RescalingSchedule:
 
 def nearest_snapshots(traj, schedule: RescalingSchedule):
     """For each schedule entry in turn, the snapshot of `traj` nearest its
-    time, the first of equals.  Each snapshot's time is read once, in one
-    pass, and a chosen snapshot is read when the caller reaches it."""
-    snap_times = [s.t for s in traj.snapshots]
+    time, the first of equals.  The times are the sequence's `times`, so a
+    snapshot is read only when the caller reaches it."""
+    snap_times = np.array([t for t, _ in traj.snapshots.times])
     for t, _ in schedule.entries:
-        yield traj.snapshots[min(range(len(snap_times)),
-                                 key=lambda i: abs(snap_times[i] - t))]
+        yield traj.snapshots[int(np.argmin(np.abs(snap_times - t)))]
 
 
 @dataclass

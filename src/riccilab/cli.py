@@ -112,7 +112,7 @@ def _cmd_rescale(args) -> int:
         policy = cfg.get("policy", "explicit")
         times = [float(v) for v in cfg.get("times", "").split(",") if v.strip()]
         if not times:
-            times = [s.t for s in traj.snapshots]
+            times = [t for t, _ in traj.snapshots.times]
         if policy == "by-curvature":
             schedule = by_curvature_schedule(traj, times)
         else:

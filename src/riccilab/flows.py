@@ -34,7 +34,8 @@ subsolution.  A state's arrays are views into its vector, so every RK stage
 combination, the frozen-node zeroing and the finiteness check are single
 vector expressions, and a snapshot is that vector's bytes in layout order.
 run_flow spills each snapshot's vector to one unlinked temporary file as it
-is taken (SpilledSnapshots), so a run holds no snapshot fields in memory.
+is taken (SpilledSnapshots), so a run holds no snapshot fields in memory; a
+reloaded run's snapshots are the same sequence over its data file's bytes.
 
 A state steps reduced by a bitwise symmetry it has (_reduce decides,
 comparing bits, so +0.0 and -0.0 differ) to one window of the full grid,
@@ -55,7 +56,8 @@ alike axes, d_t d_t u is (d_x d_x u).T bit for bit, so the rate adds a copy
 of that transpose to d_x d_x u, and every stage keeps the symmetry node by
 node.  Records read the stepped state with its halved axes unfolded.
 Snapshots are spilled and written to the run's one data file as stepped,
-columns and quadrants alike, and read back widened to the full grid.
+columns and quadrants alike, reloaded as stepped, and read widened to the
+full grid.
 """
 
 from __future__ import annotations
@@ -174,14 +176,6 @@ class StateLayout:
             arrays.append(("sub.u", state.subsolution))
         return arrays
 
-    @cached_property
-    def metric_only(self) -> "StateLayout":
-        """The layout of the metric parameters alone, the head of the vector."""
-        n = len(_METRIC_PARAMS[self.tag])
-        return StateLayout(self.grid, self.tag,
-                           [(name, shape) for name, shape, _ in self.fields[:n]],
-                           self.window)
-
     def mirrored(self, a: np.ndarray) -> np.ndarray:
         """The 2-D field `a` of this layout unfolded to the full grid's: its
         mirror image about the origin, a[:0:-1], put before each halved axis."""
@@ -189,19 +183,25 @@ class StateLayout:
             a = np.concatenate([a[(slice(None),) * axis + (slice(None, 0, -1),)], a], axis)
         return a
 
+    @cached_property
+    def full(self) -> "StateLayout":
+        """The full grid's layout of the same fields."""
+        plane = (self.grid.nx, self.grid.ny)
+        return StateLayout(self.grid, self.tag, [(name, plane if len(shape) == 2 else shape)
+                                                 for name, shape, _ in self.fields])
+
     def widen(self, vec: np.ndarray):
         """A reduced layout's full layout, and `vec` in it, bit for bit: each
-        halved axis unfolded, each column repeated over theta.  A full
-        layout is its own, with `vec` itself."""
+        halved axis unfolded, each column repeated over theta, written once
+        into one new vector.  A full layout is its own, with `vec` itself."""
         if self.window == _FULL:
             return self, vec
-        arrays = [vec[offset:offset + math.prod(shape)].reshape(shape)
-                  for _, shape, offset in self.fields]
-        wide = [np.broadcast_to(self.mirrored(a), (self.grid.nx, self.grid.ny))
-                if a.ndim == 2 else a for a in arrays]
-        return (StateLayout(self.grid, self.tag,
-                            [(name, a.shape) for (name, _, _), a in zip(self.fields, wide)]),
-                np.concatenate([a.ravel() for a in wide]))
+        wide = self.full
+        out = np.empty(wide.size)
+        for (_, shape, offset), (_, to, at) in zip(self.fields, wide.fields):
+            a = vec[offset:offset + math.prod(shape)].reshape(shape)
+            out[at:at + math.prod(to)].reshape(to)[...] = self.mirrored(a) if a.ndim == 2 else a
+        return wide, out
 
     def parts(self, vec: np.ndarray):
         """Views into `vec`: the metric parameters in tag order, the forms by
@@ -455,23 +455,24 @@ def monitor_record(state: FlowState, problem: FlowProblem, dt: float,
 
 
 class SpilledSnapshots(Sequence):
-    """A run's snapshots, spilled to disk as they are taken.
+    """A run's snapshots, spilled to disk as they are taken, or reloaded.
 
     A run steps one StateLayout from start to end, given when this sequence
     is built, and appends the vector it steps, so a column run spills
     columns and a halved run its quadrant.  The vectors go back to back into
-    one temporary file, unlinked when it is created and closed when this
-    sequence is collected: snapshot i starts at byte 8 i layout.size, and
-    only each snapshot's t and step (`times`) stay in memory.  `stepped`
-    reads one back as it was appended; every item access widens that read
-    to the full layout and unpacks it.  Each read is an array of its own, so
-    a caller may write into one without changing the next."""
+    one file, a temporary file unlinked when it is created unless a reload
+    passes data.bin's bytes, closed when this sequence is collected:
+    snapshot i starts at byte 8 i layout.size, and only each snapshot's t
+    and step (`times`) stay apart.  `stepped` reads one back as it was
+    appended; every item access widens that read to the full layout and
+    unpacks it.  Each read is an array of its own, so a caller may write
+    into one without changing the next."""
 
-    def __init__(self, layout: StateLayout):
+    def __init__(self, layout: StateLayout, file=None, times=()):
         self.layout = layout
-        self._file = tempfile.TemporaryFile()
+        self._file = tempfile.TemporaryFile() if file is None else file
         weakref.finalize(self, self._file.close)
-        self.times = []           # (t, step) per snapshot
+        self.times = list(times)  # (t, step) per snapshot
 
     def append(self, vec: np.ndarray, t: float, step: int) -> None:
         self._file.seek(8 * len(self) * self.layout.size)
@@ -555,7 +556,7 @@ def _reduce(state: FlowState, problem: FlowProblem):
 class Trajectory:
     grid: Grid2D
     records: list
-    snapshots: Sequence       # FlowStates: spilled by run_flow, a list from load_run
+    snapshots: Sequence       # SpilledSnapshots, or [] when none were taken
     status: str
     t_end: float
     n_steps: int

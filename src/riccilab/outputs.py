@@ -8,19 +8,19 @@ vector the run stepped, back to back, as little-endian float64 in its one
 StateLayout's order (row-major x-then-theta, phi_x before phi_theta), and
 index.json, the grid, metric tag, fields and window (the [start, stop] of
 the nodes each 2-D field holds per axis: (nx, 1) columns, a quadrant or the
-full grid), then each snapshot's t and step.  Reloading widens each
-snapshot's metric to the full grid, bit for bit."""
+full grid), then each snapshot's t and step.  summary.json keeps the grid
+and the record steps too, so a reloaded run (load_run, its snapshots a
+SpilledSnapshots over data.bin's bytes) writes every file back byte for byte."""
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .errors import RicciLabError
-from .flows import FlowState, SpilledSnapshots, StateLayout, Trajectory
+from .flows import SpilledSnapshots, StateLayout, Trajectory
 from .functionals import (MonitorRecord, closedness_report, gauge_report,
                           l1_monotonicity_report, l2_monotonicity_report,
                           length_bound_report, max_principle_report,
@@ -71,9 +71,8 @@ def summarize_trajectory(traj: Trajectory, problem=None) -> dict:
 
 
 def write_outputs(traj: Trajectory, destination, problem=None) -> dict:
-    """Write the snapshots run_flow spilled first, so that a reloaded run is
-    rejected before any file is touched, replacing an earlier run's store
-    (removing it, with none), then monitors.csv and summary.json, under
+    """Write the run's snapshots, replacing an earlier run's store (removing
+    it, with none), then monitors.csv and summary.json, under
     `destination`; returns the summary dict."""
     dest = Path(destination)
     if traj.snapshots:
@@ -88,11 +87,13 @@ def write_outputs(traj: Trajectory, destination, problem=None) -> dict:
     summary = {
         "scenario": traj.scenario_name,
         "scenario_hash": traj.scenario_hash,
+        "grid": dataclasses.asdict(traj.grid),
         "grid_hash": traj.grid.hash_hex,
         "status": traj.status,
         "t_end": traj.t_end,
         "n_steps": traj.n_steps,
         "n_records": len(traj.records),
+        "record_steps": [rec.step for rec in traj.records],
         "monitor_labels": list(traj.monitor_labels),
         "verdicts": verdicts,
         "all_pass": all(v.get("pass", True) for v in verdicts.values()),
@@ -103,6 +104,11 @@ def write_outputs(traj: Trajectory, destination, problem=None) -> dict:
 
 
 # ------------------------------------------------------------------- snapshots
+def _grid(fields: dict) -> Grid2D:
+    """The Grid2D of its dataclasses.asdict form, as the run's files keep it."""
+    return Grid2D(**fields | {"origin": tuple(fields["origin"])})
+
+
 def _spans(grid: Grid2D, window: tuple) -> list:
     """[start, stop] of a window's slice on each axis of `grid`."""
     return [[r.start, r.stop] for r in (range(n)[s] for n, s in zip((grid.nx, grid.ny), window))]
@@ -127,12 +133,9 @@ def _window(spans, grid: Grid2D) -> tuple | None:
 
 
 def write_snapshots(traj: Trajectory, directory) -> None:
-    """data.bin, every vector a run spilled back to back as it was stepped,
-    and index.json; a reloaded run's snapshots are rejected before a write."""
+    """data.bin, every vector of a run's snapshots back to back as it was
+    stepped, and index.json."""
     snapshots = traj.snapshots
-    if not isinstance(snapshots, SpilledSnapshots):
-        raise RicciLabError("snapshots reloaded by load_run carry the metric alone, not "
-                            "the vectors a run stepped: write what run_flow returned")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     layout, grid = snapshots.layout, traj.grid
@@ -157,7 +160,7 @@ def read_index(directory) -> tuple[dict, StateLayout]:
     the snapshot count times layout.size naming data.bin and both counts."""
     index_path, data_path = Path(directory) / INDEX, Path(directory) / DATA
     index = json.loads(index_path.read_text())
-    grid = Grid2D(**index["grid"] | {"origin": tuple(index["grid"]["origin"])})
+    grid = _grid(index["grid"])
     spans = index["window"]
     window = _window(spans, grid)
     if window is None:
@@ -179,11 +182,10 @@ def read_index(directory) -> tuple[dict, StateLayout]:
     return index, layout
 
 
-def load_snapshots(directory) -> list[FlowState]:
-    """The snapshots of the store under `directory`, each carrying its metric
-    alone, widened to the full grid: data.bin is opened once, after
-    read_index, and only each vector's metric head is read.  Per-snapshot
-    snap_*.json files without an index.json are rejected by name."""
+def load_snapshots(directory) -> SpilledSnapshots | list:
+    """The store under `directory` as stepped, after read_index, over data.bin's
+    bytes in memory of their own (no file stays open, a later rewrite leaves
+    them be); no store is [], and snap_*.json files are rejected by name."""
     directory = Path(directory)
     if not (directory / INDEX).exists():
         if any(directory.glob("snap_*.json")):
@@ -191,43 +193,38 @@ def load_snapshots(directory) -> list[FlowState]:
                                 f"longer read, and no {INDEX}; re-run the scenario")
         return []
     index, layout = read_index(directory)
-    head = layout.metric_only
-    states = []
-    with open(directory / DATA, "rb") as data:
-        for i, snap in enumerate(index["snapshots"]):
-            data.seek(8 * i * layout.size)
-            vec = np.empty(head.size, "<f8")
-            data.readinto(vec)
-            wide, vec = head.widen(vec)
-            states.append(wide.unpack(vec, snap["t"], snap["step"]))
-    return states
+    return SpilledSnapshots(layout, io.BytesIO((directory / DATA).read_bytes()),
+                            [(snap["t"], snap["step"]) for snap in index["snapshots"]])
 
 
 def load_run(directory) -> Trajectory:
-    """The Trajectory a run directory was written from, as far as its files
-    hold it: summary.json's status, t_end, n_steps, scenario and labels,
-    monitors.csv's records (with step 0, which the CSV does not hold) and
-    load_snapshots; the grid is the snapshot index's, else None."""
+    """The Trajectory a run directory was written from: summary.json's grid,
+    status, t_end, n_steps, scenario, labels and record steps, monitors.csv's
+    records and load_snapshots.  A summary.json without the grid or the
+    record steps is rejected naming it and the key."""
     directory = Path(directory)
     summary_path = directory / "summary.json"
     if not summary_path.exists():
         raise FileNotFoundError(f"{summary_path} not found")
     summary = json.loads(summary_path.read_text())
+    for key in ("grid", "record_steps"):
+        if key not in summary:
+            raise RicciLabError(f"run summary {summary_path}: no {key!r}, which a reload "
+                                "reads; re-run the scenario")
     records = []
     csv_path = directory / "monitors.csv"
     if csv_path.exists():
         lines = csv_path.read_text().strip().splitlines()
         header = lines[0].split(",")
-        for line in lines[1:]:
-            vals = [float(v) for v in line.split(",")]
-            row = dict(zip(header, vals))
+        for line, step in zip(lines[1:], summary["record_steps"], strict=True):
+            row = dict(zip(header, (float(v) for v in line.split(","))))
             records.append(MonitorRecord(
-                t=row.pop("t"), dt=row.pop("dt"), step=0,
+                t=row.pop("t"), dt=row.pop("dt"), step=step,
                 sup_R=row.pop("sup_R"), min_R=row.pop("min_R"),
                 vol=row.pop("vol"), values=row,
                 grid_hash=summary["grid_hash"]))
-    snapshots = load_snapshots(directory / "snapshots")
-    return Trajectory(snapshots[0].grid if snapshots else None, records, snapshots,
+    return Trajectory(_grid(summary["grid"]), records,
+                      load_snapshots(directory / "snapshots"),
                       summary["status"], summary["t_end"], summary["n_steps"],
                       summary["scenario"], summary["scenario_hash"],
                       summary["monitor_labels"])

@@ -225,6 +225,8 @@ def validate(spec: ScenarioSpec) -> list:
     for fs in spec.forms:
         if fs.preset not in _FORM_PRESETS:
             problems.append(f"form {fs.label!r}: unknown preset {fs.preset!r}")
+        elif fs.coeff and fs.preset != "dtheta_dsinx":   # which token() would drop
+            problems.append(f"form {fs.label!r}: preset {fs.preset!r} takes no coefficient")
         if not math.isfinite(fs.coeff):
             problems.append(f"form {fs.label!r}: coefficient must be finite")
     labels = {fs.label for fs in spec.forms}

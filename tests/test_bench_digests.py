@@ -10,7 +10,8 @@ from riccilab.flows import SpilledSnapshots, StateLayout
 from riccilab.geometry import Grid2D
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-from digests import drift, drift_report, fields_path, snapshot_digest  # noqa: E402
+from digests import (drift, drift_report, fields_path, first_difference,  # noqa: E402
+                     snapshot_digest)
 
 
 def test_drift_is_relative_to_the_column_scale_in_ulps():
@@ -73,3 +74,13 @@ def test_drift_report_widens_snapshots_through_their_window(tmp_path):
     line = "run status=completed steps=3 monitors=ab"
     assert drift_report("run", parent, change, line, line + "c")[-1] == \
         "  snapshots metric.u rel=0 ulp=0"
+
+
+def test_first_difference_names_the_first_file_that_differs(tmp_path):
+    parent, change = _run_dir(tmp_path / "parent", 0.5), _run_dir(tmp_path / "change", 0.5)
+    assert first_difference(parent, change) == "identical"
+    (change / "snapshots").mkdir()
+    (change / "snapshots" / "index.json").write_text("{}")
+    assert first_difference(parent, change) == "snapshots/index.json"
+    (change / "monitors.csv").write_text("t,dt\n0,0.25\n")
+    assert first_difference(parent, change) == "monitors.csv"

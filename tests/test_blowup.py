@@ -16,7 +16,7 @@ from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                flat_metric, warped_metric)
 from riccilab.oracles import cigar_oracle
 from riccilab.scenario import FormSpec, make_scenario
-from riccilab.flows import SpilledSnapshots, run_flow
+from riccilab.flows import SpilledSnapshots, StateLayout, run_flow
 
 
 @pytest.fixture(scope="module")
@@ -106,16 +106,18 @@ def test_rescale_needs_snapshots(neck_traj):
 
 
 def test_nearest_snapshots_takes_the_first_of_equals():
-    traj = SimpleNamespace(snapshots=[SimpleNamespace(t=t) for t in (0.0, 1.0, 2.0, 3.0)])
+    grid = Grid2D.torus(8, 8)
+    snapshots = SpilledSnapshots(StateLayout(grid, "conformal", [("metric.u", (8, 8))]))
+    for step, t in enumerate((0.0, 1.0, 2.0, 3.0)):
+        snapshots.append(np.zeros(64), t, step)
     schedule = RescalingSchedule([(0.5, 1.0), (1.9, 1.0), (2.5, 1.0), (10.0, 1.0)])
-    assert [traj.snapshots.index(s) for s in nearest_snapshots(traj, schedule)] == \
-        [0, 2, 2, 3]
+    chosen = nearest_snapshots(SimpleNamespace(snapshots=snapshots), schedule)
+    assert [s.step for s in chosen] == [0, 2, 2, 3]
 
 
-def test_rescale_reads_each_spilled_snapshot_once_plus_once_per_entry(
-        many_snapshots_spec, monkeypatch):
-    # the nearest-snapshot lookup reads the times in one pass, not once per
-    # schedule entry; iterating a Sequence ends on one read past its end
+def test_rescale_reads_one_spilled_snapshot_per_entry(many_snapshots_spec, monkeypatch):
+    # the nearest-snapshot lookup takes the times from the sequence's
+    # `times`, so the only snapshots read are the chosen ones
     traj = run_flow(many_snapshots_spec)
     reads = []
     read = SpilledSnapshots.__getitem__
@@ -124,7 +126,7 @@ def test_rescale_reads_each_spilled_snapshot_once_plus_once_per_entry(
     schedule = by_curvature_schedule(traj, [r.t for r in traj.records[::4]])
     rescale_trajectory(traj, schedule)
     n = len(traj.snapshots)
-    assert n > 90 and len(reads) == n + 1 + len(schedule.entries)
+    assert n > 90 and len(reads) == len(schedule.entries)
 
 
 # ------------------------------------------------------------------ decay

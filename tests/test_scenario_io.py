@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from riccilab.cli import main
 from riccilab.errors import RicciLabError, ScenarioError
 from riccilab.flows import FlowProblem, FlowState, IntegratorSpec, run_flow
 from riccilab.geometry import Grid2D, MetricField, OneFormField, general_metric
@@ -228,6 +229,19 @@ def test_bad_value_rejected_at_validation(line, problem):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text + line + "\n")
     assert err.value.problems == [problem]
+
+
+@pytest.mark.parametrize("preset", ["dtheta", "sinx_dx"])
+def test_coefficient_on_a_preset_without_one_rejected(preset):
+    # serialize_scenario writes these presets without a coefficient, so one
+    # given would not survive the round trip; a zero is the default itself
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(f"family = flat-torus\nform.main = {preset}:0.3\n")
+    assert err.value.problems == [f"form 'main': preset {preset!r} takes no coefficient"]
+    with pytest.raises(ScenarioError):
+        make_scenario(family="flat-torus", forms=[FormSpec("main", preset, 0.3)])
+    spec = parse_scenario(f"family = flat-torus\nform.main = {preset}:0\n")
+    assert parse_scenario(serialize_scenario(spec)) == spec
 
 
 @pytest.mark.parametrize("overrides", [
@@ -567,17 +581,84 @@ def test_per_snapshot_directory_rejected_by_name(neck_run, tmp_path):
     assert not (out / "rescale_report.json").exists()
 
 
-def test_writing_a_reloaded_run_is_rejected_by_name(neck_run, tmp_path):
-    # reloaded snapshots carry the metric alone, so writing them is refused
-    # before any file is touched, also into the run's own directory
+# each family at small size, carrying what it can: a form, gauge and
+# subsolution on the conformal torus, a probe on the cylinder, the plane
+# stepped as its quadrant
+FIXED_POINT_RUNS = {
+    "flat-torus": dict(nx=16, ny=16, forms=[FormSpec("main", "sinx_dx")]),
+    "conformal-torus": dict(nx=16, ny=16, forms=[FormSpec("main", "dtheta_dsinx", 0.3)],
+                            gauge_form="main", subsolution="one-plus-cos"),
+    "warped-cylinder": dict(nx=32, ny=8, lx=20.0, forms=[FormSpec("main", "dtheta")],
+                            probes=[ProbeSpec("loop", "main")]),
+    "conformal-plane": dict(nx=17, ny=17, lx=4.0, ly=4.0, buffer_threshold=1.0),
+}
+
+
+def _files(run_dir: Path) -> dict:
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+def _report_and_rescale(run_dir: Path, out: Path, capsys) -> list:
+    """What `riccilab report` and a by-curvature `riccilab rescale` print on
+    `run_dir` (the rescale report goes to `out`), the paths spelled alike,
+    and the report's bytes."""
+    out.parent.mkdir()
+    (out.parent / "sched.cfg").write_text("policy = by-curvature\n")
+    printed = []
+    for argv in (["report", str(run_dir)],
+                 ["rescale", str(run_dir), "--schedule", str(out.parent / "sched.cfg"),
+                  "--out", str(out)]):
+        code = main(argv)
+        text = "".join(capsys.readouterr())
+        printed.append((code, text.replace(str(out), "OUT").replace(str(run_dir), "RUN")))
+    return printed + [out.read_bytes() if out.exists() else None]
+
+
+@pytest.mark.parametrize("snapshots", [True, False], ids=["snapshots", "none"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_run_directory_is_a_fixed_point_of_reload_and_write(family, snapshots, tmp_path,
+                                                              capsys):
+    # write_outputs(load_run(d)) reproduces every file of d byte for byte,
+    # into a new directory and in place, and report and rescale print on the
+    # rewritten directory what they print on d
+    assert FIXED_POINT_RUNS.keys() == set(FAMILIES)
+    setup = build(make_scenario(name=family, family=family, t_final=0.02, cadence=2,
+                                snapshot_every=1, **FIXED_POINT_RUNS[family]))
+    run_dir, other = tmp_path / "run", tmp_path / "other"
+    write_outputs(run_flow(setup, collect_snapshots=snapshots), run_dir,
+                  problem=setup.problem)
+    files = _files(run_dir)
+    assert sorted(files) == sorted(["monitors.csv", "summary.json"] + snapshots * [
+        "snapshots/data.bin", "snapshots/index.json"])
+    printed = _report_and_rescale(run_dir, tmp_path / "a" / "report.json", capsys)
+    # a flat run's sup |R| = 0 gives the by-curvature policy no factor
+    assert printed[0][0] == 0 and (printed[2] is not None) == (snapshots and
+                                                               family != "flat-torus")
+    write_outputs(load_run(run_dir), other, problem=setup.problem)
+    assert _files(other) == files
+    assert _report_and_rescale(other, tmp_path / "b" / "report.json", capsys) == printed
+    write_outputs(load_run(run_dir), run_dir, problem=setup.problem)
+    assert _files(run_dir) == files
+
+
+@pytest.mark.parametrize("key", ["grid", "record_steps"])
+def test_summary_without_reload_keys_rejected_by_name(neck_run, tmp_path, key):
+    # a summary.json written before it kept the grid and the record steps
+    # is rejected naming it and the key, and rescale exits 2 writing nothing
     out = tmp_path / "run"
     shutil.copytree(neck_run[3], out)
-    before = {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-    for dest in (out, tmp_path / "other"):
-        with pytest.raises(RicciLabError, match="carry the metric alone"):
-            write_outputs(load_run(out), dest)
-    assert {p.name: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
-    assert not (tmp_path / "other").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    del summary[key]
+    (out / "summary.json").write_text(json.dumps(summary))
+    with pytest.raises(RicciLabError) as err:
+        load_run(out)
+    assert str(out / "summary.json") in str(err.value) and repr(key) in str(err.value)
+    sched = tmp_path / "sched.cfg"
+    sched.write_text("policy = by-curvature\n")
+    r = _cli("rescale", str(out), "--schedule", str(sched))
+    assert r.returncode == 2 and repr(key) in r.stderr and "Traceback" not in r.stderr
+    assert not (out / "rescale_report.json").exists()
 
 
 @pytest.mark.parametrize("window, problem", [
@@ -617,6 +698,8 @@ def test_load_run(neck_run):
         traj.t_end, traj.n_steps, traj.scenario_name, traj.scenario_hash,
         traj.monitor_labels, traj.grid.hash_hex)
     assert len(run.records) == len(traj.records)
+    assert [r.step for r in run.records] == [r.step for r in traj.records]
+    assert run.grid == traj.grid
     assert run.records[-1].values["main_l2"] == traj.records[-1].values["main_l2"]
 
 
@@ -770,26 +853,27 @@ def _conformal_run(amplitude=0.05):
     return run_flow(setup), setup.problem
 
 
-def test_reload_reads_metrics_alone(neck_run, tmp_path):
-    # a reloaded snapshot carries its metric parameters, bitwise the run's,
-    # in memory of its own, and no form, gauge or subsolution
+def test_a_reload_carries_every_field_bitwise_the_runs(neck_run, tmp_path):
+    # a reloaded snapshot carries every field of the run's snapshot, forms,
+    # gauge and subsolution too, bitwise, with its t and step, in memory of
+    # its own
     traj, problem = _conformal_run()
     write_outputs(traj, tmp_path, problem=problem)
-    for run, out, params in ((neck_run[2], neck_run[3], ("h", "f")),
-                             (traj, tmp_path, ("u",))):
+    for run, out in ((neck_run[2], neck_run[3]), (traj, tmp_path)):
         snaps = load_run(out).snapshots
         assert len(snaps) == len(run.snapshots) > 1
         for a, b in zip(run.snapshots, snaps):
-            assert (b.t, b.step, b.forms, b.gauge, b.subsolution) == (a.t, a.step, {},
-                                                                      None, None)
-            assert b.layout.size == b.vector.size == sum(
-                getattr(a.metric, p).size for p in params)
-            for p in params:
-                arr = getattr(b.metric, p)
-                assert np.array_equal(arr, getattr(a.metric, p))
+            assert (b.t, b.step, b.layout.fields) == (a.t, a.step, a.layout.fields)
+            assert np.array_equal(a.vector.view(np.int64), b.vector.view(np.int64))
+            fa, fb = _state_arrays(a), _state_arrays(b)
+            assert fa.keys() == fb.keys()
+            for key, arr in fb.items():
+                assert np.array_equal(arr, fa[key])
                 while arr is not None:
                     assert not isinstance(arr, np.memmap)
                     arr = arr.base
+        assert not np.shares_memory(snaps[0].vector, snaps[1].vector)
+    assert {"u", "main.x", "gauge", "sub"} <= _state_arrays(snaps[0]).keys()
 
 
 def test_rewrite_leaves_a_live_reload_unchanged(tmp_path):
