@@ -13,13 +13,15 @@ how write_outputs lays snapshots out in files) and of summary.json without
 its scenario_hash.  A run with snapshots also prints rescale=, the sha256 of
 the JSON of the points rescale_trajectory measures on the run reloaded with
 load_run, along the by-curvature schedule at every snapshot time (unit
-factors on a flat run, which that policy rejects): it digests what reloading
-feeds the rescaling.  Every line then prints rewrite=: the run reloaded with
-load_run is written with the setup's problem into a sibling directory, and
-rewrite=identical says that every file came out byte for byte, else it
-names the first file (in sorted order) that differs or is in one directory
-alone, or rewrite=refused when write_outputs raises RicciLabError, as a
-riccilab that cannot write a reloaded run does.
+factors on a flat run, which that policy rejects), followed, on a periodic
+theta axis, by the length_scaling_check of that schedule on the
+theta-circle through the grid origin: it digests what reloading feeds the
+rescaling and the loop-length laws.  Every line then prints rewrite=: the
+run reloaded with load_run is written with the setup's problem into a
+sibling directory, and rewrite=identical says that every file came out byte
+for byte, else it names the first file (in sorted order) that differs or is
+in one directory alone, or rewrite=refused when write_outputs raises
+RicciLabError, as a riccilab that cannot write a reloaded run does.
 Every line ends with verdicts=, each summary.json verdict as name:pass:checked
 (or name:fail:checked), sorted by name: a change whose arithmetic moves the
 digests can show that every verdict held, on as many checks.  Runs on two
@@ -83,9 +85,11 @@ def runs() -> list:
 
 def digest_line(name: str, text: str, workdir: Path) -> str:
     from riccilab.blowup import (RescalingSchedule, by_curvature_schedule,
-                                 rescale_trajectory)
+                                 length_scaling_check, rescale_trajectory)
     from riccilab.errors import RicciLabError
     from riccilab.flows import run_flow
+    from riccilab.functionals import ThetaCircle
+    from riccilab.geometry import PERIODIC
     from riccilab.outputs import load_run, write_outputs
     from riccilab.scenario import build, parse_scenario
 
@@ -107,9 +111,12 @@ def digest_line(name: str, text: str, workdir: Path) -> str:
             schedule = by_curvature_schedule(reloaded, times)
         except ValueError:      # sup |R| = 0: no factor to take
             schedule = RescalingSchedule([(t, 1.0) for t in times])
-        points = json.dumps([dataclasses.asdict(p)
-                             for p in rescale_trajectory(reloaded, schedule)])
-        line += f" rescale={hashlib.sha256(points.encode()).hexdigest()}"
+        measured = [dataclasses.asdict(p) for p in rescale_trajectory(reloaded, schedule)]
+        grid = reloaded.grid
+        if grid.topology_y == PERIODIC:
+            measured.append(length_scaling_check(reloaded, schedule,
+                                                 ThetaCircle(grid.origin[0])))
+        line += f" rescale={hashlib.sha256(json.dumps(measured).encode()).hexdigest()}"
     rewrite_dir = run_dir.with_name(run_dir.name + ".rewrite")
     try:
         write_outputs(load_run(run_dir), rewrite_dir, problem=setup.problem)

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blowup import RescalingSchedule, length_scaling_check
+from .blowup import RescalingSchedule, length_scaling_check, scaling_laws
 from .flows import COMPLETED, Trajectory, run_flow
 from .functionals import (ThetaCircle, form_energy_identity_report,
                           l1_monotonicity_report, l2_monotonicity_report,
-                          length_bound_report, max_principle_report,
-                          min_circumference)
+                          length_bound_report, max_principle_report)
 from .geometry import (Grid2D, MetricInvariants, OneFormField, codifferential,
                        conformal_metric, general_metric, hodge_laplacian,
-                       laplace_beltrami, reduced_scalar_curvature)
+                       laplace_beltrami)
 from .scenario import (FormSpec, ProbeSpec, build, build_geometry, make_scenario,
                        scenario_hash)
 
@@ -337,18 +336,12 @@ def suite_scaling_laws() -> list:
     Xc, Tc = grid_c.mesh()
     g_c = conformal_metric(grid_c, 0.2 * np.sin(Xc) * np.cos(Tc))
 
-    worst_R = 0.0
-    worst_L = 0.0
+    worst_R = worst_L = 0.0
     for lam in (0.25, 1.0, 4.0, 100.0):
-        for metric, gr in ((g, grid), (g_c, grid_c)):
-            scaled = metric.rescaled(lam)
-            r0 = reduced_scalar_curvature(metric, gr)
-            r1 = reduced_scalar_curvature(scaled, gr)
-            denom = max(float(np.max(np.abs(r0))), 1e-300)
-            worst_R = max(worst_R, float(np.max(np.abs(r1 - r0 / lam))) / denom)
-        L0, _ = min_circumference(g, grid)
-        L1, _ = min_circumference(g.rescaled(lam), grid)
-        worst_L = max(worst_L, abs(L1 - math.sqrt(lam) * L0) / L0)
+        neck, torus = scaling_laws(g, grid, lam), scaling_laws(g_c, grid_c, lam)
+        worst_R = max(worst_R, neck["curvature_scale_residual"],
+                      torus["curvature_scale_residual"])
+        worst_L = max(worst_L, neck["length_scale_residual"])
     out.append(CriterionResult(
         "scaling-laws", "R(lam g) = R/lam for lam in {0.25,1,4,100}",
         worst_R <= 1e-10, f"worst relative residual {worst_R:.2e} (tol 1e-10)"))

@@ -11,13 +11,15 @@ lambda_k -> infinity forces rescaled lengths to diverge) is checked directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainTooSmallError, IncompleteTrajectoryError
 from .functionals import loop_length, min_circumference
-from .geometry import MetricInvariants, OneFormField, distance_field, unbroadcast
+from .geometry import (Grid2D, MetricField, MetricInvariants, OneFormField,
+                       distance_field, unbroadcast)
 
 
 @dataclass
@@ -26,18 +28,36 @@ class RescalingSchedule:
 
     def __post_init__(self):
         ts = [t for t, _ in self.entries]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        _require_all(ts, math.isfinite, "schedule times must be finite")
+        if not all(b > a for a, b in zip(ts, ts[1:])):
             raise ValueError("schedule times must be strictly increasing")
-        if any(not lam > 0 for _, lam in self.entries):
-            raise ValueError("scale factors must be positive")
+        _require_all([lam for _, lam in self.entries], _positive,
+                     "scale factors must be positive and finite")
+
+
+def _positive(v: float) -> bool:
+    return 0 < v < math.inf          # NaN fails
+
+
+def _require_all(values, ok, message: str) -> None:
+    """ValueError(message), naming the first of `values` that fails `ok`."""
+    bad = [v for v in values if not ok(v)]
+    if bad:
+        raise ValueError(f"{message}, got {bad[0]!r}")
+
+
+def _nearest(times: np.ndarray, t: float) -> int:
+    """The index of the entry of `times` nearest t, the first of equals."""
+    return int(np.argmin(np.abs(times - t)))
 
 
 def by_curvature_schedule(traj, times) -> RescalingSchedule:
-    """lambda_k = sup|R|(t_k) from the monitor records (the 2-D proxy for the
-    full curvature magnitude)."""
+    """lambda_k = sup|R|(t_k) from the monitor record nearest t_k, the first of
+    equals (the 2-D proxy for the full curvature magnitude)."""
+    record_times = np.array([r.t for r in traj.records])
     entries = []
     for t in times:
-        rec = min(traj.records, key=lambda r: abs(r.t - t))
+        rec = traj.records[_nearest(record_times, t)]
         entries.append((t, max(abs(rec.sup_R), abs(rec.min_R))))
     return RescalingSchedule(entries)
 
@@ -48,7 +68,26 @@ def nearest_snapshots(traj, schedule: RescalingSchedule):
     snapshot is read only when the caller reaches it."""
     snap_times = np.array([t for t, _ in traj.snapshots.times])
     for t, _ in schedule.entries:
-        yield traj.snapshots[int(np.argmin(np.abs(snap_times - t)))]
+        yield traj.snapshots[_nearest(snap_times, t)]
+
+
+def scaling_laws(g: MetricField, grid: Grid2D, lam: float) -> dict:
+    """The scaling laws of g -> lam g, measured and keyed as RescalePoint's
+    fields: sup |R| before and after and the relative residual of
+    R(lam g) = R(g)/lam; on a cylinder, also the minimal circumference before
+    and after and the relative residual of L(lam g) = sqrt(lam) L(g)."""
+    scaled = g.rescaled(lam)
+    r0 = unbroadcast(MetricInvariants(g, grid).scalar)     # a warped R's column
+    r1 = unbroadcast(MetricInvariants(scaled, grid).scalar)
+    sup0 = float(np.max(np.abs(r0)))
+    laws = {"sup_R_before": sup0, "sup_R_after": float(np.max(np.abs(r1))),
+            "curvature_scale_residual":
+                float(np.max(np.abs(r1 - r0 / lam))) / max(sup0, 1e-300)}
+    if grid.is_cylinder:
+        L0, L1 = (min_circumference(m, grid)[0] for m in (g, scaled))
+        laws.update(length_before=L0, length_after=L1,
+                    length_scale_residual=abs(L1 - np.sqrt(lam) * L0) / L0)
+    return laws
 
 
 @dataclass
@@ -67,36 +106,14 @@ class RescalePoint:
 
 def rescale_trajectory(traj, schedule: RescalingSchedule) -> list:
     """The scaling laws along a schedule: one RescalePoint per entry, measured
-    on the nearest stored snapshot g (its time recorded) and on lam g, which
-    is dropped once measured.  Each point carries sup |R| before and after and
-    the residual of R(lam g) = R(g)/lam; on a cylinder, also the minimal
-    circumference before and after and the residual of its sqrt(lam) law."""
+    by scaling_laws on the nearest stored snapshot g (its time recorded) and
+    on lam g, which is dropped once measured."""
     if not traj.snapshots:
         raise IncompleteTrajectoryError("trajectory carries no snapshots to rescale")
-    grid = traj.grid
-    points = []
     chosen = nearest_snapshots(traj, schedule)
-    for k, ((t_k, lam), snap) in enumerate(zip(schedule.entries, chosen)):
-        g = snap.metric
-        scaled = g.rescaled(lam)
-        r0 = unbroadcast(MetricInvariants(g, grid).scalar)     # a warped R's column
-        r1 = unbroadcast(MetricInvariants(scaled, grid).scalar)
-        denom = max(float(np.max(np.abs(r0))), 1e-300)
-        resid = float(np.max(np.abs(r1 - r0 / lam))) / denom
-        point = RescalePoint(
-            k=k, t_request=t_k, t_used=snap.t, lam=lam,
-            sup_R_before=float(np.max(np.abs(r0))),
-            sup_R_after=float(np.max(np.abs(r1))),
-            curvature_scale_residual=resid,
-        )
-        if grid.is_cylinder:
-            L0, _ = min_circumference(g, grid)
-            L1, _ = min_circumference(scaled, grid)
-            point.length_before = L0
-            point.length_after = L1
-            point.length_scale_residual = abs(L1 - np.sqrt(lam) * L0) / L0
-        points.append(point)
-    return points
+    return [RescalePoint(k=k, t_request=t_k, t_used=snap.t, lam=lam,
+                         **scaling_laws(snap.metric, traj.grid, lam))
+            for k, ((t_k, lam), snap) in enumerate(zip(schedule.entries, chosen))]
 
 
 def length_scaling_check(traj, schedule: RescalingSchedule, cycle) -> dict:
@@ -141,10 +158,8 @@ class DecayMonitorSpec:
     sample_radii: tuple
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("decay order sigma must be positive")
-        if any(r <= 0 for r in self.sample_radii):
-            raise ValueError("sample radii must be positive")
+        _require_all([self.sigma], _positive, "decay order sigma must be positive and finite")
+        _require_all(self.sample_radii, _positive, "sample radii must be positive and finite")
 
 
 def decay_monitor(fieldlike, geo: MetricInvariants, spec: DecayMonitorSpec) -> dict:
@@ -184,11 +199,3 @@ def decay_monitor(fieldlike, geo: MetricInvariants, spec: DecayMonitorSpec) -> d
         "decreasing_outward": decreasing,
     }
 
-
-def decay_preserved(profile_start: dict, profile_end: dict,
-                    rel_tol: float = 1e-6) -> bool:
-    """Empirical preservation check: the final outermost shell value does not
-    exceed the worst initial shell value (up to tolerance)."""
-    peak0 = max(profile_start["profile"]) if profile_start["profile"] else 0.0
-    tail1 = profile_end["profile"][-1] if profile_end["profile"] else 0.0
-    return tail1 <= peak0 * (1 + rel_tol) + 1e-15

@@ -110,6 +110,8 @@ def _cmd_rescale(args) -> int:
     try:
         cfg = _parse_schedule_file(sched_path.read_text())
         policy = cfg.get("policy", "explicit")
+        if policy not in ("explicit", "by-curvature"):
+            raise ValueError(f"unknown schedule policy {policy!r}")
         times = [float(v) for v in cfg.get("times", "").split(",") if v.strip()]
         if not times:
             times = [t for t, _ in traj.snapshots.times]
@@ -117,8 +119,6 @@ def _cmd_rescale(args) -> int:
             schedule = by_curvature_schedule(traj, times)
         else:
             lams = [float(v) for v in cfg.get("lambdas", "").split(",") if v.strip()]
-            if policy != "explicit":
-                raise ValueError(f"unknown schedule policy {policy!r}")
             schedule = RescalingSchedule(list(zip(times, lams)))
             if len(lams) != len(times):
                 raise ValueError("schedule needs matching times and lambdas")

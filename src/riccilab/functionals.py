@@ -1,5 +1,6 @@
-"""Monitored quantities and pass/fail reports: norms, loop pairings and lengths,
-mass and energy inequalities, sup-norm monotonicity, cutoff construction.
+"""Monitored quantities and pass/fail reports: norms, theta-circle pairings and
+lengths, mass and energy inequalities, sup-norm monotonicity, cutoff
+construction.  The one loop is the theta-circle at a fixed x index.
 
 Report functions consume a trajectory-like object exposing `.records`, a list
 of MonitorRecord.  Verdicts for monotonicity statements that hold only under a
@@ -73,48 +74,16 @@ class ThetaCircle:
     x_index: int
 
 
-@dataclass(frozen=True)
-class NodePath:
-    """Closed polyline through grid nodes; first node must equal the last."""
-    nodes: tuple
-
-    def __post_init__(self):
-        if len(self.nodes) < 3 or self.nodes[0] != self.nodes[-1]:
-            raise InvalidCycleError("node path is not a closed cycle")
+def cycle_integral(phi: OneFormField, cycle: ThetaCircle, grid: Grid2D) -> float:
+    """Line integral of phi around the theta-circle (trapezoid in theta).  The
+    theta component is read through its broadcast over the grid, so the
+    (nx, 1) column of a theta-invariant form gives the full-grid sum."""
+    theta = np.broadcast_to(phi.theta, (grid.nx, grid.ny))
+    return float(np.sum(theta[cycle.x_index, :]) * grid.hy)
 
 
-def cycle_integral(phi: OneFormField, cycle, grid: Grid2D) -> float:
-    """Line integral of phi along the cycle (trapezoid in the coordinates).
-    The components are read through their broadcast over the grid, so the
-    (nx, 1) columns of a theta-invariant form give the full-grid sums."""
-    x, theta = (np.broadcast_to(c, (grid.nx, grid.ny)) for c in (phi.x, phi.theta))
-    if isinstance(cycle, ThetaCircle):
-        return float(np.sum(theta[cycle.x_index, :]) * grid.hy)
-    if isinstance(cycle, NodePath):
-        total = 0.0
-        for (i0, j0), (i1, j1) in zip(cycle.nodes[:-1], cycle.nodes[1:]):
-            dx = (grid.x[i1] - grid.x[i0])
-            dt = (grid.theta[j1] - grid.theta[j0])
-            total += 0.5 * (x[i0, j0] + x[i1, j1]) * dx
-            total += 0.5 * (theta[i0, j0] + theta[i1, j1]) * dt
-        return float(total)
-    raise InvalidCycleError(f"unsupported cycle type {type(cycle).__name__}")
-
-
-def loop_length(cycle, g: MetricField, grid: Grid2D) -> float:
-    if isinstance(cycle, ThetaCircle):
-        return float(np.sum(np.sqrt(g.gtt[cycle.x_index, :])) * grid.hy)
-    if isinstance(cycle, NodePath):
-        total = 0.0
-        for (i0, j0), (i1, j1) in zip(cycle.nodes[:-1], cycle.nodes[1:]):
-            dx = grid.x[i1] - grid.x[i0]
-            dt = grid.theta[j1] - grid.theta[j0]
-            gxx = 0.5 * (g.gxx[i0, j0] + g.gxx[i1, j1])
-            gxt = 0.5 * (g.gxt[i0, j0] + g.gxt[i1, j1])
-            gtt = 0.5 * (g.gtt[i0, j0] + g.gtt[i1, j1])
-            total += np.sqrt(max(gxx * dx * dx + 2 * gxt * dx * dt + gtt * dt * dt, 0.0))
-        return float(total)
-    raise InvalidCycleError(f"unsupported cycle type {type(cycle).__name__}")
+def loop_length(cycle: ThetaCircle, g: MetricField, grid: Grid2D) -> float:
+    return float(np.sum(np.sqrt(g.gtt[cycle.x_index, :])) * grid.hy)
 
 
 def min_circumference(g: MetricField, grid: Grid2D):
@@ -131,15 +100,15 @@ def min_circumference(g: MetricField, grid: Grid2D):
 # ---------------------------------------------------------------------- probes
 @dataclass
 class CohomologyProbe:
-    """The pairing of a closed base form with a fixed homology cycle, and the
-    form's initial sup norm, the denominator of the length bound.
+    """The pairing of a closed base form with a theta-circle, and the form's
+    initial sup norm, the denominator of the length bound.
 
-    The pairing is computed once from the base form; shifting a theta-circle
+    The pairing is computed once from the base form; shifting the circle
     within the region where the form is closed must not move it (discrete
     Stokes), which `make_probe` verifies at construction.
     """
     label: str
-    cycle: object
+    cycle: ThetaCircle
     pairing: float
     sup0: float
 
@@ -148,10 +117,11 @@ def closedness_residual(phi: OneFormField, grid: Grid2D) -> float:
     return float(np.max(np.abs(exterior_derivative(phi, grid))))
 
 
-def make_probe(label: str, phi0: OneFormField, cycle,
+def make_probe(label: str, phi0: OneFormField, cycle: ThetaCircle,
                geo: MetricInvariants) -> CohomologyProbe:
     """The probe of the closed form phi0 on `cycle`, with its sup norm
-    measured on the bundle's metric."""
+    measured on the bundle's metric.  The pairing must not drift when the
+    circle is shifted by a quarter of the grid either way."""
     grid = geo.grid
     scale = max(1.0, float(np.max(np.abs(phi0.x))), float(np.max(np.abs(phi0.theta))))
     if closedness_residual(phi0, grid) > CLOSEDNESS_TOL * scale:
@@ -161,14 +131,13 @@ def make_probe(label: str, phi0: OneFormField, cycle,
         raise ProbeOrderError(
             f"probe {label!r} pairs to {pairing:g} <= 0; cycle class has no "
             "detectable infinite order")
-    if isinstance(cycle, ThetaCircle):
-        for shift in (-grid.nx // 4, grid.nx // 4):
-            other = ThetaCircle((cycle.x_index + shift) % grid.nx)
-            drift = abs(cycle_integral(phi0, other, grid) - pairing)
-            if drift > 1e-8 * abs(pairing):
-                raise InvalidCycleError(
-                    f"probe {label!r}: pairing drifts by {drift:g} when the "
-                    "circle is shifted; form not closed on the cylinder")
+    for shift in (-grid.nx // 4, grid.nx // 4):
+        other = ThetaCircle((cycle.x_index + shift) % grid.nx)
+        drift = abs(cycle_integral(phi0, other, grid) - pairing)
+        if drift > 1e-8 * abs(pairing):
+            raise InvalidCycleError(
+                f"probe {label!r}: pairing drifts by {drift:g} when the "
+                "circle is shifted; form not closed on the cylinder")
     return CohomologyProbe(label, cycle, pairing, sup_norm_form(phi0, geo))
 
 

@@ -8,10 +8,10 @@ import pytest
 
 from riccilab.blowup import (DecayMonitorSpec, RescalingSchedule,
                              by_curvature_schedule, decay_monitor,
-                             decay_preserved, length_scaling_check,
-                             nearest_snapshots, rescale_trajectory)
+                             length_scaling_check, nearest_snapshots,
+                             rescale_trajectory)
 from riccilab.errors import DomainTooSmallError, IncompleteTrajectoryError
-from riccilab.functionals import ThetaCircle, min_circumference
+from riccilab.functionals import MonitorRecord, ThetaCircle, min_circumference
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                flat_metric, warped_metric)
 from riccilab.oracles import cigar_oracle
@@ -115,6 +115,14 @@ def test_nearest_snapshots_takes_the_first_of_equals():
     assert [s.step for s in chosen] == [0, 2, 2, 3]
 
 
+def test_by_curvature_schedule_takes_the_first_of_equal_records():
+    # 0.25, 0.5 and 0.75 are exact in binary, so both records are 0.25 away
+    records = [MonitorRecord(t, 0.25, step, sup_R, -1.0, 1.0)
+               for step, (t, sup_R) in enumerate(((0.25, 2.0), (0.75, 3.0)))]
+    schedule = by_curvature_schedule(SimpleNamespace(records=records), [0.5])
+    assert schedule.entries == [(0.5, 2.0)]
+
+
 def test_rescale_reads_one_spilled_snapshot_per_entry(many_snapshots_spec, monkeypatch):
     # the nearest-snapshot lookup takes the times from the sequence's
     # `times`, so the only snapshots read are the chosen ones
@@ -130,6 +138,15 @@ def test_rescale_reads_one_spilled_snapshot_per_entry(many_snapshots_spec, monke
 
 
 # ------------------------------------------------------------------ decay
+def decay_preserved(profile_start: dict, profile_end: dict,
+                    rel_tol: float = 1e-6) -> bool:
+    """Empirical preservation check: the final outermost shell value does not
+    exceed the worst initial shell value (up to tolerance)."""
+    peak0 = max(profile_start["profile"]) if profile_start["profile"] else 0.0
+    tail1 = profile_end["profile"][-1] if profile_end["profile"] else 0.0
+    return tail1 <= peak0 * (1 + rel_tol) + 1e-15
+
+
 def test_decay_compact_support_zero_tail():
     grid = Grid2D.cylinder(257, 16, 40.0)
     x = grid.x

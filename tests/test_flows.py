@@ -16,8 +16,8 @@ from riccilab.errors import DegenerateMetricError
 from riccilab.flows import (BLOWUP, BUDGET, BUFFER_BREACH, COMPLETED,
                             FlowProblem, FlowState, IntegratorSpec, _rhs, cfl_dt,
                             flow_step, monitor_record, run_flow)
-from riccilab.functionals import (CohomologyProbe, NodePath, integrate,
-                                  l2_monotonicity_report, max_principle_report)
+from riccilab.functionals import (integrate, l2_monotonicity_report,
+                                  max_principle_report)
 from riccilab.geometry import (Grid2D, MetricInvariants, OneFormField,
                                conformal_metric, flat_metric, general_metric,
                                hodge_laplacian, reduced_scalar_curvature,
@@ -760,13 +760,6 @@ def _theta_dependent_torus(n, **kw):
     return replace(setup, state=state)
 
 
-def _with_node_path_probe(setup):
-    # a closed path that crosses theta nodes, wrapping through theta = 0
-    path = NodePath(((10, 0), (11, 1), (12, 3), (11, 6), (10, 7), (10, 0)))
-    probes = {"main": CohomologyProbe("main", path, 1.0, 1.0)}
-    return replace(setup, problem=replace(setup.problem, probes=probes))
-
-
 def _plane(nx=33, ny=33, edit=None, hx=1 / 8, hy=1 / 8, origin=None, **kw):
     """The cigar plane patch with spacing `hx` on x and `hy` on theta (4 x 4
     on 33 nodes by default), with `edit` applied to a copy of its u, on a
@@ -841,7 +834,6 @@ _COLUMN_CASES = {
     "neck": lambda: build(make_scenario(
         name="neck", family="warped-cylinder", nx=64, ny=8, lx=20.0,
         forms=[FormSpec("main", "dtheta")], probes=[ProbeSpec("loop", "main")], **_STEPS)),
-    "neck-node-path": lambda: _with_node_path_probe(_COLUMN_CASES["neck"]()),
     "torus-2d": lambda: _theta_dependent_torus(32, **_STEPS),
     "plane": _plane,
     "plane-odd-theta": lambda: _plane(nx=32),
@@ -859,7 +851,7 @@ _COLUMN_CASES = {
 }
 # the shape of each 2-D field the run steps
 _STEPPED = {"flat-torus": (16, 1), "conformal-torus": (16, 1), "neck": (64, 1),
-            "neck-node-path": (64, 1), "torus-2d": (32, 32), "plane": (17, 17),
+            "torus-2d": (32, 32), "plane": (17, 17),
             "plane-odd-theta": (32, 17), "plane-ulp": (33, 33),
             "plane-signed-zero": (33, 33), "plane-even": (32, 32),
             "plane-stretched": (17, 17), "plane-three-32nds": (17, 17),

@@ -8,7 +8,7 @@ import pytest
 from riccilab.errors import (DomainTooSmallError, IncompleteTrajectoryError,
                              InvalidCycleError, InvalidSubsolutionError,
                              ProbeOrderError)
-from riccilab.functionals import (MonitorRecord, NodePath, ThetaCircle,
+from riccilab.functionals import (MonitorRecord, ThetaCircle,
                                   CohomologyProbe, cutoff_eta,
                                   cutoff_gradient_margin, cycle_integral,
                                   integrate, l1_monotonicity_report,
@@ -128,20 +128,6 @@ def test_pairing_mixed_class(torus64):
     phi = OneFormField(np.cos(X), np.ones_like(X))   # dtheta + d(sin x)
     assert cycle_integral(phi, ThetaCircle(40), torus64) == pytest.approx(
         2 * np.pi, abs=1e-10)
-
-
-def test_node_path_cycle(torus64, flat64):
-    # a small coordinate rectangle pairs to zero against any closed form
-    path = NodePath((((4, 4)), (10, 4), (10, 9), (4, 9), (4, 4)))
-    X, _ = torus64.mesh()
-    phi = OneFormField(np.cos(X), np.ones_like(X))
-    assert abs(cycle_integral(phi, path, torus64)) < 1e-10
-    assert loop_length(path, flat64, torus64) > 0
-
-
-def test_open_path_rejected():
-    with pytest.raises(InvalidCycleError):
-        NodePath(((0, 0), (1, 0), (1, 1)))
 
 
 # ----------------------------------------------------------------- lengths

@@ -807,6 +807,15 @@ def flat_run_dir(tmp_path_factory):
     ("policy = by-curvature\nradius = 1,2\n", "line 2: unknown key 'radius'"),
     ("times = 0.0\nlambdas = 1\n\nsigma = 1\n", "line 4: sigma without radii"),
     ("times = 0.0\nlambdas = 1\nradii = 1, 2\n", "line 3: radii without sigma"),
+    ("times = 0.0, nan\nlambdas = 1, 1\n", "schedule times must be finite, got nan"),
+    ("policy = by-curvature\ntimes = 0.0, nan\n", "schedule times must be finite, got nan"),
+    ("times = 0.0, 0.01\nlambdas = 1, inf\n",
+     "scale factors must be positive and finite, got inf"),
+    ("times = 0.0\nlambdas = 1\nsigma = nan\nradii = 1\n",
+     "decay order sigma must be positive and finite, got nan"),
+    ("times = 0.0\nlambdas = 1\nsigma = 1\nradii = 1, inf\n",
+     "sample radii must be positive and finite, got inf"),
+    ("policy = bogus\nlambdas = abc\n", "unknown schedule policy 'bogus'"),
 ])
 def test_cli_bad_rescale_schedule_exits_2(flat_run_dir, tmp_path, schedule, problem):
     sched = tmp_path / "sched.cfg"
